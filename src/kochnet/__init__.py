@@ -6,7 +6,6 @@ centralities, and solve the unit-resistor network, with every claim
 checked against independent brute-force oracles.
 """
 
-from ._kernels import BACKEND, available_backends
 from .analytics import claim_audit, closed_forms, empirical_stats, stats_report
 from .centrality import (
     centrality_report,
@@ -29,6 +28,7 @@ from .errors import (
     KochError,
     LabelDomainError,
     LabelFormatError,
+    SettingError,
     SizeCapError,
     UnknownLabelError,
 )
@@ -51,8 +51,6 @@ from .routing import RoutePath, ancestor_chain, bfs_distances, bfs_sigma, distan
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "available_backends",
     "AnalysisError",
     "KochError",
     "KochGraph",
@@ -61,6 +59,7 @@ __all__ = [
     "LabelFormatError",
     "NeighborPartition",
     "RoutePath",
+    "SettingError",
     "SizeCapError",
     "UnknownLabelError",
     "VertexRecord",

@@ -1,31 +1,16 @@
 """Hot graph kernels: BFS distances, path counts, and Brandes accumulation.
 
-Two interchangeable backends compute identical results:
-
-* ``numba``  - scalar loops compiled with ``@njit`` (default when numba
-  imports cleanly),
-* ``numpy``  - vectorized frontier sweeps, no compilation step.
-
-Set ``KOCHNET_NUMBA=0`` to force the numpy path.  ``BACKEND`` names the
-active one; ``available_backends()`` lists both for equivalence tests and
-the benchmark script.  All kernels take adjacency as int64 CSR arrays and
-run sequentially per source, so results are bit-for-bit deterministic.
+Vectorized numpy frontier sweeps over adjacency given as int64 CSR
+arrays.  Every kernel runs sequentially per source, so results are
+bit-for-bit deterministic.  The all-sources kernels call the private
+``_bfs_levels`` sweep directly, so only ``bfs_distances`` and
+``bfs_sigma`` are single-source entry points.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable
-
 import numpy as np
 
-_FLAG = os.environ.get("KOCHNET_NUMBA", "1").strip().lower()
-_NUMBA_WANTED = _FLAG not in ("0", "false", "off", "no")
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
 
 def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
     """All CSR slots leaving ``frontier``: (targets, sources, slot positions)."""
@@ -40,7 +25,8 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
     return indices[pos], np.repeat(frontier, counts), pos
 
 
-def _np_bfs_levels(indptr, indices, source):
+def _bfs_levels(indptr, indices, source):
+    """One sweep: distances, shortest-path counts and the BFS levels."""
     n = indptr.shape[0] - 1
     dist = np.full(n, -1, np.int64)
     sigma = np.zeros(n, np.float64)
@@ -59,198 +45,34 @@ def _np_bfs_levels(indptr, indices, source):
     return dist, sigma, levels[:-1]
 
 
-def _np_bfs_distances(indptr, indices, source):
-    return _np_bfs_levels(indptr, indices, source)[0]
-
-
-def _np_bfs_sigma(indptr, indices, source):
-    dist, sigma, _ = _np_bfs_levels(indptr, indices, source)
-    return dist, sigma
-
-
-def _np_all_distance_total(indptr, indices):
-    n = indptr.shape[0] - 1
-    total = 0
-    for s in range(n):
-        total += int(_np_bfs_distances(indptr, indices, s).sum())
-    return total
-
-
-def _np_multi_sigma_count(indptr, indices):
-    n = indptr.shape[0] - 1
-    bad = 0
-    for s in range(n):
-        _, sigma = _np_bfs_sigma(indptr, indices, s)
-        bad += int(np.count_nonzero(sigma > 1.0))
-    return bad
-
-
-def _np_betweenness_totals(indptr, indices, csr_eid, n_edges):
-    n = indptr.shape[0] - 1
-    cb = np.zeros(n, np.float64)
-    eb = np.zeros(n_edges, np.float64)
-    for s in range(n):
-        dist, sigma, levels = _np_bfs_levels(indptr, indices, s)
-        delta = np.zeros(n, np.float64)
-        for level in levels[:0:-1]:
-            nbrs, ws, pos = _gather(indptr, indices, level)
-            pred = dist[nbrs] == dist[ws] - 1
-            v, w, slots = nbrs[pred], ws[pred], pos[pred]
-            contrib = sigma[v] / sigma[w] * (1.0 + delta[w])
-            np.add.at(delta, v, contrib)
-            np.add.at(eb, csr_eid[slots], contrib)
-            cb[level] += delta[level]
-    return cb, eb
-
-
-_NUMPY_IMPL = {
-    "bfs_distances": _np_bfs_distances,
-    "bfs_sigma": _np_bfs_sigma,
-    "all_distance_total": _np_all_distance_total,
-    "multi_sigma_count": _np_multi_sigma_count,
-    "betweenness_totals": _np_betweenness_totals,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-_IMPLS: dict[str, dict[str, Callable]] = {"numpy": _NUMPY_IMPL}
-
-if _NUMBA_WANTED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - environment without numba
-        njit = None
-
-    if njit is not None:
-
-        @njit(cache=True)
-        def _nb_bfs(indptr, indices, source, dist, sigma, order):
-            dist[:] = -1
-            sigma[:] = 0.0
-            dist[source] = 0
-            sigma[source] = 1.0
-            order[0] = source
-            head, tail = 0, 1
-            while head < tail:
-                u = order[head]
-                head += 1
-                nd = dist[u] + 1
-                for p in range(indptr[u], indptr[u + 1]):
-                    w = indices[p]
-                    if dist[w] < 0:
-                        dist[w] = nd
-                        order[tail] = w
-                        tail += 1
-                    if dist[w] == nd:
-                        sigma[w] += sigma[u]
-            return tail
-
-        @njit(cache=True)
-        def _nb_bfs_sigma(indptr, indices, source):
-            n = indptr.shape[0] - 1
-            dist = np.empty(n, np.int64)
-            sigma = np.empty(n, np.float64)
-            order = np.empty(n, np.int64)
-            _nb_bfs(indptr, indices, source, dist, sigma, order)
-            return dist, sigma
-
-        @njit(cache=True)
-        def _nb_bfs_distances(indptr, indices, source):
-            return _nb_bfs_sigma(indptr, indices, source)[0]
-
-        @njit(cache=True)
-        def _nb_all_distance_total(indptr, indices):
-            n = indptr.shape[0] - 1
-            dist = np.empty(n, np.int64)
-            sigma = np.empty(n, np.float64)
-            order = np.empty(n, np.int64)
-            total = np.int64(0)
-            for s in range(n):
-                _nb_bfs(indptr, indices, s, dist, sigma, order)
-                for v in range(n):
-                    total += dist[v]
-            return total
-
-        @njit(cache=True)
-        def _nb_multi_sigma_count(indptr, indices):
-            n = indptr.shape[0] - 1
-            dist = np.empty(n, np.int64)
-            sigma = np.empty(n, np.float64)
-            order = np.empty(n, np.int64)
-            bad = np.int64(0)
-            for s in range(n):
-                _nb_bfs(indptr, indices, s, dist, sigma, order)
-                for v in range(n):
-                    if sigma[v] > 1.0:
-                        bad += 1
-            return bad
-
-        @njit(cache=True)
-        def _nb_betweenness_totals(indptr, indices, csr_eid, n_edges):
-            n = indptr.shape[0] - 1
-            cb = np.zeros(n, np.float64)
-            eb = np.zeros(n_edges, np.float64)
-            dist = np.empty(n, np.int64)
-            sigma = np.empty(n, np.float64)
-            delta = np.empty(n, np.float64)
-            order = np.empty(n, np.int64)
-            for s in range(n):
-                tail = _nb_bfs(indptr, indices, s, dist, sigma, order)
-                delta[:] = 0.0
-                for k in range(tail - 1, 0, -1):
-                    w = order[k]
-                    coef = (1.0 + delta[w]) / sigma[w]
-                    dp = dist[w] - 1
-                    for p in range(indptr[w], indptr[w + 1]):
-                        v = indices[p]
-                        if dist[v] == dp:
-                            c = sigma[v] * coef
-                            delta[v] += c
-                            eb[csr_eid[p]] += c
-                    cb[w] += delta[w]
-            return cb, eb
-
-        _IMPLS["numba"] = {
-            "bfs_distances": _nb_bfs_distances,
-            "bfs_sigma": _nb_bfs_sigma,
-            "all_distance_total": lambda ip, ix: int(_nb_all_distance_total(ip, ix)),
-            "multi_sigma_count": lambda ip, ix: int(_nb_multi_sigma_count(ip, ix)),
-            "betweenness_totals": _nb_betweenness_totals,
-        }
-
-BACKEND = "numba" if "numba" in _IMPLS else "numpy"
-_ACTIVE = _IMPLS[BACKEND]
-
-
-def available_backends() -> list[str]:
-    return sorted(_IMPLS)
-
-
-def backend_impl(name: str) -> dict[str, Callable]:
-    return _IMPLS[name]
-
-
 def bfs_distances(indptr: np.ndarray, indices: np.ndarray, source: int) -> np.ndarray:
     """Unweighted single-source distances (int64, -1 if unreachable)."""
-    return _ACTIVE["bfs_distances"](indptr, indices, source)
+    return _bfs_levels(indptr, indices, source)[0]
 
 
 def bfs_sigma(indptr: np.ndarray, indices: np.ndarray, source: int):
     """Distances plus shortest-path counts from one source."""
-    return _ACTIVE["bfs_sigma"](indptr, indices, source)
+    dist, sigma, _ = _bfs_levels(indptr, indices, source)
+    return dist, sigma
 
 
 def all_distance_total(indptr: np.ndarray, indices: np.ndarray) -> int:
     """Sum of distances over all ordered vertex pairs."""
-    return int(_ACTIVE["all_distance_total"](indptr, indices))
+    n = indptr.shape[0] - 1
+    total = 0
+    for s in range(n):
+        total += int(_bfs_levels(indptr, indices, s)[0].sum())
+    return total
 
 
 def multi_sigma_count(indptr: np.ndarray, indices: np.ndarray) -> int:
     """Number of (source, vertex) pairs joined by more than one shortest path."""
-    return int(_ACTIVE["multi_sigma_count"](indptr, indices))
+    n = indptr.shape[0] - 1
+    bad = 0
+    for s in range(n):
+        sigma = _bfs_levels(indptr, indices, s)[1]
+        bad += int(np.count_nonzero(sigma > 1.0))
+    return bad
 
 
 def betweenness_totals(
@@ -262,4 +84,18 @@ def betweenness_totals(
     pairs; divide by two for the unordered-pair convention.  Endpoint
     pairs are excluded from vertex totals and included in edge totals.
     """
-    return _ACTIVE["betweenness_totals"](indptr, indices, csr_eid, n_edges)
+    n = indptr.shape[0] - 1
+    cb = np.zeros(n, np.float64)
+    eb = np.zeros(n_edges, np.float64)
+    for s in range(n):
+        dist, sigma, levels = _bfs_levels(indptr, indices, s)
+        delta = np.zeros(n, np.float64)
+        for level in levels[:0:-1]:
+            nbrs, ws, pos = _gather(indptr, indices, level)
+            pred = dist[nbrs] == dist[ws] - 1
+            v, w, slots = nbrs[pred], ws[pred], pos[pred]
+            contrib = sigma[v] / sigma[w] * (1.0 + delta[w])
+            np.add.at(delta, v, contrib)
+            np.add.at(eb, csr_eid[slots], contrib)
+            cb[level] += delta[level]
+    return cb, eb

@@ -112,15 +112,6 @@ class EmpiricalStats:
         return float(self.apl_estimate)
 
 
-def triangle_memberships(graph: KochGraph) -> np.ndarray:
-    counts = np.zeros(graph.n_vertices, np.int64)
-    for a, b, c in graph.triangles:
-        counts[a] += 1
-        counts[b] += 1
-        counts[c] += 1
-    return counts
-
-
 def _measured_triangles(graph: KochGraph) -> np.ndarray:
     """Triangle memberships per vertex, measured from adjacency alone."""
     sets = [set(nbrs) for nbrs in graph.adjacency]
@@ -255,12 +246,11 @@ class ClaimAudit:
     clustering_formula_matches_measurement: bool
 
 
-def claim_audit(graph: KochGraph) -> ClaimAudit:
+def claim_audit(report: StatsReport) -> ClaimAudit:
     """Compare measured statistics against every printed claim that has a number."""
-    m, t = graph.m, graph.t
+    m, t = report.closed.m, report.closed.t
     if t < 2:
         raise AnalysisError("claim audit needs t >= 2 (increments are undefined below)")
-    report = stats_report(graph)
     clustering = float(report.closed.clustering)
     gap = abs(clustering - CLUSTERING_LIMIT_M1) if m == 1 else None
     increment = float(apl_closed_form(m, t) - apl_closed_form(m, t - 1))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import analytics, centrality, electrical, verify
 from .errors import KochError, SizeCapError
@@ -39,9 +38,22 @@ class UsageError(KochError):
     pass
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
 def _add_mt(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, required=True, help="groups per triangle vertex (>= 1)")
-    parser.add_argument("--t", type=int, required=True, help="growth steps (>= 0)")
+    parser.add_argument(
+        "--m", type=_int_at_least(1), required=True, help="groups per triangle vertex (>= 1)"
+    )
+    parser.add_argument("--t", type=_int_at_least(0), required=True, help="growth steps (>= 0)")
 
 
 def _resolve_vertex(graph: KochGraph, text: str) -> int:
@@ -66,10 +78,6 @@ def _resolve_label(args, text: str) -> Label:
 
 def _jdump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
-
-
-def _num(x) -> float:
-    return float(x) if isinstance(x, Fraction) else x
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +160,8 @@ def _cmd_stats(args) -> int:
         return EXIT_OK
     doc = {"closed_form": _closed_form_doc(cf)}
     if args.empirical:
-        graph = build(args.m, args.t)
-        emp = analytics.empirical_stats(graph, seed=args.seed)
+        report = analytics.stats_report(build(args.m, args.t), seed=args.seed)
+        emp = report.empirical
         doc["empirical"] = {
             "vertices": emp.n_vertices,
             "edges": emp.n_edges,
@@ -165,13 +173,13 @@ def _cmd_stats(args) -> int:
             "apl_stderr": emp.apl_stderr,
         }
         audit = {
-            "counts_match": emp.n_vertices == cf.n_vertices and emp.n_edges == cf.n_edges,
-            "histogram_matches": cf.degree_histogram == dict(emp.degree_histogram),
-            "apl_matches": None if emp.apl is None else emp.apl == cf.apl,
+            "counts_match": report.counts_match,
+            "histogram_matches": report.histogram_matches,
+            "apl_matches": report.apl_matches,
             "clustering_matches": emp.clustering == cf.clustering,
         }
         if args.t >= 2:
-            ca = analytics.claim_audit(graph)
+            ca = analytics.claim_audit(report)
             audit["apl_increment"] = ca.apl_increment
             audit["apl_increment_target"] = ca.apl_increment_target
             if args.m == 1:
@@ -347,12 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pairs", type=int, default=10**5, help="routing pairs when sampling")
     p.add_argument("--electrical-pairs", type=int, default=50)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="reserved for parallel oracle passes; results never depend on it",
-    )
     p.set_defaults(func=_cmd_verify)
     return parser
 

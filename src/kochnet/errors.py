@@ -21,5 +21,9 @@ class SizeCapError(KochError, ValueError):
     """Raised when a requested build would exceed the vertex cap."""
 
 
+class SettingError(KochError, ValueError):
+    """Raised when an environment setting holds a value the package cannot use."""
+
+
 class AnalysisError(KochError, ValueError):
     """Raised when an analysis has too little data to be meaningful."""

@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import SizeCapError, UnknownLabelError
+from .errors import SettingError, SizeCapError, UnknownLabelError
 from .labels import Label, format_label
 
 DEFAULT_VERTEX_CAP = 10**7
@@ -51,7 +51,6 @@ class VertexRecord:
     birth_step: int
     father_id: int | None
     companion_id: int | None
-    group_slot: int | None  # 1-based offset inside the father's child block
 
 
 @dataclass
@@ -184,9 +183,11 @@ def _resolve_cap(max_vertices: int | None) -> int:
     if max_vertices is not None:
         return max_vertices
     env = os.environ.get(_CAP_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_VERTEX_CAP
+    if not env:
+        return DEFAULT_VERTEX_CAP
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise SettingError(f"{_CAP_ENV} must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
@@ -206,7 +207,7 @@ def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
         )
 
     vertices: list[VertexRecord] = [
-        VertexRecord(i, Label(i + 1), 0, None, None, None) for i in range(3)
+        VertexRecord(i, Label(i + 1), 0, None, None) for i in range(3)
     ]
     adjacency: list[list[int]] = [[1, 2], [0, 2], [0, 1]]
     triangles: list[tuple[int, int, int]] = [(0, 1, 2)]
@@ -228,8 +229,8 @@ def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
                     ib = ia + 1
                     la = Label(rec.label.subnet, bits, base + slot + 1)
                     lb = Label(rec.label.subnet, bits, base + slot + 2)
-                    vertices.append(VertexRecord(ia, la, step, v, ib, slot + 1))
-                    vertices.append(VertexRecord(ib, lb, step, v, ia, slot + 2))
+                    vertices.append(VertexRecord(ia, la, step, v, ib))
+                    vertices.append(VertexRecord(ib, lb, step, v, ia))
                     adjacency[v].extend((ia, ib))
                     adjacency.append([v, ib])
                     adjacency.append([v, ia])
@@ -248,10 +249,6 @@ def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
         triangles=triangles,
         label_index=label_index,
     )
-
-
-def neighbor_labels(graph: KochGraph, v: int) -> set[Label]:
-    return {graph.vertices[w].label for w in graph.adjacency[v]}
 
 
 def edge_class_counts(graph: KochGraph) -> dict[str, int]:

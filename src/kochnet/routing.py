@@ -88,10 +88,6 @@ def bfs_sigma(graph: KochGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
     return _kernels.bfs_sigma(indptr, indices, source)
 
 
-def route_on_graph(graph: KochGraph, a: Label, b: Label) -> RoutePath:
-    return route(graph.m, graph.t, a, b)
-
-
 def verify_path_in_graph(graph: KochGraph, path: RoutePath) -> bool:
     """Every consecutive hop pair must be an edge of the graph."""
     ids = [graph.vertex_by_label(h) for h in path.hops]

@@ -673,7 +673,7 @@ def stats_suite(graph: KochGraph) -> list[CheckResult]:
             )
         )
     if t >= 2:
-        audit = analytics.claim_audit(graph)
+        audit = analytics.claim_audit(report)
         if m == 1:
             ok = audit.clustering_gap_vs_limit <= 0.01 if t >= 6 else True
             out.append(

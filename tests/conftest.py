@@ -60,9 +60,14 @@ def python_bfs_sigma(adjacency, source):
 
 
 def python_betweenness(adjacency):
-    """Unordered-pair betweenness by explicit dependency accumulation."""
+    """Unordered-pair betweenness by explicit dependency accumulation.
+
+    Returns (per-vertex list, per-edge dict keyed by (u, v) with u < v);
+    edge values count the pairs that end at an endpoint of the edge.
+    """
     n = len(adjacency)
     cb = [Fraction(0)] * n
+    eb: dict[tuple[int, int], Fraction] = {}
     for s in range(n):
         dist = {s: 0}
         sigma = {s: 1}
@@ -84,7 +89,10 @@ def python_betweenness(adjacency):
         delta = {v: Fraction(0) for v in order}
         for w in reversed(order):
             for v in preds[w]:
-                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+                c = Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+                delta[v] += c
+                edge = (v, w) if v < w else (w, v)
+                eb[edge] = eb.get(edge, Fraction(0)) + c
             if w != s:
                 cb[w] += delta[w]
-    return [x / 2 for x in cb]
+    return [x / 2 for x in cb], {e: x / 2 for e, x in eb.items()}

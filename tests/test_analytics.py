@@ -89,7 +89,7 @@ class TestChecks:
         assert not cumulative_degree_check(2, 3, bad)
 
     def test_claim_audit(self):
-        audit = claim_audit(cached_graph(1, 2))
+        audit = claim_audit(stats_report(cached_graph(1, 2)))
         assert audit.apl_exact_match is True
         assert audit.cumulative_degree_ok
         assert audit.clustering_formula_matches_measurement
@@ -97,7 +97,7 @@ class TestChecks:
 
     def test_claim_audit_needs_t2(self):
         with pytest.raises(AnalysisError):
-            claim_audit(cached_graph(1, 1))
+            claim_audit(stats_report(cached_graph(1, 1)))
 
     def test_clustering_limit_m1(self):
         # the claimed infinite-t limit for m=1, approached from below by t=6

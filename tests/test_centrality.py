@@ -78,7 +78,7 @@ class TestExactOracle:
     def test_against_python_reference(self, m, t):
         graph = cached_graph(m, t)
         cb = exact_vertex_betweenness(graph)
-        ref = python_betweenness(graph.adjacency)
+        ref, _ = python_betweenness(graph.adjacency)
         n = graph.n_vertices
         norm = (n - 1) * (n - 2) // 2
         for v in range(n):

@@ -1,93 +1,68 @@
-"""Backend equivalence: the numba kernels and the numpy fallback must agree,
-and both must agree with a plain-Python reference."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels against plain-Python references that share no code
+with them (dict/deque BFS, exact ``Fraction`` dependency accumulation)."""
 
 import numpy as np
 import pytest
 
 from kochnet import _kernels
 
-from conftest import cached_graph, python_bfs, python_bfs_sigma
+from conftest import cached_graph, python_betweenness, python_bfs, python_bfs_sigma
 
-BACKENDS = _kernels.available_backends()
 GRAPHS = [(1, 2), (2, 2), (1, 3)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("m,t", GRAPHS)
-def test_bfs_matches_python(backend, m, t):
+def test_bfs_matches_python(m, t):
     graph = cached_graph(m, t)
-    impl = _kernels.backend_impl(backend)
     indptr, indices = graph.csr
     for source in (0, 3, graph.n_vertices - 1):
-        dist = impl["bfs_distances"](indptr, indices, source)
+        dist = _kernels.bfs_distances(indptr, indices, source)
         ref = python_bfs(graph.adjacency, source)
         assert [int(d) for d in dist] == [ref[v] for v in range(graph.n_vertices)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("m,t", GRAPHS)
-def test_sigma_matches_python(backend, m, t):
+def test_sigma_matches_python(m, t):
     graph = cached_graph(m, t)
-    impl = _kernels.backend_impl(backend)
     indptr, indices = graph.csr
     for source in (0, 5):
-        dist, sigma = impl["bfs_sigma"](indptr, indices, source)
+        dist, sigma = _kernels.bfs_sigma(indptr, indices, source)
         ref_d, ref_s = python_bfs_sigma(graph.adjacency, source)
         assert [int(x) for x in dist] == [ref_d[v] for v in range(graph.n_vertices)]
         assert [int(x) for x in sigma] == [ref_s[v] for v in range(graph.n_vertices)]
 
 
 @pytest.mark.parametrize("m,t", GRAPHS)
-def test_backends_agree_on_totals(m, t):
+def test_distance_total_matches_python(m, t):
     graph = cached_graph(m, t)
     indptr, indices = graph.csr
-    totals = set()
-    for backend in BACKENDS:
-        impl = _kernels.backend_impl(backend)
-        totals.add(int(impl["all_distance_total"](indptr, indices)))
-        assert int(impl["multi_sigma_count"](indptr, indices)) == 0
-    assert len(totals) == 1
+    total = 0
+    multi = 0
+    for s in range(graph.n_vertices):
+        ref_d, ref_s = python_bfs_sigma(graph.adjacency, s)
+        total += sum(ref_d.values())
+        multi += sum(1 for c in ref_s.values() if c > 1)
+    assert _kernels.all_distance_total(indptr, indices) == total
+    assert _kernels.multi_sigma_count(indptr, indices) == multi == 0
 
 
 @pytest.mark.parametrize("m,t", GRAPHS)
-def test_backends_agree_on_betweenness(m, t):
+def test_betweenness_totals_match_python(m, t):
     graph = cached_graph(m, t)
     indptr, indices = graph.csr
-    eid = graph.csr_edge_ids
-    results = [
-        _kernels.backend_impl(b)["betweenness_totals"](indptr, indices, eid, len(graph.edges))
-        for b in BACKENDS
-    ]
-    for cb, eb in results[1:]:
-        np.testing.assert_allclose(cb, results[0][0], rtol=0, atol=1e-9)
-        np.testing.assert_allclose(eb, results[0][1], rtol=0, atol=1e-9)
+    cb, eb = _kernels.betweenness_totals(
+        indptr, indices, graph.csr_edge_ids, len(graph.edges)
+    )
+    ref_v, ref_e = python_betweenness(graph.adjacency)
+    # the kernel sums over ordered pairs, the reference over unordered ones
+    np.testing.assert_allclose(cb / 2, [float(x) for x in ref_v], rtol=0, atol=1e-9)
+    assert sorted(ref_e) == graph.edges
+    expected = [float(ref_e[e]) for e in graph.edges]
+    np.testing.assert_allclose(eb / 2, expected, rtol=0, atol=1e-9)
 
 
 def test_multi_sigma_detects_square():
     # C4 has two shortest paths between opposite corners
     indptr = np.array([0, 2, 4, 6, 8], np.int64)
     indices = np.array([1, 3, 0, 2, 1, 3, 0, 2], np.int64)
-    for backend in BACKENDS:
-        impl = _kernels.backend_impl(backend)
-        assert impl["multi_sigma_count"](indptr, indices) == 4
-
-
-def test_env_flag_selects_numpy():
-    env = dict(os.environ, KOCHNET_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "import kochnet; print(kochnet.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif("numba" not in BACKENDS, reason="numba backend unavailable")
-def test_default_backend_is_numba():
-    assert _kernels.BACKEND == "numba"
+    assert _kernels.multi_sigma_count(indptr, indices) == 4

@@ -167,6 +167,29 @@ class TestCli:
         proc = run_cli("route", "--m", "1")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv,env",
+        [
+            (("stats", "--m", "0", "--t", "1"), {}),
+            (("verify", "--m", "1", "--t", "-1"), {}),
+            (("generate", "--m", "0", "--t", "1"), {}),
+            (("generate", "--m", "1", "--t", "1"), {"KOCH_MAX_VERTICES": "abc"}),
+            (("route", "--m", "0", "--t", "1", "1", "2"), {}),
+            (("decode", "--m", "1", "--t", "-1", "1"), {}),
+        ],
+        ids=["stats-m0", "verify-t-1", "generate-m0", "cap-abc", "route-m0", "decode-t-1"],
+    )
+    def test_bad_input_is_usage_error(self, argv, env):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kochnet.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, **env),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_exit_code_size_cap(self):
         env = dict(os.environ, KOCH_MAX_VERTICES="10")
         proc = subprocess.run(
