@@ -27,6 +27,7 @@ from .graph import KochGraph, edge_count, vertex_count
 
 APL_SAMPLE_SEED = 0x6B6F6368
 APL_EXACT_MAX_N = 5000
+APL_SAMPLE_SOURCES = 64
 CLUSTERING_LIMIT_M1 = 0.82008
 
 
@@ -102,7 +103,7 @@ class EmpiricalStats:
     apl: Fraction | None  # exact when computed over all pairs
     apl_estimate: float | None = None
     apl_stderr: float | None = None
-    apl_sampled_pairs: int = 0
+    apl_sampled_sources: int = 0
     local_clustering_is_inverse_degree: bool = True
 
     @property
@@ -114,9 +115,9 @@ class EmpiricalStats:
 
 def _measured_triangles(graph: KochGraph) -> np.ndarray:
     """Triangle memberships per vertex, measured from adjacency alone."""
-    sets = [set(nbrs) for nbrs in graph.adjacency]
+    sets = graph.neighbor_sets
     counts = np.zeros(graph.n_vertices, np.int64)
-    for u, v in graph.edges:
+    for u, v in graph.edges.tolist():
         common = sets[u] & sets[v] if len(sets[u]) <= len(sets[v]) else sets[v] & sets[u]
         for w in common:
             counts[w] += 1
@@ -129,7 +130,7 @@ def _measured_triangles(graph: KochGraph) -> np.ndarray:
 def empirical_stats(
     graph: KochGraph,
     apl_exact_max_n: int = APL_EXACT_MAX_N,
-    sample_pairs: int = 10**5,
+    sample_sources: int = APL_SAMPLE_SOURCES,
     seed: int = APL_SAMPLE_SEED,
     measure_apl: bool = True,
 ) -> EmpiricalStats:
@@ -169,20 +170,16 @@ def empirical_stats(
             local_clustering_is_inverse_degree=inverse_deg,
         )
 
+    # Every source has the same n - 1 targets, so the APL is the mean over
+    # sources of a source's mean distance; sources drawn uniformly with
+    # replacement give an unbiased estimate with one BFS each.
     rng = np.random.default_rng(seed)
-    samples = np.empty(sample_pairs, np.float64)
-    sources = rng.integers(0, n, sample_pairs)
-    targets = rng.integers(0, n - 1, sample_pairs)
-    targets[targets >= sources] += 1  # distinct endpoints, uniform over ordered pairs
-    order = np.argsort(sources, kind="stable")
-    pos = 0
-    for src in np.unique(sources):
-        dist = _kernels.bfs_distances(indptr, indices, int(src))
-        while pos < sample_pairs and sources[order[pos]] == src:
-            samples[order[pos]] = dist[targets[order[pos]]]
-            pos += 1
-    est = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(sample_pairs))
+    sources = rng.integers(0, n, sample_sources)
+    means = np.array(
+        [_kernels.bfs_distances(indptr, indices, int(s)).sum() / (n - 1) for s in sources.tolist()]
+    )
+    est = float(means.mean())
+    stderr = float(means.std(ddof=1) / math.sqrt(sample_sources))
     return EmpiricalStats(
         n_vertices=n,
         n_edges=len(graph.edges),
@@ -191,7 +188,7 @@ def empirical_stats(
         apl=None,
         apl_estimate=est,
         apl_stderr=stderr,
-        apl_sampled_pairs=sample_pairs,
+        apl_sampled_sources=sample_sources,
         local_clustering_is_inverse_degree=inverse_deg,
     )
 

@@ -157,7 +157,7 @@ def centrality_report(graph: KochGraph, with_fit: bool | None = None) -> Central
         for rec in graph.vertices
     ]
     erows = []
-    for eid, (u, v) in enumerate(graph.edges):
+    for eid, (u, v) in enumerate(graph.edges.tolist()):
         later = max(graph.vertices[u].birth_step, graph.vertices[v].birth_step)
         erows.append(
             EdgeRow(

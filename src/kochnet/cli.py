@@ -194,7 +194,7 @@ def _cmd_betweenness(args) -> int:
     if args.mode == "formula":
         if args.edges:
             print("u,v,class,paper")
-            for u, v in graph.edges:
+            for u, v in graph.edges.tolist():
                 later = max(graph.vertices[u].birth_step, graph.vertices[v].birth_step)
                 val = centrality.paper_edge_betweenness(args.m, args.t, later)
                 print(
@@ -341,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--profile", action="store_true", help="pair profile (default)")
     mode.add_argument("--cfb", action="store_true", help="current-flow betweenness over pairs")
     mode.add_argument("--gap", action="store_true", help="voltage-gap community statistic")
-    p.add_argument("--pairs", type=int, default=2000, help="sample size when N is large")
+    p.add_argument(
+        "--pairs", type=_int_at_least(1), default=2000, help="sample size when N is large"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_electrical)
 
@@ -353,8 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=10**5, help="routing pairs when sampling")
-    p.add_argument("--electrical-pairs", type=int, default=50)
+    p.add_argument(
+        "--pairs", type=_int_at_least(1), default=10**5, help="routing pairs when sampling"
+    )
+    p.add_argument("--electrical-pairs", type=_int_at_least(1), default=50)
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -57,14 +57,8 @@ class ElectricalProfile:
 
 
 def laplacian(graph: KochGraph) -> sp.csr_array:
-    n = graph.n_vertices
-    edges = np.asarray(graph.edges, np.int64)
-    u, v = edges[:, 0], edges[:, 1]
-    rows = np.concatenate((u, v, np.arange(n)))
-    cols = np.concatenate((v, u, np.arange(n)))
-    degs = np.fromiter((graph.degree(i) for i in range(n)), np.float64, n)
-    vals = np.concatenate((-np.ones(len(edges)), -np.ones(len(edges)), degs))
-    return sp.csr_array((vals, (rows, cols)), shape=(n, n))
+    """The graph's unit-resistor Laplacian, built once per graph and cached on it."""
+    return graph.laplacian
 
 
 def _solve_unit_current(graph: KochGraph, source: int, target: int) -> tuple[np.ndarray, float]:
@@ -72,7 +66,7 @@ def _solve_unit_current(graph: KochGraph, source: int, target: int) -> tuple[np.
     if source == target:
         raise ValueError("source and target must differ")
     n = graph.n_vertices
-    lap = laplacian(graph)
+    lap = graph.laplacian
     keep = np.arange(n) != target
     reduced = lap[keep][:, keep]
     b = np.zeros(n)
@@ -96,7 +90,7 @@ def _solve_unit_current(graph: KochGraph, source: int, target: int) -> tuple[np.
 
 
 def _edge_currents(graph: KochGraph, phi: np.ndarray) -> np.ndarray:
-    edges = np.asarray(graph.edges, np.int64)
+    edges = graph.edges
     return phi[edges[:, 0]] - phi[edges[:, 1]]
 
 
@@ -130,14 +124,6 @@ def solve(
     )
 
 
-def _path_triangles(graph: KochGraph, ids: list[int]) -> list[tuple[int, int, int]]:
-    tris = []
-    for u, v in zip(ids, ids[1:]):
-        key = (u, v) if u < v else (v, u)
-        tris.append(graph.triangles[graph.triangle_of_edge[key]])
-    return tris
-
-
 def path_profile(graph: KochGraph, source: int, target: int, tol: float = 1e-9) -> ElectricalProfile:
     """Unit-voltage profile annotated with the triangle-chain checks.
 
@@ -149,50 +135,46 @@ def path_profile(graph: KochGraph, source: int, target: int, tol: float = 1e-9) 
     """
     profile = solve(graph, source, target, mode="unit-voltage")
     path = route(graph.m, graph.t, graph.label_of(source), graph.label_of(target))
-    ids = [graph.vertex_by_label(h) for h in path.hops]
+    ids = np.array([graph.vertex_by_label(h) for h in path.hops], np.int64)
     d = path.length
-    tris = _path_triangles(graph, ids)
+    u, v = ids[:-1], ids[1:]
+    tris = graph.triangles[graph.edge_triangles[graph.edge_index(u, v)]]
+    w = tris.sum(axis=1) - u - v  # the third corner of each hop's triangle
 
-    support: set[int] = set()
-    for tri in tris:
-        a, b, c = sorted(tri)
-        for e in ((a, b), (a, c), (b, c)):
-            support.add(graph.edge_ids[e])
-    off = [i for i in range(len(graph.edges)) if i not in support]
+    chain = graph.edge_index(tris[:, [0, 0, 1]], tris[:, [1, 2, 2]]).ravel()
+    support = frozenset(chain.tolist())
+    off = np.ones(graph.n_edges, bool)
+    off[chain] = False
     # classification currents are taken at unit injection
     raw = profile.edge_currents * profile.effective_resistance
-    max_off = float(np.max(np.abs(raw[off]))) if off else 0.0
+    max_off = float(np.max(np.abs(raw[off]))) if off.any() else 0.0
 
     phi = profile.potentials
-    on_path = [float(phi[v]) for v in ids]
+    on_path = phi[ids].tolist()
     expected_path = [1.0 - k / d for k in range(d + 1)]
-    midpoints = []
-    for (u, v), tri in zip(zip(ids, ids[1:]), tris):
-        (w,) = set(tri) - {u, v}
-        midpoints.append(float(phi[w]))
+    midpoints = phi[w].tolist()
     expected_mid = [1.0 - (2 * k + 1) / (2 * d) for k in range(d)]
 
     total = 1.0 / profile.effective_resistance  # pair current in unit-voltage mode
-    splits = []
-    split_ok = True
-    for (u, v), tri in zip(zip(ids, ids[1:]), tris):
-        (w,) = set(tri) - {u, v}
-        direct = float(abs(profile.edge_currents[graph.edge_ids[(min(u, v), max(u, v))]]))
-        detour_a = float(abs(profile.edge_currents[graph.edge_ids[(min(u, w), max(u, w))]]))
-        detour_b = float(abs(profile.edge_currents[graph.edge_ids[(min(v, w), max(v, w))]]))
-        splits.append((direct / total, detour_a / total, detour_b / total))
-        split_ok = split_ok and (
-            abs(direct / total - 2 / 3) < tol
-            and abs(detour_a / total - 1 / 3) < tol
-            and abs(detour_b / total - 1 / 3) < tol
+    current = np.abs(profile.edge_currents)
+    direct = current[graph.edge_index(u, v)] / total
+    detour_a = current[graph.edge_index(u, w)] / total
+    detour_b = current[graph.edge_index(v, w)] / total
+    splits = list(zip(direct.tolist(), detour_a.tolist(), detour_b.tolist()))
+    split_ok = bool(
+        np.all(
+            (np.abs(direct - 2 / 3) < tol)
+            & (np.abs(detour_a - 1 / 3) < tol)
+            & (np.abs(detour_b - 1 / 3) < tol)
         )
+    )
 
     profile.distance = d
     profile.on_path_voltages = on_path
     profile.companion_voltages = midpoints
     profile.max_offpath_current = max_off
     profile.current_split = splits
-    profile.thm_support_ok = bool(max_off < tol and profile.support_edges == frozenset(support))
+    profile.thm_support_ok = bool(max_off < tol and profile.support_edges == support)
     profile.thm_voltages_ok = bool(
         all(abs(a - b) < tol for a, b in zip(on_path, expected_path))
         and all(abs(a - b) < tol for a, b in zip(midpoints, expected_mid))
@@ -210,7 +192,7 @@ class CurrentFlowResult:
 
 
 def _pinv_potentials(graph: KochGraph) -> np.ndarray:
-    return np.linalg.pinv(laplacian(graph).toarray())
+    return np.linalg.pinv(graph.laplacian.toarray())
 
 
 def current_flow_betweenness(
@@ -233,8 +215,7 @@ def current_flow_betweenness(
             f"got N={n} (use policy='sampled')"
         )
     pinv = _pinv_potentials(graph)
-    edges = np.asarray(graph.edges, np.int64)
-    u, v = edges[:, 0], edges[:, 1]
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
     col = pinv[u, :] - pinv[v, :]  # potential drop per edge for unit injection at column
 
     if policy == "exhaustive":

@@ -9,6 +9,14 @@ with index f gains at one step occupy the contiguous index block
 ((f-1)*D, f*D], ordered by the father's triangle list (creation order),
 then group number, then the two sons of a group on consecutive odd/even
 offsets.
+
+The triangle table is the one stored edge structure: an int64 (T, 3)
+array whose row 0 is the hubs (0, 1, 2) and whose row k >= 1 is
+(father, 2k+1, 2k+2), because the sons of the k-th triangle are created
+together as ids 2k+1 and 2k+2.  Every edge lies in exactly one triangle,
+so edge (u, v) lies in triangle (max(u, v) - 1) // 2.  The sorted edge
+list, degrees, CSR adjacency, edge ids, edge-to-triangle map and the
+Laplacian are derived from the table with numpy and cached.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from functools import cached_property
 from typing import IO
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import SettingError, SizeCapError, UnknownLabelError
 from .labels import Label, format_label
@@ -53,15 +62,18 @@ class VertexRecord:
     companion_id: int | None
 
 
-@dataclass
+@dataclass(eq=False)
 class KochGraph:
-    """Immutable generated network; safe for concurrent read-only use."""
+    """Immutable generated network; safe for concurrent read-only use.
+
+    ``triangles`` is the one stored edge structure; the edge views below
+    are derived from it on first use and cached.
+    """
 
     m: int
     t: int
     vertices: list[VertexRecord]
-    adjacency: list[list[int]]  # sorted neighbor ids
-    triangles: list[tuple[int, int, int]]
+    triangles: np.ndarray  # int64 (T, 3): row 0 the hubs, row k (father, 2k+1, 2k+2)
     label_index: dict[Label, int]
 
     @property
@@ -73,7 +85,7 @@ class KochGraph:
         return 3 * len(self.triangles)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.degrees[v])
 
     def label_of(self, v: int) -> Label:
         return self.vertices[v].label
@@ -87,56 +99,74 @@ class KochGraph:
             ) from None
 
     @cached_property
-    def neighbor_sets(self) -> list[set[int]]:
-        return [set(nbrs) for nbrs in self.adjacency]
+    def _edge_keys(self) -> np.ndarray:
+        """Sort key u * N + v of every edge (u < v), ascending; ``edges`` is its divmod by N."""
+        tri = self.triangles  # rows are ascending, so each corner pair is (low, high)
+        return np.sort((tri[:, [0, 0, 1]] * self.n_vertices + tri[:, [1, 2, 2]]).ravel())
 
     @cached_property
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, sorted ascending."""
-        out = []
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if v > u:
-                    out.append((u, v))
-        out.sort()
-        return out
+    def edges(self) -> np.ndarray:
+        """All edges as rows (u, v) with u < v, sorted ascending; int64 (E, 2)."""
+        return np.stack(np.divmod(self._edge_keys, self.n_vertices), axis=1)
+
+    def edge_index(self, u, v) -> np.ndarray:
+        """Row of edge (u, v) in ``edges``, either orientation; -1 where it is no edge.
+
+        Vectorized: ``u`` and ``v`` are ids or equal-shaped id arrays.
+        """
+        u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
+        key = np.minimum(u, v) * self.n_vertices + np.maximum(u, v)
+        keys = self._edge_keys
+        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return np.where(keys[pos] == key, pos, -1)
 
     @cached_property
-    def edge_ids(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
+    def edge_triangles(self) -> np.ndarray:
+        """Triangle row of every edge: edge (u, v) lies in triangle (max(u, v) - 1) // 2."""
+        return (self.edges[:, 1] - 1) // 2
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Vertex degrees, int64: two edges per triangle a vertex is a corner of."""
+        return 2 * np.bincount(self.triangles.ravel(), minlength=self.n_vertices)
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency in CSR form (indptr, indices), int64."""
-        degs = np.fromiter((len(a) for a in self.adjacency), np.int64, self.n_vertices)
-        indptr = np.zeros(self.n_vertices + 1, np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        indices = np.fromiter(
-            (v for nbrs in self.adjacency for v in nbrs), np.int64, int(indptr[-1])
-        )
-        return indptr, indices
+        """Adjacency in CSR form (indptr, indices), int64, neighbors ascending."""
+        n = self.n_vertices
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(self.degrees, out=indptr[1:])
+        return indptr, dst[np.argsort(src * n + dst)]
 
     @cached_property
     def csr_edge_ids(self) -> np.ndarray:
         """Undirected edge id for every CSR slot (parallel to csr indices)."""
         indptr, indices = self.csr
-        eids = np.empty(indices.shape[0], np.int64)
-        lookup = self.edge_ids
-        pos = 0
-        for u in range(self.n_vertices):
-            for v in self.adjacency[u]:
-                eids[pos] = lookup[(u, v) if u < v else (v, u)]
-                pos += 1
-        return eids
+        return self.edge_index(np.repeat(np.arange(self.n_vertices), np.diff(indptr)), indices)
 
     @cached_property
-    def triangle_of_edge(self) -> dict[tuple[int, int], int]:
-        """Each edge lies in exactly one triangle; map (u,v) with u<v to its triangle."""
-        out: dict[tuple[int, int], int] = {}
-        for ti, (a, b, c) in enumerate(self.triangles):
-            for u, v in ((a, b), (a, c), (b, c)):
-                out[(u, v) if u < v else (v, u)] = ti
-        return out
+    def adjacency(self) -> list[list[int]]:
+        """Sorted neighbor ids per vertex, as Python lists."""
+        indptr, indices = self.csr
+        flat, bounds = indices.tolist(), indptr.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def neighbor_sets(self) -> list[set[int]]:
+        return [set(nbrs) for nbrs in self.adjacency]
+
+    @cached_property
+    def laplacian(self) -> sp.csr_array:
+        """Unit-resistor Laplacian D - A, float64, canonical CSR (columns ascending)."""
+        n = self.n_vertices
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        rows = np.concatenate((u, v, np.arange(n)))
+        cols = np.concatenate((v, u, np.arange(n)))
+        ones = -np.ones(len(u))
+        vals = np.concatenate((ones, ones, self.degrees.astype(np.float64)))
+        return sp.csr_array((vals, (rows, cols)), shape=(n, n))
 
     def edge_class(self, u: int, v: int) -> str:
         ru, rv = self.vertices[u], self.vertices[v]
@@ -149,10 +179,11 @@ class KochGraph:
     # ---- exports -------------------------------------------------------
 
     def write_edgelist(self, fp: IO[str]) -> None:
-        for u, v in self.edges:
+        for u, v in self.edges.tolist():
             fp.write(f"{u} {v}\n")
 
     def write_json(self, fp: IO[str]) -> None:
+        degrees = self.degrees.tolist()
         doc = {
             "m": self.m,
             "t": self.t,
@@ -161,11 +192,11 @@ class KochGraph:
                     "id": r.id,
                     "label": format_label(r.label),
                     "birth": r.birth_step,
-                    "degree": self.degree(r.id),
+                    "degree": degrees[r.id],
                 }
                 for r in self.vertices
             ],
-            "edges": [[u, v] for u, v in self.edges],
+            "edges": self.edges.tolist(),
         }
         json.dump(doc, fp, separators=(",", ":"))
         fp.write("\n")
@@ -174,7 +205,7 @@ class KochGraph:
         fp.write("graph koch {\n")
         for r in self.vertices:
             fp.write(f'  {r.id} [label="{format_label(r.label)}"];\n')
-        for u, v in self.edges:
+        for u, v in self.edges.tolist():
             fp.write(f"  {u} -- {v};\n")
         fp.write("}\n")
 
@@ -209,43 +240,36 @@ def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
     vertices: list[VertexRecord] = [
         VertexRecord(i, Label(i + 1), 0, None, None) for i in range(3)
     ]
-    adjacency: list[list[int]] = [[1, 2], [0, 2], [0, 1]]
-    triangles: list[tuple[int, int, int]] = [(0, 1, 2)]
-    tri_lists: list[list[int]] = [[0], [0], [0]]
 
     for step in range(1, t + 1):
         n_existing = len(vertices)
-        tri_counts = [len(tri_lists[v]) for v in range(n_existing)]
         for v in range(n_existing):
             rec = vertices[v]
             age = step - rec.birth_step - 1  # full steps the father has already lived
+            # the father sits in (m+1)^age triangles and gives each m groups of two sons
             width = 2 * m * (m + 1) ** age
             bits = rec.label.bits + "0" + "1" * age
             base = 0 if rec.label.is_hub else (rec.label.index - 1) * width
-            for tri_pos in range(tri_counts[v]):
-                for g in range(m):
-                    slot = tri_pos * 2 * m + 2 * g
-                    ia = len(vertices)
-                    ib = ia + 1
-                    la = Label(rec.label.subnet, bits, base + slot + 1)
-                    lb = Label(rec.label.subnet, bits, base + slot + 2)
-                    vertices.append(VertexRecord(ia, la, step, v, ib))
-                    vertices.append(VertexRecord(ib, lb, step, v, ia))
-                    adjacency[v].extend((ia, ib))
-                    adjacency.append([v, ib])
-                    adjacency.append([v, ia])
-                    tid = len(triangles)
-                    triangles.append((v, ia, ib))
-                    tri_lists[v].append(tid)
-                    tri_lists.append([tid])
-                    tri_lists.append([tid])
+            for slot in range(0, width, 2):
+                ia = len(vertices)
+                ib = ia + 1
+                la = Label(rec.label.subnet, bits, base + slot + 1)
+                lb = Label(rec.label.subnet, bits, base + slot + 2)
+                vertices.append(VertexRecord(ia, la, step, v, ib))
+                vertices.append(VertexRecord(ib, lb, step, v, ia))
+
+    n_tri = triangle_count(m, t)
+    triangles = np.empty((n_tri, 3), np.int64)
+    triangles[0] = (0, 1, 2)
+    triangles[1:, 0] = np.fromiter((r.father_id for r in vertices[3::2]), np.int64, n_tri - 1)
+    triangles[1:, 1] = np.arange(3, len(vertices), 2)
+    triangles[1:, 2] = triangles[1:, 1] + 1
 
     label_index = {rec.label: rec.id for rec in vertices}
     return KochGraph(
         m=m,
         t=t,
         vertices=vertices,
-        adjacency=adjacency,
         triangles=triangles,
         label_index=label_index,
     )
@@ -253,6 +277,6 @@ def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
 
 def edge_class_counts(graph: KochGraph) -> dict[str, int]:
     counts = {EDGE_HUB_HUB: 0, EDGE_COMPANION: 0, EDGE_FATHER_CHILD: 0}
-    for u, v in graph.edges:
+    for u, v in graph.edges.tolist():
         counts[graph.edge_class(u, v)] += 1
     return counts

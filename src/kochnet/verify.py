@@ -103,10 +103,11 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
     )
 
     seen: dict[tuple[int, int], int] = {}
-    for ti, (a, b, c) in enumerate(graph.triangles):
+    for a, b, c in graph.triangles.tolist():
         for u, v in ((a, b), (a, c), (b, c)):
             seen[(u, v) if u < v else (v, u)] = seen.get((u, v) if u < v else (v, u), 0) + 1
-    one_tri = set(seen) == set(graph.edges) and all(v == 1 for v in seen.values())
+    edges = set(map(tuple, graph.edges.tolist()))
+    one_tri = set(seen) == edges and all(v == 1 for v in seen.values())
     out.append(
         _check(
             "labels/edge-triangle",
@@ -391,7 +392,7 @@ def centrality_suite(graph: KochGraph) -> list[CheckResult]:
         EDGE_FATHER_CHILD: 2 * (tri - 1),
     }
     third_vertex_pairs = 0
-    for a, b, c in graph.triangles[1:]:
+    for a, b, c in graph.triangles[1:].tolist():
         u, v = sorted((a, b, c))[1:]  # the two sons are the later ids
         if graph.edge_class(u, v) == EDGE_COMPANION:
             third_vertex_pairs += 1

@@ -72,11 +72,11 @@ class TestEmpirical:
 
     def test_sampled_apl_path(self):
         graph = cached_graph(1, 2)
-        emp = empirical_stats(graph, apl_exact_max_n=10, sample_pairs=4000, seed=1)
+        emp = empirical_stats(graph, apl_exact_max_n=10, sample_sources=4000, seed=1)
         assert emp.apl is None
         exact = float(apl_closed_form(1, 2))
         assert abs(emp.apl_estimate - exact) < 5 * emp.apl_stderr
-        again = empirical_stats(graph, apl_exact_max_n=10, sample_pairs=4000, seed=1)
+        again = empirical_stats(graph, apl_exact_max_n=10, sample_sources=4000, seed=1)
         assert again.apl_estimate == emp.apl_estimate  # seeded, reproducible
 
 

@@ -49,9 +49,9 @@ class TestExactOracle:
     def test_k11_edges(self):
         graph = cached_graph(1, 1)
         eb = exact_edge_betweenness(graph)
-        hub_son = graph.edge_ids[(0, 3)]  # "1" -- "10.1"
-        comp = graph.edge_ids[(3, 4)]  # "10.1" -- "10.2"
-        hubs = graph.edge_ids[(0, 1)]
+        hub_son = graph.edge_index(0, 3)  # "1" -- "10.1"
+        comp = graph.edge_index(3, 4)  # "10.1" -- "10.2"
+        hubs = graph.edge_index(0, 1)
         assert abs(eb[hub_son] - 1 / 4) < 1e-15
         assert abs(eb[comp] - 1 / 28) < 1e-15
         assert abs(eb[hubs] - 9 / 28) < 1e-15
@@ -99,7 +99,7 @@ class TestPaperFormulas:
     def test_eq_edge_disagrees_with_oracle(self):
         graph = cached_graph(1, 1)
         eb = exact_edge_betweenness(graph)
-        assert abs(eb[graph.edge_ids[(0, 3)]] - 1 / 4) < 1e-15  # vs printed 1/8
+        assert abs(eb[graph.edge_index(0, 3)] - 1 / 4) < 1e-15  # vs printed 1/8
 
 
 class TestFirstOrder:

@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from kochnet import SizeCapError, build, enumerate_labels, format_label
@@ -42,7 +43,7 @@ class TestInvariants:
             for u, v in ((a, b), (a, c), (b, c)):
                 key = (u, v) if u < v else (v, u)
                 cover[key] = cover.get(key, 0) + 1
-        assert set(cover) == set(graph.edges)
+        assert set(cover) == set(map(tuple, graph.edges.tolist()))
         assert all(c == 1 for c in cover.values())
 
     @pytest.mark.parametrize("m,t", [(1, 3), (2, 2), (3, 2)])
@@ -94,8 +95,47 @@ class TestInvariants:
     def test_deterministic_rebuild(self):
         a, b = build(2, 2), build(2, 2)
         assert [r.label for r in a.vertices] == [r.label for r in b.vertices]
-        assert a.edges == b.edges
-        assert a.triangles == b.triangles
+        assert np.array_equal(a.edges, b.edges)
+        assert np.array_equal(a.triangles, b.triangles)
+
+
+@pytest.mark.parametrize("m,t", [(1, 2), (2, 2), (3, 2)])
+def test_derived_index_matches_plain_rebuild(m, t):
+    """Edges, CSR, CSR edge ids and edge->triangle, rebuilt from the triangle table alone."""
+    graph = cached_graph(m, t)
+    triangle_of = {}
+    for k, (a, b, c) in enumerate(graph.triangles.tolist()):
+        for u, v in ((a, b), (a, c), (b, c)):
+            triangle_of[(min(u, v), max(u, v))] = k
+    edges = sorted(triangle_of)
+    edge_id = {e: i for i, e in enumerate(edges)}
+    neighbors = [[] for _ in range(graph.n_vertices)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    indptr, indices, slot_ids = [0], [], []
+    for u, row in enumerate(neighbors):
+        for v in sorted(row):
+            indices.append(v)
+            slot_ids.append(edge_id[(min(u, v), max(u, v))])
+        indptr.append(len(indices))
+
+    assert [tuple(e) for e in graph.edges.tolist()] == edges
+    assert graph.csr[0].tolist() == indptr
+    assert graph.csr[1].tolist() == indices
+    assert graph.csr_edge_ids.tolist() == slot_ids
+    assert graph.edge_triangles.tolist() == [triangle_of[e] for e in edges]
+    assert graph.adjacency == [sorted(row) for row in neighbors]
+    assert graph.degrees.tolist() == [len(row) for row in neighbors]
+
+    u, v = zip(*edges)
+    assert graph.edge_index(u, v).tolist() == list(range(len(edges)))
+    assert graph.edge_index(v, u).tolist() == list(range(len(edges)))
+    non_edge = next((0, w) for w in range(1, graph.n_vertices) if (0, w) not in edge_id)
+    assert graph.edge_index(*non_edge) == -1
+    assert graph.edge_index(non_edge[1], non_edge[0]) == -1
+    assert graph.edge_index(5, 5) == -1
+    assert graph.edge_index(graph.n_vertices - 1, graph.n_vertices - 1) == -1
 
 
 class TestValidation:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -176,8 +177,15 @@ class TestCli:
             (("generate", "--m", "1", "--t", "1"), {"KOCH_MAX_VERTICES": "abc"}),
             (("route", "--m", "0", "--t", "1", "1", "2"), {}),
             (("decode", "--m", "1", "--t", "-1", "1"), {}),
+            (("verify", "--m", "1", "--t", "5", "--pairs", "0", "--suite", "routing"), {}),
+            (("verify", "--m", "1", "--t", "1", "--pairs", "-5"), {}),
+            (("verify", "--m", "1", "--t", "1", "--electrical-pairs", "0"), {}),
+            (("electrical", "--m", "2", "--t", "3", "--cfb", "--pairs", "0"), {}),
         ],
-        ids=["stats-m0", "verify-t-1", "generate-m0", "cap-abc", "route-m0", "decode-t-1"],
+        ids=[
+            "stats-m0", "verify-t-1", "generate-m0", "cap-abc", "route-m0", "decode-t-1",
+            "verify-pairs0", "verify-pairs-5", "verify-electrical-pairs0", "electrical-pairs0",
+        ],
     )
     def test_bad_input_is_usage_error(self, argv, env):
         proc = subprocess.run(
@@ -212,3 +220,40 @@ class TestCli:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
         assert a.stdout.encode() == b.stdout.encode()
+
+
+# sha256 of stdout for outputs made of integers, labels and exact Fractions
+# only, so the digests do not depend on the BLAS build; a refactor that
+# changes any byte of them fails here
+PINNED_STDOUT = {
+    ("generate", "--m", "2", "--t", "3", "--format", "edgelist"):
+        "3e607392e18e331b569c874a3efc4cd0c40325438c631bbe276e20df0799af5f",
+    ("generate", "--m", "2", "--t", "3", "--format", "json"):
+        "84b2096d0d7df1083f6d08627156b5a62001af94d71ec99a1f512f570024d581",
+    ("generate", "--m", "2", "--t", "3", "--format", "dot"):
+        "26b11bc52ab87aff60b3a5a7f4077e06d734a829b963ab0094613bef662d88a8",
+    ("betweenness", "--m", "2", "--t", "2", "--mode", "formula", "--edges"):
+        "825e3a5bc75dfdb8f07762b8533ad569a691016eeab48dc13f12da914a0b596f",
+    ("stats", "--m", "2", "--t", "2", "--empirical"):
+        "450a9c375861011c6a1aa68d26ea8a61194b77923ae043b8ff6327d0ae65240a",
+    ("decode", "--m", "2", "--t", "3", "2011.5"):
+        "0dacc06d6ea6a5b505271c08a8444d07156d095b844c4e499b0c92561cbdfdef",
+    ("route", "--m", "2", "--t", "3", "2011.5", "#100", "--oracle"):
+        "aa0e9c437af6d22db24d7ed543bef8d9f53713188425a2c77ed78ae5585408f9",
+    ("verify", "--m", "2", "--t", "2", "--suite", "labels"):
+        "848a23510bc77e42e59ed921cc7aadcd7ab55c2f8d7e8e3c802748e82939bd25",
+    ("verify", "--m", "2", "--t", "2", "--suite", "routing"):
+        "7efe083195843f5f02487f11c8a6b2cc96c010f072fa69cd76e7cd8c525be0cf",
+    ("verify", "--m", "2", "--t", "2", "--suite", "stats"):
+        "4928eaa70e09cea063fa64c25d283e903c2bd0fe4e1e5e4bc2b9265d829fedcc",
+}
+
+
+def test_pinned_stdout_digests():
+    changed = []
+    for argv, digest in PINNED_STDOUT.items():
+        proc = subprocess.run([sys.executable, "-m", "kochnet.cli", *argv], capture_output=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        if hashlib.sha256(proc.stdout).hexdigest() != digest:
+            changed.append(" ".join(argv))
+    assert changed == []
