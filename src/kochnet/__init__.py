@@ -32,7 +32,7 @@ from .errors import (
     SizeCapError,
     UnknownLabelError,
 )
-from .graph import KochGraph, VertexRecord, build
+from .graph import KochGraph, build
 from .labels import (
     Label,
     NeighborPartition,
@@ -62,7 +62,6 @@ __all__ = [
     "SettingError",
     "SizeCapError",
     "UnknownLabelError",
-    "VertexRecord",
     "ancestor_chain",
     "bfs_distances",
     "bfs_sigma",

@@ -145,24 +145,25 @@ def centrality_report(graph: KochGraph, with_fit: bool | None = None) -> Central
     """Exact oracle + printed formulas + firstorder composition, per vertex and edge."""
     cb, eb = exact_betweenness(graph)
     m, t = graph.m, graph.t
+    labels, births, degrees = graph.labels, graph.birth.tolist(), graph.degrees.tolist()
     vrows = [
         VertexRow(
-            label=rec.label,
-            birth=rec.birth_step,
-            degree=graph.degree(rec.id),
-            exact=float(cb[rec.id]),
-            paper=paper_vertex_betweenness(m, t, rec.birth_step),
-            firstorder=firstorder_vertex_betweenness(m, t, rec.birth_step),
+            label=labels[v],
+            birth=birth,
+            degree=degrees[v],
+            exact=float(cb[v]),
+            paper=paper_vertex_betweenness(m, t, birth),
+            firstorder=firstorder_vertex_betweenness(m, t, birth),
         )
-        for rec in graph.vertices
+        for v, birth in enumerate(births)
     ]
     erows = []
     for eid, (u, v) in enumerate(graph.edges.tolist()):
-        later = max(graph.vertices[u].birth_step, graph.vertices[v].birth_step)
+        later = max(births[u], births[v])
         erows.append(
             EdgeRow(
-                label_u=graph.label_of(u),
-                label_v=graph.label_of(v),
+                label_u=labels[u],
+                label_v=labels[v],
                 edge_class=graph.edge_class(u, v),
                 exact=float(eb[eid]),
                 paper=paper_edge_betweenness(m, t, later),

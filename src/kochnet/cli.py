@@ -86,7 +86,10 @@ def _jdump(obj) -> str:
 
 def _cmd_generate(args) -> int:
     graph = build(args.m, args.t)
-    out = open(args.output, "w") if args.output else sys.stdout
+    try:
+        out = open(args.output, "w") if args.output else sys.stdout
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     try:
         if args.format == "edgelist":
             graph.write_edgelist(out)
@@ -192,22 +195,23 @@ def _cmd_stats(args) -> int:
 def _cmd_betweenness(args) -> int:
     graph = build(args.m, args.t)
     if args.mode == "formula":
+        labels, births = graph.labels, graph.birth.tolist()
         if args.edges:
             print("u,v,class,paper")
             for u, v in graph.edges.tolist():
-                later = max(graph.vertices[u].birth_step, graph.vertices[v].birth_step)
+                later = max(births[u], births[v])
                 val = centrality.paper_edge_betweenness(args.m, args.t, later)
                 print(
-                    f"{format_label(graph.label_of(u))},{format_label(graph.label_of(v))},"
+                    f"{format_label(labels[u])},{format_label(labels[v])},"
                     f"{graph.edge_class(u, v)},{float(val)!r}"
                 )
         else:
             print("label,birth,degree,paper,firstorder")
-            for rec in graph.vertices:
-                paper = centrality.paper_vertex_betweenness(args.m, args.t, rec.birth_step)
-                first = centrality.firstorder_vertex_betweenness(args.m, args.t, rec.birth_step)
+            for label, birth, degree in zip(labels, births, graph.degrees.tolist()):
+                paper = centrality.paper_vertex_betweenness(args.m, args.t, birth)
+                first = centrality.firstorder_vertex_betweenness(args.m, args.t, birth)
                 print(
-                    f"{format_label(rec.label)},{rec.birth_step},{graph.degree(rec.id)},"
+                    f"{format_label(label)},{birth},{degree},"
                     f"{float(paper)!r},{float(first)!r}"
                 )
         return EXIT_OK
@@ -244,8 +248,8 @@ def _cmd_electrical(args) -> int:
                 graph, policy="sampled", sample_pairs=args.pairs, seed=args.seed
             )
         print("label,current_flow_betweenness")
-        for rec in graph.vertices:
-            print(f"{format_label(rec.label)},{float(result.values[rec.id])!r}")
+        for label, value in zip(graph.labels, result.values.tolist()):
+            print(f"{format_label(label)},{value!r}")
         return EXIT_OK
 
     if args.source is None or args.target is None:

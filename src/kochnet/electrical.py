@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import KochError, SizeCapError
+from .errors import AnalysisError, KochError, SizeCapError
 from .graph import KochGraph
 from .routing import route
 
@@ -209,6 +209,11 @@ def current_flow_betweenness(
     ``endpoint_contribution`` for the convention where they count as 1).
     """
     n = graph.n_vertices
+    if policy == "sampled" and sample_pairs < 2:
+        raise AnalysisError(
+            f"sampled current-flow betweenness needs at least 2 pairs for its standard error, "
+            f"got {sample_pairs}"
+        )
     if policy == "exhaustive" and n > CFB_EXHAUSTIVE_MAX_N:
         raise SizeCapError(
             f"exhaustive current-flow betweenness capped at N={CFB_EXHAUSTIVE_MAX_N}; "

@@ -3,25 +3,30 @@
 The build replays the growth process: start from a triangle on the three
 hubs and, at every step, give each vertex of every existing triangle m
 groups of two new sons (each group closes a fresh triangle with its
-father).  Labels are assigned arithmetically while building so that the
+father).  Label positions are assigned arithmetically while building so the
 father/companion formulas hold by construction: the children a father
 with index f gains at one step occupy the contiguous index block
 ((f-1)*D, f*D], ordered by the father's triangle list (creation order),
 then group number, then the two sons of a group on consecutive odd/even
-offsets.
+offsets.  Each growth step is a handful of numpy operations over the
+existing vertices, so a vertex is an id into four int64 arrays: ``birth``,
+``subnet``, ``bits`` (the growth bits as a binary number of ``birth``
+digits) and ``index`` (0 for a hub).  ``Label`` objects are made from them
+only when asked for.
 
 The triangle table is the one stored edge structure: an int64 (T, 3)
 array whose row 0 is the hubs (0, 1, 2) and whose row k >= 1 is
 (father, 2k+1, 2k+2), because the sons of the k-th triangle are created
 together as ids 2k+1 and 2k+2.  Every edge lies in exactly one triangle,
-so edge (u, v) lies in triangle (max(u, v) - 1) // 2.  The sorted edge
-list, degrees, CSR adjacency, edge ids, edge-to-triangle map and the
-Laplacian are derived from the table with numpy and cached.
+so edge (u, v) lies in triangle (max(u, v) - 1) // 2; the father of a
+vertex v >= 3 is the first corner of row (v - 1) // 2, and its companion
+is the other son of that row.  The sorted edge list, degrees, CSR
+adjacency, edge ids, edge-to-triangle map and the Laplacian are derived
+from the table with numpy and cached.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,32 +58,26 @@ def triangle_count(m: int, t: int) -> int:
     return (3 * m + 1) ** t
 
 
-@dataclass(frozen=True)
-class VertexRecord:
-    id: int
-    label: Label
-    birth_step: int
-    father_id: int | None
-    companion_id: int | None
-
-
 @dataclass(eq=False)
 class KochGraph:
     """Immutable generated network; safe for concurrent read-only use.
 
-    ``triangles`` is the one stored edge structure; the edge views below
-    are derived from it on first use and cached.
+    ``triangles`` is the one stored edge structure and the four int64
+    vertex arrays the one stored vertex structure; the edge views and the
+    labels below are derived from them on first use and cached.
     """
 
     m: int
     t: int
-    vertices: list[VertexRecord]
     triangles: np.ndarray  # int64 (T, 3): row 0 the hubs, row k (father, 2k+1, 2k+2)
-    label_index: dict[Label, int]
+    birth: np.ndarray  # int64 (N,): growth step that added the vertex, 0 for a hub
+    subnet: np.ndarray  # int64 (N,): subnet digit 1..3
+    bits: np.ndarray  # int64 (N,): growth bits read as a binary number of `birth` digits
+    index: np.ndarray  # int64 (N,): index within (subnet, bits), 0 for a hub
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.birth)
 
     @property
     def n_edges(self) -> int:
@@ -87,8 +86,23 @@ class KochGraph:
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
+    @cached_property
+    def labels(self) -> list[Label]:
+        """Label of every vertex, in id order."""
+        # a leading 1 keeps the bit string's zeros: bin(code) is '0b1' + bits
+        codes, which = np.unique((1 << self.birth) | self.bits, return_inverse=True)
+        texts = [bin(code)[3:] for code in codes.tolist()]
+        return [
+            Label(subnet, texts[k], index or None)
+            for subnet, k, index in zip(self.subnet.tolist(), which.tolist(), self.index.tolist())
+        ]
+
+    @cached_property
+    def label_index(self) -> dict[Label, int]:
+        return {label: v for v, label in enumerate(self.labels)}
+
     def label_of(self, v: int) -> Label:
-        return self.vertices[v].label
+        return self.labels[v]
 
     def vertex_by_label(self, label: Label) -> int:
         try:
@@ -97,6 +111,19 @@ class KochGraph:
             raise UnknownLabelError(
                 f"label {format_label(label)} not present in K_{{{self.m},{self.t}}}"
             ) from None
+
+    def father_of(self, v) -> np.ndarray:
+        """Father id of vertex v, the first corner of triangle (v - 1) // 2; -1 for a hub.
+
+        Vectorized like ``edge_index``.
+        """
+        v = np.asarray(v, np.int64)
+        return np.where(v < 3, -1, self.triangles[(v - 1) // 2, 0])
+
+    def companion_of(self, v) -> np.ndarray:
+        """The other son of vertex v's triangle: v + 1 for odd v, v - 1 for even; -1 for a hub."""
+        v = np.asarray(v, np.int64)
+        return np.where(v < 3, -1, np.where(v % 2 == 1, v + 1, v - 1))
 
     @cached_property
     def _edge_keys(self) -> np.ndarray:
@@ -169,10 +196,10 @@ class KochGraph:
         return sp.csr_array((vals, (rows, cols)), shape=(n, n))
 
     def edge_class(self, u: int, v: int) -> str:
-        ru, rv = self.vertices[u], self.vertices[v]
-        if ru.birth_step == 0 and rv.birth_step == 0:
+        u, v = min(u, v), max(u, v)
+        if v < 3:
             return EDGE_HUB_HUB
-        if ru.companion_id == v:
+        if self.companion_of(u) == v:
             return EDGE_COMPANION
         return EDGE_FATHER_CHILD
 
@@ -183,28 +210,27 @@ class KochGraph:
             fp.write(f"{u} {v}\n")
 
     def write_json(self, fp: IO[str]) -> None:
-        degrees = self.degrees.tolist()
-        doc = {
-            "m": self.m,
-            "t": self.t,
-            "vertices": [
-                {
-                    "id": r.id,
-                    "label": format_label(r.label),
-                    "birth": r.birth_step,
-                    "degree": degrees[r.id],
-                }
-                for r in self.vertices
-            ],
-            "edges": self.edges.tolist(),
-        }
-        json.dump(doc, fp, separators=(",", ":"))
-        fp.write("\n")
+        """The bytes of ``json.dump(doc, fp, separators=(",", ":"))``, written piece by piece."""
+        # label texts are digits and dots, which JSON strings carry unescaped
+        fp.write(f'{{"m":{self.m},"t":{self.t},"vertices":[')
+        rows = zip(self.labels, self.birth.tolist(), self.degrees.tolist())
+        sep = ""
+        for v, (label, birth, degree) in enumerate(rows):
+            fp.write(
+                f'{sep}{{"id":{v},"label":"{format_label(label)}","birth":{birth},"degree":{degree}}}'
+            )
+            sep = ","
+        fp.write('],"edges":[')
+        sep = ""
+        for u, v in self.edges.tolist():
+            fp.write(f"{sep}[{u},{v}]")
+            sep = ","
+        fp.write("]}\n")
 
     def write_dot(self, fp: IO[str]) -> None:
         fp.write("graph koch {\n")
-        for r in self.vertices:
-            fp.write(f'  {r.id} [label="{format_label(r.label)}"];\n')
+        for v, label in enumerate(self.labels):
+            fp.write(f'  {v} [label="{format_label(label)}"];\n')
         for u, v in self.edges.tolist():
             fp.write(f"  {u} -- {v};\n")
         fp.write("}\n")
@@ -237,46 +263,34 @@ def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
             f"K_{{{m},{t}}} has {n_final} vertices, exceeding the cap of {cap}"
         )
 
-    vertices: list[VertexRecord] = [
-        VertexRecord(i, Label(i + 1), 0, None, None) for i in range(3)
-    ]
-
-    for step in range(1, t + 1):
-        n_existing = len(vertices)
-        for v in range(n_existing):
-            rec = vertices[v]
-            age = step - rec.birth_step - 1  # full steps the father has already lived
-            # the father sits in (m+1)^age triangles and gives each m groups of two sons
-            width = 2 * m * (m + 1) ** age
-            bits = rec.label.bits + "0" + "1" * age
-            base = 0 if rec.label.is_hub else (rec.label.index - 1) * width
-            for slot in range(0, width, 2):
-                ia = len(vertices)
-                ib = ia + 1
-                la = Label(rec.label.subnet, bits, base + slot + 1)
-                lb = Label(rec.label.subnet, bits, base + slot + 2)
-                vertices.append(VertexRecord(ia, la, step, v, ib))
-                vertices.append(VertexRecord(ib, lb, step, v, ia))
-
-    n_tri = triangle_count(m, t)
-    triangles = np.empty((n_tri, 3), np.int64)
+    birth, subnet, bits, index = (np.zeros(n_final, np.int64) for _ in range(4))
+    subnet[:3] = (1, 2, 3)
+    triangles = np.empty((triangle_count(m, t), 3), np.int64)
     triangles[0] = (0, 1, 2)
-    triangles[1:, 0] = np.fromiter((r.father_id for r in vertices[3::2]), np.int64, n_tri - 1)
-    triangles[1:, 1] = np.arange(3, len(vertices), 2)
+    n = 3
+    for step in range(1, t + 1):
+        age = step - birth[:n] - 1  # full steps each vertex has already lived
+        # a vertex sits in (m+1)^age triangles and gives each m groups of two sons
+        width = 2 * m * (m + 1) ** age
+        father = np.repeat(np.arange(n), width)
+        slot = np.arange(len(father)) - (np.cumsum(width) - width)[father]  # place in the block
+        base = np.where(birth[:n] == 0, 0, (index[:n] - 1) * width)  # hubs own the whole range
+        new = slice(n, n + len(father))
+        birth[new] = step
+        subnet[new] = subnet[father]
+        bits[new] = ((bits[:n] << (age + 1)) | ((1 << age) - 1))[father]  # bits + "0" + "1"*age
+        index[new] = base[father] + slot + 1
+        # sons 2k+1 and 2k+2 close triangle k with their father
+        first = (n - 1) // 2
+        triangles[first : first + len(father) // 2, 0] = father[::2]
+        n += len(father)
+    triangles[1:, 1] = np.arange(3, n, 2)
     triangles[1:, 2] = triangles[1:, 1] + 1
-
-    label_index = {rec.label: rec.id for rec in vertices}
-    return KochGraph(
-        m=m,
-        t=t,
-        vertices=vertices,
-        triangles=triangles,
-        label_index=label_index,
-    )
+    return KochGraph(m=m, t=t, triangles=triangles, birth=birth, subnet=subnet, bits=bits, index=index)
 
 
 def edge_class_counts(graph: KochGraph) -> dict[str, int]:
-    counts = {EDGE_HUB_HUB: 0, EDGE_COMPANION: 0, EDGE_FATHER_CHILD: 0}
-    for u, v in graph.edges.tolist():
-        counts[graph.edge_class(u, v)] += 1
-    return counts
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    hub = int(np.count_nonzero(v < 3))
+    comp = int(np.count_nonzero(graph.companion_of(u) == v))
+    return {EDGE_HUB_HUB: hub, EDGE_COMPANION: comp, EDGE_FATHER_CHILD: len(u) - hub - comp}

@@ -118,7 +118,8 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
     )
 
     enum = enumerate_labels(m, t)
-    built = {rec.label for rec in graph.vertices}
+    labels = graph.labels
+    built = set(labels)
     out.append(
         _check(
             "labels/bijection",
@@ -130,13 +131,13 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
 
     bad = 0
     witness = ""
-    for rec in graph.vertices:
-        part = neighbor_partition(m, t, rec.label)
-        adj_labels = {graph.vertices[w].label for w in graph.adjacency[rec.id]}
+    for label, nbrs in zip(labels, graph.adjacency):
+        part = neighbor_partition(m, t, label)
+        adj_labels = {labels[w] for w in nbrs}
         if part.as_set() != adj_labels or len(part) != len(adj_labels):
             bad += 1
             if not witness:
-                witness = str(rec.label)
+                witness = str(label)
     out.append(
         _check(
             "labels/partition",
@@ -146,10 +147,8 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
         )
     )
 
-    bad = 0
-    for rec in graph.vertices:
-        if rec.father_id is not None and father(m, rec.label) != graph.vertices[rec.father_id].label:
-            bad += 1
+    fathers = graph.father_of(np.arange(3, n)).tolist()
+    bad = sum(father(m, labels[v]) != labels[f] for v, f in enumerate(fathers, start=3))
     out.append(
         _check(
             "labels/father-blocks",
@@ -159,11 +158,7 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
         )
     )
 
-    bad = sum(
-        1
-        for rec in graph.vertices
-        if graph.degree(rec.id) != 2 * (m + 1) ** (t - rec.birth_step)
-    )
+    bad = int(np.count_nonzero(graph.degrees != 2 * (m + 1) ** (t - graph.birth)))
     out.append(
         _check(
             "labels/degree-formula",
@@ -562,8 +557,8 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
     if n <= electrical.CFB_EXHAUSTIVE_MAX_N:
         cfb = electrical.current_flow_betweenness(graph)
         by_birth: dict[int, list[float]] = {}
-        for rec in graph.vertices:
-            by_birth.setdefault(rec.birth_step, []).append(float(cfb.values[rec.id]))
+        for birth, value in zip(graph.birth.tolist(), cfb.values.tolist()):
+            by_birth.setdefault(birth, []).append(value)
         spread = max(max(v) - min(v) for v in by_birth.values())
         out.append(
             _check(

@@ -1,18 +1,19 @@
 """Shared fixtures: cached builds and slow-but-independent reference oracles.
 
 The reference implementations here deliberately avoid the package's
-kernels (plain dict/deque BFS, pair-by-pair counting) so that kernel and
-label arithmetic bugs cannot cancel out.
+kernels (plain dict/deque BFS, pair-by-pair counting, a per-vertex build
+loop) so that kernel, array and label arithmetic bugs cannot cancel out.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from kochnet import build
+from kochnet import Label, build
 
 _CACHE: dict[tuple[int, int], object] = {}
 
@@ -27,6 +28,52 @@ def cached_graph(m: int, t: int):
 @pytest.fixture
 def graph_factory():
     return cached_graph
+
+
+@dataclass(frozen=True)
+class ReferenceVertex:
+    id: int
+    label: Label
+    birth_step: int
+    father_id: int | None
+    companion_id: int | None
+
+
+def reference_build(m: int, t: int) -> tuple[list[ReferenceVertex], list[tuple[int, int, int]]]:
+    """Vertices and triangles of K_{m,t}, grown one vertex at a time in plain Python."""
+    vertices: list[ReferenceVertex] = [
+        ReferenceVertex(i, Label(i + 1), 0, None, None) for i in range(3)
+    ]
+
+    for step in range(1, t + 1):
+        n_existing = len(vertices)
+        for v in range(n_existing):
+            rec = vertices[v]
+            age = step - rec.birth_step - 1  # full steps the father has already lived
+            # the father sits in (m+1)^age triangles and gives each m groups of two sons
+            width = 2 * m * (m + 1) ** age
+            bits = rec.label.bits + "0" + "1" * age
+            base = 0 if rec.label.is_hub else (rec.label.index - 1) * width
+            for slot in range(0, width, 2):
+                ia = len(vertices)
+                ib = ia + 1
+                la = Label(rec.label.subnet, bits, base + slot + 1)
+                lb = Label(rec.label.subnet, bits, base + slot + 2)
+                vertices.append(ReferenceVertex(ia, la, step, v, ib))
+                vertices.append(ReferenceVertex(ib, lb, step, v, ia))
+
+    triangles = [(0, 1, 2)] + [(r.father_id, r.id, r.id + 1) for r in vertices[3::2]]
+    return vertices, triangles
+
+
+def reference_edge_class(vertices: list[ReferenceVertex], u: int, v: int) -> str:
+    """Class of edge (u, v), u < v, read off the reference records."""
+    ru, rv = vertices[u], vertices[v]
+    if ru.birth_step == 0 and rv.birth_step == 0:
+        return "hub-hub"
+    if ru.companion_id == v:
+        return "companion"
+    return "father-child"
 
 
 def python_bfs(adjacency, source):

@@ -57,7 +57,7 @@ def test_criterion_02_label_bijection():
         for t in range(0, 5):
             graph = cached_graph(m, t)
             labels = enumerate_labels(m, t)
-            built = {rec.label for rec in graph.vertices}
+            built = set(graph.labels)
             resolved = {graph.vertex_by_label(lab) for lab in labels}
             ok &= len(labels) == graph.n_vertices == len(resolved) and labels == built
     _report(2, ok, "|labels| = N and labels resolve to distinct vertices, m<=3, t<=4")
@@ -69,9 +69,10 @@ def test_criterion_03_neighbor_theorems():
     for m in (1, 2, 3):
         for t in range(0, 5):
             graph = cached_graph(m, t)
-            for rec in graph.vertices:
-                part = neighbor_partition(m, t, rec.label)
-                adjacent = {graph.vertices[w].label for w in graph.adjacency[rec.id]}
+            labels = graph.labels
+            for label, nbrs in zip(labels, graph.adjacency):
+                part = neighbor_partition(m, t, label)
+                adjacent = {labels[w] for w in nbrs}
                 if part.as_set() != adjacent or len(part) != len(adjacent):
                     ok = False
                 checked += 1
@@ -189,8 +190,8 @@ def test_criterion_08_betweenness_properties():
         graph = cached_graph(m, t)
         cb = exact_vertex_betweenness(graph)
         by_birth: dict[int, list[float]] = {}
-        for rec in graph.vertices:
-            by_birth.setdefault(rec.birth_step, []).append(float(cb[rec.id]))
+        for v, birth in enumerate(graph.birth.tolist()):
+            by_birth.setdefault(birth, []).append(float(cb[v]))
         spread = max(max(v) - min(v) for v in by_birth.values())
         ok &= spread <= 1e-12
         ok &= max(by_birth[t]) == 0.0
@@ -199,10 +200,10 @@ def test_criterion_08_betweenness_properties():
     for t in (1, 2, 3, 4):
         graph = cached_graph(1, t)
         cb = exact_vertex_betweenness(graph)
-        for rec in graph.vertices:
-            if t - rec.birth_step <= 1:
-                want = float(firstorder_vertex_betweenness(1, t, rec.birth_step))
-                ok &= abs(cb[rec.id] - want) <= 1e-12
+        for v, birth in enumerate(graph.birth.tolist()):
+            if t - birth <= 1:
+                want = float(firstorder_vertex_betweenness(1, t, birth))
+                ok &= abs(cb[v] - want) <= 1e-12
     g11 = cached_graph(1, 1)
     cb = exact_vertex_betweenness(g11)
     ok &= abs(cb[0] - 3 / 7) <= 1e-12

@@ -33,12 +33,12 @@ class TestDescendants:
     @pytest.mark.parametrize("m,t", [(1, 2), (2, 2)])
     def test_matches_ancestor_chains(self, m, t):
         graph = cached_graph(m, t)
-        below = {rec.id: 0 for rec in graph.vertices}
-        for rec in graph.vertices:
-            for anc in ancestor_chain(m, rec.label)[1:]:
+        below = [0] * graph.n_vertices
+        for label in graph.labels:
+            for anc in ancestor_chain(m, label)[1:]:
                 below[graph.vertex_by_label(anc)] += 1
-        for rec in graph.vertices:
-            assert below[rec.id] == descendant_count(m, t, rec.birth_step)
+        for v, birth in enumerate(graph.birth.tolist()):
+            assert below[v] == descendant_count(m, t, birth)
 
 
 class TestExactOracle:
@@ -63,14 +63,14 @@ class TestExactOracle:
     def test_leaves_zero(self):
         graph = cached_graph(2, 2)
         cb = exact_vertex_betweenness(graph)
-        for rec in graph.vertices:
-            if rec.birth_step == 2:
-                assert cb[rec.id] == 0.0
+        for v, birth in enumerate(graph.birth.tolist()):
+            if birth == 2:
+                assert cb[v] == 0.0
 
     def test_birth_step_symmetry(self):
         graph = cached_graph(2, 2)
         cb = exact_vertex_betweenness(graph)
-        step1 = [cb[r.id] for r in graph.vertices if r.birth_step == 1]
+        step1 = [cb[v] for v, birth in enumerate(graph.birth.tolist()) if birth == 1]
         assert len(step1) == 12
         assert max(step1) - min(step1) <= 1e-15
 
@@ -121,10 +121,10 @@ class TestFirstOrder:
         for t in (1, 2, 3):
             graph = cached_graph(1, t)
             cb = exact_vertex_betweenness(graph)
-            for rec in graph.vertices:
-                if t - rec.birth_step <= 1:
-                    expected = float(firstorder_vertex_betweenness(1, t, rec.birth_step))
-                    assert abs(cb[rec.id] - expected) < 1e-12
+            for v, birth in enumerate(graph.birth.tolist()):
+                if t - birth <= 1:
+                    expected = float(firstorder_vertex_betweenness(1, t, birth))
+                    assert abs(cb[v] - expected) < 1e-12
 
     def test_m2_young_vertices_break_equality(self):
         # sons of one father in different groups still route through it, so

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from kochnet import SizeCapError, build, enumerate_labels, format_label
+from kochnet import Label, SizeCapError, UnknownLabelError, build, enumerate_labels, format_label
 from kochnet.graph import edge_class_counts, edge_count, triangle_count, vertex_count
 
-from conftest import cached_graph
+from conftest import cached_graph, reference_build, reference_edge_class
 
 
 class TestCounts:
@@ -49,11 +49,11 @@ class TestInvariants:
     @pytest.mark.parametrize("m,t", [(1, 3), (2, 2), (3, 2)])
     def test_label_bijection(self, m, t):
         graph = cached_graph(m, t)
-        built = {rec.label for rec in graph.vertices}
+        built = set(graph.labels)
         assert built == enumerate_labels(m, t)
         assert len(graph.label_index) == graph.n_vertices
-        for rec in graph.vertices:
-            assert graph.vertex_by_label(rec.label) == rec.id
+        for v, label in enumerate(graph.labels):
+            assert graph.vertex_by_label(label) == v
 
     def test_adjacency_sorted_and_symmetric(self):
         graph = cached_graph(2, 2)
@@ -66,8 +66,8 @@ class TestInvariants:
 
     def test_degrees(self):
         graph = cached_graph(2, 2)
-        for rec in graph.vertices:
-            assert graph.degree(rec.id) == 2 * 3 ** (2 - rec.birth_step)
+        for v, birth in enumerate(graph.birth.tolist()):
+            assert graph.degree(v) == 2 * 3 ** (2 - birth)
 
     def test_neighborhood_edge_count_is_half_degree(self):
         graph = cached_graph(2, 2)
@@ -79,12 +79,12 @@ class TestInvariants:
 
     def test_companion_and_father_ids(self):
         graph = cached_graph(2, 2)
-        for rec in graph.vertices:
-            if rec.birth_step == 0:
-                assert rec.father_id is None and rec.companion_id is None
-            else:
-                assert graph.vertices[rec.companion_id].companion_id == rec.id
-                assert graph.vertices[rec.father_id].birth_step < rec.birth_step
+        ids = np.arange(graph.n_vertices)
+        father, companion = graph.father_of(ids), graph.companion_of(ids)
+        hub = graph.birth == 0
+        assert (father[hub] == -1).all() and (companion[hub] == -1).all()
+        assert (companion[companion[~hub]] == ids[~hub]).all()
+        assert (graph.birth[father[~hub]] < graph.birth[~hub]).all()
 
     def test_edge_classes(self):
         graph = cached_graph(2, 2)
@@ -94,7 +94,7 @@ class TestInvariants:
 
     def test_deterministic_rebuild(self):
         a, b = build(2, 2), build(2, 2)
-        assert [r.label for r in a.vertices] == [r.label for r in b.vertices]
+        assert a.labels == b.labels
         assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.triangles, b.triangles)
 
@@ -136,6 +136,44 @@ def test_derived_index_matches_plain_rebuild(m, t):
     assert graph.edge_index(non_edge[1], non_edge[0]) == -1
     assert graph.edge_index(5, 5) == -1
     assert graph.edge_index(graph.n_vertices - 1, graph.n_vertices - 1) == -1
+
+
+REFERENCE_SIZES = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, t) for t in range(3)]
+
+
+@pytest.mark.parametrize("m,t", REFERENCE_SIZES)
+def test_array_build_matches_reference_loop(m, t):
+    """The per-step array build equals the per-vertex loop it replaced, vertex by vertex."""
+    graph = build(m, t)
+    vertices, triangles = reference_build(m, t)
+    ids = np.arange(graph.n_vertices)
+    assert graph.triangles.tolist() == [list(row) for row in triangles]
+    assert graph.birth.tolist() == [r.birth_step for r in vertices]
+    assert graph.labels == [r.label for r in vertices]
+    assert graph.father_of(ids).tolist() == [-1 if r.father_id is None else r.father_id for r in vertices]
+    assert graph.companion_of(ids).tolist() == [
+        -1 if r.companion_id is None else r.companion_id for r in vertices
+    ]
+    classes = [reference_edge_class(vertices, u, v) for u, v in graph.edges.tolist()]
+    assert [graph.edge_class(u, v) for u, v in graph.edges.tolist()] == classes
+    assert [graph.edge_class(v, u) for u, v in graph.edges.tolist()] == classes
+    assert edge_class_counts(graph) == {c: classes.count(c) for c in ("hub-hub", "companion", "father-child")}
+
+
+def test_labels_built_on_first_use():
+    graph = build(1, 2)
+    assert "labels" not in vars(graph) and "label_index" not in vars(graph)
+    assert format_label(graph.label_of(3)) == "10.1"
+    assert "labels" in vars(graph) and "label_index" not in vars(graph)
+    assert graph.vertex_by_label(graph.label_of(3)) == 3
+    assert "label_index" in vars(graph)
+
+
+def test_unknown_label_is_key_error():
+    graph = cached_graph(1, 2)
+    with pytest.raises(UnknownLabelError, match="not present in K_{1,2}") as err:
+        graph.vertex_by_label(Label(1, "000", 1))  # born at step 3
+    assert isinstance(err.value, KeyError)
 
 
 class TestValidation:
@@ -196,6 +234,6 @@ class TestExports:
 
 def test_vertex_ids_in_creation_order():
     graph = cached_graph(2, 2)
-    assert [format_label(graph.vertices[i].label) for i in range(3)] == ["1", "2", "3"]
-    births = [rec.birth_step for rec in graph.vertices]
+    assert [format_label(graph.label_of(i)) for i in range(3)] == ["1", "2", "3"]
+    births = graph.birth.tolist()
     assert births == sorted(births)

@@ -157,9 +157,10 @@ class TestPartition:
     @pytest.mark.parametrize("m,t", [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (2, 3)])
     def test_matches_adjacency_exactly(self, m, t):
         graph = cached_graph(m, t)
-        for rec in graph.vertices:
-            part = neighbor_partition(m, t, rec.label)
-            adjacent = {graph.vertices[w].label for w in graph.adjacency[rec.id]}
+        labels = graph.labels
+        for label, nbrs in zip(labels, graph.adjacency):
+            part = neighbor_partition(m, t, label)
+            adjacent = {labels[w] for w in nbrs}
             assert part.as_set() == adjacent
             assert len(part) == len(adjacent)
 

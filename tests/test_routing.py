@@ -34,8 +34,8 @@ class TestAncestorChain:
     def test_births_strictly_decrease(self):
         for m, t in [(2, 3)]:
             graph = cached_graph(m, t)
-            for rec in graph.vertices:
-                chain = ancestor_chain(m, rec.label)
+            for label in graph.labels:
+                chain = ancestor_chain(m, label)
                 births = [x.birth for x in chain]
                 assert births == sorted(births, reverse=True)
                 assert chain[-1].is_hub

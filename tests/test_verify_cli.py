@@ -181,10 +181,13 @@ class TestCli:
             (("verify", "--m", "1", "--t", "1", "--pairs", "-5"), {}),
             (("verify", "--m", "1", "--t", "1", "--electrical-pairs", "0"), {}),
             (("electrical", "--m", "2", "--t", "3", "--cfb", "--pairs", "0"), {}),
+            (("electrical", "--m", "2", "--t", "3", "--cfb", "--pairs", "1"), {}),
+            (("generate", "--m", "1", "--t", "1", "-o", os.devnull + "/x"), {}),  # a path under a file
         ],
         ids=[
             "stats-m0", "verify-t-1", "generate-m0", "cap-abc", "route-m0", "decode-t-1",
             "verify-pairs0", "verify-pairs-5", "verify-electrical-pairs0", "electrical-pairs0",
+            "electrical-pairs1", "generate-unwritable-output",
         ],
     )
     def test_bad_input_is_usage_error(self, argv, env):
