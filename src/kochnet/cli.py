@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mt(p)
     p.add_argument("--empirical", action="store_true", help="build the graph and measure")
     p.add_argument("--csv", action="store_true", help="flat per-degree rows")
-    p.add_argument("--seed", type=int, default=analytics.APL_SAMPLE_SEED)
+    p.add_argument("--seed", type=_int_at_least(0), default=analytics.APL_SAMPLE_SEED)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("betweenness", help="vertex/edge betweenness: oracle vs printed formulas")
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--pairs", type=_int_at_least(1), default=2000, help="sample size when N is large"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_electrical)
 
     p = sub.add_parser("verify", help="run the verification suites")
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all",) + verify.SUITE_ORDER,
         default="all",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument(
         "--pairs", type=_int_at_least(1), default=10**5, help="routing pairs when sampling"
     )

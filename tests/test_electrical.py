@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from kochnet import current_flow_betweenness, parse_label, path_profile, solve, voltage_gap
-from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, laplacian
+from kochnet import (
+    build,
+    current_flow_betweenness,
+    parse_label,
+    path_profile,
+    route,
+    solve,
+    voltage_gap,
+)
+from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, RESIDUAL_TOL, _kcl_residual, laplacian
 from kochnet.errors import SizeCapError
 from kochnet.verify import _control_gap
 
@@ -48,6 +56,16 @@ class TestSolve:
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError):
             solve(cached_graph(1, 1), 2, 2)
+
+    def test_k26_far_pair_meets_tolerance(self):
+        # evaluated as laplacian @ phi, this pair's residual is 1.2e-10: the
+        # round-off of deg * phi products at the hubs, not error in the solve
+        graph = build(2, 6)
+        s, v = 8200, 223642
+        prof = solve(graph, s, v)
+        d = route(graph.m, graph.t, graph.label_of(s), graph.label_of(v)).length
+        assert prof.solver_residual < RESIDUAL_TOL
+        assert abs(prof.effective_resistance - 2 * d / 3) < 1e-9
 
     def test_unit_voltage_rescale(self):
         graph = cached_graph(1, 1)
@@ -134,6 +152,30 @@ class TestCurrentFlow:
         bound = 3 * np.where(sampled.stderr > 0, sampled.stderr, np.inf)
         assert np.all(err <= bound)
 
+    def test_sampled_matches_pair_sum(self):
+        # the same seeded pairs, each solved and accumulated by hand
+        graph = cached_graph(1, 2)
+        n, k, seed = graph.n_vertices, 40, 7
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, n, k)
+        dst = rng.integers(0, n - 1, k)
+        dst[dst >= src] += 1
+        rows = []
+        for s, v in zip(src.tolist(), dst.tolist()):
+            current = np.abs(solve(graph, s, v).edge_currents)
+            through = np.zeros(n)
+            for eid, (a, b) in enumerate(graph.edges.tolist()):
+                through[a] += current[eid] / 2
+                through[b] += current[eid] / 2
+            through[[s, v]] = 0.0
+            rows.append(through)
+        rows = np.array(rows)
+        got = current_flow_betweenness(graph, policy="sampled", sample_pairs=k, seed=seed)
+        assert got.pairs_used == k
+        np.testing.assert_allclose(got.values, rows.mean(axis=0), atol=1e-12)
+        expected_stderr = rows.std(axis=0, ddof=1) / np.sqrt(k)
+        np.testing.assert_allclose(got.stderr, expected_stderr, atol=1e-9)
+
     def test_cap(self):
         graph = cached_graph(2, 3)
         assert graph.n_vertices > CFB_EXHAUSTIVE_MAX_N
@@ -192,3 +234,24 @@ def test_pinv_and_grounded_solve_agree():
     for s, v in [(0, 5), (3, 8)]:
         r_pinv = pinv[s, s] + pinv[v, v] - 2 * pinv[s, v]
         assert abs(solve(graph, s, v).effective_resistance - r_pinv) < 1e-9
+
+
+@pytest.mark.parametrize("m,t", [(1, 3), (2, 2), (3, 2)])
+def test_factor_has_no_fill(m, t):
+    graph = cached_graph(m, t)
+    lu = graph.laplacian_lu
+    grounded_nnz = graph.n_vertices - 1 + graph.n_edges - graph.degree(0)
+    assert lu.L.nnz + lu.U.nnz == 2 * grounded_nnz
+
+
+@pytest.mark.parametrize("m,t", [(1, 3), (2, 2), (3, 2)])
+def test_edgewise_residual_is_laplacian_residual(m, t):
+    graph = cached_graph(m, t)
+    n = graph.n_vertices
+    for s, v in [(0, n - 1), (n // 2, 1), (n - 2, n // 3)]:
+        prof = solve(graph, s, v)
+        b = np.zeros(n)
+        b[s], b[v] = 1.0, -1.0
+        edgewise = _kcl_residual(graph, prof.edge_currents, b)
+        expected = laplacian(graph) @ prof.potentials - b
+        np.testing.assert_allclose(edgewise, expected, rtol=0, atol=1e-13)
