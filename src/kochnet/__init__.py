@@ -46,7 +46,16 @@ from .labels import (
     neighbor_partition,
     parse_label,
 )
-from .routing import RoutePath, ancestor_chain, bfs_distances, bfs_sigma, distance, route
+from .routing import (
+    RouteBatch,
+    RoutePath,
+    ancestor_chain,
+    bfs_distances,
+    bfs_sigma,
+    distance,
+    route,
+    route_batch,
+)
 
 __version__ = "0.1.0"
 
@@ -58,6 +67,7 @@ __all__ = [
     "LabelDomainError",
     "LabelFormatError",
     "NeighborPartition",
+    "RouteBatch",
     "RoutePath",
     "SettingError",
     "SizeCapError",
@@ -89,6 +99,7 @@ __all__ = [
     "parse_label",
     "path_profile",
     "route",
+    "route_batch",
     "scaling_fit",
     "solve",
     "stats_report",

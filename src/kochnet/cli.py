@@ -33,16 +33,20 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SIZE = 3
 
+MAX_PAIRS = 10**6  # cap on every --pairs option: sampled pairs are held in memory at once
+
 
 class UsageError(KochError):
     pass
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
@@ -346,7 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--cfb", action="store_true", help="current-flow betweenness over pairs")
     mode.add_argument("--gap", action="store_true", help="voltage-gap community statistic")
     p.add_argument(
-        "--pairs", type=_int_at_least(1), default=2000, help="sample size when N is large"
+        "--pairs",
+        type=_int_at_least(1, MAX_PAIRS),
+        default=2000,
+        help="sample size when N is large",
     )
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_electrical)
@@ -360,9 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument(
-        "--pairs", type=_int_at_least(1), default=10**5, help="routing pairs when sampling"
+        "--pairs",
+        type=_int_at_least(1, MAX_PAIRS),
+        default=10**5,
+        help="routing pairs when sampling",
     )
-    p.add_argument("--electrical-pairs", type=_int_at_least(1), default=50)
+    p.add_argument("--electrical-pairs", type=_int_at_least(1, MAX_PAIRS), default=50)
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -228,53 +228,63 @@ def current_flow_betweenness(
             f"exhaustive current-flow betweenness capped at N={CFB_EXHAUSTIVE_MAX_N}; "
             f"got N={n} (use policy='sampled')"
         )
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    endpoint = 1.0 if endpoint_contribution else 0.0
     if policy == "exhaustive":
-        # one multi-column back-solve: column j carries unit current from j to hub 0
-        b = np.eye(n)
-        b[0] -= 1.0
-        drops = _edge_currents(graph, _grounded_potentials(graph, b))
-        _checked_residual(graph, drops, b)
-        pair_iter = [(s, t) for s in range(n) for t in range(s + 1, n)]
-
-        def pair_currents(s: int, t: int) -> np.ndarray:
-            return drops[:, s] - drops[:, t]
-
-    elif policy == "sampled":
-        rng = np.random.default_rng(seed)
-        src = rng.integers(0, n, sample_pairs)
-        dst = rng.integers(0, n - 1, sample_pairs)
-        dst[dst >= src] += 1
-        pair_iter = list(zip(src.tolist(), dst.tolist()))
-
-        def pair_currents(s: int, t: int) -> np.ndarray:
-            return _edge_currents(graph, _solve_unit_current(graph, s, t)[0])
-
-    else:
+        return _exhaustive_cfb(graph, endpoint)
+    if policy != "sampled":
         raise ValueError(f"unknown policy {policy!r}")
 
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, sample_pairs)
+    dst = rng.integers(0, n - 1, sample_pairs)
+    dst[dst >= src] += 1
     totals = np.zeros(n)
-    sq_totals = np.zeros(n) if policy == "sampled" else None
-    for s, t in pair_iter:
-        currents = np.abs(pair_currents(s, t))
+    sq_totals = np.zeros(n)
+    for s, t in zip(src.tolist(), dst.tolist()):
+        currents = np.abs(_edge_currents(graph, _solve_unit_current(graph, s, t)[0]))
         through = np.zeros(n)
         np.add.at(through, u, currents)
         np.add.at(through, v, currents)
         through *= 0.5
-        through[s] = 1.0 if endpoint_contribution else 0.0
-        through[t] = 1.0 if endpoint_contribution else 0.0
+        through[s] = endpoint
+        through[t] = endpoint
         totals += through
-        if sq_totals is not None:
-            sq_totals += through**2
-
-    if policy == "exhaustive":
-        norm = n * (n - 1) // 2
-        return CurrentFlowResult(values=totals / norm, pairs_used=len(pair_iter), exhaustive=True)
-    k = len(pair_iter)
+        sq_totals += through**2
+    k = sample_pairs
     mean = totals / k
     var = (sq_totals / k - mean**2) * k / (k - 1)
     stderr = np.sqrt(np.maximum(var, 0.0) / k)
     return CurrentFlowResult(values=mean, pairs_used=k, exhaustive=False, stderr=stderr)
+
+
+def _exhaustive_cfb(graph: KochGraph, endpoint: float) -> CurrentFlowResult:
+    """Current-flow betweenness over all C(N, 2) pairs from one multi-column back-solve.
+
+    Column j of ``drops`` is the edge drops for unit current from j to hub
+    0, so pair (s, t) carries drops[:, s] - drops[:, t].  Per source s one
+    sparse product of the half-incidence matrix with |drops[:, s] -
+    drops[:, s+1:]| gives the through-current of every vertex for all its
+    pairs (s, t > s) at once.
+    """
+    n = graph.n_vertices
+    b = np.eye(n)
+    b[0] -= 1.0
+    drops = _edge_currents(graph, _grounded_potentials(graph, b))
+    _checked_residual(graph, drops, b)
+    n_edges = len(graph.edges)
+    half_incidence = sp.csr_array(
+        (np.full(2 * n_edges, 0.5), (graph.edges.T.ravel(), np.tile(np.arange(n_edges), 2))),
+        shape=(n, n_edges),
+    )
+    totals = np.zeros(n)
+    for s in range(n - 1):
+        through = half_incidence @ np.abs(drops[:, s : s + 1] - drops[:, s + 1 :])
+        through[s] = endpoint  # column c is the pair (s, s + 1 + c)
+        through[np.arange(s + 1, n), np.arange(n - 1 - s)] = endpoint
+        totals += through.sum(axis=1)
+    pairs = n * (n - 1) // 2
+    return CurrentFlowResult(values=totals / pairs, pairs_used=pairs, exhaustive=True)
 
 
 @dataclass

@@ -12,7 +12,9 @@ offsets.  Each growth step is a handful of numpy operations over the
 existing vertices, so a vertex is an id into four int64 arrays: ``birth``,
 ``subnet``, ``bits`` (the growth bits as a binary number of ``birth``
 digits) and ``index`` (0 for a hub).  ``Label`` objects are made from them
-only when asked for.
+only when asked for.  ``label_keys`` packs the four fields into one int64
+key per label, and ``vertex_by_label_key`` maps keys back to ids with one
+sorted lookup.
 
 The triangle table is the one stored edge structure: an int64 (T, 3)
 array whose row 0 is the hubs (0, 1, 2) and whose row k >= 1 is
@@ -57,6 +59,18 @@ def edge_count(m: int, t: int) -> int:
 
 def triangle_count(m: int, t: int) -> int:
     return (3 * m + 1) ** t
+
+
+def label_keys(m: int, t: int, subnet, birth, bits, index) -> np.ndarray:
+    """One int64 key per label of K_{m,t}, from its four fields (ints or equal-shaped arrays).
+
+    The bit string goes in behind a leading 1, so its length is kept, and
+    the index, at most (2m)^t, fills the low digits: distinct labels get
+    distinct keys.
+    """
+    birth = np.asarray(birth, np.int64)
+    code = (np.asarray(subnet, np.int64) << (t + 1)) | (1 << birth) | bits
+    return code * ((2 * m) ** t + 1) + index
 
 
 @dataclass(eq=False)
@@ -112,6 +126,20 @@ class KochGraph:
             raise UnknownLabelError(
                 f"label {format_label(label)} not present in K_{{{self.m},{self.t}}}"
             ) from None
+
+    @cached_property
+    def _sorted_label_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every vertex's label key in ascending order, and the vertex id of each."""
+        keys = label_keys(self.m, self.t, self.subnet, self.birth, self.bits, self.index)
+        order = np.argsort(keys)
+        return keys[order], order
+
+    def vertex_by_label_key(self, keys) -> np.ndarray:
+        """``vertex_by_label`` on label keys, vectorized: the id of each key, -1 where none."""
+        keys = np.asarray(keys, np.int64)
+        sorted_keys, ids = self._sorted_label_keys
+        pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+        return np.where(sorted_keys[pos] == keys, ids[pos], -1)
 
     def father_of(self, v) -> np.ndarray:
         """Father id of vertex v, the first corner of triangle (v - 1) // 2; -1 for a hub.
@@ -180,10 +208,6 @@ class KochGraph:
         indptr, indices = self.csr
         flat, bounds = indices.tolist(), indptr.tolist()
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    @cached_property
-    def neighbor_sets(self) -> list[set[int]]:
-        return [set(nbrs) for nbrs in self.adjacency]
 
     @cached_property
     def laplacian(self) -> sp.csr_array:

@@ -7,6 +7,10 @@ chains at their deepest common vertex, and when the two chain vertices
 just below the splice point are companions, connect them directly and
 drop the splice vertex (that detour through the common father would be
 one hop longer).
+
+``route`` does this for one pair of ``Label``s; ``route_batch`` does the
+same arithmetic for whole arrays of vertex ids at once, on the four label
+arrays the graph stores, and returns the hops as label keys.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .graph import KochGraph
+from .graph import KochGraph, label_keys
 from .labels import Label, companion, father, validate_in_graph
 
 
@@ -72,6 +76,78 @@ def route(m: int, t: int, a: Label, b: Label) -> RoutePath:
     return RoutePath(tuple(chain_a[: i + 2] + chain_b[: j + 1][::-1]), ops)
 
 
+@dataclass(frozen=True)
+class RouteBatch:
+    """``route`` for many pairs: row p holds hops 0..length[p] as label keys, then -1."""
+
+    hops: np.ndarray  # int64 (pairs, 2t + 2)
+    length: np.ndarray  # int64 (pairs,)
+    ops_used: np.ndarray  # int64 (pairs,)
+
+
+def _ancestor_keys(graph: KochGraph, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ancestor chains of the vertices ``v`` by the father formula on their label arrays.
+
+    Returns the chains' label keys as an int64 (len(v), t + 1) array in
+    chain order (the vertex, its father, ..., the hub, then -1), whether
+    each chain entry's index is odd, and the chain lengths.
+    """
+    m, t = graph.m, graph.t
+    subnet, birth, bits, index = graph.subnet[v], graph.birth[v], graph.bits[v], graph.index[v]
+    width = 2 * m * (m + 1) ** np.arange(t + 1, dtype=np.int64)
+    keys = np.empty((len(v), t + 1), np.int64)
+    odd = np.empty((len(v), t + 1), bool)
+    for k in range(t + 1):  # each step lowers birth by at least one; a hub maps to itself
+        keys[:, k] = label_keys(m, t, subnet, birth, bits, index)
+        odd[:, k] = index % 2 == 1
+        # the rightmost 0 of the bits sits above the run of r trailing ones: 2^r = (bits+1) & ~bits
+        r = np.frexp(((bits + 1) & ~bits).astype(np.float64))[1] - 1
+        birth = np.maximum(birth - r - 1, 0)
+        bits = bits >> (r + 1)
+        index = np.where(birth > 0, -(-index // width[r]), 0)
+    length = 1 + np.count_nonzero(keys != keys[:, -1:], axis=1)
+    keys[np.arange(t + 1) >= length[:, None]] = -1
+    return keys, odd, length
+
+
+def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
+    """``route`` between graph vertices a_ids[p] and b_ids[p], for every p at once.
+
+    Label arithmetic only, on the graph's ``subnet``, ``birth``, ``bits``
+    and ``index`` arrays; map the hop keys to ids with
+    ``graph.vertex_by_label_key``.
+    """
+    t = graph.t
+    a, b = np.asarray(a_ids, np.int64), np.asarray(b_ids, np.int64)
+    chain_a, odd_a, len_a = _ancestor_keys(graph, a)
+    chain_b, _, len_b = _ancestor_keys(graph, b)
+    rows = np.arange(len(a))
+    depth = np.arange(t + 1)
+
+    # the chains read from the hub end, padded with values that never match
+    def from_hub(chain, length, pad):
+        col = length[:, None] - 1 - depth
+        return np.where(col >= 0, np.take_along_axis(chain, np.maximum(col, 0), axis=1), pad)
+
+    common = np.cumprod(from_hub(chain_a, len_a, -1) == from_hub(chain_b, len_b, -2), axis=1).sum(1)
+    i, j = len_a - 1 - common, len_b - 1 - common  # chain positions just below the splice
+    same = graph.subnet[a] == graph.subnet[b]
+    split = same & (i >= 0) & (j >= 0)
+    ia, jb = np.maximum(i, 0), np.maximum(j, 0)
+    # the companion flips the index within its odd/even pair, which moves the key by one
+    companion = chain_a[rows, ia] + np.where(odd_a[rows, ia], 1, -1)
+    shortcut = split & (companion == chain_b[rows, jb])
+
+    n_a = np.where(same, i + 2 - shortcut, len_a)  # hops taken from a's chain, then b's reversed
+    n_b = np.where(same, j + 1, len_b)
+    k = np.arange(2 * t + 2)
+    from_a = chain_a[:, np.minimum(k, t)]
+    from_b = np.take_along_axis(chain_b, np.clip((n_a + n_b - 1)[:, None] - k, 0, t), axis=1)
+    hops = np.where(k < n_a[:, None], from_a, np.where(k < (n_a + n_b)[:, None], from_b, -1))
+    ops = np.where(a == b, 0, len_a + len_b - 2 + split)
+    return RouteBatch(hops=hops, length=n_a + n_b - 1, ops_used=ops)
+
+
 def distance(m: int, t: int, a: Label, b: Label) -> int:
     return route(m, t, a, b).length
 
@@ -90,6 +166,5 @@ def bfs_sigma(graph: KochGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
 
 def verify_path_in_graph(graph: KochGraph, path: RoutePath) -> bool:
     """Every consecutive hop pair must be an edge of the graph."""
-    ids = [graph.vertex_by_label(h) for h in path.hops]
-    sets = graph.neighbor_sets
-    return all(v in sets[u] for u, v in zip(ids, ids[1:]))
+    ids = np.array([graph.vertex_by_label(h) for h in path.hops], np.int64)
+    return bool(np.all(graph.edge_index(ids[:-1], ids[1:]) >= 0))

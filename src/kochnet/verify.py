@@ -31,13 +31,14 @@ from .labels import (
     l_max,
     neighbor_partition,
 )
-from .routing import route, verify_path_in_graph
+from .routing import route, route_batch  # noqa: F401  (perfbench's tracer test wraps verify.route)
 
 PASS = "pass"
 FAIL = "fail"
 DISCREPANCY = "paper-discrepancy"
 
 EXHAUSTIVE_PAIR_LIMIT = 700  # vertices; above this, routing checks sample
+_CHUNK_PAIRS = 4096  # pairs routed and checked together, against one BFS block of their sources
 
 
 @dataclass(frozen=True)
@@ -189,6 +190,18 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
 # routing
 # ---------------------------------------------------------------------------
 
+def _chunks(src: np.ndarray, rows: int):
+    """Slices of at most _CHUNK_PAIRS pairs, sorted by source, with at most ``rows`` sources each."""
+    lo = 0
+    while lo < len(src):
+        hi = min(lo + _CHUNK_PAIRS, len(src))
+        sources = np.unique(src[lo:hi])
+        if len(sources) > rows:
+            hi = lo + int(np.searchsorted(src[lo:hi], sources[rows]))
+        yield slice(lo, hi)
+        lo = hi
+
+
 def routing_suite(
     graph: KochGraph, seed: int = 0, sample_pairs: int = 10**5
 ) -> list[CheckResult]:
@@ -199,42 +212,65 @@ def routing_suite(
 
     exhaustive = n <= EXHAUSTIVE_PAIR_LIMIT
     if exhaustive:
-        pairs = [(s, v) for s in range(n) for v in range(s + 1, n)]
+        src, dst = np.triu_indices(n, 1)
     else:
         rng = np.random.default_rng(seed)
         src = rng.integers(0, n, sample_pairs)
         dst = rng.integers(0, n - 1, sample_pairs)
         dst[dst >= src] += 1
-        pairs = sorted(zip(src.tolist(), dst.tolist()))
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
 
     mismatches = 0
     invalid = 0
     ops_max = 0
     asym = 0
+    multi = 0
     witness = ""
-    last_src, dist = -1, None  # pairs are sorted by source; keep one BFS at a time
-    for s, v in pairs:
-        if s != last_src:
-            dist = _kernels.bfs_distances(indptr, indices, s)
-            last_src = s
-        la, lb = graph.label_of(s), graph.label_of(v)
-        path = route(m, t, la, lb)
-        ops_max = max(ops_max, path.ops_used)
-        if path.length != int(dist[v]):
-            mismatches += 1
-            if not witness:
-                witness = f"{la}->{lb} got {path.length} want {int(dist[v])}"
-        if not verify_path_in_graph(graph, path):
-            invalid += 1
-        if route(m, t, lb, la).hops != tuple(reversed(path.hops)):
-            asym += 1
-    mode = "all-pairs" if exhaustive else f"{len(pairs)} seeded pairs"
+    k = np.arange(2 * t + 2)
+    # each chunk is routed both ways and checked against one BFS block of its sources
+    for chunk in _chunks(src, _kernels.block_rows(n)):
+        s, v = src[chunk], dst[chunk]
+        fwd = route_batch(graph, s, v)
+        ops_max = max(ops_max, int(fwd.ops_used.max()))
+
+        sources, row = np.unique(s, return_inverse=True)
+        if exhaustive:
+            dist, sigma = _kernels.bfs_block(indptr, indices, sources, with_sigma=True)
+            # path counts are symmetric and the pairs are every s < v: each one counts both ways
+            multi += 2 * int(np.count_nonzero(sigma[row, v] > 1.0))
+        else:
+            dist = _kernels.bfs_block(indptr, indices, sources)
+        want = dist[row, v]
+        wrong = np.flatnonzero(fwd.length != want)
+        mismatches += len(wrong)
+        if len(wrong) and not witness:
+            p = wrong[0]
+            witness = (
+                f"{graph.label_of(int(s[p]))}->{graph.label_of(int(v[p]))}"
+                f" got {int(fwd.length[p])} want {int(want[p])}"
+            )
+
+        ids = graph.vertex_by_label_key(fwd.hops)
+        on_path = k[:-1] < fwd.length[:, None]
+        edge_ok = (graph.edge_index(ids[:, :-1], ids[:, 1:]) >= 0) | ~on_path
+        ends_ok = (ids[:, 0] == s) & (ids[np.arange(len(s)), fwd.length] == v)
+        invalid += int(np.count_nonzero(~(edge_ok.all(axis=1) & ends_ok)))
+
+        back = fwd.length[:, None] - k
+        reversed_hops = np.where(
+            back >= 0, np.take_along_axis(fwd.hops, np.maximum(back, 0), axis=1), -1
+        )
+        bwd = route_batch(graph, v, s)
+        asym += int(np.count_nonzero((bwd.hops != reversed_hops).any(axis=1)))
+
+    mode = "all-pairs" if exhaustive else f"{len(src)} seeded pairs"
     out.append(
         _check(
             "routing/optimality",
             f"label-route length equals BFS distance ({mode})",
             mismatches == 0,
-            f"pairs={len(pairs)} mismatches={mismatches}" + (f" first={witness}" if witness else ""),
+            f"pairs={len(src)} mismatches={mismatches}" + (f" first={witness}" if witness else ""),
         )
     )
     out.append(
@@ -263,7 +299,6 @@ def routing_suite(
     )
 
     if exhaustive:
-        multi = _kernels.multi_sigma_count(indptr, indices)
         detail = f"multi-path (source,target) incidences={multi}"
         findings = []
         if multi:
@@ -287,11 +322,7 @@ def routing_suite(
         )
     else:
         rng = np.random.default_rng(seed + 1)
-        sources = rng.integers(0, n, 32)
-        multi = 0
-        for s in np.unique(sources):
-            _, sigma = _kernels.bfs_sigma(indptr, indices, int(s))
-            multi += int(np.count_nonzero(sigma > 1.0))
+        multi = _kernels.multi_sigma_count(indptr, indices, np.unique(rng.integers(0, n, 32)))
         out.append(
             _check(
                 "routing/uniqueness",

@@ -79,6 +79,15 @@ def test_criterion_03_neighbor_theorems():
     _report(3, ok, f"label partition == adjacency on {checked} vertices, zero tolerance")
 
 
+def _bfs_rows(graph, sources):
+    """(source, BFS distance row) for ascending ``sources``, swept in blocked-BFS blocks."""
+    indptr, indices = graph.csr
+    rows = _kernels.block_rows(graph.n_vertices)
+    for lo in range(0, len(sources), rows):
+        block = sources[lo : lo + rows]
+        yield from zip(block.tolist(), _kernels.bfs_block(indptr, indices, block))
+
+
 def test_criterion_04_routing_optimality():
     mismatches = 0
     op_budget_ok = True
@@ -86,10 +95,8 @@ def test_criterion_04_routing_optimality():
     for m in (1, 2):
         for t in range(0, 4):
             graph = cached_graph(m, t)
-            indptr, indices = graph.csr
             n = graph.n_vertices
-            for s in range(n):
-                dist = _kernels.bfs_distances(indptr, indices, s)
+            for s, dist in _bfs_rows(graph, np.arange(n)):
                 ls = graph.label_of(s)
                 for v in range(s + 1, n):
                     path = route(m, t, ls, graph.label_of(v))
@@ -101,17 +108,16 @@ def test_criterion_04_routing_optimality():
     for m in (1, 2, 3):
         t = 4
         graph = cached_graph(m, t)
-        indptr, indices = graph.csr
         n = graph.n_vertices
         rng = np.random.default_rng(0x6B6F6368 + m)
         src = rng.integers(0, n, 10**5)
         dst = rng.integers(0, n - 1, 10**5)
         dst[dst >= src] += 1
+        rows = _bfs_rows(graph, np.unique(src))
         last, dist = -1, None
         for s, v in sorted(zip(src.tolist(), dst.tolist())):
-            if s != last:
-                dist = _kernels.bfs_distances(indptr, indices, s)
-                last = s
+            while s != last:
+                last, dist = next(rows)
             path = route(m, t, graph.label_of(s), graph.label_of(v))
             pairs_checked += 1
             if path.length != int(dist[v]):

@@ -202,6 +202,27 @@ class TestCurrentFlow:
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
+    def test_exhaustive_matches_per_pair_accumulation(self):
+        # drops from a dense pseudo-inverse, accumulated one pair at a time
+        graph = cached_graph(1, 3)
+        n = graph.n_vertices
+        u, v = graph.edges[:, 0], graph.edges[:, 1]
+        potentials = np.linalg.pinv(graph.laplacian.toarray())
+        drops = potentials[u] - potentials[v]  # column j: unit current injected at j
+        totals = np.zeros(n)
+        for s in range(n):
+            for t in range(s + 1, n):
+                current = np.abs(drops[:, s] - drops[:, t])
+                through = np.zeros(n)
+                np.add.at(through, u, current / 2)
+                np.add.at(through, v, current / 2)
+                through[[s, t]] = 0.0
+                totals += through
+        got = current_flow_betweenness(graph)
+        assert got.pairs_used == n * (n - 1) // 2
+        np.testing.assert_allclose(got.values, totals / got.pairs_used, rtol=0, atol=1e-12)
+
+
 class TestVoltageGap:
     def test_triangle(self):
         gap = voltage_gap(cached_graph(1, 0), 0, 1)

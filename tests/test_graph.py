@@ -71,7 +71,7 @@ class TestInvariants:
 
     def test_neighborhood_edge_count_is_half_degree(self):
         graph = cached_graph(2, 2)
-        sets = graph.neighbor_sets
+        sets = [set(nbrs) for nbrs in graph.adjacency]
         for v in range(graph.n_vertices):
             inside = sum(1 for a in graph.adjacency[v] for b in graph.adjacency[v]
                          if a < b and b in sets[a])

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kochnet import (
     Label,
     ancestor_chain,
     bfs_distances,
     bfs_sigma,
+    build,
     distance,
     parse_label,
     route,
+    verify,
 )
-from kochnet.routing import verify_path_in_graph
+from kochnet.routing import route_batch, verify_path_in_graph
 
 from conftest import cached_graph, python_bfs
 
@@ -128,3 +132,65 @@ def test_ops_counts_father_and_companion_only():
     assert path.ops_used == 5  # two father steps each side, one companion test
     path = route(1, 1, *_labels("10.1 20.1", 1))
     assert path.ops_used == 2  # cross-subnet: no companion test
+
+
+def _assert_batch_matches_route(graph, a, b):
+    m, t = graph.m, graph.t
+    batch = route_batch(graph, a, b)
+    ids = graph.vertex_by_label_key(batch.hops)
+    assert batch.hops.shape == (len(a), 2 * t + 2)
+    for p, (s, v) in enumerate(zip(a.tolist(), b.tolist())):
+        path = route(m, t, graph.label_of(s), graph.label_of(v))
+        want = [graph.vertex_by_label(h) for h in path.hops]
+        assert ids[p, : path.length + 1].tolist() == want, (s, v)
+        assert (batch.hops[p, path.length + 1 :] == -1).all()
+        assert (int(batch.length[p]), int(batch.ops_used[p])) == (path.length, path.ops_used)
+
+
+class TestRouteBatch:
+    @pytest.mark.parametrize(
+        "m,t", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 2)]
+    )
+    def test_equals_route_on_every_ordered_pair(self, m, t):
+        graph = cached_graph(m, t)
+        a, b = np.divmod(np.arange(graph.n_vertices**2), graph.n_vertices)
+        _assert_batch_matches_route(graph, a, b)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_equals_route_on_random_pairs(self, data):
+        m, t = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+        graph = cached_graph(m, t)
+        ids = st.integers(0, graph.n_vertices - 1)
+        pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=40))
+        a, b = (np.array(x, np.int64) for x in zip(*pairs))
+        _assert_batch_matches_route(graph, a, b)
+
+    def test_uses_labels_only(self):
+        graph = build(2, 2)
+        a, b = np.divmod(np.arange(graph.n_vertices**2), graph.n_vertices)
+        want = route_batch(cached_graph(2, 2), a, b)
+
+        def unavailable(*args):
+            raise AssertionError("route_batch read the graph structure")
+
+        graph.father_of = graph.companion_of = unavailable
+        graph.triangles = graph.csr = None
+        got = route_batch(graph, a, b)
+        assert (got.hops == want.hops).all() and (got.ops_used == want.ops_used).all()
+
+
+class TestRoutingSuite:
+    # all pairs of K(1,3) and K(2,2); seeded pairs of K(1,5) and K(2,4)
+    @pytest.mark.parametrize("m,t,pairs", [(1, 3, None), (2, 2, None), (1, 5, 3000), (2, 4, 5000)])
+    def test_same_results_for_any_chunk_size(self, monkeypatch, m, t, pairs):
+        graph = cached_graph(m, t)
+        kwargs = {} if pairs is None else {"sample_pairs": pairs}
+        reference = verify.routing_suite(graph, **kwargs)
+        assert all(c.status == verify.PASS for c in reference)
+        # chunks that do not divide the pair count, and
+        # BFS blocks that split a chunk's sources
+        for chunk, entries in ((1000, 1 << 20), (777, 1 << 20), (333, 50 * graph.n_vertices)):
+            monkeypatch.setattr(verify, "_CHUNK_PAIRS", chunk)
+            monkeypatch.setattr(verify._kernels, "_BLOCK_ENTRIES", entries)
+            assert verify.routing_suite(graph, **kwargs) == reference

@@ -186,12 +186,15 @@ class TestCli:
             (("electrical", "--m", "2", "--t", "3", "--cfb", "--seed", "-1"), {}),
             (("verify", "--m", "1", "--t", "2", "--seed", "-1"), {}),
             (("stats", "--m", "1", "--t", "6", "--empirical", "--seed", "-5"), {}),
+            # above MAX_PAIRS: refused before any pair array is allocated
+            (("verify", "--m", "1", "--t", "5", "--pairs", "1000000000"), {}),
+            (("electrical", "--m", "2", "--t", "3", "--cfb", "--pairs", "1000000000"), {}),
         ],
         ids=[
             "stats-m0", "verify-t-1", "generate-m0", "cap-abc", "route-m0", "decode-t-1",
             "verify-pairs0", "verify-pairs-5", "verify-electrical-pairs0", "electrical-pairs0",
             "electrical-pairs1", "generate-unwritable-output", "electrical-seed-1",
-            "verify-seed-1", "stats-seed-5",
+            "verify-seed-1", "stats-seed-5", "verify-pairs-1e9", "electrical-pairs-1e9",
         ],
     )
     def test_bad_input_is_usage_error(self, argv, env):
