@@ -15,7 +15,6 @@ network average as an exact rational sum.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -130,17 +129,20 @@ def empirical_stats(
     measure_apl: bool = True,
 ) -> EmpiricalStats:
     n = graph.n_vertices
-    hist = dict(sorted(Counter(len(a) for a in graph.adjacency).items()))
+    deg = graph.degrees
+    values, counts = np.unique(deg, return_counts=True)
+    hist = dict(zip(values.tolist(), counts.tolist()))
     tri = _measured_triangles(graph)
+    # C_v = tri / C(deg, 2) depends on (tri, deg) alone: one Fraction per distinct class
+    base = int(deg.max()) + 1
+    keys, sizes = np.unique(tri * base + deg, return_counts=True)
     clustering = Fraction(0)
-    inverse_deg = True
-    for v in range(n):
-        deg = graph.degree(v)
-        c_v = Fraction(int(tri[v]), deg * (deg - 1) // 2)
-        clustering += c_v
-        if c_v != Fraction(1, deg - 1):
-            inverse_deg = False
+    for key, size in zip(keys.tolist(), sizes.tolist()):
+        k, d = divmod(key, base)
+        clustering += size * Fraction(k, d * (d - 1) // 2)
     clustering /= n
+    # every degree is >= 2, so C_v = 1/(deg - 1) exactly when 2 tri = deg
+    inverse_deg = bool(np.all(2 * tri == deg))
 
     if not measure_apl:
         return EmpiricalStats(

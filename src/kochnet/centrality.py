@@ -1,10 +1,15 @@
-"""Betweenness centrality: exact accumulation oracle vs printed closed forms.
+"""Betweenness centrality: exact structural counts vs printed closed forms.
 
 Three values are computed side by side for every vertex:
 
-* ``exact`` - dependency accumulation over all sources (fractional path
-  counting, so the number stays right even where path uniqueness would
-  fail), normalized by (N-1)(N-2)/2 over unordered pairs;
+* ``exact`` - the exact count on the cactus of triangles.  Every edge
+  lies in one triangle and triangles meet only at vertices, so every
+  pair has a unique shortest path and a triangle splits the graph into
+  the three parts that hang at its corners.  The parts come from subtree
+  sizes summed youngest-first over the triangle table, in O(N).  A vertex
+  is interior to the pairs that lie in different components of G - v,
+  and an edge carries the pairs between the parts at its two endpoints.
+  Both counts are over unordered pairs, normalized by (N-1)(N-2)/2;
 * ``paper`` - the printed vertex/edge formulas evaluated verbatim as
   rationals, kept as report inputs rather than ground truth;
 * ``firstorder`` - descendants-times-rest composition N_l(N - N_l - 1)
@@ -22,9 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .errors import AnalysisError
-from .graph import KochGraph, vertex_count
+from .graph import EDGE_CLASSES, KochGraph, edge_class_ids, triangle_count, vertex_count
 from .labels import Label, format_label
 
 
@@ -61,14 +65,54 @@ def firstorder_vertex_betweenness(m: int, t: int, birth: int) -> Fraction:
     return Fraction(n_low * (n - n_low - 1), _pair_norm(n))
 
 
+def _corner_parts(graph: KochGraph) -> np.ndarray:
+    """Size of the part of the graph that hangs at each corner of each triangle.
+
+    int64 (T, 3), aligned with ``graph.triangles``; each row sums to N.
+    A son's part is its subtree: itself plus everything born below it.
+    Subtree sizes are summed youngest-first, one birth step at a time,
+    so every son's size is complete before it is added to its father's.
+    The father's part is the rest of the graph; each hub's part is its
+    own subtree.
+    """
+    tri = graph.triangles
+    n = graph.n_vertices
+    below = np.ones(n, np.int64)
+    for step in range(graph.t, 0, -1):
+        rows = tri[triangle_count(graph.m, step - 1) : triangle_count(graph.m, step)]
+        np.add.at(below, rows[:, 0], below[rows[:, 1]] + below[rows[:, 2]])
+    parts = below[tri]
+    parts[1:, 0] = n - parts[1:, 1] - parts[1:, 2]
+    return parts
+
+
+def betweenness_counts(graph: KochGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Exact betweenness counts over unordered pairs, int64 (vertices, edges).
+
+    A vertex counts the pairs it is interior to: the pairs split between
+    two components of G - v, whose sizes are N minus v's part in each of
+    its triangles.  An edge counts the pairs whose path uses it, its own
+    endpoints included: the product of its endpoints' parts.  Edges are
+    aligned with ``graph.edges``.
+    """
+    tri = graph.triangles
+    n = graph.n_vertices
+    parts = _corner_parts(graph)
+    squares = np.zeros(n, np.int64)
+    np.add.at(squares, tri.ravel(), ((n - parts) ** 2).ravel())
+    vertex = ((n - 1) ** 2 - squares) // 2
+    edge = np.empty(graph.n_edges, np.int64)
+    edge[graph.edge_index(tri[:, [0, 0, 1]], tri[:, [1, 2, 2]])] = (
+        parts[:, [0, 0, 1]] * parts[:, [1, 2, 2]]
+    )
+    return vertex, edge
+
+
 def exact_betweenness(graph: KochGraph) -> tuple[np.ndarray, np.ndarray]:
     """Normalized exact betweenness (vertices, edges aligned with graph.edges)."""
-    indptr, indices = graph.csr
-    cb, eb = _kernels.betweenness_totals(
-        indptr, indices, graph.csr_edge_ids, len(graph.edges)
-    )
-    norm = 2.0 * _pair_norm(graph.n_vertices)
-    return cb / norm, eb / norm
+    vertex, edge = betweenness_counts(graph)
+    norm = _pair_norm(graph.n_vertices)
+    return vertex / norm, edge / norm
 
 
 def exact_vertex_betweenness(graph: KochGraph) -> np.ndarray:
@@ -142,33 +186,44 @@ class CentralityReport:
 
 
 def centrality_report(graph: KochGraph, with_fit: bool | None = None) -> CentralityReport:
-    """Exact oracle + printed formulas + firstorder composition, per vertex and edge."""
+    """Exact counts + printed formulas + firstorder composition, per vertex and edge.
+
+    The closed forms depend on the birth step alone, so each is evaluated
+    once per step and shared by the rows of that step.
+    """
     cb, eb = exact_betweenness(graph)
     m, t = graph.m, graph.t
-    labels, births, degrees = graph.labels, graph.birth.tolist(), graph.degrees.tolist()
+    steps = range(t + 1)
+    paper_v = [paper_vertex_betweenness(m, t, b) for b in steps]
+    first_v = [firstorder_vertex_betweenness(m, t, b) for b in steps]
+    paper_e = [paper_edge_betweenness(m, t, b) for b in steps]
+    labels = graph.labels
     vrows = [
         VertexRow(
-            label=labels[v],
+            label=label,
             birth=birth,
-            degree=degrees[v],
-            exact=float(cb[v]),
-            paper=paper_vertex_betweenness(m, t, birth),
-            firstorder=firstorder_vertex_betweenness(m, t, birth),
+            degree=degree,
+            exact=exact,
+            paper=paper_v[birth],
+            firstorder=first_v[birth],
         )
-        for v, birth in enumerate(births)
+        for label, birth, degree, exact in zip(
+            labels, graph.birth.tolist(), graph.degrees.tolist(), cb.tolist()
+        )
     ]
-    erows = []
-    for eid, (u, v) in enumerate(graph.edges.tolist()):
-        later = max(births[u], births[v])
-        erows.append(
-            EdgeRow(
-                label_u=labels[u],
-                label_v=labels[v],
-                edge_class=graph.edge_class(u, v),
-                exact=float(eb[eid]),
-                paper=paper_edge_betweenness(m, t, later),
-            )
+    later = graph.birth[graph.edges].max(axis=1).tolist()
+    erows = [
+        EdgeRow(
+            label_u=labels[u],
+            label_v=labels[v],
+            edge_class=EDGE_CLASSES[cls],
+            exact=exact,
+            paper=paper_e[b],
         )
+        for (u, v), cls, exact, b in zip(
+            graph.edges.tolist(), edge_class_ids(graph).tolist(), eb.tolist(), later
+        )
+    ]
     report = CentralityReport(
         m=m, t=t, pair_norm=_pair_norm(graph.n_vertices), vertices=vrows, edges=erows
     )

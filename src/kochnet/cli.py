@@ -16,7 +16,7 @@ import sys
 
 from . import analytics, centrality, electrical, verify
 from .errors import KochError, SizeCapError
-from .graph import KochGraph, build
+from .graph import EDGE_CLASSES, KochGraph, build, edge_class_ids
 from .labels import (
     Label,
     children,
@@ -199,25 +199,25 @@ def _cmd_stats(args) -> int:
 def _cmd_betweenness(args) -> int:
     graph = build(args.m, args.t)
     if args.mode == "formula":
-        labels, births = graph.labels, graph.birth.tolist()
+        labels, steps = graph.labels, range(args.t + 1)
         if args.edges:
+            paper = [float(centrality.paper_edge_betweenness(args.m, args.t, b)) for b in steps]
+            later = graph.birth[graph.edges].max(axis=1).tolist()
+            classes = edge_class_ids(graph).tolist()
             print("u,v,class,paper")
-            for u, v in graph.edges.tolist():
-                later = max(births[u], births[v])
-                val = centrality.paper_edge_betweenness(args.m, args.t, later)
+            for (u, v), cls, b in zip(graph.edges.tolist(), classes, later):
                 print(
                     f"{format_label(labels[u])},{format_label(labels[v])},"
-                    f"{graph.edge_class(u, v)},{float(val)!r}"
+                    f"{EDGE_CLASSES[cls]},{paper[b]!r}"
                 )
         else:
+            paper = [float(centrality.paper_vertex_betweenness(args.m, args.t, b)) for b in steps]
+            first = [
+                float(centrality.firstorder_vertex_betweenness(args.m, args.t, b)) for b in steps
+            ]
             print("label,birth,degree,paper,firstorder")
-            for label, birth, degree in zip(labels, births, graph.degrees.tolist()):
-                paper = centrality.paper_vertex_betweenness(args.m, args.t, birth)
-                first = centrality.firstorder_vertex_betweenness(args.m, args.t, birth)
-                print(
-                    f"{format_label(label)},{birth},{degree},"
-                    f"{float(paper)!r},{float(first)!r}"
-                )
+            for label, b, degree in zip(labels, graph.birth.tolist(), graph.degrees.tolist()):
+                print(f"{format_label(label)},{b},{degree},{paper[b]!r},{first[b]!r}")
         return EXIT_OK
 
     report = centrality.centrality_report(graph)

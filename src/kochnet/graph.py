@@ -47,6 +47,7 @@ _CAP_ENV = "KOCH_MAX_VERTICES"
 EDGE_HUB_HUB = "hub-hub"
 EDGE_COMPANION = "companion"
 EDGE_FATHER_CHILD = "father-child"
+EDGE_CLASSES = (EDGE_HUB_HUB, EDGE_COMPANION, EDGE_FATHER_CHILD)
 
 
 def vertex_count(m: int, t: int) -> int:
@@ -197,12 +198,6 @@ class KochGraph:
         return indptr, dst[np.argsort(src * n + dst)]
 
     @cached_property
-    def csr_edge_ids(self) -> np.ndarray:
-        """Undirected edge id for every CSR slot (parallel to csr indices)."""
-        indptr, indices = self.csr
-        return self.edge_index(np.repeat(np.arange(self.n_vertices), np.diff(indptr)), indices)
-
-    @cached_property
     def adjacency(self) -> list[list[int]]:
         """Sorted neighbor ids per vertex, as Python lists."""
         indptr, indices = self.csr
@@ -327,8 +322,12 @@ def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
     return KochGraph(m=m, t=t, triangles=triangles, birth=birth, subnet=subnet, bits=bits, index=index)
 
 
-def edge_class_counts(graph: KochGraph) -> dict[str, int]:
+def edge_class_ids(graph: KochGraph) -> np.ndarray:
+    """``edge_class`` of every edge in ``graph.edges`` at once, as an index into EDGE_CLASSES."""
     u, v = graph.edges[:, 0], graph.edges[:, 1]
-    hub = int(np.count_nonzero(v < 3))
-    comp = int(np.count_nonzero(graph.companion_of(u) == v))
-    return {EDGE_HUB_HUB: hub, EDGE_COMPANION: comp, EDGE_FATHER_CHILD: len(u) - hub - comp}
+    return np.where(v < 3, 0, np.where(graph.companion_of(u) == v, 1, 2))
+
+
+def edge_class_counts(graph: KochGraph) -> dict[str, int]:
+    counts = np.bincount(edge_class_ids(graph), minlength=len(EDGE_CLASSES))
+    return dict(zip(EDGE_CLASSES, counts.tolist()))

@@ -417,11 +417,8 @@ def centrality_suite(graph: KochGraph) -> list[CheckResult]:
         EDGE_COMPANION: tri - 1,
         EDGE_FATHER_CHILD: 2 * (tri - 1),
     }
-    third_vertex_pairs = 0
-    for a, b, c in graph.triangles[1:].tolist():
-        u, v = sorted((a, b, c))[1:]  # the two sons are the later ids
-        if graph.edge_class(u, v) == EDGE_COMPANION:
-            third_vertex_pairs += 1
+    sons = graph.triangles[1:, 1:]  # rows ascend, so the two sons are the later ids
+    third_vertex_pairs = int(np.count_nonzero(graph.companion_of(sons[:, 0]) == sons[:, 1]))
     out.append(
         _check(
             "centrality/edge-classes",

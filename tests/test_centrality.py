@@ -13,7 +13,7 @@ from kochnet import (
     paper_edge_betweenness,
     paper_vertex_betweenness,
 )
-from kochnet.centrality import CentralityReport, VertexRow, scaling_fit
+from kochnet.centrality import CentralityReport, VertexRow, betweenness_counts, scaling_fit
 from kochnet.errors import AnalysisError
 from kochnet.routing import ancestor_chain
 
@@ -83,6 +83,18 @@ class TestExactOracle:
         norm = (n - 1) * (n - 2) // 2
         for v in range(n):
             assert abs(cb[v] - float(ref[v] / norm)) < 1e-12
+
+    @pytest.mark.parametrize("m,t", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+    def test_counts_match_networkx(self, m, t):
+        nx = pytest.importorskip("networkx")
+        graph = cached_graph(m, t)
+        g = nx.Graph(graph.edges.tolist())
+        vertex, edge = betweenness_counts(graph)
+        ref_v = nx.betweenness_centrality(g, normalized=False)
+        ref_e = nx.edge_betweenness_centrality(g, normalized=False)
+        assert [ref_v[v] for v in range(graph.n_vertices)] == vertex.tolist()
+        ref_e = {tuple(sorted(e)): x for e, x in ref_e.items()}
+        assert [ref_e[e] for e in map(tuple, graph.edges.tolist())] == edge.tolist()
 
 
 class TestPaperFormulas:

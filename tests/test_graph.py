@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from kochnet import Label, SizeCapError, UnknownLabelError, build, enumerate_labels, format_label
-from kochnet.graph import edge_class_counts, edge_count, triangle_count, vertex_count
+from kochnet.graph import (
+    EDGE_CLASSES,
+    edge_class_counts,
+    edge_class_ids,
+    edge_count,
+    triangle_count,
+    vertex_count,
+)
 
 from conftest import cached_graph, reference_build, reference_edge_class
 
@@ -123,7 +130,8 @@ def test_derived_index_matches_plain_rebuild(m, t):
     assert [tuple(e) for e in graph.edges.tolist()] == edges
     assert graph.csr[0].tolist() == indptr
     assert graph.csr[1].tolist() == indices
-    assert graph.csr_edge_ids.tolist() == slot_ids
+    slot_rows = np.repeat(np.arange(graph.n_vertices), np.diff(graph.csr[0]))
+    assert graph.edge_index(slot_rows, graph.csr[1]).tolist() == slot_ids
     assert graph.edge_triangles.tolist() == [triangle_of[e] for e in edges]
     assert graph.adjacency == [sorted(row) for row in neighbors]
     assert graph.degrees.tolist() == [len(row) for row in neighbors]
@@ -157,6 +165,7 @@ def test_array_build_matches_reference_loop(m, t):
     classes = [reference_edge_class(vertices, u, v) for u, v in graph.edges.tolist()]
     assert [graph.edge_class(u, v) for u, v in graph.edges.tolist()] == classes
     assert [graph.edge_class(v, u) for u, v in graph.edges.tolist()] == classes
+    assert [EDGE_CLASSES[i] for i in edge_class_ids(graph).tolist()] == classes
     assert edge_class_counts(graph) == {c: classes.count(c) for c in ("hub-hub", "companion", "father-child")}
 
 

@@ -1,10 +1,12 @@
-"""The numpy kernels against plain-Python references that share no code
-with them (dict/deque BFS, exact ``Fraction`` dependency accumulation)."""
+"""The numpy kernels and the structural betweenness counts against
+plain-Python references that share no code with them (dict/deque BFS,
+exact ``Fraction`` dependency accumulation)."""
 
 import numpy as np
 import pytest
 
 from kochnet import _kernels
+from kochnet.centrality import betweenness_counts
 
 from conftest import cached_graph, python_betweenness, python_bfs, python_bfs_sigma
 
@@ -49,17 +51,15 @@ def test_distance_total_matches_python(m, t):
 @pytest.mark.parametrize("m,t", GRAPHS)
 def test_betweenness_totals_match_python(m, t):
     graph = cached_graph(m, t)
-    indptr, indices = graph.csr
-    cb, eb = _kernels.betweenness_totals(
-        indptr, indices, graph.csr_edge_ids, len(graph.edges)
-    )
+    vertex, edge = betweenness_counts(graph)
     ref_v, ref_e = python_betweenness(graph.adjacency)
-    # the kernel sums over ordered pairs, the reference over unordered ones
-    np.testing.assert_allclose(cb / 2, [float(x) for x in ref_v], rtol=0, atol=1e-9)
+    # shortest paths are unique, so every reference total is a whole number of pairs
+    assert all(x.denominator == 1 for x in [*ref_v, *ref_e.values()])
+    assert vertex.dtype == edge.dtype == np.int64
+    assert vertex.tolist() == [int(x) for x in ref_v]
     edges = list(map(tuple, graph.edges.tolist()))
     assert sorted(ref_e) == edges
-    expected = [float(ref_e[e]) for e in edges]
-    np.testing.assert_allclose(eb / 2, expected, rtol=0, atol=1e-9)
+    assert edge.tolist() == [int(ref_e[e]) for e in edges]
 
 
 def test_multi_sigma_detects_square():
