@@ -228,14 +228,6 @@ class KochGraph:
         """
         return spla.splu(self.laplacian[:0:-1, :0:-1].tocsc(), permc_spec="NATURAL")
 
-    def edge_class(self, u: int, v: int) -> str:
-        u, v = min(u, v), max(u, v)
-        if v < 3:
-            return EDGE_HUB_HUB
-        if self.companion_of(u) == v:
-            return EDGE_COMPANION
-        return EDGE_FATHER_CHILD
-
     # ---- exports -------------------------------------------------------
 
     def write_edgelist(self, fp: IO[str]) -> None:
@@ -323,7 +315,11 @@ def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
 
 
 def edge_class_ids(graph: KochGraph) -> np.ndarray:
-    """``edge_class`` of every edge in ``graph.edges`` at once, as an index into EDGE_CLASSES."""
+    """Class of every edge in ``graph.edges``, as an index into EDGE_CLASSES.
+
+    An edge u < v joins two hubs when v < 3, a companion pair when v is the
+    companion of u, and a father and its child otherwise.
+    """
     u, v = graph.edges[:, 0], graph.edges[:, 1]
     return np.where(v < 3, 0, np.where(graph.companion_of(u) == v, 1, 2))
 
