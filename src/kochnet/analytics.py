@@ -154,10 +154,8 @@ def empirical_stats(
             local_clustering_is_inverse_degree=inverse_deg,
         )
 
-    indptr, indices = graph.csr
     if n <= apl_exact_max_n:
-        total = _kernels.all_distance_total(indptr, indices)
-        apl = Fraction(total, n * (n - 1))
+        apl = Fraction(graph.distance_total, n * (n - 1))
         return EmpiricalStats(
             n_vertices=n,
             n_edges=len(graph.edges),
@@ -170,6 +168,7 @@ def empirical_stats(
     # Every source has the same n - 1 targets, so the APL is the mean over
     # sources of a source's mean distance; sources drawn uniformly with
     # replacement give an unbiased estimate with one BFS each.
+    indptr, indices = graph.csr
     rng = np.random.default_rng(seed)
     sources = rng.integers(0, n, sample_sources)
     means = np.array(

@@ -23,8 +23,9 @@ together as ids 2k+1 and 2k+2.  Every edge lies in exactly one triangle,
 so edge (u, v) lies in triangle (max(u, v) - 1) // 2; the father of a
 vertex v >= 3 is the first corner of row (v - 1) // 2, and its companion
 is the other son of that row.  The sorted edge list, degrees, CSR
-adjacency, edge ids, edge-to-triangle map, the Laplacian and its one LU
-factorization are derived from the table and cached.
+adjacency, edge ids, edge-to-triangle map, the all-pairs distance total, the
+Laplacian and its one LU factorization are derived from the table and
+cached.
 """
 
 from __future__ import annotations
@@ -32,14 +33,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from . import _kernels
 from .errors import SettingError, SizeCapError, UnknownLabelError
 from .labels import Label, format_label
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import SuperLU
 
 DEFAULT_VERTEX_CAP = 10**7
 _CAP_ENV = "KOCH_MAX_VERTICES"
@@ -205,6 +209,11 @@ class KochGraph:
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
+    def distance_total(self) -> int:
+        """Sum of distances over all ordered vertex pairs: one blocked BFS sweep per graph."""
+        return _kernels.all_distance_total(*self.csr)
+
+    @cached_property
     def laplacian(self) -> sp.csr_array:
         """Unit-resistor Laplacian D - A, float64, canonical CSR (columns ascending)."""
         n = self.n_vertices
@@ -216,7 +225,7 @@ class KochGraph:
         return sp.csr_array((vals, (rows, cols)), shape=(n, n))
 
     @cached_property
-    def laplacian_lu(self) -> spla.SuperLU:
+    def laplacian_lu(self) -> SuperLU:
         """LU of the Laplacian grounded at hub 0, rows and columns in reverse-id order.
 
         A cactus of triangles is chordal, and youngest-first is a perfect
@@ -226,6 +235,8 @@ class KochGraph:
         fill-in: L.nnz + U.nnz = 2 (N - 1 + E - deg 0).
         Position i of the grounded system is vertex N - 1 - i.
         """
+        import scipy.sparse.linalg as spla  # only the solves need it; it is slow to import
+
         return spla.splu(self.laplacian[:0:-1, :0:-1].tocsc(), permc_spec="NATURAL")
 
     # ---- exports -------------------------------------------------------

@@ -398,9 +398,7 @@ def centrality_suite(graph: KochGraph) -> list[CheckResult]:
 
     # sum rule against the BFS distance total (valid given path uniqueness)
     raw_interior = sum(r.exact for r in report.vertices) * report.pair_norm
-    indptr, indices = graph.csr
-    dist_total = _kernels.all_distance_total(indptr, indices)
-    expected = dist_total / 2 - n * (n - 1) / 2
+    expected = graph.distance_total / 2 - n * (n - 1) / 2
     out.append(
         _check(
             "centrality/sum-rule",

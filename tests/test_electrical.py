@@ -10,6 +10,7 @@ from kochnet import (
     solve,
     voltage_gap,
 )
+from kochnet.centrality import _corner_parts, betweenness_counts
 from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, RESIDUAL_TOL, _kcl_residual, laplacian
 from kochnet.errors import SizeCapError
 from kochnet.verify import _control_gap
@@ -221,6 +222,25 @@ class TestCurrentFlow:
         got = current_flow_betweenness(graph)
         assert got.pairs_used == n * (n - 1) // 2
         np.testing.assert_allclose(got.values, totals / got.pairs_used, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("endpoint", [False, True])
+    @pytest.mark.parametrize("m,t", [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (3, 2)])
+    def test_exhaustive_matches_cactus_closed_form(self, m, t, endpoint):
+        # a pair's whole current passes each vertex interior to its path, and
+        # a third of it passes the third corner of each triangle it crosses:
+        # 3 C(N,2) cfb(v) = 3 count(v) + sum over v's triangles of the other parts' product
+        graph = cached_graph(m, t)
+        n = graph.n_vertices
+        parts = _corner_parts(graph)
+        others = parts[:, [1, 0, 0]] * parts[:, [2, 2, 1]]  # row k: product at corner k
+        crossing = np.zeros(n, np.int64)
+        np.add.at(crossing, graph.triangles.ravel(), others.ravel())
+        pairs = n * (n - 1) // 2
+        expected = (3 * betweenness_counts(graph)[0] + crossing) / (3 * pairs)
+        if endpoint:
+            expected += (n - 1) / pairs
+        got = current_flow_betweenness(graph, endpoint_contribution=endpoint)
+        np.testing.assert_allclose(got.values, expected, rtol=0, atol=1e-12)
 
 
 class TestVoltageGap:

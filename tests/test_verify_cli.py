@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from kochnet import verify
+from kochnet import _kernels, verify
 from kochnet.cli import main
 
 
@@ -68,6 +68,20 @@ class TestVerifyModule:
         for suite in result.suites:
             assert suite.n_fail == 0
             assert suite.n_discrepancy == 0
+
+    def test_one_distance_sweep_per_run(self, monkeypatch):
+        # centrality/sum-rule and stats/apl-exact share the graph's cached total
+        calls = []
+        sweep = _kernels.all_distance_total
+
+        def counted(indptr, indices):
+            calls.append(1)
+            return sweep(indptr, indices)
+
+        monkeypatch.setattr(_kernels, "all_distance_total", counted)
+        result = verify.run(1, 3)
+        assert result.exit_code == 0
+        assert len(calls) == 1
 
 
 class TestCli:
@@ -219,6 +233,13 @@ class TestCli:
         )
         assert proc.returncode == 3
         assert "size error" in proc.stderr
+
+    def test_cli_import_skips_sparse_linalg(self):
+        # scipy.sparse.linalg is imported on the first Laplacian factorization only
+        code = "import sys, kochnet.cli; print('scipy.sparse.linalg' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_main_callable_inprocess(self, capsys):
         assert main(["route", "--m", "1", "--t", "1", "1", "2"]) == 0
