@@ -12,7 +12,6 @@ sequential, so results are bit-for-bit deterministic.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 _BLOCK_ENTRIES = 1 << 20  # sources x vertices per block: bounds the working arrays
 
@@ -75,6 +74,8 @@ def bfs_block(indptr: np.ndarray, indices: np.ndarray, sources, with_sigma: bool
     The working arrays hold len(sources) x N entries, so callers pass at
     most ``block_rows(N)`` sources.
     """
+    import scipy.sparse as sp  # slow to import; only the blocked sweeps need it
+
     n = indptr.shape[0] - 1
     sources = np.asarray(sources, np.int64)
     dtype = np.float64 if with_sigma else bool

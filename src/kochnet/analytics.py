@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
 from .errors import AnalysisError
@@ -115,6 +114,8 @@ class EmpiricalStats:
 
 def _measured_triangles(graph: KochGraph) -> np.ndarray:
     """Triangle memberships per vertex, measured from adjacency alone: diag(A^3) / 2."""
+    import scipy.sparse as sp  # slow to import; kept off the CLI's start-up
+
     indptr, indices = graph.csr
     n = graph.n_vertices
     adj = sp.csr_array((np.ones(len(indices), np.int64), indices, indptr), shape=(n, n))

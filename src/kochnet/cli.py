@@ -16,7 +16,7 @@ import sys
 
 from . import analytics, centrality, electrical, verify
 from .errors import KochError, SizeCapError
-from .graph import EDGE_CLASSES, KochGraph, build, edge_class_ids
+from .graph import EDGE_CLASSES, KochGraph, build, check_size, edge_class_ids
 from .labels import (
     Label,
     children,
@@ -108,8 +108,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    label = _resolve_label(args, args.label)
     m, t = args.m, args.t
+    check_size(m, t)  # a hub of a graph past the cap has more children than can be listed
+    label = _resolve_label(args, args.label)
     doc = {
         "label": format_label(label),
         "subnet": label.subnet,
@@ -159,6 +160,7 @@ def _closed_form_doc(cf: analytics.ClosedForms) -> dict:
 
 
 def _cmd_stats(args) -> int:
+    check_size(args.m, args.t)  # the closed forms' exact integers grow with N
     cf = analytics.closed_forms(args.m, args.t)
     if args.csv:
         print("degree,count_closed_form")
@@ -199,25 +201,22 @@ def _cmd_stats(args) -> int:
 def _cmd_betweenness(args) -> int:
     graph = build(args.m, args.t)
     if args.mode == "formula":
-        labels, steps = graph.labels, range(args.t + 1)
+        texts, steps = graph.label_texts(), range(args.t + 1)
         if args.edges:
             paper = [float(centrality.paper_edge_betweenness(args.m, args.t, b)) for b in steps]
             later = graph.birth[graph.edges].max(axis=1).tolist()
             classes = edge_class_ids(graph).tolist()
             print("u,v,class,paper")
             for (u, v), cls, b in zip(graph.edges.tolist(), classes, later):
-                print(
-                    f"{format_label(labels[u])},{format_label(labels[v])},"
-                    f"{EDGE_CLASSES[cls]},{paper[b]!r}"
-                )
+                print(f"{texts[u]},{texts[v]},{EDGE_CLASSES[cls]},{paper[b]!r}")
         else:
             paper = [float(centrality.paper_vertex_betweenness(args.m, args.t, b)) for b in steps]
             first = [
                 float(centrality.firstorder_vertex_betweenness(args.m, args.t, b)) for b in steps
             ]
             print("label,birth,degree,paper,firstorder")
-            for label, b, degree in zip(labels, graph.birth.tolist(), graph.degrees.tolist()):
-                print(f"{format_label(label)},{b},{degree},{paper[b]!r},{first[b]!r}")
+            for text, b, degree in zip(texts, graph.birth.tolist(), graph.degrees.tolist()):
+                print(f"{text},{b},{degree},{paper[b]!r},{first[b]!r}")
         return EXIT_OK
 
     report = centrality.centrality_report(graph)
@@ -252,8 +251,8 @@ def _cmd_electrical(args) -> int:
                 graph, policy="sampled", sample_pairs=args.pairs, seed=args.seed
             )
         print("label,current_flow_betweenness")
-        for label, value in zip(graph.labels, result.values.tolist()):
-            print(f"{format_label(label)},{value!r}")
+        for text, value in zip(graph.label_texts(), result.values.tolist()):
+            print(f"{text},{value!r}")
         return EXIT_OK
 
     if args.source is None or args.target is None:

@@ -30,14 +30,16 @@ sources.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import AnalysisError, KochError, SizeCapError
 from .graph import KochGraph
 from .routing import route
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 RESIDUAL_TOL = 1e-10
 SUPPORT_EPS = 1e-9  # absolute current on unit injection

@@ -14,7 +14,10 @@ existing vertices, so a vertex is an id into four int64 arrays: ``birth``,
 digits) and ``index`` (0 for a hub).  ``Label`` objects are made from them
 only when asked for.  ``label_keys`` packs the four fields into one int64
 key per label, and ``vertex_by_label_key`` maps keys back to ids with one
-sorted lookup.
+sorted lookup.  Label texts come straight from the arrays too
+(``label_texts``): each growth-bit code is decoded to its string once, and
+the exports format ``_EXPORT_ROWS`` vertices or edges per write, so no
+``Label`` and no list of N texts is held while writing.
 
 The triangle table is the one stored edge structure: an int64 (T, 3)
 array whose row 0 is the hubs (0, 1, 2) and whose row k >= 1 is
@@ -25,28 +28,29 @@ vertex v >= 3 is the first corner of row (v - 1) // 2, and its companion
 is the other son of that row.  The sorted edge list, degrees, CSR
 adjacency, edge ids, edge-to-triangle map, the all-pairs distance total, the
 Laplacian and its one LU factorization are derived from the table and
-cached.
+cached.  scipy is imported on first sparse use, not with the module.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import IO, TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
 from .errors import SettingError, SizeCapError, UnknownLabelError
 from .labels import Label, format_label
 
 if TYPE_CHECKING:
+    import scipy.sparse as sp
     from scipy.sparse.linalg import SuperLU
 
 DEFAULT_VERTEX_CAP = 10**7
 _CAP_ENV = "KOCH_MAX_VERTICES"
+_EXPORT_ROWS = 1 << 16  # vertices or edges formatted per write: bounds an export's memory
 
 EDGE_HUB_HUB = "hub-hub"
 EDGE_COMPANION = "companion"
@@ -66,16 +70,40 @@ def triangle_count(m: int, t: int) -> int:
     return (3 * m + 1) ** t
 
 
+def _label_codes(t: int, subnet, birth, bits) -> np.ndarray:
+    """A label's subnet and bit string in one int64: (subnet << (t+1)) | (1 << birth) | bits.
+
+    The bit string goes in behind a leading 1, so its length is kept.
+    """
+    return (np.asarray(subnet, np.int64) << (t + 1)) | (1 << np.asarray(birth, np.int64)) | bits
+
+
 def label_keys(m: int, t: int, subnet, birth, bits, index) -> np.ndarray:
     """One int64 key per label of K_{m,t}, from its four fields (ints or equal-shaped arrays).
 
-    The bit string goes in behind a leading 1, so its length is kept, and
-    the index, at most (2m)^t, fills the low digits: distinct labels get
-    distinct keys.
+    The index, at most (2m)^t, fills the low digits of the label's code:
+    distinct labels get distinct keys.
     """
-    birth = np.asarray(birth, np.int64)
-    code = (np.asarray(subnet, np.int64) << (t + 1)) | (1 << birth) | bits
-    return code * ((2 * m) ** t + 1) + index
+    return _label_codes(t, subnet, birth, bits) * ((2 * m) ** t + 1) + index
+
+
+def _bit_strings(t: int) -> list[str]:
+    """The growth-bit string of every code (1 << birth) | bits with birth <= t, indexed by code.
+
+    A leading 1 keeps the string's zeros: bin(code) is '0b1' + the bits.
+    There are 2^(t+1) codes, fewer than the vertices of K_{m,t}.
+    """
+    return [bin(code)[3:] for code in range(1 << (t + 1))]
+
+
+@lru_cache
+def _label_prefixes(t: int) -> tuple[str, ...]:
+    """The label text up to the index, by label code; a hub's is its subnet digit."""
+    return tuple(f"{s}{bits}." if bits else str(s) for s in range(4) for bits in _bit_strings(t))
+
+
+def _chunks(n: int):
+    return (slice(lo, min(lo + _EXPORT_ROWS, n)) for lo in range(0, n, _EXPORT_ROWS))
 
 
 @dataclass(eq=False)
@@ -109,12 +137,20 @@ class KochGraph:
     @cached_property
     def labels(self) -> list[Label]:
         """Label of every vertex, in id order."""
-        # a leading 1 keeps the bit string's zeros: bin(code) is '0b1' + bits
-        codes, which = np.unique((1 << self.birth) | self.bits, return_inverse=True)
-        texts = [bin(code)[3:] for code in codes.tolist()]
+        strings = _bit_strings(self.t)
+        codes = ((1 << self.birth) | self.bits).tolist()
         return [
-            Label(subnet, texts[k], index or None)
-            for subnet, k, index in zip(self.subnet.tolist(), which.tolist(), self.index.tolist())
+            Label(subnet, strings[code], index or None)
+            for subnet, code, index in zip(self.subnet.tolist(), codes, self.index.tolist())
+        ]
+
+    def label_texts(self, ids=slice(None)) -> list[str]:
+        """``format_label`` of the given vertices (all by default), made without ``Label`` objects."""
+        prefixes = _label_prefixes(self.t)
+        codes = _label_codes(self.t, self.subnet[ids], self.birth[ids], self.bits[ids])
+        return [
+            prefix + str(index) if index else prefix
+            for prefix, index in zip(map(prefixes.__getitem__, codes.tolist()), self.index[ids].tolist())
         ]
 
     @cached_property
@@ -216,6 +252,8 @@ class KochGraph:
     @cached_property
     def laplacian(self) -> sp.csr_array:
         """Unit-resistor Laplacian D - A, float64, canonical CSR (columns ascending)."""
+        import scipy.sparse as sp  # slow to import; generate and the label paths never need it
+
         n = self.n_vertices
         u, v = self.edges[:, 0], self.edges[:, 1]
         rows = np.concatenate((u, v, np.arange(n)))
@@ -240,35 +278,43 @@ class KochGraph:
         return spla.splu(self.laplacian[:0:-1, :0:-1].tocsc(), permc_spec="NATURAL")
 
     # ---- exports -------------------------------------------------------
+    # each chunk of rows is joined into one string and written at once
+
+    def _write_edges(self, fp: IO[str], row: str, sep: str = "") -> None:
+        """Every edge as ``row % (u, v)``, the rows joined by ``sep``."""
+        for rows in _chunks(len(self.edges)):
+            flat = self.edges[rows].ravel().tolist()
+            body = sep.join([row] * (len(flat) // 2)) % tuple(flat)
+            fp.write(sep + body if rows.start else body)
 
     def write_edgelist(self, fp: IO[str]) -> None:
-        for u, v in self.edges.tolist():
-            fp.write(f"{u} {v}\n")
+        self._write_edges(fp, "%d %d\n")
 
     def write_json(self, fp: IO[str]) -> None:
-        """The bytes of ``json.dump(doc, fp, separators=(",", ":"))``, written piece by piece."""
+        """The bytes of ``json.dump(doc, fp, separators=(",", ":"))``, written chunk by chunk."""
         # label texts are digits and dots, which JSON strings carry unescaped
         fp.write(f'{{"m":{self.m},"t":{self.t},"vertices":[')
-        rows = zip(self.labels, self.birth.tolist(), self.degrees.tolist())
-        sep = ""
-        for v, (label, birth, degree) in enumerate(rows):
-            fp.write(
-                f'{sep}{{"id":{v},"label":"{format_label(label)}","birth":{birth},"degree":{degree}}}'
+        for rows in _chunks(self.n_vertices):
+            fields = zip(
+                range(rows.start, rows.stop),
+                self.label_texts(rows),
+                self.birth[rows].tolist(),
+                self.degrees[rows].tolist(),
             )
-            sep = ","
+            body = ",".join(
+                [f'{{"id":{v},"label":"{text}","birth":{b},"degree":{d}}}' for v, text, b, d in fields]
+            )
+            fp.write("," + body if rows.start else body)
         fp.write('],"edges":[')
-        sep = ""
-        for u, v in self.edges.tolist():
-            fp.write(f"{sep}[{u},{v}]")
-            sep = ","
+        self._write_edges(fp, "[%d,%d]", ",")
         fp.write("]}\n")
 
     def write_dot(self, fp: IO[str]) -> None:
         fp.write("graph koch {\n")
-        for v, label in enumerate(self.labels):
-            fp.write(f'  {v} [label="{format_label(label)}"];\n')
-        for u, v in self.edges.tolist():
-            fp.write(f"  {u} -- {v};\n")
+        for rows in _chunks(self.n_vertices):
+            ids = range(rows.start, rows.stop)
+            fp.write("".join([f'  {v} [label="{text}"];\n' for v, text in zip(ids, self.label_texts(rows))]))
+        self._write_edges(fp, "  %d -- %d;\n")
         fp.write("}\n")
 
 
@@ -278,9 +324,24 @@ def _resolve_cap(max_vertices: int | None) -> int:
     env = os.environ.get(_CAP_ENV)
     if not env:
         return DEFAULT_VERTEX_CAP
-    if not env.strip().isdecimal() or int(env) < 1:
-        raise SettingError(f"{_CAP_ENV} must be an integer >= 1, got {env!r}")
-    return int(env)
+    try:
+        cap = int(env) if env.strip().isdecimal() else 0
+    except ValueError:  # past int()'s limit of 4300 digits
+        cap = 0
+    if cap < 1:
+        raise SettingError(f"{_CAP_ENV} must be an integer >= 1, got {env[:40]!r}")
+    return cap
+
+
+def check_size(m: int, t: int, max_vertices: int | None = None) -> int:
+    """Vertex count of K_{m,t}; raises SizeCapError when it exceeds the cap (see ``build``)."""
+    cap = _resolve_cap(max_vertices)
+    n = vertex_count(m, t)
+    if n > cap:
+        # past ~4300 digits str(n) raises, and far before that it is no use in a message
+        count = n if n < 10**18 else f"2*{3 * m + 1}^{t}+1"
+        raise SizeCapError(f"K_{{{m},{t}}} has {count} vertices, exceeding the cap of {cap}")
+    return n
 
 
 def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
@@ -292,12 +353,7 @@ def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
     """
     if not isinstance(m, int) or not isinstance(t, int) or m < 1 or t < 0:
         raise ValueError(f"need integer m >= 1 and t >= 0, got m={m!r}, t={t!r}")
-    cap = _resolve_cap(max_vertices)
-    n_final = vertex_count(m, t)
-    if n_final > cap:
-        raise SizeCapError(
-            f"K_{{{m},{t}}} has {n_final} vertices, exceeding the cap of {cap}"
-        )
+    n_final = check_size(m, t, max_vertices)
 
     birth, subnet, bits, index = (np.zeros(n_final, np.int64) for _ in range(4))
     subnet[:3] = (1, 2, 3)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from kochnet import Label, build
+from kochnet import Label, build, format_label
 
 _CACHE: dict[tuple[int, int], object] = {}
 
@@ -74,6 +74,36 @@ def reference_edge_class(vertices: list[ReferenceVertex], u: int, v: int) -> str
     if ru.companion_id == v:
         return "companion"
     return "father-child"
+
+
+def reference_write_edgelist(graph, fp) -> None:
+    """The exports as one ``Label`` and one ``fp.write`` per row, the reference for the chunked writers."""
+    for u, v in graph.edges.tolist():
+        fp.write(f"{u} {v}\n")
+
+
+def reference_write_json(graph, fp) -> None:
+    fp.write(f'{{"m":{graph.m},"t":{graph.t},"vertices":[')
+    rows = zip(graph.labels, graph.birth.tolist(), graph.degrees.tolist())
+    sep = ""
+    for v, (label, birth, degree) in enumerate(rows):
+        fp.write(f'{sep}{{"id":{v},"label":"{format_label(label)}","birth":{birth},"degree":{degree}}}')
+        sep = ","
+    fp.write('],"edges":[')
+    sep = ""
+    for u, v in graph.edges.tolist():
+        fp.write(f"{sep}[{u},{v}]")
+        sep = ","
+    fp.write("]}\n")
+
+
+def reference_write_dot(graph, fp) -> None:
+    fp.write("graph koch {\n")
+    for v, label in enumerate(graph.labels):
+        fp.write(f'  {v} [label="{format_label(label)}"];\n')
+    for u, v in graph.edges.tolist():
+        fp.write(f"  {u} -- {v};\n")
+    fp.write("}\n")
 
 
 def python_bfs(adjacency, source):

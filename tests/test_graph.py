@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from kochnet import Label, SizeCapError, UnknownLabelError, build, enumerate_labels, format_label
+from kochnet import graph as graph_module
 from kochnet.graph import (
     EDGE_CLASSES,
+    KochGraph,
     edge_class_counts,
     edge_class_ids,
     edge_count,
@@ -14,7 +16,14 @@ from kochnet.graph import (
     vertex_count,
 )
 
-from conftest import cached_graph, reference_build, reference_edge_class
+from conftest import (
+    cached_graph,
+    reference_build,
+    reference_edge_class,
+    reference_write_dot,
+    reference_write_edgelist,
+    reference_write_json,
+)
 
 
 class TestCounts:
@@ -237,6 +246,38 @@ class TestExports:
         buf = io.StringIO()
         graph.write_dot(buf)
         assert '[label="10.2"]' in buf.getvalue()
+
+
+EXPORT_SIZES = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, 2)]
+REFERENCE_WRITERS = {
+    KochGraph.write_edgelist: reference_write_edgelist,
+    KochGraph.write_json: reference_write_json,
+    KochGraph.write_dot: reference_write_dot,
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7], ids=["default-chunk", "chunk-7"])
+@pytest.mark.parametrize("m,t", EXPORT_SIZES)
+def test_exports_match_reference_writers(m, t, chunk_rows, monkeypatch):
+    """Byte equality with the per-Label writers; a chunk of 7 rows splits vertices and edges mid-list."""
+    if chunk_rows is not None:
+        monkeypatch.setattr(graph_module, "_EXPORT_ROWS", chunk_rows)
+    graph = build(m, t)
+    for write, reference in REFERENCE_WRITERS.items():
+        got, want = io.StringIO(), io.StringIO()
+        write(graph, got)
+        reference(graph, want)
+        assert got.getvalue() == want.getvalue(), write.__name__
+
+
+@pytest.mark.parametrize("m,t", EXPORT_SIZES)
+def test_label_texts_are_formatted_labels(m, t):
+    graph = cached_graph(m, t)
+    texts = [format_label(label) for label in graph.labels]
+    assert graph.label_texts() == texts
+    ids = np.arange(graph.n_vertices)[::-3]
+    assert graph.label_texts(ids) == [texts[v] for v in ids.tolist()]
+    assert graph.labels == [r.label for r in reference_build(m, t)[0]]
 
 
 def test_vertex_ids_in_creation_order():

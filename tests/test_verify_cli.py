@@ -190,6 +190,7 @@ class TestCli:
             (("verify", "--m", "1", "--t", "-1"), {}),
             (("generate", "--m", "0", "--t", "1"), {}),
             (("generate", "--m", "1", "--t", "1"), {"KOCH_MAX_VERTICES": "abc"}),
+            (("stats", "--m", "1", "--t", "1"), {"KOCH_MAX_VERTICES": "9" * 5000}),
             (("route", "--m", "0", "--t", "1", "1", "2"), {}),
             (("decode", "--m", "1", "--t", "-1", "1"), {}),
             (("verify", "--m", "1", "--t", "5", "--pairs", "0", "--suite", "routing"), {}),
@@ -206,7 +207,8 @@ class TestCli:
             (("electrical", "--m", "2", "--t", "3", "--cfb", "--pairs", "1000000000"), {}),
         ],
         ids=[
-            "stats-m0", "verify-t-1", "generate-m0", "cap-abc", "route-m0", "decode-t-1",
+            "stats-m0", "verify-t-1", "generate-m0", "cap-abc", "cap-5000-digits", "route-m0",
+            "decode-t-1",
             "verify-pairs0", "verify-pairs-5", "verify-electrical-pairs0", "electrical-pairs0",
             "electrical-pairs1", "generate-unwritable-output", "electrical-seed-1",
             "verify-seed-1", "stats-seed-5", "verify-pairs-1e9", "electrical-pairs-1e9",
@@ -234,12 +236,54 @@ class TestCli:
         assert proc.returncode == 3
         assert "size error" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stats", "--m", "1", "--t", "1000"),
+            ("stats", "--m", "1", "--t", "5000", "--csv"),
+            ("decode", "--m", "1", "--t", "100000", "1"),
+            ("generate", "--m", "1", "--t", "100000"),
+        ],
+        ids=["stats-t1000", "stats-t5000", "decode-t100000", "generate-t100000"],
+    )
+    def test_size_cap_before_any_work(self, argv):
+        # closed forms and label arithmetic never build, but are held to the build's cap
+        proc = run_cli(*argv)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("size error:") and proc.stderr.count("\n") == 1
+
+    def test_stats_above_default_cap_with_raised_cap(self):
+        env = dict(os.environ, KOCH_MAX_VERTICES=str(10**13))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kochnet.cli", "stats", "--m", "1", "--t", "20"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["closed_form"]["vertices"] == 2 * 4**20 + 1
+
     def test_cli_import_skips_sparse_linalg(self):
-        # scipy.sparse.linalg is imported on the first Laplacian factorization only
-        code = "import sys, kochnet.cli; print('scipy.sparse.linalg' in sys.modules)"
+        # scipy.sparse (and scipy.sparse.linalg) is imported on the first sparse matrix only
+        code = (
+            "import sys, kochnet.cli; "
+            "print([name in sys.modules for name in ('scipy.sparse', 'scipy.sparse.linalg', 'numpy.f2py')])"
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[False, False, False]"
+
+    def test_generate_skips_sparse(self):
+        code = (
+            "import io, sys, contextlib, kochnet.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = kochnet.cli.main(['generate', '--m', '2', '--t', '2', '--format', 'json'])\n"
+            "print(code, 'scipy.sparse' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False"
 
     def test_main_callable_inprocess(self, capsys):
         assert main(["route", "--m", "1", "--t", "1", "1", "2"]) == 0
