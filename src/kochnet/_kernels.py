@@ -5,8 +5,10 @@ arrays.  ``bfs_distances`` and ``bfs_sigma`` sweep one source through
 the private ``_bfs``.  ``bfs_block`` sweeps a block of sources at once:
 each BFS level is one sparse adjacency x dense frontier-block product.
 ``all_distance_total`` and ``multi_sigma_count`` run on it, in blocks of
-about ``_BLOCK_ENTRIES`` (source, vertex) entries.  Every kernel is
-sequential, so results are bit-for-bit deterministic.
+about ``_BLOCK_ENTRIES`` (source, vertex) entries.  These sweeps are
+oracles: the library's distance total and betweenness come from the
+triangle table in O(N), and the sweeps check them on small graphs.
+Every kernel is sequential, so results are bit-for-bit deterministic.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def _blocks(sources: np.ndarray, n: int):
 
 
 def all_distance_total(indptr: np.ndarray, indices: np.ndarray) -> int:
-    """Sum of distances over all ordered vertex pairs."""
+    """Sum of distances over all ordered vertex pairs, one BFS row per source: O(N E)."""
     n = indptr.shape[0] - 1
     return sum(int(bfs_block(indptr, indices, b).sum()) for b in _blocks(np.arange(n), n))
 

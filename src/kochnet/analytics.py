@@ -10,6 +10,11 @@ length rational
 exact equality with the all-pairs BFS oracle).  Every vertex sits in
 deg/2 triangles, so its local clustering is exactly 1/(deg-1), giving the
 network average as an exact rational sum.
+
+The measured average path length is exact at every N: the distance total
+comes from the triangles' corner parts (``KochGraph.distance_total``).
+The all-pairs BFS sum ``KochGraph.bfs_distance_total`` is its oracle, run
+by ``verify`` on graphs of at most ``APL_EXACT_MAX_N`` vertices.
 """
 
 from __future__ import annotations
@@ -20,13 +25,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .errors import AnalysisError
 from .graph import KochGraph, edge_count, vertex_count
 
-APL_SAMPLE_SEED = 0x6B6F6368
-APL_EXACT_MAX_N = 5000
-APL_SAMPLE_SOURCES = 64
+APL_EXACT_MAX_N = 5000  # vertices: cap on the all-pairs BFS oracle of the distance total
 CLUSTERING_LIMIT_M1 = 0.82008
 
 
@@ -99,17 +101,8 @@ class EmpiricalStats:
     n_edges: int
     degree_histogram: dict[int, int]
     clustering: Fraction
-    apl: Fraction | None  # exact when computed over all pairs
-    apl_estimate: float | None = None
-    apl_stderr: float | None = None
-    apl_sampled_sources: int = 0
+    apl: Fraction
     local_clustering_is_inverse_degree: bool = True
-
-    @property
-    def apl_value(self) -> float:
-        if self.apl is not None:
-            return float(self.apl)
-        return float(self.apl_estimate)
 
 
 def _measured_triangles(graph: KochGraph) -> np.ndarray:
@@ -122,13 +115,7 @@ def _measured_triangles(graph: KochGraph) -> np.ndarray:
     return np.asarray(((adj @ adj) * adj).sum(axis=1)) // 2
 
 
-def empirical_stats(
-    graph: KochGraph,
-    apl_exact_max_n: int = APL_EXACT_MAX_N,
-    sample_sources: int = APL_SAMPLE_SOURCES,
-    seed: int = APL_SAMPLE_SEED,
-    measure_apl: bool = True,
-) -> EmpiricalStats:
+def empirical_stats(graph: KochGraph) -> EmpiricalStats:
     n = graph.n_vertices
     deg = graph.degrees
     values, counts = np.unique(deg, return_counts=True)
@@ -142,51 +129,14 @@ def empirical_stats(
         k, d = divmod(key, base)
         clustering += size * Fraction(k, d * (d - 1) // 2)
     clustering /= n
-    # every degree is >= 2, so C_v = 1/(deg - 1) exactly when 2 tri = deg
-    inverse_deg = bool(np.all(2 * tri == deg))
-
-    if not measure_apl:
-        return EmpiricalStats(
-            n_vertices=n,
-            n_edges=len(graph.edges),
-            degree_histogram=hist,
-            clustering=clustering,
-            apl=None,
-            local_clustering_is_inverse_degree=inverse_deg,
-        )
-
-    if n <= apl_exact_max_n:
-        apl = Fraction(graph.distance_total, n * (n - 1))
-        return EmpiricalStats(
-            n_vertices=n,
-            n_edges=len(graph.edges),
-            degree_histogram=hist,
-            clustering=clustering,
-            apl=apl,
-            local_clustering_is_inverse_degree=inverse_deg,
-        )
-
-    # Every source has the same n - 1 targets, so the APL is the mean over
-    # sources of a source's mean distance; sources drawn uniformly with
-    # replacement give an unbiased estimate with one BFS each.
-    indptr, indices = graph.csr
-    rng = np.random.default_rng(seed)
-    sources = rng.integers(0, n, sample_sources)
-    means = np.array(
-        [_kernels.bfs_distances(indptr, indices, int(s)).sum() / (n - 1) for s in sources.tolist()]
-    )
-    est = float(means.mean())
-    stderr = float(means.std(ddof=1) / math.sqrt(sample_sources))
     return EmpiricalStats(
         n_vertices=n,
         n_edges=len(graph.edges),
         degree_histogram=hist,
         clustering=clustering,
-        apl=None,
-        apl_estimate=est,
-        apl_stderr=stderr,
-        apl_sampled_sources=sample_sources,
-        local_clustering_is_inverse_degree=inverse_deg,
+        apl=Fraction(graph.distance_total, n * (n - 1)),
+        # every degree is >= 2, so C_v = 1/(deg - 1) exactly when 2 tri = deg
+        local_clustering_is_inverse_degree=bool(np.all(2 * tri == deg)),
     )
 
 
@@ -196,7 +146,7 @@ class StatsReport:
     empirical: EmpiricalStats
     counts_match: bool = field(init=False)
     histogram_matches: bool = field(init=False)
-    apl_matches: bool | None = field(init=False)
+    apl_matches: bool = field(init=False)
 
     def __post_init__(self) -> None:
         self.counts_match = (
@@ -206,13 +156,11 @@ class StatsReport:
         self.histogram_matches = self.closed.degree_histogram == dict(
             self.empirical.degree_histogram
         )
-        self.apl_matches = (
-            None if self.empirical.apl is None else self.empirical.apl == self.closed.apl
-        )
+        self.apl_matches = self.empirical.apl == self.closed.apl
 
 
-def stats_report(graph: KochGraph, **kwargs) -> StatsReport:
-    return StatsReport(closed_forms(graph.m, graph.t), empirical_stats(graph, **kwargs))
+def stats_report(graph: KochGraph) -> StatsReport:
+    return StatsReport(closed_forms(graph.m, graph.t), empirical_stats(graph))
 
 
 def cumulative_degree_check(m: int, t: int, histogram: dict[int, int]) -> bool:
@@ -230,7 +178,7 @@ def cumulative_degree_check(m: int, t: int, histogram: dict[int, int]) -> bool:
 class ClaimAudit:
     m: int
     t: int
-    apl_exact_match: bool | None
+    apl_exact_match: bool
     clustering_value: float
     clustering_gap_vs_limit: float | None  # m = 1 only
     apl_increment: float

@@ -5,10 +5,10 @@ Three values are computed side by side for every vertex:
 * ``exact`` - the exact count on the cactus of triangles.  Every edge
   lies in one triangle and triangles meet only at vertices, so every
   pair has a unique shortest path and a triangle splits the graph into
-  the three parts that hang at its corners.  The parts come from subtree
-  sizes summed youngest-first over the triangle table, in O(N).  A vertex
-  is interior to the pairs that lie in different components of G - v,
-  and an edge carries the pairs between the parts at its two endpoints.
+  the three parts that hang at its corners (``KochGraph.corner_parts``,
+  made in O(N) from subtree sizes).  A vertex is interior to the pairs
+  that lie in different components of G - v, and an edge carries the
+  pairs between the parts at its two endpoints.
   Both counts are over unordered pairs, normalized by (N-1)(N-2)/2;
 * ``paper`` - the printed vertex/edge formulas evaluated verbatim as
   rationals, kept as report inputs rather than ground truth;
@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AnalysisError
-from .graph import EDGE_CLASSES, KochGraph, edge_class_ids, triangle_count, vertex_count
+from .graph import EDGE_CLASSES, KochGraph, edge_class_ids, vertex_count
 from .labels import Label, format_label
 
 
@@ -65,47 +65,33 @@ def firstorder_vertex_betweenness(m: int, t: int, birth: int) -> Fraction:
     return Fraction(n_low * (n - n_low - 1), _pair_norm(n))
 
 
-def _corner_parts(graph: KochGraph) -> np.ndarray:
-    """Size of the part of the graph that hangs at each corner of each triangle.
+def vertex_betweenness_counts(graph: KochGraph) -> np.ndarray:
+    """Exact vertex betweenness counts over unordered pairs, int64.
 
-    int64 (T, 3), aligned with ``graph.triangles``; each row sums to N.
-    A son's part is its subtree: itself plus everything born below it.
-    Subtree sizes are summed youngest-first, one birth step at a time,
-    so every son's size is complete before it is added to its father's.
-    The father's part is the rest of the graph; each hub's part is its
-    own subtree.
+    A vertex counts the pairs it is interior to: the pairs split between
+    two components of G - v, whose sizes are N minus v's part in each of
+    its triangles.
     """
-    tri = graph.triangles
     n = graph.n_vertices
-    below = np.ones(n, np.int64)
-    for step in range(graph.t, 0, -1):
-        rows = tri[triangle_count(graph.m, step - 1) : triangle_count(graph.m, step)]
-        np.add.at(below, rows[:, 0], below[rows[:, 1]] + below[rows[:, 2]])
-    parts = below[tri]
-    parts[1:, 0] = n - parts[1:, 1] - parts[1:, 2]
-    return parts
+    squares = np.zeros(n, np.int64)
+    np.add.at(squares, graph.triangles.ravel(), ((n - graph.corner_parts) ** 2).ravel())
+    return ((n - 1) ** 2 - squares) // 2
 
 
 def betweenness_counts(graph: KochGraph) -> tuple[np.ndarray, np.ndarray]:
     """Exact betweenness counts over unordered pairs, int64 (vertices, edges).
 
-    A vertex counts the pairs it is interior to: the pairs split between
-    two components of G - v, whose sizes are N minus v's part in each of
-    its triangles.  An edge counts the pairs whose path uses it, its own
-    endpoints included: the product of its endpoints' parts.  Edges are
-    aligned with ``graph.edges``.
+    An edge counts the pairs whose path uses it, its own endpoints
+    included: the product of its endpoints' parts.  Edges are aligned
+    with ``graph.edges``.
     """
     tri = graph.triangles
-    n = graph.n_vertices
-    parts = _corner_parts(graph)
-    squares = np.zeros(n, np.int64)
-    np.add.at(squares, tri.ravel(), ((n - parts) ** 2).ravel())
-    vertex = ((n - 1) ** 2 - squares) // 2
+    parts = graph.corner_parts
     edge = np.empty(graph.n_edges, np.int64)
     edge[graph.edge_index(tri[:, [0, 0, 1]], tri[:, [1, 2, 2]])] = (
         parts[:, [0, 0, 1]] * parts[:, [1, 2, 2]]
     )
-    return vertex, edge
+    return vertex_betweenness_counts(graph), edge
 
 
 def exact_betweenness(graph: KochGraph) -> tuple[np.ndarray, np.ndarray]:

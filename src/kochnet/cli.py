@@ -4,8 +4,10 @@ Subcommands: generate, decode, route, stats, betweenness, electrical,
 verify.  Labels are given in their textual form ("2011.5"); a vertex id
 works too, written "#17".  Exit codes: 0 success / all checks pass,
 1 verification failure, 2 usage error, 3 size-cap exceeded.  Output for
-identical invocations is byte-identical; every sampling option takes a
---seed with a fixed default.
+identical invocations is byte-identical.  ``stats --empirical`` and
+``electrical --cfb`` print exact values at every size, made from the
+triangles' corner parts; only ``verify`` samples, with a --seed that has
+a fixed default.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import analytics, centrality, electrical, verify
 from .errors import KochError, SizeCapError
@@ -33,7 +36,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SIZE = 3
 
-MAX_PAIRS = 10**6  # cap on every --pairs option: sampled pairs are held in memory at once
+MAX_PAIRS = 10**6  # cap on verify's pair options: sampled pairs are held in memory at once
 
 
 class UsageError(KochError):
@@ -142,6 +145,17 @@ def _cmd_route(args) -> int:
     return EXIT_OK
 
 
+def _exact_text(cf: analytics.ClosedForms, name: str, value: Fraction) -> str:
+    """str() of an exact closed form; past Python's int-to-str digit limit, a size error."""
+    try:
+        return str(value)
+    except ValueError:
+        raise SizeCapError(
+            f"the exact {name} of K_{{{cf.m},{cf.t}}} has more digits than Python converts to text"
+            f" (sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()})"
+        ) from None
+
+
 def _closed_form_doc(cf: analytics.ClosedForms) -> dict:
     return {
         "m": cf.m,
@@ -151,9 +165,9 @@ def _closed_form_doc(cf: analytics.ClosedForms) -> dict:
         "triangles": cf.n_triangles,
         "delta_v": cf.delta_v,
         "gamma": cf.gamma,
-        "apl": str(cf.apl),
+        "apl": _exact_text(cf, "average path length", cf.apl),
         "apl_float": float(cf.apl),
-        "clustering": str(cf.clustering),
+        "clustering": _exact_text(cf, "average clustering", cf.clustering),
         "clustering_float": float(cf.clustering),
         "degree_histogram": {str(k): v for k, v in sorted(cf.degree_histogram.items())},
     }
@@ -169,7 +183,7 @@ def _cmd_stats(args) -> int:
         return EXIT_OK
     doc = {"closed_form": _closed_form_doc(cf)}
     if args.empirical:
-        report = analytics.stats_report(build(args.m, args.t), seed=args.seed)
+        report = analytics.stats_report(build(args.m, args.t))
         emp = report.empirical
         doc["empirical"] = {
             "vertices": emp.n_vertices,
@@ -177,9 +191,9 @@ def _cmd_stats(args) -> int:
             "degree_histogram": {str(k): v for k, v in emp.degree_histogram.items()},
             "clustering": str(emp.clustering),
             "clustering_float": float(emp.clustering),
-            "apl": None if emp.apl is None else str(emp.apl),
-            "apl_float": emp.apl_value,
-            "apl_stderr": emp.apl_stderr,
+            "apl": str(emp.apl),
+            "apl_float": float(emp.apl),
+            "apl_stderr": None,  # the apl is exact; the key stays for readers of the document
         }
         audit = {
             "counts_match": report.counts_match,
@@ -243,15 +257,9 @@ def _cmd_betweenness(args) -> int:
 def _cmd_electrical(args) -> int:
     graph = build(args.m, args.t)
     if args.cfb:
-        n = graph.n_vertices
-        if n <= electrical.CFB_EXHAUSTIVE_MAX_N:
-            result = electrical.current_flow_betweenness(graph)
-        else:
-            result = electrical.current_flow_betweenness(
-                graph, policy="sampled", sample_pairs=args.pairs, seed=args.seed
-            )
+        values = electrical.current_flow_betweenness(graph)
         print("label,current_flow_betweenness")
-        for text, value in zip(graph.label_texts(), result.values.tolist()):
+        for text, value in zip(graph.label_texts(), values.tolist()):
             print(f"{text},{value!r}")
         return EXIT_OK
 
@@ -331,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mt(p)
     p.add_argument("--empirical", action="store_true", help="build the graph and measure")
     p.add_argument("--csv", action="store_true", help="flat per-degree rows")
-    p.add_argument("--seed", type=_int_at_least(0), default=analytics.APL_SAMPLE_SEED)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("betweenness", help="vertex/edge betweenness: oracle vs printed formulas")
@@ -348,13 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--profile", action="store_true", help="pair profile (default)")
     mode.add_argument("--cfb", action="store_true", help="current-flow betweenness over pairs")
     mode.add_argument("--gap", action="store_true", help="voltage-gap community statistic")
-    p.add_argument(
-        "--pairs",
-        type=_int_at_least(1, MAX_PAIRS),
-        default=2000,
-        help="sample size when N is large",
-    )
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_electrical)
 
     p = sub.add_parser("verify", help="run the verification suites")

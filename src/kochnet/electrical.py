@@ -19,32 +19,34 @@ Summing O(1) edge currents keeps that check at round-off size; the
 product ``laplacian @ phi`` sums deg * phi terms instead, and on K(2,6),
 whose hubs have degree 1458, its round-off alone reaches 1.2e-10.
 
-Exhaustive current-flow betweenness back-solves one column per vertex
-and then reduces each edge's row of drops on its own: sorted, the row
-gives the edge's current summed over all C(N, 2) pairs, and a sum of
-absolute differences at each endpoint takes out that endpoint's own
-pairs.  That is O(E N log N) in blocks of edge rows, with no loop over
-sources.
+Current-flow betweenness needs no solve: by the same localization a
+pair's current passes whole through the cut vertices on its path and a
+third of it through the detour corner of each triangle it crosses, so
+the exact values over all C(N, 2) pairs come from the triangles' corner
+parts in O(N), at every N.  Its oracle, ``_exhaustive_cfb`` (N <= 600),
+back-solves one column per vertex and then reduces each edge's row of
+drops on its own: sorted, the row gives the edge's current summed over
+all pairs, and a sum of absolute differences at each endpoint takes out
+that endpoint's own pairs.  That is O(E N log N) in blocks of edge rows,
+with no loop over sources.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal
+from typing import Literal
 
 import numpy as np
 
-from .errors import AnalysisError, KochError, SizeCapError
+from .centrality import vertex_betweenness_counts
+from .errors import KochError, SizeCapError
 from .graph import KochGraph
 from .routing import route
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 RESIDUAL_TOL = 1e-10
 SUPPORT_EPS = 1e-9  # absolute current on unit injection
-CFB_EXHAUSTIVE_MAX_N = 600
-_CFB_BLOCK_ROWS = 128  # edge rows per block of the exhaustive reduction
+CFB_EXHAUSTIVE_MAX_N = 600  # vertices: cap on the Laplacian oracle of current-flow betweenness
+_CFB_BLOCK_ROWS = 128  # edge rows per block of the oracle's reduction
 
 Mode = Literal["unit-current", "unit-voltage"]
 
@@ -67,11 +69,6 @@ class ElectricalProfile:
     thm_support_ok: bool | None = None
     thm_voltages_ok: bool | None = None
     thm_split_ok: bool | None = None
-
-
-def laplacian(graph: KochGraph) -> sp.csr_array:
-    """The graph's unit-resistor Laplacian, built once per graph and cached on it."""
-    return graph.laplacian
 
 
 def _grounded_potentials(graph: KochGraph, b: np.ndarray) -> np.ndarray:
@@ -206,70 +203,31 @@ def path_profile(graph: KochGraph, source: int, target: int, tol: float = 1e-9) 
     return profile
 
 
-@dataclass
-class CurrentFlowResult:
-    values: np.ndarray
-    pairs_used: int
-    exhaustive: bool
-    stderr: np.ndarray | None = None
-
-
-def current_flow_betweenness(
-    graph: KochGraph,
-    policy: Literal["exhaustive", "sampled"] = "exhaustive",
-    sample_pairs: int = 2000,
-    seed: int = 0,
-    endpoint_contribution: bool = False,
-) -> CurrentFlowResult:
-    """Average interior current per vertex over source/target pairs.
+def current_flow_betweenness(graph: KochGraph, endpoint_contribution: bool = False) -> np.ndarray:
+    """Average interior current per vertex over all C(N, 2) source/target pairs.
 
     For an interior vertex the pair current is half the absolute currents
     on its incident edges; endpoint pairs contribute 0 by default (set
     ``endpoint_contribution`` for the convention where they count as 1).
+    A pair's whole current passes each vertex interior to its path, and a
+    third of it passes the third corner of each triangle the path crosses,
+    the triangles whose other two corner parts hold the pair.  So
+    3 C(N, 2) cfb(v) = 3 count(v) + sum over v's triangles of the product
+    of the other two corners' parts, with count(v) the exact betweenness
+    count: an integer numerator over the corner parts, divided once.
     """
     n = graph.n_vertices
-    if policy == "sampled" and sample_pairs < 2:
-        raise AnalysisError(
-            f"sampled current-flow betweenness needs at least 2 pairs for its standard error, "
-            f"got {sample_pairs}"
-        )
-    if policy == "exhaustive" and n > CFB_EXHAUSTIVE_MAX_N:
-        raise SizeCapError(
-            f"exhaustive current-flow betweenness capped at N={CFB_EXHAUSTIVE_MAX_N}; "
-            f"got N={n} (use policy='sampled')"
-        )
-    endpoint = 1.0 if endpoint_contribution else 0.0
-    if policy == "exhaustive":
-        return _exhaustive_cfb(graph, endpoint)
-    if policy != "sampled":
-        raise ValueError(f"unknown policy {policy!r}")
-
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
-    rng = np.random.default_rng(seed)
-    src = rng.integers(0, n, sample_pairs)
-    dst = rng.integers(0, n - 1, sample_pairs)
-    dst[dst >= src] += 1
-    totals = np.zeros(n)
-    sq_totals = np.zeros(n)
-    for s, t in zip(src.tolist(), dst.tolist()):
-        currents = np.abs(_edge_currents(graph, _solve_unit_current(graph, s, t)[0]))
-        through = np.zeros(n)
-        np.add.at(through, u, currents)
-        np.add.at(through, v, currents)
-        through *= 0.5
-        through[s] = endpoint
-        through[t] = endpoint
-        totals += through
-        sq_totals += through**2
-    k = sample_pairs
-    mean = totals / k
-    var = (sq_totals / k - mean**2) * k / (k - 1)
-    stderr = np.sqrt(np.maximum(var, 0.0) / k)
-    return CurrentFlowResult(values=mean, pairs_used=k, exhaustive=False, stderr=stderr)
+    parts = graph.corner_parts
+    others = parts[:, [1, 0, 0]] * parts[:, [2, 2, 1]]  # column k: product at corner k's others
+    numerator = 3 * vertex_betweenness_counts(graph)
+    np.add.at(numerator, graph.triangles.ravel(), others.ravel())
+    if endpoint_contribution:
+        numerator += 3 * (n - 1)  # every vertex ends n - 1 pairs
+    return numerator / (3 * (n * (n - 1) // 2))
 
 
-def _exhaustive_cfb(graph: KochGraph, endpoint: float) -> CurrentFlowResult:
-    """Current-flow betweenness over all C(N, 2) pairs from one multi-column back-solve.
+def _exhaustive_cfb(graph: KochGraph, endpoint_contribution: bool = False) -> np.ndarray:
+    """``current_flow_betweenness``'s oracle: one multi-column back-solve of the Laplacian.
 
     Column j of ``drops`` is the edge drops for unit current from j to hub
     0, so pair (s, t) carries x_s - x_t on an edge whose row is x.  Sorted
@@ -277,16 +235,21 @@ def _exhaustive_cfb(graph: KochGraph, endpoint: float) -> CurrentFlowResult:
     sum_r x_(r) (2r - N + 1).  An interior vertex takes half the current
     of each incident edge, so vertex v gets half of each incident edge's
     pair total less its spread at v, sum_t |x_v - x_t|: the pairs with v
-    as an endpoint, which count ``endpoint`` each instead.  Edge rows are
-    reduced ``_CFB_BLOCK_ROWS`` at a time, which bounds the scratch arrays.
+    as an endpoint, which count 1 each with ``endpoint_contribution`` and
+    0 without.  Edge rows are reduced ``_CFB_BLOCK_ROWS`` at a time, which
+    bounds the scratch arrays.  Capped at ``CFB_EXHAUSTIVE_MAX_N`` vertices.
     """
     n = graph.n_vertices
+    if n > CFB_EXHAUSTIVE_MAX_N:
+        raise SizeCapError(
+            f"Laplacian current-flow betweenness capped at N={CFB_EXHAUSTIVE_MAX_N}; got N={n}"
+        )
     b = np.eye(n)
     b[0] -= 1.0
     drops = _edge_currents(graph, _grounded_potentials(graph, b))
     _checked_residual(graph, drops, b)
     rank = 2.0 * np.arange(n) - (n - 1)
-    totals = np.full(n, endpoint * (n - 1))
+    totals = np.full(n, n - 1.0 if endpoint_contribution else 0.0)
     for lo in range(0, graph.n_edges, _CFB_BLOCK_ROWS):
         rows = drops[lo : lo + _CFB_BLOCK_ROWS]
         ends = graph.edges[lo : lo + _CFB_BLOCK_ROWS]
@@ -294,8 +257,7 @@ def _exhaustive_cfb(graph: KochGraph, endpoint: float) -> CurrentFlowResult:
         at_ends = np.take_along_axis(rows, ends, axis=1)
         spread = np.abs(rows[:, None, :] - at_ends[:, :, None]).sum(axis=2)
         np.add.at(totals, ends, 0.5 * (pair_total[:, None] - spread))
-    pairs = n * (n - 1) // 2
-    return CurrentFlowResult(values=totals / pairs, pairs_used=pairs, exhaustive=True)
+    return totals / (n * (n - 1) // 2)
 
 
 @dataclass

@@ -26,9 +26,16 @@ together as ids 2k+1 and 2k+2.  Every edge lies in exactly one triangle,
 so edge (u, v) lies in triangle (max(u, v) - 1) // 2; the father of a
 vertex v >= 3 is the first corner of row (v - 1) // 2, and its companion
 is the other son of that row.  The sorted edge list, degrees, CSR
-adjacency, edge ids, edge-to-triangle map, the all-pairs distance total, the
+adjacency, edge ids, edge-to-triangle map, the corner parts, the
 Laplacian and its one LU factorization are derived from the table and
 cached.  scipy is imported on first sparse use, not with the module.
+
+The graph is a cactus of triangles: triangles meet only at vertices, so
+removing a triangle's edges splits the graph into the parts that hang at
+its three corners (``corner_parts``).  Those sizes give the exact
+betweenness counts, current-flow betweenness and the all-pairs distance
+total in O(N); the blocked BFS sum ``bfs_distance_total`` is kept as the
+total's oracle.
 """
 
 from __future__ import annotations
@@ -245,8 +252,40 @@ class KochGraph:
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
+    def corner_parts(self) -> np.ndarray:
+        """Size of the part of the graph that hangs at each corner of each triangle.
+
+        int64 (T, 3), aligned with ``triangles``; each row sums to N.
+        A son's part is its subtree: itself plus everything born below it.
+        Subtree sizes are summed youngest-first, one birth step at a time,
+        so every son's size is complete before it is added to its father's.
+        The father's part is the rest of the graph; each hub's part is its
+        own subtree.
+        """
+        tri = self.triangles
+        n = self.n_vertices
+        below = np.ones(n, np.int64)
+        for step in range(self.t, 0, -1):
+            rows = tri[triangle_count(self.m, step - 1) : triangle_count(self.m, step)]
+            np.add.at(below, rows[:, 0], below[rows[:, 1]] + below[rows[:, 2]])
+        parts = below[tri]
+        parts[1:, 0] = n - parts[1:, 1] - parts[1:, 2]
+        return parts
+
+    @cached_property
     def distance_total(self) -> int:
-        """Sum of distances over all ordered vertex pairs: one blocked BFS sweep per graph."""
+        """Sum of distances over all ordered vertex pairs, from the corner parts.
+
+        Shortest paths are unique and use at most one edge of a triangle,
+        so a pair's distance is the number of triangles whose corner parts
+        separate it: triangle parts a, b, c are crossed by ab + bc + ca pairs.
+        """
+        a, b, c = self.corner_parts.T
+        return 2 * int((a * b + b * c + c * a).sum())
+
+    @cached_property
+    def bfs_distance_total(self) -> int:
+        """``distance_total``'s oracle: one blocked BFS sweep from every vertex, O(N E)."""
         return _kernels.all_distance_total(*self.csr)
 
     @cached_property

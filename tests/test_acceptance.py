@@ -157,7 +157,7 @@ def test_criterion_06_degree_structure():
     for m in (1, 2, 3):
         for t in range(0, 5):
             graph = cached_graph(m, t)
-            emp = empirical_stats(graph, measure_apl=False)
+            emp = empirical_stats(graph)
             expected = {2 * (m + 1) ** t: 3}
             for i in range(1, t + 1):
                 expected[2 * (m + 1) ** (t - i)] = 6 * m * (3 * m + 1) ** (i - 1)
@@ -176,7 +176,7 @@ def test_criterion_07_apl_closed_form():
     clustering = float(clustering_closed_form(1, 6))
     c_gap = abs(clustering - 0.82008)
     ok &= c_gap <= 0.01
-    measured = empirical_stats(cached_graph(1, 6), measure_apl=False)
+    measured = empirical_stats(cached_graph(1, 6))
     ok &= measured.clustering == clustering_closed_form(1, 6)
     inc = float(apl_closed_form(1, 5) - apl_closed_form(1, 4))
     inc_dev = abs(inc - 1.0)

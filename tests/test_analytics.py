@@ -4,6 +4,7 @@ import pytest
 
 from kochnet import claim_audit, closed_forms, empirical_stats, stats_report
 from kochnet.analytics import (
+    APL_EXACT_MAX_N,
     apl_closed_form,
     clustering_closed_form,
     cumulative_degree_check,
@@ -70,14 +71,25 @@ class TestEmpirical:
         n = graph.n_vertices
         assert Fraction(total, n * (n - 1)) == empirical_stats(graph).apl
 
-    def test_sampled_apl_path(self):
-        graph = cached_graph(1, 2)
-        emp = empirical_stats(graph, apl_exact_max_n=10, sample_sources=4000, seed=1)
-        assert emp.apl is None
-        exact = float(apl_closed_form(1, 2))
-        assert abs(emp.apl_estimate - exact) < 5 * emp.apl_stderr
-        again = empirical_stats(graph, apl_exact_max_n=10, sample_sources=4000, seed=1)
-        assert again.apl_estimate == emp.apl_estimate  # seeded, reproducible
+
+# every graph the tests build with at most APL_EXACT_MAX_N vertices
+BFS_GRAPHS = [(1, t) for t in range(6)] + [(2, t) for t in range(5)] + [(3, t) for t in range(4)]
+
+
+class TestDistanceTotal:
+    @pytest.mark.parametrize("m,t", BFS_GRAPHS)
+    def test_structural_equals_bfs_oracle(self, m, t):
+        graph = cached_graph(m, t)
+        assert graph.n_vertices <= APL_EXACT_MAX_N
+        assert graph.distance_total == graph.bfs_distance_total
+
+    @pytest.mark.parametrize("m,t", [(2, 6), (3, 5)])
+    def test_structural_equals_closed_form_above_oracle_cap(self, m, t):
+        graph = cached_graph(m, t)
+        n = graph.n_vertices
+        assert n > APL_EXACT_MAX_N
+        assert Fraction(graph.distance_total, n * (n - 1)) == apl_closed_form(m, t)
+        assert empirical_stats(graph).apl == apl_closed_form(m, t)
 
 
 class TestChecks:

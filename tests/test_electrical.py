@@ -10,8 +10,8 @@ from kochnet import (
     solve,
     voltage_gap,
 )
-from kochnet.centrality import _corner_parts, betweenness_counts
-from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, RESIDUAL_TOL, _kcl_residual, laplacian
+from kochnet.centrality import betweenness_counts
+from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, RESIDUAL_TOL, _exhaustive_cfb, _kcl_residual
 from kochnet.errors import SizeCapError
 from kochnet.verify import _control_gap
 
@@ -126,15 +126,18 @@ class TestPathProfile:
                 assert abs(prof.potentials[u] - prof.potentials[v]) < 1e-9
 
 
+CFB_GRAPHS = [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (3, 2)]
+
+
 class TestCurrentFlow:
     def test_triangle_uniform(self):
-        result = current_flow_betweenness(cached_graph(1, 0))
-        np.testing.assert_allclose(result.values, 1 / 9, atol=1e-12)
+        values = current_flow_betweenness(cached_graph(1, 0))
+        np.testing.assert_allclose(values, 1 / 9, atol=1e-12)
 
     def test_k11_grouping(self):
-        result = current_flow_betweenness(cached_graph(1, 1))
-        hubs = result.values[:3]
-        sons = result.values[3:]
+        values = current_flow_betweenness(cached_graph(1, 1))
+        hubs = values[:3]
+        sons = values[3:]
         assert np.max(np.abs(hubs - hubs[0])) < 1e-9
         assert np.max(np.abs(sons - sons[0])) < 1e-9
         assert hubs[0] > sons[0]
@@ -143,45 +146,14 @@ class TestCurrentFlow:
         graph = cached_graph(1, 0)
         with_endpoints = current_flow_betweenness(graph, endpoint_contribution=True)
         # each vertex is an endpoint in 2 of the 3 pairs, each adding 1
-        np.testing.assert_allclose(with_endpoints.values, (1 / 3 + 2) / 3, atol=1e-12)
-
-    def test_sampled_consistent_with_exhaustive(self):
-        graph = cached_graph(1, 2)
-        exact = current_flow_betweenness(graph)
-        sampled = current_flow_betweenness(graph, policy="sampled", sample_pairs=1500, seed=3)
-        err = np.abs(sampled.values - exact.values)
-        bound = 3 * np.where(sampled.stderr > 0, sampled.stderr, np.inf)
-        assert np.all(err <= bound)
-
-    def test_sampled_matches_pair_sum(self):
-        # the same seeded pairs, each solved and accumulated by hand
-        graph = cached_graph(1, 2)
-        n, k, seed = graph.n_vertices, 40, 7
-        rng = np.random.default_rng(seed)
-        src = rng.integers(0, n, k)
-        dst = rng.integers(0, n - 1, k)
-        dst[dst >= src] += 1
-        rows = []
-        for s, v in zip(src.tolist(), dst.tolist()):
-            current = np.abs(solve(graph, s, v).edge_currents)
-            through = np.zeros(n)
-            for eid, (a, b) in enumerate(graph.edges.tolist()):
-                through[a] += current[eid] / 2
-                through[b] += current[eid] / 2
-            through[[s, v]] = 0.0
-            rows.append(through)
-        rows = np.array(rows)
-        got = current_flow_betweenness(graph, policy="sampled", sample_pairs=k, seed=seed)
-        assert got.pairs_used == k
-        np.testing.assert_allclose(got.values, rows.mean(axis=0), atol=1e-12)
-        expected_stderr = rows.std(axis=0, ddof=1) / np.sqrt(k)
-        np.testing.assert_allclose(got.stderr, expected_stderr, atol=1e-9)
+        np.testing.assert_allclose(with_endpoints, (1 / 3 + 2) / 3, atol=1e-12)
 
     def test_cap(self):
         graph = cached_graph(2, 3)
         assert graph.n_vertices > CFB_EXHAUSTIVE_MAX_N
         with pytest.raises(SizeCapError):
-            current_flow_betweenness(graph)
+            _exhaustive_cfb(graph)
+        assert current_flow_betweenness(graph).shape == (graph.n_vertices,)
 
     def test_exhaustive_matches_pair_sum(self):
         # independent route: solve() per pair and accumulate by hand
@@ -199,9 +171,8 @@ class TestCurrentFlow:
                 through[[s, v]] = 0.0
                 totals += through
         expected = totals / (n * (n - 1) // 2)
-        got = current_flow_betweenness(graph).values
-        np.testing.assert_allclose(got, expected, atol=1e-9)
-
+        np.testing.assert_allclose(_exhaustive_cfb(graph), expected, atol=1e-9)
+        np.testing.assert_allclose(current_flow_betweenness(graph), expected, atol=1e-9)
 
     def test_exhaustive_matches_per_pair_accumulation(self):
         # drops from a dense pseudo-inverse, accumulated one pair at a time
@@ -219,19 +190,19 @@ class TestCurrentFlow:
                 np.add.at(through, v, current / 2)
                 through[[s, t]] = 0.0
                 totals += through
-        got = current_flow_betweenness(graph)
-        assert got.pairs_used == n * (n - 1) // 2
-        np.testing.assert_allclose(got.values, totals / got.pairs_used, rtol=0, atol=1e-12)
+        expected = totals / (n * (n - 1) // 2)
+        np.testing.assert_allclose(_exhaustive_cfb(graph), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(current_flow_betweenness(graph), expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("endpoint", [False, True])
-    @pytest.mark.parametrize("m,t", [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("m,t", CFB_GRAPHS)
     def test_exhaustive_matches_cactus_closed_form(self, m, t, endpoint):
         # a pair's whole current passes each vertex interior to its path, and
         # a third of it passes the third corner of each triangle it crosses:
         # 3 C(N,2) cfb(v) = 3 count(v) + sum over v's triangles of the other parts' product
         graph = cached_graph(m, t)
         n = graph.n_vertices
-        parts = _corner_parts(graph)
+        parts = graph.corner_parts
         others = parts[:, [1, 0, 0]] * parts[:, [2, 2, 1]]  # row k: product at corner k
         crossing = np.zeros(n, np.int64)
         np.add.at(crossing, graph.triangles.ravel(), others.ravel())
@@ -239,8 +210,38 @@ class TestCurrentFlow:
         expected = (3 * betweenness_counts(graph)[0] + crossing) / (3 * pairs)
         if endpoint:
             expected += (n - 1) / pairs
-        got = current_flow_betweenness(graph, endpoint_contribution=endpoint)
-        np.testing.assert_allclose(got.values, expected, rtol=0, atol=1e-12)
+        got = _exhaustive_cfb(graph, endpoint_contribution=endpoint)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("endpoint", [False, True])
+    @pytest.mark.parametrize("m,t", CFB_GRAPHS)
+    def test_structural_matches_laplacian_oracle(self, m, t, endpoint):
+        graph = cached_graph(m, t)
+        np.testing.assert_allclose(
+            current_flow_betweenness(graph, endpoint_contribution=endpoint),
+            _exhaustive_cfb(graph, endpoint_contribution=endpoint),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("m,t", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2)])
+    def test_matches_networkx(self, m, t):
+        nx = pytest.importorskip("networkx")
+        graph = cached_graph(m, t)
+        n = graph.n_vertices
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(graph.edges.tolist())
+        ref = nx.current_flow_betweenness_centrality(g, normalized=False)
+        expected = np.array([ref[v] for v in range(n)]) / (n * (n - 1) // 2)
+        np.testing.assert_allclose(current_flow_betweenness(graph), expected, rtol=0, atol=1e-12)
+
+    def test_birth_step_symmetry_and_order_above_oracle_cap(self):
+        graph = cached_graph(2, 3)
+        values = current_flow_betweenness(graph)
+        steps = [values[graph.birth == b] for b in range(graph.t + 1)]
+        assert all(np.ptp(step) == 0 for step in steps)  # equal integer numerators
+        assert all(steps[b].min() > steps[b + 1].max() for b in range(graph.t))
 
 
 class TestVoltageGap:
@@ -262,7 +263,7 @@ class TestVoltageGap:
 
 def test_laplacian_structure():
     graph = cached_graph(1, 1)
-    lap = laplacian(graph).toarray()
+    lap = graph.laplacian.toarray()
     assert np.allclose(lap, lap.T)
     assert np.allclose(lap.sum(axis=1), 0)
     assert lap[0, 0] == graph.degree(0)
@@ -270,7 +271,7 @@ def test_laplacian_structure():
 
 def test_pinv_and_grounded_solve_agree():
     graph = cached_graph(1, 1)
-    lap = laplacian(graph).toarray()
+    lap = graph.laplacian.toarray()
     pinv = np.linalg.pinv(lap)
     for s, v in [(0, 5), (3, 8)]:
         r_pinv = pinv[s, s] + pinv[v, v] - 2 * pinv[s, v]
@@ -294,5 +295,5 @@ def test_edgewise_residual_is_laplacian_residual(m, t):
         b = np.zeros(n)
         b[s], b[v] = 1.0, -1.0
         edgewise = _kcl_residual(graph, prof.edge_currents, b)
-        expected = laplacian(graph) @ prof.potentials - b
+        expected = graph.laplacian @ prof.potentials - b
         np.testing.assert_allclose(edgewise, expected, rtol=0, atol=1e-13)

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from kochnet import _kernels, verify
+from kochnet import _kernels, build, current_flow_betweenness, verify
+from kochnet.analytics import apl_closed_form
 from kochnet.cli import main
 
 
@@ -83,6 +84,20 @@ class TestVerifyModule:
         assert result.exit_code == 0
         assert len(calls) == 1
 
+    def test_no_distance_sweep_above_oracle_cap(self, monkeypatch):
+        # K(1,6) has 8193 vertices: the sum rule and the APL check use the structural total alone
+        def refused(indptr, indices):
+            raise AssertionError("BFS distance sweep above APL_EXACT_MAX_N")
+
+        monkeypatch.setattr(_kernels, "all_distance_total", refused)
+        result = verify.run(1, 6, suites=("centrality", "stats"))
+        assert result.exit_code == 0
+        checks = {c.id: c for suite in result.suites for c in suite.checks}
+        assert checks["stats/apl-exact"].description == (
+            "structural average path length equals the closed form exactly"
+        )
+        assert checks["centrality/sum-rule"].status == verify.PASS
+
 
 class TestCli:
     def test_generate_edgelist_line_count(self):
@@ -142,6 +157,22 @@ class TestCli:
         doc = json.loads(proc.stdout)
         assert list(doc) == ["closed_form", "empirical", "audit"]
         assert doc["audit"]["apl_matches"] is True
+
+    def test_stats_empirical_apl_is_exact_above_oracle_cap(self):
+        proc = run_cli("stats", "--m", "1", "--t", "6", "--empirical")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["empirical"]["apl"] == str(apl_closed_form(1, 6)) == doc["closed_form"]["apl"]
+        assert doc["empirical"]["apl_stderr"] is None
+        assert doc["audit"]["apl_matches"] is True
+
+    def test_electrical_cfb_prints_structural_values(self):
+        proc = run_cli("electrical", "--m", "2", "--t", "5", "--cfb")
+        assert proc.returncode == 0, proc.stderr
+        graph = build(2, 5)
+        values = current_flow_betweenness(graph).tolist()
+        expected = [f"{text},{value!r}" for text, value in zip(graph.label_texts(), values)]
+        assert proc.stdout.splitlines() == ["label,current_flow_betweenness"] + expected
 
     def test_stats_csv(self):
         proc = run_cli("stats", "--m", "2", "--t", "2", "--csv")
@@ -249,6 +280,18 @@ class TestCli:
     def test_size_cap_before_any_work(self, argv):
         # closed forms and label arithmetic never build, but are held to the build's cap
         proc = run_cli(*argv)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("size error:") and proc.stderr.count("\n") == 1
+
+    def test_closed_form_past_print_limit_is_size_error(self):
+        # the exact clustering of K(1,1000) has more digits than Python converts to text
+        proc = subprocess.run(
+            [sys.executable, "-m", "kochnet.cli", "stats", "--m", "1", "--t", "1000"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, KOCH_MAX_VERTICES=str(10**700)),
+        )
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("size error:") and proc.stderr.count("\n") == 1
