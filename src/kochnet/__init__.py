@@ -51,7 +51,6 @@ from .routing import (
     RoutePath,
     ancestor_chain,
     bfs_distances,
-    bfs_sigma,
     distance,
     route,
     route_batch,
@@ -74,7 +73,6 @@ __all__ = [
     "UnknownLabelError",
     "ancestor_chain",
     "bfs_distances",
-    "bfs_sigma",
     "build",
     "centrality_report",
     "children",

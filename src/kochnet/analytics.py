@@ -105,14 +105,26 @@ class EmpiricalStats:
     local_clustering_is_inverse_degree: bool = True
 
 
-def _measured_triangles(graph: KochGraph) -> np.ndarray:
-    """Triangle memberships per vertex, measured from adjacency alone: diag(A^3) / 2."""
-    import scipy.sparse as sp  # slow to import; kept off the CLI's start-up
+def _measured_triangles(n: int, edges: np.ndarray) -> np.ndarray:
+    """Triangle memberships per vertex of a simple graph, measured from its edge list alone.
 
-    indptr, indices = graph.csr
-    n = graph.n_vertices
-    adj = sp.csr_array((np.ones(len(indices), np.int64), indices, indptr), shape=(n, n))
-    return np.asarray(((adj @ adj) * adj).sum(axis=1)) // 2
+    Each edge is oriented toward its lower id.  A triangle u > v > w is the
+    wedge of u's lower neighbours v and w, closed by the edge (w, v): found
+    once, at its highest corner, and counted at all three.  In K_{m,t} no
+    vertex has more than two lower neighbours, so there are at most N wedges.
+    """
+    low, high = edges[:, 0], edges[:, 1]
+    order = np.lexsort((low, high))
+    u, v = high[order], low[order]  # grouped by u, lower neighbours ascending
+    first = np.searchsorted(u, u)  # each edge's group start
+    rank = np.arange(len(u)) - first  # u's lower neighbours below v
+    wedge = np.repeat(np.arange(len(u)), rank)
+    w = v[first[wedge] + np.arange(len(wedge)) - np.repeat(np.cumsum(rank) - rank, rank)]
+    u, v = u[wedge], v[wedge]
+    keys = np.sort(low * n + high)
+    closing = w * n + v
+    closed = keys[np.minimum(np.searchsorted(keys, closing), len(keys) - 1)] == closing
+    return np.bincount(np.concatenate((u[closed], v[closed], w[closed])), minlength=n)
 
 
 def empirical_stats(graph: KochGraph) -> EmpiricalStats:
@@ -120,7 +132,7 @@ def empirical_stats(graph: KochGraph) -> EmpiricalStats:
     deg = graph.degrees
     values, counts = np.unique(deg, return_counts=True)
     hist = dict(zip(values.tolist(), counts.tolist()))
-    tri = _measured_triangles(graph)
+    tri = _measured_triangles(n, graph.edges)
     # C_v = tri / C(deg, 2) depends on (tri, deg) alone: one Fraction per distinct class
     base = int(deg.max()) + 1
     keys, sizes = np.unique(tri * base + deg, return_counts=True)

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import SettingError, SizeCapError, UnknownLabelError
-from .labels import Label, format_label
+from .labels import Label, _derived, format_label
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -143,11 +143,14 @@ class KochGraph:
 
     @cached_property
     def labels(self) -> list[Label]:
-        """Label of every vertex, in id order."""
+        """Label of every vertex, in id order.
+
+        ``build`` made the arrays valid, so the labels skip the constructor's checks.
+        """
         strings = _bit_strings(self.t)
         codes = ((1 << self.birth) | self.bits).tolist()
         return [
-            Label(subnet, strings[code], index or None)
+            _derived(subnet, strings[code], index or None)
             for subnet, code, index in zip(self.subnet.tolist(), codes, self.index.tolist())
         ]
 
@@ -377,10 +380,13 @@ def check_size(m: int, t: int, max_vertices: int | None = None) -> int:
     cap = _resolve_cap(max_vertices)
     n = vertex_count(m, t)
     if n > cap:
-        # past ~4300 digits str(n) raises, and far before that it is no use in a message
-        count = n if n < 10**18 else f"2*{3 * m + 1}^{t}+1"
-        raise SizeCapError(f"K_{{{m},{t}}} has {count} vertices, exceeding the cap of {cap}")
+        raise SizeCapError(f"K_{{{m},{t}}} has {_count_text(m, t, n)} vertices, exceeding the cap of {cap}")
     return n
+
+
+def _count_text(m: int, t: int, n: int) -> str:
+    # past ~4300 digits str(n) raises, and far before that it is no use in a message
+    return str(n) if n < 10**18 else f"2*{3 * m + 1}^{t}+1"
 
 
 def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
@@ -394,9 +400,14 @@ def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
         raise ValueError(f"need integer m >= 1 and t >= 0, got m={m!r}, t={t!r}")
     n_final = check_size(m, t, max_vertices)
 
-    birth, subnet, bits, index = (np.zeros(n_final, np.int64) for _ in range(4))
+    try:
+        birth, subnet, bits, index = (np.zeros(n_final, np.int64) for _ in range(4))
+        triangles = np.empty((triangle_count(m, t), 3), np.int64)
+    except (ValueError, MemoryError):  # numpy refuses a size past the address space with ValueError
+        raise SizeCapError(
+            f"K_{{{m},{t}}} has {_count_text(m, t, n_final)} vertices, more than can be allocated"
+        ) from None
     subnet[:3] = (1, 2, 3)
-    triangles = np.empty((triangle_count(m, t), 3), np.int64)
     triangles[0] = (0, 1, 2)
     n = 3
     for step in range(1, t + 1):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import LabelDomainError, LabelFormatError
@@ -24,7 +25,7 @@ _LABEL_RE = re.compile(r"^([123])(0[01]*)\.([1-9][0-9]*)$")
 _HUB_RE = re.compile(r"^[123]$")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Label:
     """Identity of one vertex: subnet digit, growth bits, index within its bit class."""
 
@@ -65,6 +66,27 @@ class Label:
         return format_label(self)
 
 
+# the slots' own setters, which the frozen __setattr__ does not guard
+_set_subnet, _set_bits, _set_index = Label.subnet.__set__, Label.bits.__set__, Label.index.__set__
+
+
+def _derived(subnet: int, bits: str, index: int | None) -> Label:
+    """A Label for fields derived from a valid Label, made without re-running its checks.
+
+    Only the father, companion and child formulas (and the graph's own
+    label arrays) call this; their results are valid by construction.  A
+    father's bits are a prefix of valid bits that keeps the leading 0, and
+    its index is a ceiling >= 1.  A companion stays in 1..l_max because
+    l_max is even for every non-hub bit string.  Children append '0' and
+    ones to valid bits, within the index range ``child_block`` gives.
+    """
+    label = object.__new__(Label)
+    _set_subnet(label, subnet)
+    _set_bits(label, bits)
+    _set_index(label, index)
+    return label
+
+
 def hub(subnet: int) -> Label:
     return Label(subnet)
 
@@ -83,9 +105,13 @@ def l_max(m: int, bits: str) -> int:
         raise LabelFormatError("hubs have no index space (empty bit string)")
     if bits[0] != "0" or any(c not in "01" for c in bits):
         raise LabelFormatError(f"invalid bit string {bits!r}")
-    j = len(bits)
+    return _index_bound(m, bits)
+
+
+def _index_bound(m: int, bits: str) -> int:
+    """``l_max`` of a bit string already checked, such as a Label's."""
     s = bits.count("1")
-    return (2 * m) ** (j - s) * (m + 1) ** s
+    return (2 * m) ** (len(bits) - s) * (m + 1) ** s
 
 
 def format_label(label: Label) -> str:
@@ -112,12 +138,25 @@ def parse_label(text: str, m: int) -> Label:
 
 def validate_in_graph(m: int, t: int, label: Label) -> None:
     """Check the label denotes a vertex of K_{m,t}."""
-    if label.birth > t:
-        raise LabelDomainError(f"{label} born at step {label.birth} > t={t}")
-    if not label.is_hub and label.index > l_max(m, label.bits):
-        raise LabelFormatError(
-            f"{label}: index {label.index} exceeds l_max={l_max(m, label.bits)}"
-        )
+    if label.birth <= t and not label.is_hub:
+        l_max(m, label.bits)  # checks m and the bit string
+    _check_in_graph(m, t, label)
+
+
+def _check_in_graph(m: int, t: int, label: Label) -> None:
+    """``validate_in_graph`` for a Label, whose bits its constructor checked: the same errors.
+
+    The index bound is read from the bits without scanning them again.
+    """
+    bits = label.bits
+    if len(bits) > t:
+        raise LabelDomainError(f"{label} born at step {len(bits)} > t={t}")
+    if bits:
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        bound = _index_bound(m, bits)
+        if label.index > bound:
+            raise LabelFormatError(f"{label}: index {label.index} exceeds l_max={bound}")
 
 
 def companion(label: Label) -> Label:
@@ -125,7 +164,7 @@ def companion(label: Label) -> Label:
     if label.is_hub:
         raise LabelDomainError(f"hub {label} has no same-group companion")
     l = label.index
-    return Label(label.subnet, label.bits, l + 1 if l % 2 == 1 else l - 1)
+    return _derived(label.subnet, label.bits, l + 1 if l % 2 == 1 else l - 1)
 
 
 def father(m: int, label: Label) -> Label:
@@ -138,13 +177,26 @@ def father(m: int, label: Label) -> Label:
     """
     if label.is_hub:
         raise LabelDomainError(f"hub {label} has no father")
-    bits = label.bits
-    j = bits.rfind("0") + 1
-    i = len(bits)
-    width = 2 * m * (m + 1) ** (i - j)
-    if j == 1:
-        return Label(label.subnet)
-    return Label(label.subnet, bits[: j - 1], -(-label.index // width))
+    bits, index = _father_step(_widths(m, label.birth), label.bits, label.index)
+    return _derived(label.subnet, bits, index)
+
+
+@lru_cache
+def _widths(m: int, t: int) -> tuple[int, ...]:
+    """Child-block widths 2m(m+1)^k for k = 0..t-1 (k is the father's age at the child's birth)."""
+    return tuple(2 * m * (m + 1) ** k for k in range(t))
+
+
+def _father_step(widths: tuple[int, ...], bits: str, index: int) -> tuple[str, int | None]:
+    """The father formula on plain fields: (bits, index) of a non-hub vertex to its father's.
+
+    ``widths`` is ``_widths(m, b)`` for any b >= len(bits); a hub father
+    is ("", None).
+    """
+    j = bits.rfind("0")  # 0-based position of the rightmost 0
+    if j == 0:
+        return "", None
+    return bits[:j], -(-index // widths[len(bits) - 1 - j])
 
 
 def child_block(m: int, label: Label, step: int) -> tuple[str, int, int]:
@@ -169,8 +221,7 @@ def children(m: int, t: int, label: Label) -> set[Label]:
     out: set[Label] = set()
     for step in range(label.birth + 1, t + 1):
         bits, first, last = child_block(m, label, step)
-        for l in range(first, last + 1):
-            out.add(Label(label.subnet, bits, l))
+        out.update(_derived(label.subnet, bits, l) for l in range(first, last + 1))
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .graph import KochGraph, label_keys
-from .labels import Label, companion, father, validate_in_graph
+from .labels import Label, _check_in_graph, _derived, _father_step, _widths, father
 
 
 @dataclass(frozen=True)
@@ -51,29 +51,40 @@ def route(m: int, t: int, a: Label, b: Label) -> RoutePath:
     ``ops_used`` counts father/companion evaluations (the ceil/modulo
     work), which stays below 2t + 3 for any pair.
     """
-    validate_in_graph(m, t, a)
-    validate_in_graph(m, t, b)
+    _check_in_graph(m, t, a)
+    _check_in_graph(m, t, b)
     if a == b:
         return RoutePath((a,), 0)
 
-    chain_a = ancestor_chain(m, a)
-    chain_b = ancestor_chain(m, b)
+    # the ancestor chains as (bits, index), from the vertex up to its hub ("", None)
+    widths = _widths(m, max(len(a.bits), len(b.bits)))
+    chain_a, chain_b = [(a.bits, a.index)], [(b.bits, b.index)]
+    for chain in (chain_a, chain_b):
+        bits, index = chain[0]
+        while bits:
+            bits, index = _father_step(widths, bits, index)
+            chain.append((bits, index))
     ops = (len(chain_a) - 1) + (len(chain_b) - 1)
+    i, j = len(chain_a) - 1, len(chain_b) - 1  # the last hop taken from each chain
 
-    if a.subnet != b.subnet:
-        return RoutePath(tuple(chain_a + chain_b[::-1]), ops)
+    if a.subnet == b.subnet:
+        # scan from the hub end for the deepest common vertex
+        while i >= 0 and j >= 0 and chain_a[i] == chain_b[j]:
+            i -= 1
+            j -= 1
+        i += 1  # keep the splice vertex on a's side
+        if i >= 1 and j >= 0:
+            ops += 1
+            (bits, l), (bits_b, l_b) = chain_a[i - 1], chain_b[j]
+            if bits == bits_b and l_b == (l + 1 if l % 2 == 1 else l - 1):
+                # companions: splice the two sibling subtrees directly, skip their father
+                i -= 1
 
-    # scan from the hub end for the deepest common vertex
-    i, j = len(chain_a) - 1, len(chain_b) - 1
-    while i >= 0 and j >= 0 and chain_a[i] == chain_b[j]:
-        i -= 1
-        j -= 1
-    if i >= 0 and j >= 0:
-        ops += 1
-        if companion(chain_a[i]) == chain_b[j]:
-            # splice the two sibling subtrees directly, skip their father
-            return RoutePath(tuple(chain_a[: i + 1] + chain_b[: j + 1][::-1]), ops)
-    return RoutePath(tuple(chain_a[: i + 2] + chain_b[: j + 1][::-1]), ops)
+    hops = [a] + [_derived(a.subnet, bits, index) for bits, index in chain_a[1 : i + 1]]
+    if j >= 0:  # j = -1 when b itself is the splice vertex
+        hops += [_derived(b.subnet, bits, index) for bits, index in chain_b[j:0:-1]]
+        hops.append(b)
+    return RoutePath(tuple(hops), ops)
 
 
 @dataclass(frozen=True)
@@ -156,12 +167,6 @@ def bfs_distances(graph: KochGraph, source: int) -> np.ndarray:
     """Exact single-source distances on the built graph (the routing oracle)."""
     indptr, indices = graph.csr
     return _kernels.bfs_distances(indptr, indices, source)
-
-
-def bfs_sigma(graph: KochGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distances plus per-target shortest-path counts for the uniqueness audit."""
-    indptr, indices = graph.csr
-    return _kernels.bfs_sigma(indptr, indices, source)
 
 
 def verify_path_in_graph(graph: KochGraph, path: RoutePath) -> bool:

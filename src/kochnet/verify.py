@@ -307,16 +307,18 @@ def routing_suite(
         detail = f"multi-path (source,target) incidences={multi}"
         findings = []
         if multi:
-            for s in range(n):
-                _, sigma = _kernels.bfs_sigma(indptr, indices, s)
-                for v in np.flatnonzero(sigma > 1.0):
-                    if v != s:
-                        findings.append(f"{graph.label_of(s)}->{graph.label_of(int(v))}")
-                    if len(findings) >= 10:
-                        break
+            rows = _kernels.block_rows(n)
+            for lo in range(0, n, rows):
+                sources = np.arange(lo, min(lo + rows, n))
+                _, sigma = _kernels.bfs_block(indptr, indices, sources, with_sigma=True)
+                row, v = np.nonzero(sigma > 1.0)  # by source, then by target
+                findings += [
+                    f"{graph.label_of(int(sources[r]))}->{graph.label_of(int(x))}"
+                    for r, x in zip(row[:10], v[:10])
+                ]
                 if len(findings) >= 10:
                     break
-            detail += " first: " + ", ".join(findings)
+            detail += " first: " + ", ".join(findings[:10])
         out.append(
             _check(
                 "routing/uniqueness",

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kochnet import claim_audit, closed_forms, empirical_stats, stats_report
 from kochnet.analytics import (
     APL_EXACT_MAX_N,
+    _measured_triangles,
     apl_closed_form,
     clustering_closed_form,
     cumulative_degree_check,
@@ -64,6 +66,23 @@ class TestEmpirical:
     def test_apl_equals_closed_form_exactly(self, m, t):
         report = stats_report(cached_graph(m, t))
         assert report.apl_matches is True
+
+    @pytest.mark.parametrize("m,t", [(1, 0), (1, 3), (2, 3), (3, 2), (1, 5)])
+    def test_triangles_match_networkx(self, m, t):
+        nx = pytest.importorskip("networkx")
+        graph = cached_graph(m, t)
+        ref = nx.triangles(nx.Graph(graph.edges.tolist()))
+        got = _measured_triangles(graph.n_vertices, graph.edges)
+        assert got.tolist() == [ref[v] for v in range(graph.n_vertices)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_triangles_on_any_simple_graph(self, seed):
+        # not a cactus: vertices with many lower neighbours, triangles sharing edges
+        nx = pytest.importorskip("networkx")
+        g = nx.gnp_random_graph(30, 0.3, seed=seed)
+        edges = np.array(sorted((min(e), max(e)) for e in g.edges()), np.int64).reshape(-1, 2)
+        ref = nx.triangles(g)
+        assert _measured_triangles(30, edges).tolist() == [ref[v] for v in range(30)]
 
     def test_apl_against_python_bfs(self):
         graph = cached_graph(2, 1)

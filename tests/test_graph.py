@@ -203,6 +203,11 @@ class TestValidation:
         with pytest.raises(SizeCapError):
             build(1, 3, max_vertices=100)
 
+    def test_past_address_space(self):
+        # numpy refuses 8 * (2 * 4^30 + 1) bytes before allocating anything
+        with pytest.raises(SizeCapError, match="more than can be allocated"):
+            build(1, 30, max_vertices=10**20)
+
     def test_cap_env(self, monkeypatch):
         monkeypatch.setenv("KOCH_MAX_VERTICES", "5")
         with pytest.raises(SizeCapError):

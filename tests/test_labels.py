@@ -15,8 +15,10 @@ from kochnet import (
     l_max,
     neighbor_partition,
     parse_label,
+    route,
 )
 from kochnet.labels import validate_in_graph
+from kochnet.routing import ancestor_chain
 
 from conftest import cached_graph
 
@@ -186,3 +188,31 @@ class TestEnumeration:
         validate_in_graph(1, 2, parse_label("100.1", 1))
         with pytest.raises(LabelDomainError):
             validate_in_graph(1, 1, parse_label("100.1", 1))
+
+
+# every vertex of these graphs, where the derived labels below are checked
+DERIVED_GRAPHS = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, t) for t in range(3)]
+
+
+def _assert_as_if_checked(m, t, label):
+    """``label`` is what the validating constructor makes from its fields, and lies in K_{m,t}."""
+    checked = Label(label.subnet, label.bits, label.index)
+    assert label == checked and repr(label) == repr(checked)  # repr shows any non-int field
+    validate_in_graph(m, t, label)
+
+
+class TestDerivedLabels:
+    # father, companion, children, the chains, the route hops and the graph's
+    # labels skip the constructor's checks; each must pass them anyway
+    @pytest.mark.parametrize("m,t", DERIVED_GRAPHS)
+    def test_valid_by_construction(self, m, t):
+        labels = cached_graph(m, t).labels
+        targets = (labels[0], labels[len(labels) // 2], labels[-1])
+        for label in labels:
+            derived = [label, *children(m, t, label), *ancestor_chain(m, label)]
+            if not label.is_hub:
+                derived += [father(m, label), companion(label)]
+            for target in targets:
+                derived += route(m, t, label, target).hops
+            for x in derived:
+                _assert_as_if_checked(m, t, x)

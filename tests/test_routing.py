@@ -5,15 +5,18 @@ from hypothesis import strategies as st
 
 from kochnet import (
     Label,
+    LabelDomainError,
+    LabelFormatError,
     ancestor_chain,
     bfs_distances,
-    bfs_sigma,
     build,
     distance,
     parse_label,
     route,
     verify,
 )
+from kochnet import _kernels
+from kochnet.labels import validate_in_graph
 from kochnet.routing import route_batch, verify_path_in_graph
 
 from conftest import cached_graph, python_bfs
@@ -96,6 +99,26 @@ class TestRoute:
             bwd = route(2, 2, graph.label_of(int(v)), graph.label_of(int(s)))
             assert tuple(reversed(fwd.hops)) == bwd.hops
 
+    @pytest.mark.parametrize(
+        "m,t,text,error,message",
+        [
+            (1, 1, "100.1", LabelDomainError, "100.1 born at step 2 > t=1"),
+            (1, 2, "10.3", LabelFormatError, "10.3: index 3 exceeds l_max=2"),
+            (2, 3, "2011.37", LabelFormatError, "2011.37: index 37 exceeds l_max=36"),
+            (0, 1, "10.1", ValueError, "m must be >= 1, got 0"),
+        ],
+    )
+    def test_rejects_labels_outside_the_graph(self, m, t, text, error, message):
+        subnet, bits, index = int(text[0]), text[1:].split(".")[0], int(text.split(".")[1])
+        label = Label(subnet, bits, index)
+        with pytest.raises(error) as want:
+            validate_in_graph(m, t, label)
+        assert str(want.value) == message
+        for a, b in ((label, Label(1)), (Label(1), label)):
+            with pytest.raises(error) as got:
+                route(m, t, a, b)
+            assert str(got.value) == message
+
     def test_symmetric_distance(self):
         a, b = _labels("100.4 301.2", 1)
         assert distance(1, 2, a, b) == distance(1, 2, b, a)
@@ -121,7 +144,7 @@ class TestOracles:
     def test_sigma_unique(self, m, t):
         graph = cached_graph(m, t)
         for s in range(graph.n_vertices):
-            _, sigma = bfs_sigma(graph, s)
+            _, sigma = _kernels.bfs_sigma(*graph.csr, s)
             assert np.all(sigma == 1.0)
 
 
@@ -194,3 +217,24 @@ class TestRoutingSuite:
             monkeypatch.setattr(verify, "_CHUNK_PAIRS", chunk)
             monkeypatch.setattr(verify._kernels, "_BLOCK_ENTRIES", entries)
             assert verify.routing_suite(graph, **kwargs) == reference
+
+
+def test_uniqueness_findings_list_the_first_ten_pairs():
+    # one extra edge across a distance-3 pair closes a 4-cycle, so some pairs
+    # have two shortest paths; the finding lists the first ten by (source, target)
+    graph = build(1, 2)
+    n = graph.n_vertices
+    far = int(np.flatnonzero(bfs_distances(graph, 3) == 3)[0])
+    u, v = np.vstack((graph.edges, [[3, far]])).T
+    src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+    order = np.argsort(src * n + dst)
+    indptr = np.searchsorted(src[order], np.arange(n + 1))
+    graph.csr = (indptr, dst[order])
+    want = []
+    for s in range(n):
+        _, sigma = _kernels.bfs_sigma(*graph.csr, s)
+        want += [f"{graph.label_of(s)}->{graph.label_of(int(x))}" for x in np.flatnonzero(sigma > 1.0)]
+    assert len(want) > 10
+    (check,) = [c for c in verify.routing_suite(graph) if c.id == "routing/uniqueness"]
+    assert check.status == verify.FAIL
+    assert check.detail.endswith(" first: " + ", ".join(want[:10]))

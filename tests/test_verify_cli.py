@@ -296,6 +296,18 @@ class TestCli:
         assert proc.stdout == ""
         assert proc.stderr.startswith("size error:") and proc.stderr.count("\n") == 1
 
+    def test_build_past_address_space_is_size_error(self):
+        # a cap raised past what numpy can address: the build's allocation fails at once
+        proc = subprocess.run(
+            [sys.executable, "-m", "kochnet.cli", "generate", "--m", "1", "--t", "30", "-o", os.devnull],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, KOCH_MAX_VERTICES=str(10**20)),
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("size error:") and proc.stderr.count("\n") == 1
+
     def test_stats_above_default_cap_with_raised_cap(self):
         env = dict(os.environ, KOCH_MAX_VERTICES=str(10**13))
         proc = subprocess.run(
