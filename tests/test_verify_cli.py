@@ -381,6 +381,13 @@ PINNED_STDOUT = {
         "5a9c30650740ab4fe1c73483f595bcc95f7804ab04b8842c28ebe5cb29e79333",
     ("betweenness", "--m", "2", "--t", "2", "--mode", "exact", "--edges"):
         "3d8dcc5371a83e277a63b8e7ae7427471fb246c981a6392c63d1c9d986c8693f",
+    ("betweenness", "--m", "2", "--t", "2", "--mode", "formula"):
+        "8733c81915b168aa5424d504a36b579038219ce030463ae619ecece82017e232",
+    ("betweenness", "--m", "2", "--t", "2", "--mode", "exact"):
+        "8933d87c203ca6c7e13f3303d3ef7be50c348e8b211f130c4378b637e4c0b89b",
+    # at t = 2 there is no scaling fit, so the audit line has no LAPACK bits
+    ("betweenness", "--m", "2", "--t", "2", "--mode", "compare", "--edges"):
+        "8b712ac1fbbc2d860813f9ce21703c70286a4eab3798e67c4de1daef5201c11d",
 }
 
 
