@@ -1,6 +1,6 @@
 """Betweenness centrality: exact structural counts vs printed closed forms.
 
-Three values are computed side by side for every vertex:
+Three values are computed side by side:
 
 * ``exact`` - the exact count on the cactus of triangles.  Every edge
   lies in one triangle and triangles meet only at vertices, so every
@@ -16,7 +16,11 @@ Three values are computed side by side for every vertex:
   over the same normalization, the directly reconstructible part of the
   printed derivation.
 
-The discrepancy report ships all three; nothing is "corrected" silently.
+The report is arrays plus closed forms: the exact values as one float
+array over the vertices and one over the edges, and ``paper`` and
+``firstorder`` as one Fraction per birth step, since they depend on the
+step alone.  The discrepancy report ships all three; nothing is
+"corrected" silently.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AnalysisError
-from .graph import EDGE_CLASSES, KochGraph, edge_class_ids, vertex_count
-from .labels import Label, format_label
+from .graph import KochGraph, vertex_count
 
 
 def descendant_count(m: int, t: int, birth: int) -> int:
@@ -109,150 +112,118 @@ def exact_edge_betweenness(graph: KochGraph) -> np.ndarray:
     return exact_betweenness(graph)[1]
 
 
-@dataclass(frozen=True)
-class VertexRow:
-    label: Label
-    birth: int
-    degree: int
-    exact: float
-    paper: Fraction
-    firstorder: Fraction
-
-
-@dataclass(frozen=True)
-class EdgeRow:
-    label_u: Label
-    label_v: Label
-    edge_class: str
-    exact: float
-    paper: Fraction
+def _close(a: np.ndarray, b: np.ndarray, rel_tol: float) -> bool:
+    """``math.isclose(x, y, rel_tol=rel_tol, abs_tol=1e-15)`` for every pair of elements."""
+    bound = np.maximum(rel_tol * np.maximum(np.abs(a), np.abs(b)), 1e-15)
+    return bool(np.all(np.abs(a - b) <= bound))
 
 
 @dataclass
 class CentralityReport:
+    """Exact betweenness of every vertex and edge, and each closed form once per birth step.
+
+    ``vertex`` and ``edge`` (aligned with ``graph.edges``) are normalized
+    by ``pair_norm``.  ``paper_vertex``, ``firstorder`` and ``paper_edge``
+    hold one Fraction per birth step 0..t, read at ``birth`` and
+    ``edge_birth``; an edge's step is its later endpoint's.
+    """
+
     m: int
     t: int
     pair_norm: int
-    vertices: list[VertexRow]
-    edges: list[EdgeRow]
+    vertex: np.ndarray
+    edge: np.ndarray
+    birth: np.ndarray
+    edge_birth: np.ndarray
+    paper_vertex: list[Fraction]
+    firstorder: list[Fraction]
+    paper_edge: list[Fraction]
     gamma_hat: float | None = None
     fit_residual: float | None = None
 
-    def by_birth(self) -> dict[int, list[VertexRow]]:
-        out: dict[int, list[VertexRow]] = {}
-        for row in self.vertices:
-            out.setdefault(row.birth, []).append(row)
-        return out
+    def _against_paper(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(exact, printed formula) per vertex, then per edge."""
+        return (
+            (self.vertex, per_element(self.paper_vertex, self.birth)),
+            (self.edge, per_element(self.paper_edge, self.edge_birth)),
+        )
 
     def max_rel_gap(self) -> float:
         worst = 0.0
-        for row in self.vertices:
-            if row.exact > 0:
-                worst = max(worst, abs(row.exact - float(row.paper)) / row.exact)
-        for row in self.edges:
-            if row.exact > 0:
-                worst = max(worst, abs(row.exact - float(row.paper)) / row.exact)
+        for exact, paper in self._against_paper():
+            pos = exact > 0
+            if pos.any():
+                worst = max(worst, float(np.max(np.abs(exact[pos] - paper[pos]) / exact[pos])))
         return worst
 
     def audit(self, rel_tol: float = 1e-9) -> dict:
-        eq9 = all(
-            math.isclose(row.exact, float(row.paper), rel_tol=rel_tol, abs_tol=1e-15)
-            for row in self.vertices
-        )
-        eq12 = all(
-            math.isclose(row.exact, float(row.paper), rel_tol=rel_tol, abs_tol=1e-15)
-            for row in self.edges
-        )
+        (vertex, paper_v), (edge, paper_e) = self._against_paper()
         return {
-            "eq9_matches": eq9,
-            "eq12_matches": eq12,
+            "eq9_matches": _close(vertex, paper_v, rel_tol),
+            "eq12_matches": _close(edge, paper_e, rel_tol),
             "max_rel_gap": self.max_rel_gap(),
             "gamma_hat": self.gamma_hat,
         }
 
 
+def edge_steps(graph: KochGraph) -> np.ndarray:
+    """The birth step an edge's closed form is read at: its later endpoint's.
+
+    Rows of ``graph.edges`` are (u, v) with u < v, and ids grow with birth.
+    """
+    return graph.birth[graph.edges[:, 1]]
+
+
+def per_element(forms: list[Fraction], steps: np.ndarray) -> np.ndarray:
+    """A per-birth-step closed form as floats at each element's step, each converted once."""
+    return np.array([float(form) for form in forms])[steps]
+
+
 def centrality_report(graph: KochGraph, with_fit: bool | None = None) -> CentralityReport:
-    """Exact counts + printed formulas + firstorder composition, per vertex and edge.
+    """Exact counts per vertex and edge; printed formulas and firstorder composition per step.
 
     The closed forms depend on the birth step alone, so each is evaluated
-    once per step and shared by the rows of that step.
+    once per step.
     """
-    cb, eb = exact_betweenness(graph)
+    vertex, edge = exact_betweenness(graph)
     m, t = graph.m, graph.t
     steps = range(t + 1)
-    paper_v = [paper_vertex_betweenness(m, t, b) for b in steps]
-    first_v = [firstorder_vertex_betweenness(m, t, b) for b in steps]
-    paper_e = [paper_edge_betweenness(m, t, b) for b in steps]
-    labels = graph.labels
-    vrows = [
-        VertexRow(
-            label=label,
-            birth=birth,
-            degree=degree,
-            exact=exact,
-            paper=paper_v[birth],
-            firstorder=first_v[birth],
-        )
-        for label, birth, degree, exact in zip(
-            labels, graph.birth.tolist(), graph.degrees.tolist(), cb.tolist()
-        )
-    ]
-    later = graph.birth[graph.edges].max(axis=1).tolist()
-    erows = [
-        EdgeRow(
-            label_u=labels[u],
-            label_v=labels[v],
-            edge_class=EDGE_CLASSES[cls],
-            exact=exact,
-            paper=paper_e[b],
-        )
-        for (u, v), cls, exact, b in zip(
-            graph.edges.tolist(), edge_class_ids(graph).tolist(), eb.tolist(), later
-        )
-    ]
     report = CentralityReport(
-        m=m, t=t, pair_norm=_pair_norm(graph.n_vertices), vertices=vrows, edges=erows
+        m=m,
+        t=t,
+        pair_norm=_pair_norm(graph.n_vertices),
+        vertex=vertex,
+        edge=edge,
+        birth=graph.birth,
+        edge_birth=edge_steps(graph),
+        paper_vertex=[paper_vertex_betweenness(m, t, b) for b in steps],
+        firstorder=[firstorder_vertex_betweenness(m, t, b) for b in steps],
+        paper_edge=[paper_edge_betweenness(m, t, b) for b in steps],
     )
     if with_fit is None:
         with_fit = t >= 3
     if with_fit:
-        report.gamma_hat, report.fit_residual = scaling_fit(report)
+        first = graph.step_starts
+        report.gamma_hat, report.fit_residual = scaling_fit(
+            graph.degrees[first].tolist(), vertex[first].tolist()
+        )
     return report
 
 
-def scaling_fit(report: CentralityReport) -> tuple[float, float]:
+def scaling_fit(degrees: list[int], exact: list[float]) -> tuple[float, float]:
     """Least-squares slope of log(exact betweenness) against log(degree).
 
-    One point per birth step 1..t-1 (hubs and the zero-betweenness leaves
-    are excluded); the target exponent is ln(3m+1)/ln(m+1).
+    ``degrees`` and ``exact`` hold one vertex's values per birth step
+    0..t.  One point per step 1..t-1 (hubs and the zero-betweenness
+    leaves are excluded); the target exponent is ln(3m+1)/ln(m+1).
     """
-    if report.t < 3:
+    t = len(degrees) - 1
+    if t < 3:
         raise AnalysisError(
-            f"scaling fit needs t >= 3 (got t={report.t}: fewer than two degree classes)"
+            f"scaling fit needs t >= 3 (got t={t}: fewer than two degree classes)"
         )
-    per_birth: dict[int, VertexRow] = {}
-    for row in report.vertices:
-        per_birth.setdefault(row.birth, row)
-    xs = np.array([math.log(per_birth[b].degree) for b in range(1, report.t)])
-    ys = np.array([math.log(per_birth[b].exact) for b in range(1, report.t)])
+    xs = np.array([math.log(d) for d in degrees[1:t]])
+    ys = np.array([math.log(x) for x in exact[1:t]])
     slope, intercept = np.polyfit(xs, ys, 1)
     residual = float(np.max(np.abs(ys - (slope * xs + intercept))))
     return float(slope), residual
-
-
-def report_csv_rows(report: CentralityReport, edges: bool = False) -> list[str]:
-    if edges:
-        rows = ["u,v,class,exact,paper"]
-        for e in report.edges:
-            rows.append(
-                f"{format_label(e.label_u)},{format_label(e.label_v)},"
-                f"{e.edge_class},{e.exact!r},{float(e.paper)!r}"
-            )
-        return rows
-    rows = ["label,birth,degree,exact,paper,firstorder"]
-    for v in report.vertices:
-        rows.append(
-            f"{format_label(v.label)},{v.birth},{v.degree},"
-            f"{v.exact!r},{float(v.paper)!r},{float(v.firstorder)!r}"
-        )
-    return rows

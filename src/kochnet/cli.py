@@ -17,9 +17,11 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import analytics, centrality, electrical, verify
 from .errors import KochError, SizeCapError
-from .graph import EDGE_CLASSES, KochGraph, build, check_size, edge_class_ids
+from .graph import EDGE_CLASSES, KochGraph, _chunks, build, check_size, edge_class_ids
 from .labels import (
     Label,
     children,
@@ -212,45 +214,52 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _write_betweenness_csv(graph: KochGraph, columns: dict[str, np.ndarray], edges: bool) -> None:
+    """One CSV row per vertex (label,birth,degree) or per edge (u,v,class), then ``columns``."""
+    texts = graph.label_texts()
+    if edges:
+        head, prefix = "u,v,class", "%s,%s,%s"
+        classes = edge_class_ids(graph)
+
+        def cells(rows):
+            u, v = graph.edges[rows].T.tolist()
+            names = map(EDGE_CLASSES.__getitem__, classes[rows].tolist())
+            return map(texts.__getitem__, u), map(texts.__getitem__, v), names
+    else:
+        head, prefix = "label,birth,degree", "%s,%d,%d"
+
+        def cells(rows):
+            return texts[rows], graph.birth[rows].tolist(), graph.degrees[rows].tolist()
+
+    sys.stdout.write(",".join([head, *columns]) + "\n")
+    row = prefix + ",%r" * len(columns) + "\n"
+    for rows in _chunks(len(graph.edges) if edges else graph.n_vertices):
+        values = zip(*cells(rows), *(column[rows].tolist() for column in columns.values()))
+        sys.stdout.write("".join([row % cell for cell in values]))
+
+
 def _cmd_betweenness(args) -> int:
-    graph = build(args.m, args.t)
-    if args.mode == "formula":
-        texts, steps = graph.label_texts(), range(args.t + 1)
-        if args.edges:
-            paper = [float(centrality.paper_edge_betweenness(args.m, args.t, b)) for b in steps]
-            later = graph.birth[graph.edges].max(axis=1).tolist()
-            classes = edge_class_ids(graph).tolist()
-            print("u,v,class,paper")
-            for (u, v), cls, b in zip(graph.edges.tolist(), classes, later):
-                print(f"{texts[u]},{texts[v]},{EDGE_CLASSES[cls]},{paper[b]!r}")
-        else:
-            paper = [float(centrality.paper_vertex_betweenness(args.m, args.t, b)) for b in steps]
-            first = [
-                float(centrality.firstorder_vertex_betweenness(args.m, args.t, b)) for b in steps
-            ]
-            print("label,birth,degree,paper,firstorder")
-            for text, b, degree in zip(texts, graph.birth.tolist(), graph.degrees.tolist()):
-                print(f"{text},{b},{degree},{paper[b]!r},{first[b]!r}")
-        return EXIT_OK
-
-    report = centrality.centrality_report(graph)
-    if args.mode == "exact":
-        if args.edges:
-            print("u,v,class,exact")
-            for e in report.edges:
-                print(
-                    f"{format_label(e.label_u)},{format_label(e.label_v)},"
-                    f"{e.edge_class},{e.exact!r}"
-                )
-        else:
-            print("label,birth,degree,exact")
-            for r in report.vertices:
-                print(f"{format_label(r.label)},{r.birth},{r.degree},{r.exact!r}")
-        return EXIT_OK
-
-    for line in centrality.report_csv_rows(report, edges=args.edges):
-        print(line)
-    print(_jdump(report.audit()))
+    m, t = args.m, args.t
+    graph = build(m, t)
+    report = None if args.mode == "formula" else centrality.centrality_report(graph)
+    if args.edges:
+        steps = centrality.edge_steps(graph)
+        forms = {"paper": centrality.paper_edge_betweenness}
+    else:
+        steps = graph.birth
+        forms = {
+            "paper": centrality.paper_vertex_betweenness,
+            "firstorder": centrality.firstorder_vertex_betweenness,
+        }
+    columns = {}
+    if report is not None:
+        columns["exact"] = report.edge if args.edges else report.vertex
+    if args.mode != "exact":
+        for name, form in forms.items():
+            columns[name] = centrality.per_element([form(m, t, b) for b in range(t + 1)], steps)
+    _write_betweenness_csv(graph, columns, args.edges)
+    if args.mode == "compare":
+        print(_jdump(report.audit()))
     return EXIT_OK
 
 
@@ -380,7 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write shows here, not in the flush at exit
+        return code
     except SizeCapError as exc:
         print(f"size error: {exc}", file=sys.stderr)
         return EXIT_SIZE
@@ -394,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         # downstream consumer (head, less) closed the stream; not an error
         sys.stderr.close()
         return EXIT_OK
+    except OSError as exc:
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

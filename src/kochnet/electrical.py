@@ -41,7 +41,7 @@ import numpy as np
 from .centrality import vertex_betweenness_counts
 from .errors import KochError, SizeCapError
 from .graph import KochGraph
-from .routing import route
+from .routing import route_batch
 
 RESIDUAL_TOL = 1e-10
 SUPPORT_EPS = 1e-9  # absolute current on unit injection
@@ -154,9 +154,9 @@ def path_profile(graph: KochGraph, source: int, target: int, tol: float = 1e-9) 
     versus 1/3 detour, within ``tol``.
     """
     profile = solve(graph, source, target, mode="unit-voltage")
-    path = route(graph.m, graph.t, graph.label_of(source), graph.label_of(target))
-    ids = np.array([graph.vertex_by_label(h) for h in path.hops], np.int64)
-    d = path.length
+    path = route_batch(graph, [source], [target])
+    d = int(path.length[0])
+    ids = graph.vertex_by_label_key(path.hops[0, : d + 1])
     u, v = ids[:-1], ids[1:]
     tris = graph.triangles[graph.edge_triangles[graph.edge_index(u, v)]]
     w = tris.sum(axis=1) - u - v  # the third corner of each hop's triangle

@@ -141,6 +141,16 @@ class KochGraph:
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
+    @property
+    def step_starts(self) -> np.ndarray:
+        """First id of each birth step 0..t: ids are made step by step, so ``birth`` never falls."""
+        return np.array([0] + [vertex_count(self.m, b) for b in range(self.t)], np.int64)
+
+    def step_min_max(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Min and max of a per-vertex array over each birth step 0..t."""
+        starts = self.step_starts
+        return np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+
     @cached_property
     def labels(self) -> list[Label]:
         """Label of every vertex, in id order.

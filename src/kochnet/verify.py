@@ -350,12 +350,9 @@ def centrality_suite(graph: KochGraph) -> list[CheckResult]:
     n = graph.n_vertices
     out = []
     report = centrality.centrality_report(graph)
-    by_birth = report.by_birth()
+    low, high = graph.step_min_max(report.vertex)
 
-    spread = max(
-        (max(r.exact for r in rows) - min(r.exact for r in rows))
-        for rows in by_birth.values()
-    )
+    spread = float(np.max(high - low))
     out.append(
         _check(
             "centrality/birth-symmetry",
@@ -365,7 +362,7 @@ def centrality_suite(graph: KochGraph) -> list[CheckResult]:
         )
     )
 
-    leaf_max = max(r.exact for r in by_birth[t]) if t in by_birth else 0.0
+    leaf_max = float(high[t])
     out.append(
         _check(
             "centrality/leaves-zero",
@@ -376,8 +373,9 @@ def centrality_suite(graph: KochGraph) -> list[CheckResult]:
     )
 
     if t >= 1:
-        young = [r for r in report.vertices if t - r.birth <= 1]
-        gap = max(abs(r.exact - float(r.firstorder)) for r in young)
+        young = slice(graph.step_starts[t - 1], None)  # born at t - 1 or t
+        firstorder = centrality.per_element(report.firstorder, graph.birth[young])
+        gap = float(np.max(np.abs(report.vertex[young] - firstorder)))
         ok = gap <= 1e-12
         status = PASS if ok else (DISCREPANCY if m >= 2 else FAIL)
         out.append(
@@ -391,10 +389,7 @@ def centrality_suite(graph: KochGraph) -> list[CheckResult]:
         )
 
     if t >= 2:
-        mono = all(
-            max(r.exact for r in by_birth[b + 1]) < min(r.exact for r in by_birth[b])
-            for b in range(0, t)
-        )
+        mono = bool(np.all(high[1:] < low[:-1]))
         out.append(
             _check(
                 "centrality/monotone",
@@ -405,7 +400,7 @@ def centrality_suite(graph: KochGraph) -> list[CheckResult]:
 
     # sum rule against the paper's APL closed form and, up to APL_EXACT_MAX_N, the BFS
     # distance total (valid given path uniqueness)
-    raw_interior = sum(r.exact for r in report.vertices) * report.pair_norm
+    raw_interior = sum(report.vertex.tolist()) * report.pair_norm  # left to right: the printed sum
     pairs = n * (n - 1) // 2
     apl = analytics.apl_closed_form(m, t)
     expected = apl * pairs - pairs
@@ -439,19 +434,15 @@ def centrality_suite(graph: KochGraph) -> list[CheckResult]:
     )
 
     if (m, t) == (1, 1):
-        hub_row = by_birth[0][0]
-        edge_row = next(
-            e
-            for e in report.edges
-            if {str(e.label_u), str(e.label_v)} == {"1", "10.1"}
-        )
-        ok = abs(hub_row.exact - 3 / 7) < 1e-12 and abs(edge_row.exact - 1 / 4) < 1e-12
+        hub = float(report.vertex[0])  # hub 1
+        edge = float(report.edge[graph.edge_index(0, 3)])  # hub 1 to its son 10.1
+        ok = abs(hub - 3 / 7) < 1e-12 and abs(edge - 1 / 4) < 1e-12
         out.append(
             _check(
                 "centrality/k11-golden",
                 "hand-enumerated K_{1,1} values: hub 3/7, hub-son edge 1/4",
                 ok,
-                f"hub={_fmt(hub_row.exact)} edge={_fmt(edge_row.exact)}",
+                f"hub={_fmt(hub)} edge={_fmt(edge)}",
             )
         )
 
@@ -594,11 +585,8 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
 
     if n <= electrical.CFB_EXHAUSTIVE_MAX_N:
         # on the Laplacian oracle; the structural values are pinned to it by the tests
-        cfb = electrical._exhaustive_cfb(graph)
-        by_birth: dict[int, list[float]] = {}
-        for birth, value in zip(graph.birth.tolist(), cfb.tolist()):
-            by_birth.setdefault(birth, []).append(value)
-        spread = max(max(v) - min(v) for v in by_birth.values())
+        low, high = graph.step_min_max(electrical._exhaustive_cfb(graph))
+        spread = float(np.max(high - low))
         out.append(
             _check(
                 "electrical/cfb-symmetry",
@@ -608,9 +596,7 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
             )
         )
         if graph.t >= 1:
-            ordered = all(
-                min(by_birth[b]) > max(by_birth[b + 1]) for b in range(0, graph.t)
-            )
+            ordered = bool(np.all(low[:-1] > high[1:]))
             out.append(
                 _check(
                     "electrical/cfb-order",

@@ -214,23 +214,23 @@ def test_criterion_08_betweenness_properties():
     cb = exact_vertex_betweenness(g11)
     ok &= abs(cb[0] - 3 / 7) <= 1e-12
     report = centrality_report(g11)
-    edge_row = next(
-        e for e in report.edges if {str(e.label_u), str(e.label_v)} == {"1", "10.1"}
-    )
-    ok &= abs(edge_row.exact - 1 / 4) <= 1e-12
+    hub_son = g11.edge_index(0, 3)
+    ok &= g11.label_texts([0, 3]) == ["1", "10.1"]
+    ok &= abs(report.edge[hub_son] - 1 / 4) <= 1e-12
     # the discrepancy report itself: present, well formed, and honest
     audit = report.audit()
     ok &= audit["eq9_matches"] is False and audit["eq12_matches"] is False
     ok &= audit["max_rel_gap"] > 0
+    ok &= report.birth.tolist() == [label.birth for label in g11.labels]
     ok &= all(
-        row.paper == paper_vertex_betweenness(1, 1, row.birth)
-        and row.firstorder == firstorder_vertex_betweenness(1, 1, row.birth)
-        for row in report.vertices
+        report.paper_vertex[b] == paper_vertex_betweenness(1, 1, b)
+        and report.firstorder[b] == firstorder_vertex_betweenness(1, 1, b)
+        and report.paper_edge[b] == paper_edge_betweenness(1, 1, b)
+        for b in range(2)
     )
-    ok &= all(
-        row.paper == paper_edge_betweenness(1, 1, max(row.label_u.birth, row.label_v.birth))
-        for row in report.edges
-    )
+    ok &= report.edge_birth.tolist() == [
+        max(g11.labels[u].birth, g11.labels[v].birth) for u, v in g11.edges.tolist()
+    ]
     deep = centrality_report(cached_graph(1, 6))
     gamma_dev = abs(deep.gamma_hat - 2.0) / 2.0
     ok &= gamma_dev <= 0.15

@@ -13,8 +13,9 @@ from kochnet import (
     paper_edge_betweenness,
     paper_vertex_betweenness,
 )
-from kochnet.centrality import CentralityReport, VertexRow, betweenness_counts, scaling_fit
+from kochnet.centrality import _close, betweenness_counts, scaling_fit
 from kochnet.errors import AnalysisError
+from kochnet.graph import EDGE_CLASSES, edge_class_ids
 from kochnet.routing import ancestor_chain
 
 from conftest import cached_graph, python_betweenness
@@ -152,45 +153,87 @@ class TestFirstOrder:
 class TestReport:
     def test_rows_and_audit(self):
         report = centrality_report(cached_graph(1, 1))
-        assert len(report.vertices) == 9
-        assert len(report.edges) == 12
+        assert len(report.vertex) == 9
+        assert len(report.edge) == 12
         audit = report.audit()
         assert audit["eq9_matches"] is False
         assert audit["eq12_matches"] is False
         assert audit["max_rel_gap"] > 0
-        by_birth = report.by_birth()
-        assert set(by_birth) == {0, 1}
+        assert set(report.birth.tolist()) == {0, 1}
+        assert len(report.paper_vertex) == len(report.firstorder) == len(report.paper_edge) == 2
 
     def test_edge_classes_partition(self):
-        report = centrality_report(cached_graph(2, 2))
-        counts = {"hub-hub": 0, "companion": 0, "father-child": 0}
-        for row in report.edges:
-            counts[row.edge_class] += 1
+        graph = cached_graph(2, 2)
+        report = centrality_report(graph)
+        classes = edge_class_ids(graph)
+        assert len(classes) == len(report.edge)
+        counts = dict(zip(EDGE_CLASSES, np.bincount(classes, minlength=3).tolist()))
         assert counts == {"hub-hub": 3, "companion": 48, "father-child": 96}
 
     def test_monotone_in_birth(self):
         for m, t in [(1, 3), (2, 2)]:
-            report = centrality_report(cached_graph(m, t))
-            by_birth = report.by_birth()
-            values = [by_birth[b][0].exact for b in range(t + 1)]
+            graph = cached_graph(m, t)
+            report = centrality_report(graph)
+            values = report.vertex[graph.step_starts].tolist()  # the first vertex of each step
             assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("m,t", [(1, 1), (2, 2), (1, 4)])
+    def test_closed_forms_per_birth_step(self, m, t):
+        graph = cached_graph(m, t)
+        report = centrality_report(graph)
+        steps = range(t + 1)
+        assert report.paper_vertex == [paper_vertex_betweenness(m, t, b) for b in steps]
+        assert report.firstorder == [firstorder_vertex_betweenness(m, t, b) for b in steps]
+        assert report.paper_edge == [paper_edge_betweenness(m, t, b) for b in steps]
+        assert report.birth.tolist() == [label.birth for label in graph.labels]
+        # an edge is keyed by its later endpoint's birth step
+        later = [max(graph.labels[u].birth, graph.labels[v].birth) for u, v in graph.edges.tolist()]
+        assert report.edge_birth.tolist() == later
+
+    @pytest.mark.parametrize("m,t", [(1, 1), (2, 2), (1, 4)])
+    @pytest.mark.parametrize("rel_tol", [1e-9, 0.5, 100.0])
+    def test_audit_matches_isclose_reference(self, m, t, rel_tol):
+        graph = cached_graph(m, t)
+        report = centrality_report(graph)
+        vertex = list(zip(report.vertex.tolist(), graph.birth.tolist()))
+        edge = list(zip(report.edge.tolist(), graph.birth[graph.edges].max(axis=1).tolist()))
+        paper_v = [float(paper_vertex_betweenness(m, t, b)) for _, b in vertex]
+        paper_e = [float(paper_edge_betweenness(m, t, b)) for _, b in edge]
+        pairs_v = [(x, p) for (x, _), p in zip(vertex, paper_v)]
+        pairs_e = [(x, p) for (x, _), p in zip(edge, paper_e)]
+        worst = 0.0
+        for x, p in pairs_v + pairs_e:
+            if x > 0:
+                worst = max(worst, abs(x - p) / x)
+        assert report.audit(rel_tol) == {
+            "eq9_matches": all(math.isclose(x, p, rel_tol=rel_tol, abs_tol=1e-15) for x, p in pairs_v),
+            "eq12_matches": all(math.isclose(x, p, rel_tol=rel_tol, abs_tol=1e-15) for x, p in pairs_e),
+            "max_rel_gap": worst,
+            "gamma_hat": report.gamma_hat,
+        }
+
+    def test_close_is_isclose_elementwise(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-1.0, 1.0, 400)
+        a[:20] = 0.0
+        b = a * (1 + rng.uniform(-3e-9, 3e-9, 400)) + rng.uniform(-3e-15, 3e-15, 400)
+        for x, y in zip(a.tolist(), b.tolist()):
+            want = math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-15)
+            assert _close(np.array([x]), np.array([y]), 1e-9) is want
+            assert _close(np.array([y]), np.array([x]), 1e-9) is want
 
 
 class TestScalingFit:
     def test_recovers_synthetic_slope(self):
-        rows = [
-            VertexRow(None, birth, 2 ** (5 - birth), (2.0 ** (5 - birth)) ** 1.75, Fraction(0), Fraction(0))
-            for birth in range(0, 6)
-        ]
-        report = CentralityReport(m=1, t=5, pair_norm=1, vertices=rows, edges=[])
-        gamma, residual = scaling_fit(report)
+        degrees = [2 ** (5 - birth) for birth in range(0, 6)]
+        exact = [(2.0 ** (5 - birth)) ** 1.75 for birth in range(0, 6)]
+        gamma, residual = scaling_fit(degrees, exact)
         assert abs(gamma - 1.75) < 1e-12
         assert residual < 1e-12
 
     def test_needs_enough_classes(self):
-        report = CentralityReport(m=1, t=2, pair_norm=1, vertices=[], edges=[])
         with pytest.raises(AnalysisError):
-            scaling_fit(report)
+            scaling_fit([4, 2, 1], [0.5, 0.25, 0.0])
 
     def test_m1_t4_sane(self):
         report = centrality_report(cached_graph(1, 4))

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from kochnet import Label, SizeCapError, UnknownLabelError, build, enumerate_labels, format_label
+from kochnet import current_flow_betweenness, exact_vertex_betweenness
 from kochnet import graph as graph_module
+from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, _exhaustive_cfb
 from kochnet.graph import (
     EDGE_CLASSES,
     KochGraph,
@@ -183,6 +185,25 @@ def test_labels_built_on_first_use():
     assert "labels" in vars(graph) and "label_index" not in vars(graph)
     assert graph.vertex_by_label(graph.label_of(3)) == 3
     assert "label_index" in vars(graph)
+
+
+STEP_GRAPHS = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, t) for t in range(3)]
+
+
+@pytest.mark.parametrize("m,t", STEP_GRAPHS)
+def test_step_min_max_matches_dict_by_birth(m, t):
+    graph = cached_graph(m, t)
+    assert graph.step_starts.tolist() == [graph.birth.tolist().index(b) for b in range(t + 1)]
+    arrays = [exact_vertex_betweenness(graph), current_flow_betweenness(graph)]
+    if graph.n_vertices <= CFB_EXHAUSTIVE_MAX_N:
+        arrays.append(_exhaustive_cfb(graph))
+    for values in arrays:
+        by_birth: dict[int, list[float]] = {}
+        for birth, value in zip(graph.birth.tolist(), values.tolist()):
+            by_birth.setdefault(birth, []).append(value)
+        low, high = graph.step_min_max(values)
+        assert low.tolist() == [min(by_birth[b]) for b in range(t + 1)]
+        assert high.tolist() == [max(by_birth[b]) for b in range(t + 1)]
 
 
 def test_unknown_label_is_key_error():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from kochnet import _kernels, build, current_flow_betweenness, verify
+from kochnet import _kernels, build, cli, current_flow_betweenness, verify
 from kochnet.analytics import apl_closed_form
 from kochnet.cli import main
 
@@ -42,6 +42,11 @@ class TestVerifyModule:
         row = next(c for c in suite.checks if c.id == "centrality/firstorder-young")
         assert row.status == verify.DISCREPANCY
         assert result.exit_code == 0
+
+    def test_centrality_suite_builds_no_labels(self):
+        graph = build(1, 3)
+        verify.centrality_suite(graph)
+        assert "labels" not in vars(graph)
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -344,6 +349,39 @@ class TestCli:
         assert main(["route", "--m", "1", "--t", "1", "1", "2"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[:2] == ["1", "2"]
+
+    @pytest.mark.parametrize("mode", ["formula", "exact", "compare"])
+    @pytest.mark.parametrize("edges", [False, True])
+    def test_betweenness_builds_no_labels(self, mode, edges, monkeypatch, capsys):
+        graphs = []
+
+        def recorded(m, t):
+            graphs.append(build(m, t))
+            return graphs[-1]
+
+        monkeypatch.setattr(cli, "build", recorded)
+        argv = ["betweenness", "--m", "2", "--t", "3", "--mode", mode] + ["--edges"] * edges
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == 1 + (1029 if edges else 687) + (mode == "compare")
+        assert "labels" not in vars(graphs[0])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stats", "--m", "1", "--t", "1"),
+            ("verify", "--m", "1", "--t", "1"),
+            ("generate", "--m", "1", "--t", "3", "-o", "/dev/full"),
+        ],
+        ids=["stats", "verify", "generate-to-file"],
+    )
+    def test_failed_write_is_one_error_line(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kochnet.cli", *argv], stdout=full, stderr=subprocess.PIPE, text=True
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write output: No space left on device\n"
 
     def test_verify_byte_identical(self):
         a = run_cli("verify", "--m", "1", "--t", "2", "--suite", "all", "--seed", "0")
