@@ -26,8 +26,9 @@ step alone.  The discrepancy report ships all three; nothing is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -124,40 +125,38 @@ class CentralityReport:
 
     ``vertex`` and ``edge`` (aligned with ``graph.edges``) are normalized
     by ``pair_norm``.  ``paper_vertex``, ``firstorder`` and ``paper_edge``
-    hold one Fraction per birth step 0..t, read at ``birth`` and
-    ``edge_birth``; an edge's step is its later endpoint's.
+    hold one Fraction per birth step 0..t, read at a vertex's birth step
+    and at an edge's ``edge_steps``.
     """
 
-    m: int
-    t: int
+    graph: KochGraph = field(repr=False)
     pair_norm: int
     vertex: np.ndarray
     edge: np.ndarray
-    birth: np.ndarray
-    edge_birth: np.ndarray
     paper_vertex: list[Fraction]
     firstorder: list[Fraction]
     paper_edge: list[Fraction]
     gamma_hat: float | None = None
     fit_residual: float | None = None
 
+    @cached_property
     def _against_paper(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(exact, printed formula) per vertex, then per edge."""
         return (
-            (self.vertex, per_element(self.paper_vertex, self.birth)),
-            (self.edge, per_element(self.paper_edge, self.edge_birth)),
+            (self.vertex, per_element(self.paper_vertex, self.graph.birth)),
+            (self.edge, per_element(self.paper_edge, edge_steps(self.graph))),
         )
 
     def max_rel_gap(self) -> float:
         worst = 0.0
-        for exact, paper in self._against_paper():
+        for exact, paper in self._against_paper:
             pos = exact > 0
             if pos.any():
                 worst = max(worst, float(np.max(np.abs(exact[pos] - paper[pos]) / exact[pos])))
         return worst
 
     def audit(self, rel_tol: float = 1e-9) -> dict:
-        (vertex, paper_v), (edge, paper_e) = self._against_paper()
+        (vertex, paper_v), (edge, paper_e) = self._against_paper
         return {
             "eq9_matches": _close(vertex, paper_v, rel_tol),
             "eq12_matches": _close(edge, paper_e, rel_tol),
@@ -174,6 +173,18 @@ def edge_steps(graph: KochGraph) -> np.ndarray:
     return graph.birth[graph.edges[:, 1]]
 
 
+def step_forms(m: int, t: int, edges: bool = False) -> dict[str, list[Fraction]]:
+    """Each closed form once per birth step 0..t, by CSV column name.
+
+    Vertices have ``paper`` and ``firstorder``, edges ``paper``.
+    """
+    if edges:
+        forms = {"paper": paper_edge_betweenness}
+    else:
+        forms = {"paper": paper_vertex_betweenness, "firstorder": firstorder_vertex_betweenness}
+    return {name: [form(m, t, b) for b in range(t + 1)] for name, form in forms.items()}
+
+
 def per_element(forms: list[Fraction], steps: np.ndarray) -> np.ndarray:
     """A per-birth-step closed form as floats at each element's step, each converted once."""
     return np.array([float(form) for form in forms])[steps]
@@ -186,22 +197,18 @@ def centrality_report(graph: KochGraph, with_fit: bool | None = None) -> Central
     once per step.
     """
     vertex, edge = exact_betweenness(graph)
-    m, t = graph.m, graph.t
-    steps = range(t + 1)
+    vertex_forms = step_forms(graph.m, graph.t)
     report = CentralityReport(
-        m=m,
-        t=t,
+        graph=graph,
         pair_norm=_pair_norm(graph.n_vertices),
         vertex=vertex,
         edge=edge,
-        birth=graph.birth,
-        edge_birth=edge_steps(graph),
-        paper_vertex=[paper_vertex_betweenness(m, t, b) for b in steps],
-        firstorder=[firstorder_vertex_betweenness(m, t, b) for b in steps],
-        paper_edge=[paper_edge_betweenness(m, t, b) for b in steps],
+        paper_vertex=vertex_forms["paper"],
+        firstorder=vertex_forms["firstorder"],
+        paper_edge=step_forms(graph.m, graph.t, edges=True)["paper"],
     )
     if with_fit is None:
-        with_fit = t >= 3
+        with_fit = graph.t >= 3
     if with_fit:
         first = graph.step_starts
         report.gamma_hat, report.fit_residual = scaling_fit(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -239,24 +240,15 @@ def _write_betweenness_csv(graph: KochGraph, columns: dict[str, np.ndarray], edg
 
 
 def _cmd_betweenness(args) -> int:
-    m, t = args.m, args.t
-    graph = build(m, t)
+    graph = build(args.m, args.t)
     report = None if args.mode == "formula" else centrality.centrality_report(graph)
-    if args.edges:
-        steps = centrality.edge_steps(graph)
-        forms = {"paper": centrality.paper_edge_betweenness}
-    else:
-        steps = graph.birth
-        forms = {
-            "paper": centrality.paper_vertex_betweenness,
-            "firstorder": centrality.firstorder_vertex_betweenness,
-        }
     columns = {}
     if report is not None:
         columns["exact"] = report.edge if args.edges else report.vertex
     if args.mode != "exact":
-        for name, form in forms.items():
-            columns[name] = centrality.per_element([form(m, t, b) for b in range(t + 1)], steps)
+        steps = centrality.edge_steps(graph) if args.edges else graph.birth
+        for name, forms in centrality.step_forms(args.m, args.t, args.edges).items():
+            columns[name] = centrality.per_element(forms, steps)
     _write_betweenness_csv(graph, columns, args.edges)
     if args.mode == "compare":
         print(_jdump(report.audit()))
@@ -403,11 +395,26 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except BrokenPipeError:
         # downstream consumer (head, less) closed the stream; not an error
+        _drop_unwritten_stdout()
         sys.stderr.close()
         return EXIT_OK
     except OSError as exc:
+        _drop_unwritten_stdout()
         print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _drop_unwritten_stdout() -> None:
+    """Point a stdout that cannot be flushed at devnull.
+
+    A failed flush leaves its bytes in the buffer, so the interpreter's own
+    flush at exit would fail again, print a second error and turn the exit
+    status into 120.
+    """
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

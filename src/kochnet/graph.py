@@ -141,7 +141,7 @@ class KochGraph:
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
-    @property
+    @cached_property
     def step_starts(self) -> np.ndarray:
         """First id of each birth step 0..t: ids are made step by step, so ``birth`` never falls."""
         return np.array([0] + [vertex_count(self.m, b) for b in range(self.t)], np.int64)

@@ -24,6 +24,7 @@ from kochnet import (
     solve,
 )
 from kochnet.analytics import apl_closed_form, clustering_closed_form, empirical_stats
+from kochnet.centrality import edge_steps
 from kochnet.graph import edge_count, vertex_count
 from kochnet.routing import verify_path_in_graph
 
@@ -221,14 +222,14 @@ def test_criterion_08_betweenness_properties():
     audit = report.audit()
     ok &= audit["eq9_matches"] is False and audit["eq12_matches"] is False
     ok &= audit["max_rel_gap"] > 0
-    ok &= report.birth.tolist() == [label.birth for label in g11.labels]
+    ok &= report.graph.birth.tolist() == [label.birth for label in g11.labels]
     ok &= all(
         report.paper_vertex[b] == paper_vertex_betweenness(1, 1, b)
         and report.firstorder[b] == firstorder_vertex_betweenness(1, 1, b)
         and report.paper_edge[b] == paper_edge_betweenness(1, 1, b)
         for b in range(2)
     )
-    ok &= report.edge_birth.tolist() == [
+    ok &= edge_steps(report.graph).tolist() == [
         max(g11.labels[u].birth, g11.labels[v].birth) for u, v in g11.edges.tolist()
     ]
     deep = centrality_report(cached_graph(1, 6))

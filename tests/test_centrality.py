@@ -13,7 +13,7 @@ from kochnet import (
     paper_edge_betweenness,
     paper_vertex_betweenness,
 )
-from kochnet.centrality import _close, betweenness_counts, scaling_fit
+from kochnet.centrality import _close, betweenness_counts, edge_steps, scaling_fit
 from kochnet.errors import AnalysisError
 from kochnet.graph import EDGE_CLASSES, edge_class_ids
 from kochnet.routing import ancestor_chain
@@ -159,7 +159,7 @@ class TestReport:
         assert audit["eq9_matches"] is False
         assert audit["eq12_matches"] is False
         assert audit["max_rel_gap"] > 0
-        assert set(report.birth.tolist()) == {0, 1}
+        assert set(report.graph.birth.tolist()) == {0, 1}
         assert len(report.paper_vertex) == len(report.firstorder) == len(report.paper_edge) == 2
 
     def test_edge_classes_partition(self):
@@ -185,10 +185,10 @@ class TestReport:
         assert report.paper_vertex == [paper_vertex_betweenness(m, t, b) for b in steps]
         assert report.firstorder == [firstorder_vertex_betweenness(m, t, b) for b in steps]
         assert report.paper_edge == [paper_edge_betweenness(m, t, b) for b in steps]
-        assert report.birth.tolist() == [label.birth for label in graph.labels]
+        assert report.graph.birth.tolist() == [label.birth for label in graph.labels]
         # an edge is keyed by its later endpoint's birth step
         later = [max(graph.labels[u].birth, graph.labels[v].birth) for u, v in graph.edges.tolist()]
-        assert report.edge_birth.tolist() == later
+        assert edge_steps(report.graph).tolist() == later
 
     @pytest.mark.parametrize("m,t", [(1, 1), (2, 2), (1, 4)])
     @pytest.mark.parametrize("rel_tol", [1e-9, 0.5, 100.0])

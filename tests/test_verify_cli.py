@@ -383,6 +383,21 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == "error: cannot write output: No space left on device\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    def test_failed_write_is_not_retried_at_exit(self):
+        # the pure-Python io keeps the bytes a failed flush could not write, so
+        # the interpreter's flush at exit fails again unless stdout is dropped
+        script = (
+            "import _pyio, sys\n"
+            "sys.stdout = _pyio.TextIOWrapper(_pyio.BufferedWriter(_pyio.FileIO(1, 'w', closefd=False)))\n"
+            "from kochnet.cli import main\n"
+            "sys.exit(main(['stats', '--m', '1', '--t', '1']))\n"
+        )
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-c", script], stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write output: No space left on device\n"
+
     def test_verify_byte_identical(self):
         a = run_cli("verify", "--m", "1", "--t", "2", "--suite", "all", "--seed", "0")
         b = run_cli("verify", "--m", "1", "--t", "2", "--suite", "all", "--seed", "0")
