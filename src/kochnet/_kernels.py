@@ -1,21 +1,27 @@
-"""Hot graph kernels: BFS distances and shortest-path counts.
+"""Hot graph kernels: BFS distances and shortest-path counts, on numpy alone.
 
 Vectorized numpy frontier sweeps over adjacency given as int64 CSR
 arrays.  ``bfs_distances`` and ``bfs_sigma`` sweep one source through
-the private ``_bfs``.  ``bfs_block`` sweeps a block of sources at once:
-each BFS level is one sparse adjacency x dense frontier-block product.
-``all_distance_total`` and ``multi_sigma_count`` run on it, in blocks of
-about ``_BLOCK_ENTRIES`` (source, vertex) entries.  These sweeps are
-oracles: the library's distance total and betweenness come from the
-triangle table in O(N), and the sweeps check them on small graphs.
-Every kernel is sequential, so results are bit-for-bit deterministic.
+the private ``_bfs``.  ``_levels`` sweeps a block of sources at once, one
+bit of a uint64 word per source and vertex (multi-source BFS on packed
+bits, after Then et al., "The More the Merrier", PVLDB 8(4), 2014): a
+level is one gather of the frontier bits over the CSR slots and one
+``np.bitwise_or.reduceat`` over the rows.  ``bfs_block`` unpacks its
+levels into a distance array, with boolean multi-path flags on request;
+``all_distance_total`` and ``multi_sigma_count`` only count bits.
+``_BLOCK_ENTRIES`` is the one memory bound: it caps ``bfs_block``'s
+unpacked (source, vertex) entries and the packed words of a counting
+sweep.  These sweeps are oracles: the library's distance total and
+betweenness come from the triangle table in O(N), and the sweeps check
+them on small graphs.  Every kernel is sequential, so results are
+bit-for-bit deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_BLOCK_ENTRIES = 1 << 20  # sources x vertices per block: bounds the working arrays
+_BLOCK_ENTRIES = 1 << 20  # bfs_block's unpacked (source, vertex) entries; a counting sweep's packed words
 
 
 def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
@@ -61,58 +67,126 @@ def bfs_sigma(indptr: np.ndarray, indices: np.ndarray, source: int):
 
 
 def block_rows(n: int) -> int:
-    """Sources per ``bfs_block`` call on an n-vertex graph."""
+    """Sources per ``bfs_block`` call on an n-vertex graph: its int64 output holds ``_BLOCK_ENTRIES``."""
     return max(1, _BLOCK_ENTRIES // max(n, 1))
+
+
+def _source_bits(n: int, sources: np.ndarray) -> np.ndarray:
+    """uint64 (N, words): bit j of vertex ``sources[j]`` set, one bit per source."""
+    bits = np.zeros((n, -(-len(sources) // 64)), np.uint64)
+    j = np.arange(len(sources))
+    np.bitwise_or.at(bits, (sources, j >> 6), np.uint64(1) << (j & 63).astype(np.uint64))
+    return bits
+
+
+def _unpack(bits: np.ndarray, k: int) -> np.ndarray:
+    """The first k bit columns of uint64 (N, words) as bool (k, N): row j is source j."""
+    octets = bits.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=k, bitorder="little").T.astype(bool, order="C")
+
+
+def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, multi: bool = False):
+    """One BFS for each source at once, level by level: yields (d, fresh, fresh_multi).
+
+    ``fresh`` is uint64 (N, words) with bit j of vertex v set when v is at
+    distance d from ``sources[j]``.  A level is one gather of the
+    frontier's bits over the CSR slots and one OR per CSR row.  With
+    ``multi``, ``fresh_multi`` marks the fresh bits reached by two or more
+    shortest paths: from at least two frontier neighbours (some slot's bit
+    also held by an earlier slot of its row, by a segmented prefix-OR), or
+    from a frontier neighbour that was.  Without it ``fresh_multi`` is None.
+    """
+    n = indptr.shape[0] - 1
+    degree = np.diff(indptr)
+    rows = np.flatnonzero(degree)  # one reduceat segment per vertex with neighbours
+    starts = indptr[rows]
+
+    def row_or(slots):
+        if len(rows) == n:
+            return np.bitwise_or.reduceat(slots, starts, axis=0)
+        out = np.zeros((n, slots.shape[1]), np.uint64)
+        if len(rows):
+            out[rows] = np.bitwise_or.reduceat(slots, starts, axis=0)
+        return out
+
+    if multi:
+        place = np.arange(len(indices)) - np.repeat(indptr[:-1], degree)  # slot's place in its row
+        shifts = [1 << b for b in range(int(degree.max(initial=0) - 1).bit_length())]
+        later = [(s, np.flatnonzero(place >= s)) for s in shifts]  # Hillis-Steele steps
+    front = _source_bits(n, sources)
+    seen = front.copy()
+    front_multi = np.zeros_like(front) if multi else None
+    d = 0
+    while front.any():
+        yield d, front, front_multi
+        slots = front[indices]
+        fresh = row_or(slots) & ~seen
+        if multi:
+            prefix = slots.copy()  # OR of each row's slots up to and including this one
+            for s, idx in later:
+                prefix[idx] |= prefix[idx - s]
+            repeat = front_multi[indices]
+            if later:
+                idx = later[0][1]
+                repeat[idx] |= slots[idx] & prefix[idx - 1]
+            front_multi = row_or(repeat) & fresh
+        seen |= fresh
+        front = fresh
+        d += 1
 
 
 def bfs_block(indptr: np.ndarray, indices: np.ndarray, sources, with_sigma: bool = False):
     """Distances from each of a block of sources: int64 (len(sources), N), -1 if unreachable.
 
-    With ``with_sigma`` also the shortest-path counts, float64 of the same
-    shape.  Level d+1 is every unvisited vertex that the product of the
-    adjacency with the level-d frontier block reaches.  Distances alone
-    multiply in the boolean semiring; path counts multiply in float64,
-    where the product's entry is the number of shortest paths arriving.
-    The working arrays hold len(sources) x N entries, so callers pass at
-    most ``block_rows(N)`` sources.
+    With ``with_sigma`` also bool multi-path flags of the same shape: True
+    where more than one shortest path joins the source to the vertex.
+    The sweep runs on packed source bits (``_levels``); distances are kept
+    as bit-sliced level counters and unpacked once.  The output holds
+    len(sources) x N entries, so callers pass at most ``block_rows(N)``
+    sources.
     """
-    import scipy.sparse as sp  # slow to import; only the blocked sweeps need it
-
     n = indptr.shape[0] - 1
     sources = np.asarray(sources, np.int64)
-    dtype = np.float64 if with_sigma else bool
-    adj = sp.csr_array((np.ones(len(indices), dtype), indices, indptr), shape=(n, n))
-    front = np.zeros((n, len(sources)), dtype)  # one column per source
-    front[sources, np.arange(len(sources))] = 1
-    unseen = front == 0
-    dist = np.where(unseen, -1, 0)
-    sigma = front.copy() if with_sigma else None
-    d = 0
-    while True:
-        front = adj @ front
-        front *= unseen
-        fresh = front != 0
-        if not fresh.any():
-            break
-        d += 1
-        dist[fresh] = d
-        unseen &= ~fresh
+    k = len(sources)
+    seen, multi = (np.zeros((n, -(-k // 64)), np.uint64) for _ in range(2))
+    planes: list[np.ndarray] = []  # plane b: bit b of each (source, vertex) distance
+    for d, fresh, fresh_multi in _levels(indptr, indices, sources, with_sigma):
+        seen |= fresh
         if with_sigma:
-            sigma += front
-    if with_sigma:
-        return dist.T, sigma.T
-    return dist.T
+            multi |= fresh_multi
+        while d >> len(planes):
+            planes.append(np.zeros_like(seen))
+        for b, plane in enumerate(planes):
+            if d >> b & 1:
+                plane |= fresh
+    dist = np.zeros((k, n), np.int64)
+    for b, plane in enumerate(planes):
+        np.add(dist, 1 << b, out=dist, where=_unpack(plane, k))
+    dist[~_unpack(seen, k)] = -1
+    return (dist, _unpack(multi, k)) if with_sigma else dist
 
 
 def _blocks(sources: np.ndarray, n: int):
-    rows = block_rows(n)
+    """Source blocks of the counting sweeps, which never unpack: ``_BLOCK_ENTRIES`` words per plane."""
+    rows = 64 * block_rows(n)
     return (sources[lo : lo + rows] for lo in range(0, len(sources), rows))
 
 
 def all_distance_total(indptr: np.ndarray, indices: np.ndarray) -> int:
-    """Sum of distances over all ordered vertex pairs, one BFS row per source: O(N E)."""
+    """Sum of distances over all ordered vertex pairs, one BFS row per source: O(N E).
+
+    An unreachable pair adds -1, its entry in ``bfs_block``'s distances.
+    """
     n = indptr.shape[0] - 1
-    return sum(int(bfs_block(indptr, indices, b).sum()) for b in _blocks(np.arange(n), n))
+    total = 0
+    for block in _blocks(np.arange(n), n):
+        reached = 0
+        for d, fresh, _ in _levels(indptr, indices, block):
+            count = int(np.bitwise_count(fresh).sum())
+            total += d * count
+            reached += count
+        total -= len(block) * n - reached
+    return total
 
 
 def multi_sigma_count(indptr: np.ndarray, indices: np.ndarray, sources=None) -> int:
@@ -123,7 +197,7 @@ def multi_sigma_count(indptr: np.ndarray, indices: np.ndarray, sources=None) -> 
     n = indptr.shape[0] - 1
     sources = np.arange(n) if sources is None else np.asarray(sources, np.int64)
     return sum(
-        int(np.count_nonzero(bfs_block(indptr, indices, b, with_sigma=True)[1] > 1.0))
-        for b in _blocks(sources, n)
+        int(np.bitwise_count(fresh_multi).sum())
+        for block in _blocks(sources, n)
+        for _, _, fresh_multi in _levels(indptr, indices, block, multi=True)
     )
-

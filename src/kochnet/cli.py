@@ -75,7 +75,7 @@ def _resolve_vertex(graph: KochGraph, text: str) -> int:
         if not 0 <= vid < graph.n_vertices:
             raise UsageError(f"vertex id {vid} out of range 0..{graph.n_vertices - 1}")
         return vid
-    return graph.vertex_by_label(parse_label(text, graph.m))
+    return int(graph.vertex_by_labels([parse_label(text, graph.m)])[0])
 
 
 def _resolve_label(args, text: str) -> Label:
@@ -142,8 +142,8 @@ def _cmd_route(args) -> int:
     summary = {"length": path.length, "ops": path.ops_used}
     if args.oracle:
         graph = build(args.m, args.t)
-        dist = bfs_distances(graph, graph.vertex_by_label(a))
-        summary["oracle_length"] = int(dist[graph.vertex_by_label(b)])
+        source, target = graph.vertex_by_labels([a, b]).tolist()
+        summary["oracle_length"] = int(bfs_distances(graph, source)[target])
     print(_jdump(summary))
     return EXIT_OK
 

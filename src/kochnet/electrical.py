@@ -10,14 +10,16 @@ on-path voltages fall arithmetically, and each triangle splits current
 that against the solver; nothing is assumed.
 
 Every solve is a back-solve of one factorization per graph,
-``KochGraph.laplacian_lu``: the Laplacian grounded at hub 0 and
-eliminated youngest vertex first, which gives LU factors with no
-fill-in.  Each solve checks the max-norm of L phi - b against 1e-10,
-evaluated edge-wise (Kirchhoff's current law: per vertex, the sum of the
-potential drops on its edges minus the injection, using L = B^T B).
-Summing O(1) edge currents keeps that check at round-off size; the
-product ``laplacian @ phi`` sums deg * phi terms instead, and on K(2,6),
-whose hubs have degree 1458, its round-off alone reaches 1.2e-10.
+``KochGraph.laplacian_factor``: a numpy LDL^T of the Laplacian grounded at
+hub 0, eliminated youngest vertex first, one birth step of triangles at a
+time, with no fill-in.  Factor and solve are O(N) vectorized passes, one
+or many right-hand-side columns at once.  Each solve checks the max-norm
+of L phi - b against 1e-10, evaluated edge-wise (Kirchhoff's current
+law: per vertex, the sum of the potential drops on its edges minus the
+injection, using L = B^T B).  Summing O(1) edge currents keeps that check
+at round-off size; a sparse product L @ phi sums deg * phi terms instead,
+and on K(2,6), whose hubs have degree 1458, its round-off alone reaches
+1.2e-10.
 
 Current-flow betweenness needs no solve: by the same localization a
 pair's current passes whole through the cut vertices on its path and a
@@ -72,16 +74,14 @@ class ElectricalProfile:
 
 
 def _grounded_potentials(graph: KochGraph, b: np.ndarray) -> np.ndarray:
-    """Solve L phi = b with phi[0] = 0 (each column of b sums to 0) by back-solving the LU."""
-    phi = np.zeros(b.shape)
-    phi[:0:-1] = graph.laplacian_lu.solve(b[:0:-1])
-    return phi
+    """Solve L phi = b with phi[0] = 0 (each column of b sums to 0) by back-solving the factor."""
+    return graph.laplacian_factor.solve(b)
 
 
 def _kcl_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L @ phi - b evaluated edge-wise, from the drops phi[u] - phi[v] of every edge.
 
-    Equal to ``graph.laplacian @ phi - b`` in exact arithmetic; ``drops``
+    Equal to the Laplacian times phi, less b, in exact arithmetic; ``drops``
     and ``b`` may carry one column per solve.
     """
     net = -b

@@ -26,9 +26,9 @@ together as ids 2k+1 and 2k+2.  Every edge lies in exactly one triangle,
 so edge (u, v) lies in triangle (max(u, v) - 1) // 2; the father of a
 vertex v >= 3 is the first corner of row (v - 1) // 2, and its companion
 is the other son of that row.  The sorted edge list, degrees, CSR
-adjacency, edge ids, edge-to-triangle map, the corner parts, the
-Laplacian and its one LU factorization are derived from the table and
-cached.  scipy is imported on first sparse use, not with the module.
+adjacency, edge ids, edge-to-triangle map, the corner parts and the
+Laplacian's one LDL^T factor (``CactusLDL``, on numpy alone) are derived
+from the table and cached.
 
 The graph is a cactus of triangles: triangles meet only at vertices, so
 removing a triangle's edges splits the graph into the parts that hang at
@@ -43,17 +43,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import IO, TYPE_CHECKING
+from typing import IO
 
 import numpy as np
 
 from . import _kernels
-from .errors import SettingError, SizeCapError, UnknownLabelError
-from .labels import Label, _derived, format_label
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import SuperLU
+from .errors import LabelDomainError, LabelFormatError, SettingError, SizeCapError, UnknownLabelError
+from .labels import Label, _check_in_graph, _derived, format_label
 
 DEFAULT_VERTEX_CAP = 10**7
 _CAP_ENV = "KOCH_MAX_VERTICES"
@@ -111,6 +107,42 @@ def _label_prefixes(t: int) -> tuple[str, ...]:
 
 def _chunks(n: int):
     return (slice(lo, min(lo + _EXPORT_ROWS, n)) for lo in range(0, n, _EXPORT_ROWS))
+
+
+@dataclass(frozen=True)
+class CactusLDL:
+    """``KochGraph.laplacian_factor``: L D L^T with one set of entries per triangle row (f, a, b).
+
+    Son b's column of L holds -1/D_b at a and at f; son a's holds
+    ``a_coupling / a_pivot`` at f, where ``a_coupling`` is the a-f entry
+    left once b is eliminated.  A solve is one forward and one backward
+    pass over the same batches of rows, a few vectorized steps each.
+    """
+
+    triangles: np.ndarray
+    batches: tuple[slice, ...]  # triangle rows eliminated together, in elimination order
+    b_pivot: np.ndarray  # D at son b (the higher id), eliminated first
+    a_pivot: np.ndarray  # D at son a, eliminated second
+    a_coupling: np.ndarray  # the a-f entry once b is eliminated
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """phi with phi[0] = 0 and (L phi)[v] = rhs[v] at every other vertex; rhs is (N,) or (N, c)."""
+        phi = np.array(rhs, np.float64)
+        x = phi.reshape(len(phi), -1)  # a view: the columns are solved together
+        tri = self.triangles
+        for rows in self.batches:  # L y = rhs: each son's right-hand side passes on to its father
+            f, a, b = tri[rows].T
+            carry = x[b] / self.b_pivot[rows, None]
+            x[a] += carry
+            np.add.at(x, f, carry - self.a_coupling[rows, None] / self.a_pivot[rows, None] * x[a])
+        x[0] = 0.0  # hub 0 is grounded: what the sons passed on to it is dropped
+        for rows in reversed(self.batches):  # D L^T phi = y: each son from its father, oldest first
+            f, a, b = tri[rows].T
+            # times the reciprocal pivot, as a BLAS triangular solve rounds: printed potentials
+            # then keep the bits they had under a sparse LU solve
+            x[a] = (x[a] - self.a_coupling[rows, None] * x[f]) * (1 / self.a_pivot[rows, None])
+            x[b] = (x[b] + x[f] + x[a]) / self.b_pivot[rows, None]
+        return phi
 
 
 @dataclass(eq=False)
@@ -180,13 +212,33 @@ class KochGraph:
     def label_of(self, v: int) -> Label:
         return self.labels[v]
 
+    def _unknown(self, label: Label) -> UnknownLabelError:
+        return UnknownLabelError(f"label {format_label(label)} not present in K_{{{self.m},{self.t}}}")
+
     def vertex_by_label(self, label: Label) -> int:
+        """The id of one label, from ``label_index``: a dict lookup per call, after an O(N) build."""
         try:
             return self.label_index[label]
         except KeyError:
-            raise UnknownLabelError(
-                f"label {format_label(label)} not present in K_{{{self.m},{self.t}}}"
-            ) from None
+            raise self._unknown(label) from None
+
+    def vertex_by_labels(self, labels) -> np.ndarray:
+        """``vertex_by_label`` of each label in a sequence, by label key.
+
+        Builds neither ``labels`` nor ``label_index``.
+        """
+        for label in labels:
+            try:  # a label born after step t has a key that overlaps the subnet's bits
+                _check_in_graph(self.m, self.t, label)
+            except (LabelDomainError, LabelFormatError):
+                raise self._unknown(label) from None
+        fields = [(x.subnet, x.birth, int(x.bits or "0", 2), x.index or 0) for x in labels]
+        subnet, birth, bits, index = np.array(fields, np.int64).reshape(-1, 4).T
+        ids = self.vertex_by_label_key(label_keys(self.m, self.t, subnet, birth, bits, index))
+        missing = np.flatnonzero(ids < 0)
+        if len(missing):
+            raise self._unknown(labels[missing[0]])
+        return ids
 
     @cached_property
     def _sorted_label_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -302,32 +354,29 @@ class KochGraph:
         return _kernels.all_distance_total(*self.csr)
 
     @cached_property
-    def laplacian(self) -> sp.csr_array:
-        """Unit-resistor Laplacian D - A, float64, canonical CSR (columns ascending)."""
-        import scipy.sparse as sp  # slow to import; generate and the label paths never need it
+    def laplacian_factor(self) -> CactusLDL:
+        """LDL^T of the unit-resistor Laplacian grounded at hub 0, eliminated youngest vertex first.
 
-        n = self.n_vertices
-        u, v = self.edges[:, 0], self.edges[:, 1]
-        rows = np.concatenate((u, v, np.arange(n)))
-        cols = np.concatenate((v, u, np.arange(n)))
-        ones = -np.ones(len(u))
-        vals = np.concatenate((ones, ones, self.degrees.astype(np.float64)))
-        return sp.csr_array((vals, (rows, cols)), shape=(n, n))
-
-    @cached_property
-    def laplacian_lu(self) -> SuperLU:
-        """LU of the Laplacian grounded at hub 0, rows and columns in reverse-id order.
-
-        A cactus of triangles is chordal, and youngest-first is a perfect
-        elimination order: when vertex v is eliminated, its neighbors not yet
-        eliminated are at most its father and its companion (for a hub, the
-        older hubs), and those are adjacent.  So the factors have no
-        fill-in: L.nnz + U.nnz = 2 (N - 1 + E - deg 0).
-        Position i of the grounded system is vertex N - 1 - i.
+        Every triangle row (f, a, b) is eliminated son b first, then son a,
+        one birth step at a time from step t down, the hub row (0, 1, 2)
+        last.  By then each son's children are gone, so its only neighbors
+        left are its father and its companion, which are adjacent: no fill.
+        Each son's pivot is its degree less what its eliminated children
+        took from it.
         """
-        import scipy.sparse.linalg as spla  # only the solves need it; it is slow to import
-
-        return spla.splu(self.laplacian[:0:-1, :0:-1].tocsc(), permc_spec="NATURAL")
+        tri = self.triangles
+        steps = range(self.t, 0, -1)  # youngest first, then row 0, the hubs
+        batches = [slice(triangle_count(self.m, s - 1), triangle_count(self.m, s)) for s in steps]
+        batches.append(slice(0, 1))
+        pivot = self.degrees.astype(np.float64)  # each vertex's diagonal as its sons are eliminated
+        b_pivot, a_pivot, a_coupling = (np.empty(len(tri)) for _ in range(3))
+        for rows in batches:
+            f, a, b = tri[rows].T
+            b_pivot[rows] = pivot[b]
+            a_pivot[rows] = pivot[a] - 1 / b_pivot[rows]
+            a_coupling[rows] = -1 - 1 / b_pivot[rows]
+            np.subtract.at(pivot, f, 1 / b_pivot[rows] + a_coupling[rows] ** 2 / a_pivot[rows])
+        return CactusLDL(tri, tuple(batches), b_pivot, a_pivot, a_coupling)
 
     # ---- exports -------------------------------------------------------
     # each chunk of rows is joined into one string and written at once

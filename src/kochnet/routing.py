@@ -171,5 +171,5 @@ def bfs_distances(graph: KochGraph, source: int) -> np.ndarray:
 
 def verify_path_in_graph(graph: KochGraph, path: RoutePath) -> bool:
     """Every consecutive hop pair must be an edge of the graph."""
-    ids = np.array([graph.vertex_by_label(h) for h in path.hops], np.int64)
+    ids = graph.vertex_by_labels(path.hops)
     return bool(np.all(graph.edge_index(ids[:-1], ids[1:]) >= 0))

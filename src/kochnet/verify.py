@@ -241,9 +241,9 @@ def routing_suite(
 
         sources, row = np.unique(s, return_inverse=True)
         if exhaustive:
-            dist, sigma = _kernels.bfs_block(indptr, indices, sources, with_sigma=True)
+            dist, multi_path = _kernels.bfs_block(indptr, indices, sources, with_sigma=True)
             # path counts are symmetric and the pairs are every s < v: each one counts both ways
-            multi += 2 * int(np.count_nonzero(sigma[row, v] > 1.0))
+            multi += 2 * int(np.count_nonzero(multi_path[row, v]))
         else:
             dist = _kernels.bfs_block(indptr, indices, sources)
         want = dist[row, v]
@@ -310,8 +310,8 @@ def routing_suite(
             rows = _kernels.block_rows(n)
             for lo in range(0, n, rows):
                 sources = np.arange(lo, min(lo + rows, n))
-                _, sigma = _kernels.bfs_block(indptr, indices, sources, with_sigma=True)
-                row, v = np.nonzero(sigma > 1.0)  # by source, then by target
+                _, multi_path = _kernels.bfs_block(indptr, indices, sources, with_sigma=True)
+                row, v = np.nonzero(multi_path)  # by source, then by target
                 findings += [
                     f"{graph.label_of(int(sources[r]))}->{graph.label_of(int(x))}"
                     for r, x in zip(row[:10], v[:10])

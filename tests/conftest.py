@@ -11,7 +11,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kochnet import Label, build, format_label
 
@@ -28,6 +30,17 @@ def cached_graph(m: int, t: int):
 @pytest.fixture
 def graph_factory():
     return cached_graph
+
+
+def laplacian(graph) -> sp.csr_array:
+    """Unit-resistor Laplacian D - A of a built graph, float64, canonical CSR."""
+    n = graph.n_vertices
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    rows = np.concatenate((u, v, np.arange(n)))
+    cols = np.concatenate((v, u, np.arange(n)))
+    ones = -np.ones(len(u))
+    vals = np.concatenate((ones, ones, graph.degrees.astype(np.float64)))
+    return sp.csr_array((vals, (rows, cols)), shape=(n, n))
 
 
 @dataclass(frozen=True)

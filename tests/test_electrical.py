@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from kochnet import (
     build,
@@ -15,7 +16,7 @@ from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, RESIDUAL_TOL, _exhaustive_c
 from kochnet.errors import SizeCapError
 from kochnet.verify import _control_gap
 
-from conftest import cached_graph
+from conftest import cached_graph, laplacian
 
 
 def _vid(graph, text):
@@ -188,7 +189,7 @@ class TestCurrentFlow:
         graph = cached_graph(1, 3)
         n = graph.n_vertices
         u, v = graph.edges[:, 0], graph.edges[:, 1]
-        potentials = np.linalg.pinv(graph.laplacian.toarray())
+        potentials = np.linalg.pinv(laplacian(graph).toarray())
         drops = potentials[u] - potentials[v]  # column j: unit current injected at j
         totals = np.zeros(n)
         for s in range(n):
@@ -272,7 +273,7 @@ class TestVoltageGap:
 
 def test_laplacian_structure():
     graph = cached_graph(1, 1)
-    lap = graph.laplacian.toarray()
+    lap = laplacian(graph).toarray()
     assert np.allclose(lap, lap.T)
     assert np.allclose(lap.sum(axis=1), 0)
     assert lap[0, 0] == graph.degree(0)
@@ -280,7 +281,7 @@ def test_laplacian_structure():
 
 def test_pinv_and_grounded_solve_agree():
     graph = cached_graph(1, 1)
-    lap = graph.laplacian.toarray()
+    lap = laplacian(graph).toarray()
     pinv = np.linalg.pinv(lap)
     for s, v in [(0, 5), (3, 8)]:
         r_pinv = pinv[s, s] + pinv[v, v] - 2 * pinv[s, v]
@@ -289,10 +290,37 @@ def test_pinv_and_grounded_solve_agree():
 
 @pytest.mark.parametrize("m,t", [(1, 3), (2, 2), (3, 2)])
 def test_factor_has_no_fill(m, t):
+    # L's entries below the diagonal sit on the grounded graph's edges, and L D L^T is its Laplacian
     graph = cached_graph(m, t)
-    lu = graph.laplacian_lu
-    grounded_nnz = graph.n_vertices - 1 + graph.n_edges - graph.degree(0)
-    assert lu.L.nnz + lu.U.nnz == 2 * grounded_nnz
+    n = graph.n_vertices
+    factor = graph.laplacian_factor
+    lower, pivots = np.eye(n), np.zeros(n)
+    f, a, b = factor.triangles.T
+    lower[a, b] = lower[f, b] = -1 / factor.b_pivot
+    lower[f, a] = factor.a_coupling / factor.a_pivot
+    pivots[a], pivots[b] = factor.a_pivot, factor.b_pivot
+    lower, pivots = lower[1:, 1:], pivots[1:]  # hub 0 is grounded
+    assert np.count_nonzero(lower) - (n - 1) == graph.n_edges - graph.degree(0)
+    grounded = laplacian(graph).toarray()[1:, 1:]
+    np.testing.assert_allclose(lower @ np.diag(pivots) @ lower.T, grounded, atol=1e-12)
+
+
+@pytest.mark.parametrize("m,t", [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (3, 2)])
+def test_factor_solve_matches_sparse_solve(m, t):
+    # the cactus factor against a general sparse solve of the grounded Laplacian
+    graph = cached_graph(m, t)
+    n = graph.n_vertices
+    grounded = laplacian(graph)[1:, 1:].tocsc()
+    single = np.zeros(n)
+    single[n - 1], single[n // 2] = 1.0, -1.0
+    multi = np.eye(n)
+    multi[0] -= 1.0  # column j: unit current from j to hub 0, as the current-flow oracle solves
+    for rhs in (single, multi):
+        want = np.zeros(rhs.shape)
+        want[1:] = spla.spsolve(grounded, rhs[1:])
+        got = graph.laplacian_factor.solve(rhs)
+        assert got.shape == rhs.shape and np.all(got[0] == 0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m,t", [(1, 3), (2, 2), (3, 2)])
@@ -304,5 +332,5 @@ def test_edgewise_residual_is_laplacian_residual(m, t):
         b = np.zeros(n)
         b[s], b[v] = 1.0, -1.0
         edgewise = _kcl_residual(graph, prof.edge_currents, b)
-        expected = graph.laplacian @ prof.potentials - b
+        expected = laplacian(graph) @ prof.potentials - b
         np.testing.assert_allclose(edgewise, expected, rtol=0, atol=1e-13)

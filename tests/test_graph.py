@@ -213,6 +213,25 @@ def test_unknown_label_is_key_error():
     assert isinstance(err.value, KeyError)
 
 
+@pytest.mark.parametrize("label", [Label(1, "000", 1), Label(2, "0", 3), Label(3, "00", 9)])
+def test_vertex_by_labels_refuses_what_vertex_by_label_refuses(label):
+    # born after t, or an index past l_max: the same error as the dict lookup
+    graph = build(1, 2)
+    with pytest.raises(UnknownLabelError) as key_path:
+        graph.vertex_by_labels([Label(1), label])
+    with pytest.raises(UnknownLabelError) as dict_path:
+        graph.vertex_by_label(label)
+    assert str(key_path.value) == str(dict_path.value)
+
+
+@pytest.mark.parametrize("m,t", [(1, 0), (1, 3), (2, 2), (3, 2)])
+def test_vertex_by_labels_matches_vertex_by_label(m, t):
+    graph = build(m, t)
+    labels = list(cached_graph(m, t).labels)
+    assert graph.vertex_by_labels(labels).tolist() == list(range(graph.n_vertices))
+    assert "labels" not in vars(graph) and "label_index" not in vars(graph)
+
+
 class TestValidation:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

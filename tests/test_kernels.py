@@ -4,6 +4,8 @@ exact ``Fraction`` dependency accumulation)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kochnet import _kernels
 from kochnet.centrality import betweenness_counts
@@ -82,12 +84,12 @@ def test_bfs_block_matches_single_source_rows(m, t):
     rows = 7 if n % 7 else 11  # blocks that do not divide N
     for block in _blocks(n, rows):
         dist = _kernels.bfs_block(indptr, indices, block)
-        dist_s, sigma = _kernels.bfs_block(indptr, indices, block, with_sigma=True)
-        assert dist.shape == sigma.shape == (len(block), n)
+        dist_s, multi = _kernels.bfs_block(indptr, indices, block, with_sigma=True)
+        assert dist.shape == multi.shape == (len(block), n) and multi.dtype == bool
         for r, s in enumerate(block.tolist()):
             assert (dist[r] == _kernels.bfs_distances(indptr, indices, s)).all()
             ref_d, ref_s = _kernels.bfs_sigma(indptr, indices, s)
-            assert (dist_s[r] == ref_d).all() and (sigma[r] == ref_s).all()
+            assert (dist_s[r] == ref_d).all() and (multi[r] == (ref_s > 1)).all()
 
 
 def _sweep_totals(indptr, indices):
@@ -129,3 +131,45 @@ def test_all_sources_totals_unchanged_by_blocking(monkeypatch, shape):
         monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
         total = _kernels.all_distance_total(indptr, indices)
         assert (total, _kernels.multi_sigma_count(indptr, indices)) == want
+
+
+@st.composite
+def _graphs(draw):
+    """A random simple graph as CSR, often with isolated vertices; half the time the last one is."""
+    n = draw(st.integers(1, 48))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), min_size=n // 2, max_size=3 * n))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    if draw(st.booleans()):  # a trailing isolated vertex: its CSR row starts at len(indices)
+        edges = {(u, v) for u, v in edges if v != n - 1}
+    return _csr(n, sorted(edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graphs(), st.sampled_from([1, 63, 64, 65, 130]), st.data())
+def test_bfs_block_matches_single_source_sweeps(csr, k, data):
+    # blocks that end inside, at and past a 64-source word, with repeated sources
+    indptr, indices = csr
+    n = indptr.shape[0] - 1
+    sources = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    dist, multi = _kernels.bfs_block(indptr, indices, sources, with_sigma=True)
+    assert (_kernels.bfs_block(indptr, indices, sources) == dist).all()
+    for r, s in enumerate(sources):
+        ref_d, ref_s = _kernels._bfs(indptr, indices, s)
+        assert dist[r].tolist() == ref_d.tolist()
+        assert multi[r].tolist() == (ref_s > 1).tolist()
+
+
+def test_bfs_block_trailing_isolated_vertex():
+    indptr, indices = _csr(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C4 and vertex 4 alone
+    dist, multi = _kernels.bfs_block(indptr, indices, [0, 4], with_sigma=True)
+    assert dist.tolist() == [[0, 1, 2, 1, -1], [-1, -1, -1, -1, 0]]
+    assert multi.tolist() == [[False, False, True, False, False], [False] * 5]
+
+
+def test_multi_flag_from_slots_apart_in_their_row():
+    # from 3, vertex 4 is reached through 0 and 2, which are not next to each other in its row
+    indptr, indices = _csr(5, [(3, 0), (3, 2), (4, 0), (4, 1), (4, 2)])
+    dist, multi = _kernels.bfs_block(indptr, indices, [3], with_sigma=True)
+    assert dist.tolist() == [[1, 3, 1, 0, 2]]
+    assert multi.tolist() == [[False, True, False, False, True]]

@@ -324,26 +324,29 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["closed_form"]["vertices"] == 2 * 4**20 + 1
 
-    def test_cli_import_skips_sparse_linalg(self):
-        # scipy.sparse (and scipy.sparse.linalg) is imported on the first sparse matrix only
-        code = (
-            "import sys, kochnet.cli; "
-            "print([name in sys.modules for name in ('scipy.sparse', 'scipy.sparse.linalg', 'numpy.f2py')])"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[False, False, False]"
-
-    def test_generate_skips_sparse(self):
+    def test_commands_load_no_scipy(self):
+        # scipy is a test-only oracle: neither the import nor any of these commands loads it
+        argvs = [
+            ["generate", "--m", "2", "--t", "2", "--format", "json"],
+            ["verify", "--m", "1", "--t", "4", "--suite", "all"],
+            ["electrical", "--m", "2", "--t", "3", "--cfb"],
+            ["electrical", "--m", "2", "--t", "3", "--source", "2011.5", "--target", "#3", "--profile"],
+            ["stats", "--m", "2", "--t", "3", "--empirical"],
+        ]
         code = (
             "import io, sys, contextlib, kochnet.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = kochnet.cli.main(['generate', '--m', '2', '--t', '2', '--format', 'json'])\n"
-            "print(code, 'scipy.sparse' in sys.modules)"
+            "def loaded():\n"
+            "    return [n for n in sys.modules if n.split('.')[0] == 'scipy' or n == 'numpy.f2py']\n"
+            "print('import', loaded())\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = kochnet.cli.main(argv)\n"
+            "    print(argv[0], code, loaded())\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0 False"
+        want = ["import []"] + [f"{argv[0]} 0 []" for argv in argvs]
+        assert proc.stdout.splitlines() == want
 
     def test_main_callable_inprocess(self, capsys):
         assert main(["route", "--m", "1", "--t", "1", "1", "2"]) == 0
@@ -364,6 +367,18 @@ class TestCli:
         assert main(argv) == 0
         assert capsys.readouterr().out.count("\n") == 1 + (1029 if edges else 687) + (mode == "compare")
         assert "labels" not in vars(graphs[0])
+
+    def test_electrical_by_label_builds_no_labels(self, monkeypatch, capsys):
+        graphs = []
+
+        def recorded(m, t):
+            graphs.append(build(m, t))
+            return graphs[-1]
+
+        monkeypatch.setattr(cli, "build", recorded)
+        assert main(["electrical", "--m", "2", "--t", "3", "--source", "2011.5", "--target", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["thm6"] is True
+        assert "labels" not in vars(graphs[0]) and "label_index" not in vars(graphs[0])
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
     @pytest.mark.parametrize(
