@@ -348,6 +348,26 @@ class TestCli:
         want = ["import []"] + [f"{argv[0]} 0 []" for argv in argvs]
         assert proc.stdout.splitlines() == want
 
+    def test_cli_import_skips_sparse_linalg(self):
+        code = (
+            "import sys, kochnet.cli; "
+            "print([name in sys.modules for name in ('scipy.sparse', 'scipy.sparse.linalg', 'numpy.f2py')])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[False, False, False]"
+
+    def test_generate_skips_sparse(self):
+        code = (
+            "import io, sys, contextlib, kochnet.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = kochnet.cli.main(['generate', '--m', '2', '--t', '2', '--format', 'json'])\n"
+            "print(code, 'scipy.sparse' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False"
+
     def test_main_callable_inprocess(self, capsys):
         assert main(["route", "--m", "1", "--t", "1", "1", "2"]) == 0
         out = capsys.readouterr().out.splitlines()
