@@ -6,22 +6,22 @@ the private ``_bfs``.  ``_levels`` sweeps a block of sources at once, one
 bit of a uint64 word per source and vertex (multi-source BFS on packed
 bits, after Then et al., "The More the Merrier", PVLDB 8(4), 2014): a
 level is one gather of the frontier bits over the CSR slots and one
-``np.bitwise_or.reduceat`` over the rows.  ``bfs_block`` unpacks its
-levels into a distance array, with boolean multi-path flags on request;
-``all_distance_total`` and ``multi_sigma_count`` only count bits.
-``_BLOCK_ENTRIES`` is the one memory bound: it caps ``bfs_block``'s
-unpacked (source, vertex) entries and the packed words of a counting
-sweep.  These sweeps are oracles: the library's distance total and
-betweenness come from the triangle table in O(N), and the sweeps check
-them on small graphs.  Every kernel is sequential, so results are
-bit-for-bit deterministic.
+``np.bitwise_or.reduceat`` over the rows.  ``pair_distances`` reads one
+bit per (source, target) pair at each level, with the multi-path bit on
+request; ``all_distance_total`` and ``multi_sigma_count`` only count
+bits.  None of them unpacks a (source, vertex) array.
+``_BLOCK_ENTRIES`` is the one memory bound: it caps the packed words of
+one bit-plane of a sweep block.  These sweeps are oracles: the library's
+distance total and betweenness come from the triangle table in O(N), and
+the sweeps check them and the label routes on small graphs.  Every
+kernel is sequential, so results are bit-for-bit deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_BLOCK_ENTRIES = 1 << 20  # bfs_block's unpacked (source, vertex) entries; a counting sweep's packed words
+_BLOCK_ENTRIES = 1 << 20  # uint64 words in one bit-plane of a sweep block
 
 
 def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
@@ -67,8 +67,14 @@ def bfs_sigma(indptr: np.ndarray, indices: np.ndarray, source: int):
 
 
 def block_rows(n: int) -> int:
-    """Sources per ``bfs_block`` call on an n-vertex graph: its int64 output holds ``_BLOCK_ENTRIES``."""
+    """uint64 words per vertex in a sweep block of an n-vertex graph: a bit-plane holds ``_BLOCK_ENTRIES``."""
     return max(1, _BLOCK_ENTRIES // max(n, 1))
+
+
+def _blocks(sources: np.ndarray, n: int):
+    """Sources in sweep blocks: 64 per word, ``block_rows(n)`` words per vertex."""
+    rows = 64 * block_rows(n)
+    return (sources[lo : lo + rows] for lo in range(0, len(sources), rows))
 
 
 def _source_bits(n: int, sources: np.ndarray) -> np.ndarray:
@@ -77,12 +83,6 @@ def _source_bits(n: int, sources: np.ndarray) -> np.ndarray:
     j = np.arange(len(sources))
     np.bitwise_or.at(bits, (sources, j >> 6), np.uint64(1) << (j & 63).astype(np.uint64))
     return bits
-
-
-def _unpack(bits: np.ndarray, k: int) -> np.ndarray:
-    """The first k bit columns of uint64 (N, words) as bool (k, N): row j is source j."""
-    octets = bits.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(octets, axis=1, count=k, bitorder="little").T.astype(bool, order="C")
 
 
 def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, multi: bool = False):
@@ -114,13 +114,14 @@ def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, multi:
         shifts = [1 << b for b in range(int(degree.max(initial=0) - 1).bit_length())]
         later = [(s, np.flatnonzero(place >= s)) for s in shifts]  # Hillis-Steele steps
     front = _source_bits(n, sources)
-    seen = front.copy()
+    unseen = ~front
     front_multi = np.zeros_like(front) if multi else None
     d = 0
     while front.any():
         yield d, front, front_multi
         slots = front[indices]
-        fresh = row_or(slots) & ~seen
+        fresh = row_or(slots)
+        fresh &= unseen
         if multi:
             prefix = slots.copy()  # OR of each row's slots up to and including this one
             for s, idx in later:
@@ -130,52 +131,50 @@ def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, multi:
                 idx = later[0][1]
                 repeat[idx] |= slots[idx] & prefix[idx - 1]
             front_multi = row_or(repeat) & fresh
-        seen |= fresh
+        unseen ^= fresh
         front = fresh
         d += 1
 
 
-def bfs_block(indptr: np.ndarray, indices: np.ndarray, sources, with_sigma: bool = False):
-    """Distances from each of a block of sources: int64 (len(sources), N), -1 if unreachable.
+def pair_distances(indptr: np.ndarray, indices: np.ndarray, src, dst, with_sigma: bool = False):
+    """Distance from src[p] to dst[p] for every pair p: int64, -1 if unreachable.
 
-    With ``with_sigma`` also bool multi-path flags of the same shape: True
-    where more than one shortest path joins the source to the vertex.
-    The sweep runs on packed source bits (``_levels``); distances are kept
-    as bit-sliced level counters and unpacked once.  The output holds
-    len(sources) x N entries, so callers pass at most ``block_rows(N)``
-    sources.
+    With ``with_sigma`` also bool flags, True where more than one shortest
+    path joins the pair.  The distinct sources are swept on packed bits
+    (``_levels``), ``_blocks`` at a time.  At each level every pair still
+    open reads its one bit, ``(fresh[v, j >> 6] >> (j & 63)) & 1`` for
+    target v and source bit j, and a block's sweep stops once all its
+    pairs are read.
     """
     n = indptr.shape[0] - 1
-    sources = np.asarray(sources, np.int64)
-    k = len(sources)
-    seen, multi = (np.zeros((n, -(-k // 64)), np.uint64) for _ in range(2))
-    planes: list[np.ndarray] = []  # plane b: bit b of each (source, vertex) distance
-    for d, fresh, fresh_multi in _levels(indptr, indices, sources, with_sigma):
-        seen |= fresh
-        if with_sigma:
-            multi |= fresh_multi
-        while d >> len(planes):
-            planes.append(np.zeros_like(seen))
-        for b, plane in enumerate(planes):
-            if d >> b & 1:
-                plane |= fresh
-    dist = np.zeros((k, n), np.int64)
-    for b, plane in enumerate(planes):
-        np.add(dist, 1 << b, out=dist, where=_unpack(plane, k))
-    dist[~_unpack(seen, k)] = -1
-    return (dist, _unpack(multi, k)) if with_sigma else dist
-
-
-def _blocks(sources: np.ndarray, n: int):
-    """Source blocks of the counting sweeps, which never unpack: ``_BLOCK_ENTRIES`` words per plane."""
-    rows = 64 * block_rows(n)
-    return (sources[lo : lo + rows] for lo in range(0, len(sources), rows))
+    src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
+    sources, col = np.unique(src, return_inverse=True)
+    dist = np.full(len(src), -1, np.int64)
+    multi = np.zeros(len(src), bool)
+    order = np.argsort(col, kind="stable")  # the pairs grouped by source bit
+    col = col[order]
+    one = np.uint64(1)
+    for block in _blocks(np.arange(len(sources)), n):
+        lo, hi = np.searchsorted(col, (block[0], block[-1] + 1))
+        pairs, j = order[lo:hi], col[lo:hi] - block[0]
+        word = dst[pairs] * -(-len(block) // 64) + (j >> 6)  # the pair's word in a flat (N, words) plane
+        shift = (j & 63).astype(np.uint64)
+        for d, fresh, fresh_multi in _levels(indptr, indices, sources[block], with_sigma):
+            hit = ((fresh.reshape(-1)[word] >> shift) & one).astype(bool)
+            dist[pairs[hit]] = d
+            if with_sigma:
+                multi[pairs[hit]] = ((fresh_multi.reshape(-1)[word[hit]] >> shift[hit]) & one).astype(bool)
+            if hit.all():
+                break
+            left = ~hit
+            pairs, word, shift = pairs[left], word[left], shift[left]
+    return (dist, multi) if with_sigma else dist
 
 
 def all_distance_total(indptr: np.ndarray, indices: np.ndarray) -> int:
     """Sum of distances over all ordered vertex pairs, one BFS row per source: O(N E).
 
-    An unreachable pair adds -1, its entry in ``bfs_block``'s distances.
+    An unreachable pair adds -1, its distance in ``pair_distances``.
     """
     n = indptr.shape[0] - 1
     total = 0

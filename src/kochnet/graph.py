@@ -13,11 +13,12 @@ existing vertices, so a vertex is an id into four int64 arrays: ``birth``,
 ``subnet``, ``bits`` (the growth bits as a binary number of ``birth``
 digits) and ``index`` (0 for a hub).  ``Label`` objects are made from them
 only when asked for.  ``label_keys`` packs the four fields into one int64
-key per label, and ``vertex_by_label_key`` maps keys back to ids with one
-sorted lookup.  Label texts come straight from the arrays too
-(``label_texts``): each growth-bit code is decoded to its string once, and
-the exports format ``_EXPORT_ROWS`` vertices or edges per write, so no
-``Label`` and no list of N texts is held while writing.
+key per label, and ``vertex_by_label_key`` maps keys back to ids by
+arithmetic, as each (subnet, bits) class is one contiguous id range.
+Label texts come straight from the arrays too (``label_texts``): each
+growth-bit code is decoded to its string once, and the exports format
+``_EXPORT_ROWS`` vertices or edges per write, so no ``Label`` and no list
+of N texts is held while writing.
 
 The triangle table is the one stored edge structure: an int64 (T, 3)
 array whose row 0 is the hubs (0, 1, 2) and whose row k >= 1 is
@@ -241,18 +242,35 @@ class KochGraph:
         return ids
 
     @cached_property
-    def _sorted_label_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every vertex's label key in ascending order, and the vertex id of each."""
-        keys = label_keys(self.m, self.t, self.subnet, self.birth, self.bits, self.index)
-        order = np.argsort(keys)
-        return keys[order], order
+    def _label_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """First id and size of every label class (subnet, bits), indexed by label code.
+
+        ``build`` makes sons father by father, and the fathers of one class
+        form one class, so each class is one id range in index order.  A
+        code with no vertex has size 0.  Both tables have 4 << (t+1) entries.
+        """
+        codes = _label_codes(self.t, self.subnet, self.birth, self.bits)
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        first, size = np.zeros((2, 4 << (self.t + 1)), np.int64)
+        first[codes[starts]] = starts
+        size[codes[starts]] = np.diff(starts, append=len(codes))
+        return first, size
 
     def vertex_by_label_key(self, keys) -> np.ndarray:
-        """``vertex_by_label`` on label keys, vectorized: the id of each key, -1 where none."""
+        """``vertex_by_label`` on label keys, vectorized: the id of each key, -1 where none.
+
+        The id is the class's first id plus the index less its lowest
+        value: 0 for a hub, 1 for any other class.
+        """
         keys = np.asarray(keys, np.int64)
-        sorted_keys, ids = self._sorted_label_keys
-        pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-        return np.where(sorted_keys[pos] == keys, ids[pos], -1)
+        first, size = self._label_classes
+        code, index = np.divmod(keys, (2 * self.m) ** self.t + 1)
+        inside = (keys >= 0) & (code < len(first))
+        code = np.where(inside, code, 0)
+        # a hub's code has nothing below its leading 1
+        low = ((code & ((2 << self.t) - 1)) != 1).astype(np.int64)
+        ok = inside & (index >= low) & (index <= size[code] + low - 1)
+        return np.where(ok, first[code] + index - low, -1)
 
     def father_of(self, v) -> np.ndarray:
         """Father id of vertex v, the first corner of triangle (v - 1) // 2; -1 for a hub.

@@ -10,7 +10,10 @@ one hop longer).
 
 ``route`` does this for one pair of ``Label``s; ``route_batch`` does the
 same arithmetic for whole arrays of vertex ids at once, on the four label
-arrays the graph stores, and returns the hops as label keys.
+arrays the graph stores, and returns the hops as label keys.  It makes
+each distinct endpoint's chain once and lays it out from the hub end, so
+the deepest common vertex of a pair is the first hub column where the two
+chains differ, and each hop is read from one chain or the other.
 """
 
 from __future__ import annotations
@@ -96,21 +99,19 @@ class RouteBatch:
     ops_used: np.ndarray  # int64 (pairs,)
 
 
-def _ancestor_keys(graph: KochGraph, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ancestor_keys(graph: KochGraph, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ancestor chains of the vertices ``v`` by the father formula on their label arrays.
 
     Returns the chains' label keys as an int64 (len(v), t + 1) array in
-    chain order (the vertex, its father, ..., the hub, then -1), whether
-    each chain entry's index is odd, and the chain lengths.
+    chain order (the vertex, its father, ..., the hub, then -1) and the
+    chain lengths.
     """
     m, t = graph.m, graph.t
     subnet, birth, bits, index = graph.subnet[v], graph.birth[v], graph.bits[v], graph.index[v]
     width = 2 * m * (m + 1) ** np.arange(t + 1, dtype=np.int64)
     keys = np.empty((len(v), t + 1), np.int64)
-    odd = np.empty((len(v), t + 1), bool)
     for k in range(t + 1):  # each step lowers birth by at least one; a hub maps to itself
         keys[:, k] = label_keys(m, t, subnet, birth, bits, index)
-        odd[:, k] = index % 2 == 1
         # the rightmost 0 of the bits sits above the run of r trailing ones: 2^r = (bits+1) & ~bits
         r = np.frexp(((bits + 1) & ~bits).astype(np.float64))[1] - 1
         birth = np.maximum(birth - r - 1, 0)
@@ -118,7 +119,7 @@ def _ancestor_keys(graph: KochGraph, v: np.ndarray) -> tuple[np.ndarray, np.ndar
         index = np.where(birth > 0, -(-index // width[r]), 0)
     length = 1 + np.count_nonzero(keys != keys[:, -1:], axis=1)
     keys[np.arange(t + 1) >= length[:, None]] = -1
-    return keys, odd, length
+    return keys, length
 
 
 def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
@@ -126,35 +127,42 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
 
     Label arithmetic only, on the graph's ``subnet``, ``birth``, ``bits``
     and ``index`` arrays; map the hop keys to ids with
-    ``graph.vertex_by_label_key``.
+    ``graph.vertex_by_label_key``.  Each distinct endpoint's chain is
+    made once and laid out once from the hub end, where column c holds
+    the ancestor c steps below the hub.  Two chains agree on a prefix of
+    those columns exactly when they share a subnet; its length is the
+    splice column.
     """
-    t = graph.t
+    m, t = graph.m, graph.t
     a, b = np.asarray(a_ids, np.int64), np.asarray(b_ids, np.int64)
-    chain_a, odd_a, len_a = _ancestor_keys(graph, a)
-    chain_b, _, len_b = _ancestor_keys(graph, b)
-    rows = np.arange(len(a))
-    depth = np.arange(t + 1)
+    ends, end_of = np.unique(np.concatenate((a, b)), return_inverse=True)
+    ea, eb = end_of[: len(a)], end_of[len(a) :]
+    chain, length = _ancestor_keys(graph, ends)
+    k = np.arange(2 * t + 2)  # hop columns
+    from_a = np.full((len(ends), len(k)), -1, np.int64)
+    from_a[:, : t + 1] = chain
+    # hub columns 0..t at t+1..2t+1, with -1 on either side for the reads below
+    from_hub = np.full((len(ends), 4 * t + 3), -1, np.int64)
+    hub_cols = from_hub[:, t + 1 : 2 * t + 2]
+    col = length[:, None] - 1 - np.arange(t + 1)
+    hub_cols[:] = np.where(col >= 0, np.take_along_axis(chain, np.maximum(col, 0), axis=1), -1)
 
-    # the chains read from the hub end, padded with values that never match
-    def from_hub(chain, length, pad):
-        col = length[:, None] - 1 - depth
-        return np.where(col >= 0, np.take_along_axis(chain, np.maximum(col, 0), axis=1), pad)
+    len_a, len_b = length[ea], length[eb]
+    # the splice column: the first hub column where the chains differ (none when a == b)
+    common = np.where(a == b, len_a, np.argmin(hub_cols[ea] == hub_cols[eb], axis=1))
+    same = common > 0  # the hubs match
+    split = same & (common < len_a) & (common < len_b)  # neither end is the splice vertex
+    # the vertices just below the splice sit at hub column `common`; the companion flips
+    # the index within its odd/even pair, which moves the key by one
+    flat, wide = from_hub.reshape(-1), from_hub.shape[1]
+    key_a, key_b = flat[ea * wide + t + 1 + common], flat[eb * wide + t + 1 + common]
+    odd = key_a % ((2 * m) ** t + 1) % 2 == 1
+    shortcut = split & (key_a + np.where(odd, 1, -1) == key_b)
 
-    common = np.cumprod(from_hub(chain_a, len_a, -1) == from_hub(chain_b, len_b, -2), axis=1).sum(1)
-    i, j = len_a - 1 - common, len_b - 1 - common  # chain positions just below the splice
-    same = graph.subnet[a] == graph.subnet[b]
-    split = same & (i >= 0) & (j >= 0)
-    ia, jb = np.maximum(i, 0), np.maximum(j, 0)
-    # the companion flips the index within its odd/even pair, which moves the key by one
-    companion = chain_a[rows, ia] + np.where(odd_a[rows, ia], 1, -1)
-    shortcut = split & (companion == chain_b[rows, jb])
-
-    n_a = np.where(same, i + 2 - shortcut, len_a)  # hops taken from a's chain, then b's reversed
-    n_b = np.where(same, j + 1, len_b)
-    k = np.arange(2 * t + 2)
-    from_a = chain_a[:, np.minimum(k, t)]
-    from_b = np.take_along_axis(chain_b, np.clip((n_a + n_b - 1)[:, None] - k, 0, t), axis=1)
-    hops = np.where(k < n_a[:, None], from_a, np.where(k < (n_a + n_b)[:, None], from_b, -1))
+    n_a = np.where(same, len_a + 1 - common - shortcut, len_a)  # hops taken from a's chain
+    n_b = len_b - common  # then b's chain below the splice, read from the hub end
+    from_b = flat[(eb * wide + t + 1 + common - n_a)[:, None] + k]
+    hops = np.where(k < n_a[:, None], from_a[ea], from_b)
     ops = np.where(a == b, 0, len_a + len_b - 2 + split)
     return RouteBatch(hops=hops, length=n_a + n_b - 1, ops_used=ops)
 

@@ -38,7 +38,7 @@ FAIL = "fail"
 DISCREPANCY = "paper-discrepancy"
 
 EXHAUSTIVE_PAIR_LIMIT = 700  # vertices; above this, routing checks sample
-_CHUNK_PAIRS = 4096  # pairs routed and checked together, against one BFS block of their sources
+_CHUNK_PAIRS = 16384  # pairs routed and checked together
 
 
 @dataclass(frozen=True)
@@ -195,16 +195,16 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
 # routing
 # ---------------------------------------------------------------------------
 
-def _chunks(src: np.ndarray, rows: int):
-    """Slices of at most _CHUNK_PAIRS pairs, sorted by source, with at most ``rows`` sources each."""
-    lo = 0
-    while lo < len(src):
-        hi = min(lo + _CHUNK_PAIRS, len(src))
-        sources = np.unique(src[lo:hi])
-        if len(sources) > rows:
-            hi = lo + int(np.searchsorted(src[lo:hi], sources[rows]))
-        yield slice(lo, hi)
-        lo = hi
+def _adjacent(graph: KochGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each (u, v) is an edge, from the triangle table alone.
+
+    With lo < hi the pair is an edge iff both are hubs, or lo is hi's
+    father or companion; a -1 id is on no edge.
+    """
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    return (lo >= 0) & (lo < hi) & (
+        (hi < 3) | (graph.father_of(hi) == lo) | (graph.companion_of(hi) == lo)
+    )
 
 
 def routing_suite(
@@ -218,6 +218,7 @@ def routing_suite(
     exhaustive = n <= EXHAUSTIVE_PAIR_LIMIT
     if exhaustive:
         src, dst = np.triu_indices(n, 1)
+        dist, multi_path = _kernels.pair_distances(indptr, indices, src, dst, with_sigma=True)
     else:
         rng = np.random.default_rng(seed)
         src = rng.integers(0, n, sample_pairs)
@@ -225,28 +226,21 @@ def routing_suite(
         dst[dst >= src] += 1
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
+        dist = _kernels.pair_distances(indptr, indices, src, dst)
 
     mismatches = 0
     invalid = 0
     ops_max = 0
     asym = 0
-    multi = 0
     witness = ""
     k = np.arange(2 * t + 2)
-    # each chunk is routed both ways and checked against one BFS block of its sources
-    for chunk in _chunks(src, _kernels.block_rows(n)):
-        s, v = src[chunk], dst[chunk]
+    # each chunk is routed both ways and checked against its pairs' BFS distances
+    for lo in range(0, len(src), _CHUNK_PAIRS):
+        chunk = slice(lo, lo + _CHUNK_PAIRS)
+        s, v, want = src[chunk], dst[chunk], dist[chunk]
         fwd = route_batch(graph, s, v)
         ops_max = max(ops_max, int(fwd.ops_used.max()))
 
-        sources, row = np.unique(s, return_inverse=True)
-        if exhaustive:
-            dist, multi_path = _kernels.bfs_block(indptr, indices, sources, with_sigma=True)
-            # path counts are symmetric and the pairs are every s < v: each one counts both ways
-            multi += 2 * int(np.count_nonzero(multi_path[row, v]))
-        else:
-            dist = _kernels.bfs_block(indptr, indices, sources)
-        want = dist[row, v]
         wrong = np.flatnonzero(fwd.length != want)
         mismatches += len(wrong)
         if len(wrong) and not witness:
@@ -258,7 +252,7 @@ def routing_suite(
 
         ids = graph.vertex_by_label_key(fwd.hops)
         on_path = k[:-1] < fwd.length[:, None]
-        edge_ok = (graph.edge_index(ids[:, :-1], ids[:, 1:]) >= 0) | ~on_path
+        edge_ok = _adjacent(graph, ids[:, :-1], ids[:, 1:]) | ~on_path
         ends_ok = (ids[:, 0] == s) & (ids[np.arange(len(s)), fwd.length] == v)
         invalid += int(np.count_nonzero(~(edge_ok.all(axis=1) & ends_ok)))
 
@@ -304,21 +298,15 @@ def routing_suite(
     )
 
     if exhaustive:
+        # path counts are symmetric and the pairs are every s < v: each one counts both ways
+        s, v = src[multi_path], dst[multi_path]
+        multi = 2 * len(s)
         detail = f"multi-path (source,target) incidences={multi}"
-        findings = []
         if multi:
-            rows = _kernels.block_rows(n)
-            for lo in range(0, n, rows):
-                sources = np.arange(lo, min(lo + rows, n))
-                _, multi_path = _kernels.bfs_block(indptr, indices, sources, with_sigma=True)
-                row, v = np.nonzero(multi_path)  # by source, then by target
-                findings += [
-                    f"{graph.label_of(int(sources[r]))}->{graph.label_of(int(x))}"
-                    for r, x in zip(row[:10], v[:10])
-                ]
-                if len(findings) >= 10:
-                    break
-            detail += " first: " + ", ".join(findings[:10])
+            first = np.sort(np.concatenate((s * n + v, v * n + s)))[:10]  # by source, then by target
+            detail += " first: " + ", ".join(
+                f"{graph.label_of(int(x))}->{graph.label_of(int(y))}" for x, y in zip(*np.divmod(first, n))
+            )
         out.append(
             _check(
                 "routing/uniqueness",

@@ -80,13 +80,9 @@ def test_criterion_03_neighbor_theorems():
     _report(3, ok, f"label partition == adjacency on {checked} vertices, zero tolerance")
 
 
-def _bfs_rows(graph, sources):
-    """(source, BFS distance row) for ascending ``sources``, swept in blocked-BFS blocks."""
-    indptr, indices = graph.csr
-    rows = _kernels.block_rows(graph.n_vertices)
-    for lo in range(0, len(sources), rows):
-        block = sources[lo : lo + rows]
-        yield from zip(block.tolist(), _kernels.bfs_block(indptr, indices, block))
+def _bfs_distances(graph, src, dst):
+    """BFS distance of every pair (src[p], dst[p]), from one multi-source sweep."""
+    return _kernels.pair_distances(*graph.csr, src, dst).tolist()
 
 
 def test_criterion_04_routing_optimality():
@@ -97,15 +93,14 @@ def test_criterion_04_routing_optimality():
         for t in range(0, 4):
             graph = cached_graph(m, t)
             n = graph.n_vertices
-            for s, dist in _bfs_rows(graph, np.arange(n)):
-                ls = graph.label_of(s)
-                for v in range(s + 1, n):
-                    path = route(m, t, ls, graph.label_of(v))
-                    pairs_checked += 1
-                    if path.length != int(dist[v]) or not verify_path_in_graph(graph, path):
-                        mismatches += 1
-                    if path.ops_used > 2 * t + 3:
-                        op_budget_ok = False
+            src, dst = np.triu_indices(n, 1)
+            for s, v, dist in zip(src.tolist(), dst.tolist(), _bfs_distances(graph, src, dst)):
+                path = route(m, t, graph.label_of(s), graph.label_of(v))
+                pairs_checked += 1
+                if path.length != dist or not verify_path_in_graph(graph, path):
+                    mismatches += 1
+                if path.ops_used > 2 * t + 3:
+                    op_budget_ok = False
     for m in (1, 2, 3):
         t = 4
         graph = cached_graph(m, t)
@@ -114,14 +109,10 @@ def test_criterion_04_routing_optimality():
         src = rng.integers(0, n, 10**5)
         dst = rng.integers(0, n - 1, 10**5)
         dst[dst >= src] += 1
-        rows = _bfs_rows(graph, np.unique(src))
-        last, dist = -1, None
-        for s, v in sorted(zip(src.tolist(), dst.tolist())):
-            while s != last:
-                last, dist = next(rows)
+        for s, v, dist in zip(src.tolist(), dst.tolist(), _bfs_distances(graph, src, dst)):
             path = route(m, t, graph.label_of(s), graph.label_of(v))
             pairs_checked += 1
-            if path.length != int(dist[v]):
+            if path.length != dist:
                 mismatches += 1
             if path.ops_used > 2 * t + 3:
                 op_budget_ok = False

@@ -13,10 +13,13 @@ from kochnet.graph import (
     KochGraph,
     edge_class_counts,
     edge_class_ids,
+    _label_codes,
     edge_count,
+    label_keys,
     triangle_count,
     vertex_count,
 )
+from kochnet.labels import l_max
 
 from conftest import (
     cached_graph,
@@ -230,6 +233,58 @@ def test_vertex_by_labels_matches_vertex_by_label(m, t):
     labels = list(cached_graph(m, t).labels)
     assert graph.vertex_by_labels(labels).tolist() == list(range(graph.n_vertices))
     assert "labels" not in vars(graph) and "label_index" not in vars(graph)
+
+
+def _key(m, t, subnet, bits, index):
+    """The label key of (subnet, bits string, index), whether or not such a label exists."""
+    return int(label_keys(m, t, subnet, len(bits), int(bits or "0", 2), index))
+
+
+@pytest.mark.parametrize(
+    "m,t", [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1), (2, 2), (2, 3), (3, 2)]
+)
+def test_vertex_by_label_key_matches_label_index(m, t):
+    graph = cached_graph(m, t)
+    labels = list(graph.label_index)
+    keys = [_key(m, t, x.subnet, x.bits, x.index or 0) for x in labels]
+    assert graph.vertex_by_label_key(keys).tolist() == [graph.label_index[x] for x in labels]
+
+
+def test_vertex_by_label_key_refuses_keys_of_no_label():
+    m, t = 2, 3
+    graph = cached_graph(m, t)
+    top = l_max(m, "01")
+    keys = {
+        "hop padding": -1,
+        "negative": -_key(m, t, 1, "0", 1),
+        "index 0 on a non-hub class": _key(m, t, 1, "01", 0),
+        "index l_max + 1": _key(m, t, 1, "01", top + 1),
+        "index 1 on a hub code": _key(m, t, 2, "", 1),
+        "an absent class, bits not led by 0": _key(m, t, 1, "10", 1),
+        "an absent class, subnet 0": _key(m, t, 0, "", 0),
+        "a code past the table": _key(m, t, 4, "", 0),
+    }
+    assert graph.vertex_by_label_key(list(keys.values())).tolist() == [-1] * len(keys)
+    # the same classes' own bounds resolve
+    edge = [_key(m, t, 1, "01", 1), _key(m, t, 1, "01", top), _key(m, t, 2, "", 0)]
+    assert graph.vertex_by_label_key(edge).tolist() == [
+        graph.vertex_by_label(Label(1, "01", 1)),
+        graph.vertex_by_label(Label(1, "01", top)),
+        1,
+    ]
+
+
+@pytest.mark.parametrize("m,t", [(1, 0), (1, 3), (2, 3), (3, 3), (1, 6), (2, 5), (4, 3)])
+def test_label_classes_are_contiguous(m, t):
+    # each (subnet, bits) class is one id range in index order, which the key lookup relies on
+    vertices, _ = reference_build(m, t)
+    first, size = build(m, t)._label_classes
+    for rec in vertices:
+        label = rec.label
+        code = int(_label_codes(t, label.subnet, label.birth, int(label.bits or "0", 2)))
+        assert first[code] + max(label.index or 0, 1) - 1 == rec.id
+        assert size[code] == (l_max(m, label.bits) if label.bits else 1)
+    assert size.sum() == len(vertices)
 
 
 class TestValidation:

@@ -76,16 +76,23 @@ def _blocks(n, rows):
     return [np.arange(s, min(s + rows, n)) for s in range(0, n, rows)]
 
 
+def _every_pair(sources, n):
+    """(src, dst) over every (source, vertex) pair, source by source."""
+    return np.repeat(sources, n), np.tile(np.arange(n), len(sources))
+
+
 @pytest.mark.parametrize("m,t", GRAPHS)
-def test_bfs_block_matches_single_source_rows(m, t):
+def test_pair_distances_match_single_source_rows(m, t):
     graph = cached_graph(m, t)
     indptr, indices = graph.csr
     n = graph.n_vertices
     rows = 7 if n % 7 else 11  # blocks that do not divide N
     for block in _blocks(n, rows):
-        dist = _kernels.bfs_block(indptr, indices, block)
-        dist_s, multi = _kernels.bfs_block(indptr, indices, block, with_sigma=True)
-        assert dist.shape == multi.shape == (len(block), n) and multi.dtype == bool
+        src, dst = _every_pair(block, n)
+        dist = _kernels.pair_distances(indptr, indices, src, dst)
+        dist_s, multi = _kernels.pair_distances(indptr, indices, src, dst, with_sigma=True)
+        assert dist.shape == multi.shape == (len(block) * n,) and multi.dtype == bool
+        dist, dist_s, multi = (x.reshape(len(block), n) for x in (dist, dist_s, multi))
         for r, s in enumerate(block.tolist()):
             assert (dist[r] == _kernels.bfs_distances(indptr, indices, s)).all()
             ref_d, ref_s = _kernels.bfs_sigma(indptr, indices, s)
@@ -136,7 +143,7 @@ def test_all_sources_totals_unchanged_by_blocking(monkeypatch, shape):
 @st.composite
 def _graphs(draw):
     """A random simple graph as CSR, often with isolated vertices; half the time the last one is."""
-    n = draw(st.integers(1, 48))
+    n = draw(st.integers(1, 150))
     ends = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(ends, ends), min_size=n // 2, max_size=3 * n))
     edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
@@ -147,29 +154,52 @@ def _graphs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_graphs(), st.sampled_from([1, 63, 64, 65, 130]), st.data())
-def test_bfs_block_matches_single_source_sweeps(csr, k, data):
-    # blocks that end inside, at and past a 64-source word, with repeated sources
+def test_pair_distances_match_single_source_sweeps(csr, k, data):
+    # k sources with repeats, every (source, vertex) pair in a shuffled order; more than 64
+    # distinct sources take several words of one block, or with one word per block split into
+    # blocks of 64 whose last ends inside a word
     indptr, indices = csr
     n = indptr.shape[0] - 1
     sources = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
-    dist, multi = _kernels.bfs_block(indptr, indices, sources, with_sigma=True)
-    assert (_kernels.bfs_block(indptr, indices, sources) == dist).all()
+    entries = data.draw(st.sampled_from([1 << 20, 1]))
+    src, dst = _every_pair(sources, n)
+    order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(src))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
+        dist, multi = _kernels.pair_distances(indptr, indices, src[order], dst[order], with_sigma=True)
+        assert (_kernels.pair_distances(indptr, indices, src[order], dst[order]) == dist).all()
+    dist[order], multi[order] = dist.copy(), multi.copy()
+    dist, multi = dist.reshape(k, n), multi.reshape(k, n)
     for r, s in enumerate(sources):
         ref_d, ref_s = _kernels._bfs(indptr, indices, s)
         assert dist[r].tolist() == ref_d.tolist()
         assert multi[r].tolist() == (ref_s > 1).tolist()
 
 
-def test_bfs_block_trailing_isolated_vertex():
+@pytest.mark.parametrize("entries", [1, 2 * 129, 1 << 20])
+def test_pair_distances_in_source_blocks(monkeypatch, entries):
+    # K(1,3) has N = 129: blocks of 64 and of 128 sources end inside a word, or one block takes all
+    graph = cached_graph(1, 3)
+    indptr, indices = graph.csr
+    rng = np.random.default_rng(5)
+    src, dst = rng.integers(0, 129, 5000), rng.integers(0, 129, 5000)
+    rows = {s: _kernels.bfs_distances(indptr, indices, s) for s in set(src.tolist())}
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
+    assert _kernels.pair_distances(indptr, indices, src, dst).tolist() == [
+        int(rows[s][v]) for s, v in zip(src.tolist(), dst.tolist())
+    ]
+
+
+def test_pair_distances_trailing_isolated_vertex():
     indptr, indices = _csr(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C4 and vertex 4 alone
-    dist, multi = _kernels.bfs_block(indptr, indices, [0, 4], with_sigma=True)
-    assert dist.tolist() == [[0, 1, 2, 1, -1], [-1, -1, -1, -1, 0]]
-    assert multi.tolist() == [[False, False, True, False, False], [False] * 5]
+    dist, multi = _kernels.pair_distances(indptr, indices, *_every_pair([0, 4], 5), with_sigma=True)
+    assert dist.tolist() == [0, 1, 2, 1, -1] + [-1, -1, -1, -1, 0]
+    assert multi.tolist() == [False, False, True, False, False] + [False] * 5
 
 
 def test_multi_flag_from_slots_apart_in_their_row():
     # from 3, vertex 4 is reached through 0 and 2, which are not next to each other in its row
     indptr, indices = _csr(5, [(3, 0), (3, 2), (4, 0), (4, 1), (4, 2)])
-    dist, multi = _kernels.bfs_block(indptr, indices, [3], with_sigma=True)
-    assert dist.tolist() == [[1, 3, 1, 0, 2]]
-    assert multi.tolist() == [[False, True, False, False, True]]
+    dist, multi = _kernels.pair_distances(indptr, indices, *_every_pair([3], 5), with_sigma=True)
+    assert dist.tolist() == [1, 3, 1, 0, 2]
+    assert multi.tolist() == [False, True, False, False, True]

@@ -16,6 +16,7 @@ from kochnet import (
     verify,
 )
 from kochnet import _kernels
+from kochnet.graph import label_keys
 from kochnet.labels import validate_in_graph
 from kochnet.routing import route_batch, verify_path_in_graph
 
@@ -238,3 +239,51 @@ def test_uniqueness_findings_list_the_first_ten_pairs():
     (check,) = [c for c in verify.routing_suite(graph) if c.id == "routing/uniqueness"]
     assert check.status == verify.FAIL
     assert check.detail.endswith(" first: " + ", ".join(want[:10]))
+
+
+@pytest.mark.parametrize("m,t", [(1, 3), (2, 2)])
+def test_triangle_table_edge_test_matches_edge_index(m, t):
+    # every ordered pair, u == v and the hubs included
+    graph = cached_graph(m, t)
+    u, v = np.divmod(np.arange(graph.n_vertices**2), graph.n_vertices)
+    assert (verify._adjacent(graph, u, v) == (graph.edge_index(u, v) >= 0)).all()
+    assert not verify._adjacent(graph, np.array([-1, -1, 0]), np.array([0, 2, -1])).any()  # an unmapped hop
+
+
+def test_path_validity_fails_on_a_hop_replaced_by_its_grandfather(monkeypatch):
+    graph = cached_graph(1, 3)
+    m, t = graph.m, graph.t
+    routed = verify.route_batch
+
+    def one_hop_off(graph, a, b):
+        batch = routed(graph, a, b)
+        ids = graph.vertex_by_label_key(batch.hops)
+        col = np.arange(batch.hops.shape[1])
+        inner = (col > 0) & (col < batch.length[:, None]) & (graph.birth[ids] >= 2)
+        p, k = np.argwhere(inner)[0]
+        up = graph.father_of(graph.father_of(ids[p, k]))
+        fields = graph.subnet[up], graph.birth[up], graph.bits[up], graph.index[up]
+        batch.hops[p, k] = label_keys(m, t, *fields)
+        return batch
+
+    monkeypatch.setattr(verify, "route_batch", one_hop_off)
+    checks = {c.id: c for c in verify.routing_suite(graph)}
+    assert checks["routing/optimality"].status == verify.PASS  # the lengths are untouched
+    check = checks["routing/path-validity"]
+    assert check.status == verify.FAIL
+    assert int(check.detail.removeprefix("invalid=")) > 0
+
+
+def test_exhaustive_routing_suite_sweeps_once(monkeypatch):
+    # K(1,4) routes all its pairs against one multi-source sweep, multi-path flags included
+    sweeps = []
+    levels = _kernels._levels
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[2])
+        return levels(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "_levels", counted)
+    checks = verify.routing_suite(cached_graph(1, 4))
+    assert all(c.status == verify.PASS for c in checks)
+    assert len(sweeps) == 1
