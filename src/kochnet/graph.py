@@ -15,10 +15,13 @@ digits) and ``index`` (0 for a hub).  ``Label`` objects are made from them
 only when asked for.  ``label_keys`` packs the four fields into one int64
 key per label, and ``vertex_by_label_key`` maps keys back to ids by
 arithmetic, as each (subnet, bits) class is one contiguous id range.
-Label texts come straight from the arrays too (``label_texts``): each
-growth-bit code is decoded to its string once, and the exports format
-``_EXPORT_ROWS`` vertices or edges per write, so no ``Label`` and no list
-of N texts is held while writing.
+Label texts and the three exports are formatted from the arrays too,
+with no ``Label`` and no Python string per row: ``_text_rows`` lays out
+``_EXPORT_ROWS`` rows at a time as a matrix of ASCII bytes, one block of
+columns per field (a constant, decimal digits by repeated divmod, or a
+label's growth bits), and reads it out through a keep mask that drops
+leading zeros and the '.' and index a hub's label lacks.  ``label_texts``
+is the label's columns joined by newlines and split once.
 
 The triangle table is the one stored edge structure: an int64 (T, 3)
 array whose row 0 is the hubs (0, 1, 2) and whose row k >= 1 is
@@ -41,9 +44,10 @@ total's oracle.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import IO
 
 import numpy as np
@@ -100,14 +104,67 @@ def _bit_strings(t: int) -> list[str]:
     return [bin(code)[3:] for code in range(1 << (t + 1))]
 
 
-@lru_cache
-def _label_prefixes(t: int) -> tuple[str, ...]:
-    """The label text up to the index, by label code; a hub's is its subnet digit."""
-    return tuple(f"{s}{bits}." if bits else str(s) for s in range(4) for bits in _bit_strings(t))
-
-
 def _chunks(n: int):
     return (slice(lo, min(lo + _EXPORT_ROWS, n)) for lo in range(0, n, _EXPORT_ROWS))
+
+
+# A text column is a pair (chars, keep): a (rows, width) block of ASCII bytes
+# and the mask of the bytes a row keeps.  Either may be a single row that
+# every row repeats.
+
+
+def _text(text: str, keep=True) -> tuple[np.ndarray, np.ndarray]:
+    """The same text in every row, kept where ``keep`` (True, or a bool per row)."""
+    return np.frombuffer(text.encode("ascii"), np.uint8)[None, :], np.reshape(keep, (-1, 1))
+
+
+def _decimal(values, omit_zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Non-negative ints as decimal digits, right-aligned; leading zeros are not kept.
+
+    With ``omit_zero`` a 0 keeps no digit at all (a hub's index).
+    """
+    rest = np.asarray(values, np.int64)
+    width = len(str(int(rest.max(initial=0))))
+    chars = np.empty((len(rest), width), np.uint8)
+    keep = np.empty((len(rest), width), bool)
+    for col in range(width - 1, -1, -1):  # by a scalar divisor, which numpy vectorizes
+        keep[:, col] = rest > 0
+        rest, chars[:, col] = np.divmod(rest, 10)
+    if not omit_zero:
+        keep[:, -1] = True  # 0 itself is one digit
+    chars += ord("0")
+    return chars, keep
+
+
+def _binary(bits: np.ndarray, length: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The low ``length`` bits of each of ``bits`` as binary digits, right-aligned in ``width`` columns."""
+    chars = np.empty((len(bits), width), np.uint8)
+    keep = np.empty((len(bits), width), bool)
+    for col in range(width):
+        shift = width - 1 - col
+        chars[:, col] = (bits >> shift) & 1
+        keep[:, col] = length > shift
+    chars += ord("0")
+    return chars, keep
+
+
+def _text_rows(n: int, columns) -> str:
+    """n rows of text, each the columns side by side, with nothing between rows; a str is a ``_text``.
+
+    The columns fill one (n, width) byte matrix and its keep mask, and the
+    kept bytes are read out row by row in one pass.
+    """
+    columns = [_text(c) if isinstance(c, str) else c for c in columns]
+    width = sum(chars.shape[1] for chars, _ in columns)
+    matrix = np.empty((n, width), np.uint8)
+    kept = np.empty((n, width), bool)
+    lo = 0
+    for chars, keep in columns:
+        hi = lo + chars.shape[1]
+        matrix[:, lo:hi] = chars
+        kept[:, lo:hi] = keep
+        lo = hi
+    return matrix[kept].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -197,21 +254,32 @@ class KochGraph:
             for subnet, code, index in zip(self.subnet.tolist(), codes, self.index.tolist())
         ]
 
+    def _label_columns(self, ids) -> list:
+        """``format_label`` of the given vertices as text columns: subnet, bits, a non-hub's '.' and index."""
+        birth = self.birth[ids]
+        return [
+            _decimal(self.subnet[ids]),
+            _binary(self.bits[ids], birth, self.t),
+            _text(".", birth > 0),
+            _decimal(self.index[ids], omit_zero=True),
+        ]
+
     def label_texts(self, ids=slice(None)) -> list[str]:
         """``format_label`` of the given vertices (all by default), made without ``Label`` objects."""
-        prefixes = _label_prefixes(self.t)
-        codes = _label_codes(self.t, self.subnet[ids], self.birth[ids], self.bits[ids])
-        return [
-            prefix + str(index) if index else prefix
-            for prefix, index in zip(map(prefixes.__getitem__, codes.tolist()), self.index[ids].tolist())
-        ]
+        # label texts hold digits and dots only, so the lines split back into labels
+        return _text_rows(len(self.birth[ids]), [*self._label_columns(ids), "\n"]).splitlines()
 
     @cached_property
     def label_index(self) -> dict[Label, int]:
         return {label: v for v, label in enumerate(self.labels)}
 
     def label_of(self, v: int) -> Label:
-        return self.labels[v]
+        """The label of vertex v, made from its four array entries in O(1).
+
+        Builds neither ``labels`` nor ``label_index``.
+        """
+        bits = bin((1 << int(self.birth[v])) | int(self.bits[v]))[3:]  # as in ``_bit_strings``
+        return _derived(int(self.subnet[v]), bits, int(self.index[v]) or None)
 
     def _unknown(self, label: Label) -> UnknownLabelError:
         return UnknownLabelError(f"label {format_label(label)} not present in K_{{{self.m},{self.t}}}")
@@ -397,43 +465,49 @@ class KochGraph:
         return CactusLDL(tri, tuple(batches), b_pivot, a_pivot, a_coupling)
 
     # ---- exports -------------------------------------------------------
-    # each chunk of rows is joined into one string and written at once
+    # each chunk of rows is laid out by ``_text_rows`` and written at once
 
-    def _write_edges(self, fp: IO[str], row: str, sep: str = "") -> None:
-        """Every edge as ``row % (u, v)``, the rows joined by ``sep``."""
+    def _write_edges(self, fp: IO[str], before: str, between: str, after: str, sep: str = "") -> None:
+        """Every edge (u, v) as the text ``before u between v after``, the rows joined by ``sep``."""
         for rows in _chunks(len(self.edges)):
-            flat = self.edges[rows].ravel().tolist()
-            body = sep.join([row] * (len(flat) // 2)) % tuple(flat)
-            fp.write(sep + body if rows.start else body)
+            u, v = self.edges[rows].T
+            joined = np.arange(rows.start, rows.stop) > 0  # every row but the very first follows a ``sep``
+            columns = [_text(sep, joined), before, _decimal(u), between, _decimal(v), after]
+            fp.write(_text_rows(len(u), columns))
 
     def write_edgelist(self, fp: IO[str]) -> None:
-        self._write_edges(fp, "%d %d\n")
+        self._write_edges(fp, "", " ", "\n")
 
     def write_json(self, fp: IO[str]) -> None:
         """The bytes of ``json.dump(doc, fp, separators=(",", ":"))``, written chunk by chunk."""
         # label texts are digits and dots, which JSON strings carry unescaped
         fp.write(f'{{"m":{self.m},"t":{self.t},"vertices":[')
         for rows in _chunks(self.n_vertices):
-            fields = zip(
-                range(rows.start, rows.stop),
-                self.label_texts(rows),
-                self.birth[rows].tolist(),
-                self.degrees[rows].tolist(),
-            )
-            body = ",".join(
-                [f'{{"id":{v},"label":"{text}","birth":{b},"degree":{d}}}' for v, text, b, d in fields]
-            )
-            fp.write("," + body if rows.start else body)
+            ids = np.arange(rows.start, rows.stop)
+            columns = [
+                _text(",", ids > 0),
+                '{"id":',
+                _decimal(ids),
+                ',"label":"',
+                *self._label_columns(rows),
+                '","birth":',
+                _decimal(self.birth[rows]),
+                ',"degree":',
+                _decimal(self.degrees[rows]),
+                "}",
+            ]
+            fp.write(_text_rows(len(ids), columns))
         fp.write('],"edges":[')
-        self._write_edges(fp, "[%d,%d]", ",")
+        self._write_edges(fp, "[", ",", "]", sep=",")
         fp.write("]}\n")
 
     def write_dot(self, fp: IO[str]) -> None:
         fp.write("graph koch {\n")
         for rows in _chunks(self.n_vertices):
-            ids = range(rows.start, rows.stop)
-            fp.write("".join([f'  {v} [label="{text}"];\n' for v, text in zip(ids, self.label_texts(rows))]))
-        self._write_edges(fp, "  %d -- %d;\n")
+            ids = np.arange(rows.start, rows.stop)
+            columns = ["  ", _decimal(ids), ' [label="', *self._label_columns(rows), '"];\n']
+            fp.write(_text_rows(len(ids), columns))
+        self._write_edges(fp, "  ", " -- ", ";\n")
         fp.write("}\n")
 
 
@@ -453,17 +527,25 @@ def _resolve_cap(max_vertices: int | None) -> int:
 
 
 def check_size(m: int, t: int, max_vertices: int | None = None) -> int:
-    """Vertex count of K_{m,t}; raises SizeCapError when it exceeds the cap (see ``build``)."""
+    """Vertex count of K_{m,t}; raises SizeCapError when it exceeds the cap (see ``build``).
+
+    The magnitude comes first: once t log(3m+1) passes log(cap) + 1, the
+    count 2(3m+1)^t + 1 is above the cap whatever the float rounding, and
+    it is never computed (at huge t it would take minutes or all memory).
+    """
     cap = _resolve_cap(max_vertices)
-    n = vertex_count(m, t)
-    if n > cap:
-        raise SizeCapError(f"K_{{{m},{t}}} has {_count_text(m, t, n)} vertices, exceeding the cap of {cap}")
-    return n
+    if t * math.log(3 * m + 1) <= math.log(cap) + 1:
+        n = vertex_count(m, t)
+        if n <= cap:
+            return n
+    raise SizeCapError(f"K_{{{m},{t}}} has {_count_text(m, t)} vertices, exceeding the cap of {cap}")
 
 
-def _count_text(m: int, t: int, n: int) -> str:
-    # past ~4300 digits str(n) raises, and far before that it is no use in a message
-    return str(n) if n < 10**18 else f"2*{3 * m + 1}^{t}+1"
+def _count_text(m: int, t: int) -> str:
+    # the exact count below 10^18; past that it is no use in a message, and at huge t too big to compute
+    if t * math.log10(3 * m + 1) < 18 and vertex_count(m, t) < 10**18:
+        return str(vertex_count(m, t))
+    return f"2*{3 * m + 1}^{t}+1"
 
 
 def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
@@ -482,7 +564,7 @@ def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
         triangles = np.empty((triangle_count(m, t), 3), np.int64)
     except (ValueError, MemoryError):  # numpy refuses a size past the address space with ValueError
         raise SizeCapError(
-            f"K_{{{m},{t}}} has {_count_text(m, t, n_final)} vertices, more than can be allocated"
+            f"K_{{{m},{t}}} has {_count_text(m, t)} vertices, more than can be allocated"
         ) from None
     subnet[:3] = (1, 2, 3)
     triangles[0] = (0, 1, 2)

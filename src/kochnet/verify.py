@@ -234,34 +234,36 @@ def routing_suite(
     asym = 0
     witness = ""
     k = np.arange(2 * t + 2)
-    # each chunk is routed both ways and checked against its pairs' BFS distances
+    # each chunk is routed both ways in one call, which finds every endpoint's chain once;
+    # each direction is still routed on its own, then checked against the pairs' BFS distances
     for lo in range(0, len(src), _CHUNK_PAIRS):
         chunk = slice(lo, lo + _CHUNK_PAIRS)
         s, v, want = src[chunk], dst[chunk], dist[chunk]
-        fwd = route_batch(graph, s, v)
-        ops_max = max(ops_max, int(fwd.ops_used.max()))
+        both = route_batch(graph, np.concatenate((s, v)), np.concatenate((v, s)))
+        hops, bwd_hops = both.hops[: len(s)], both.hops[len(s) :]
+        length = both.length[: len(s)]
+        ops_max = max(ops_max, int(both.ops_used[: len(s)].max()))
 
-        wrong = np.flatnonzero(fwd.length != want)
+        wrong = np.flatnonzero(length != want)
         mismatches += len(wrong)
         if len(wrong) and not witness:
             p = wrong[0]
             witness = (
                 f"{graph.label_of(int(s[p]))}->{graph.label_of(int(v[p]))}"
-                f" got {int(fwd.length[p])} want {int(want[p])}"
+                f" got {int(length[p])} want {int(want[p])}"
             )
 
-        ids = graph.vertex_by_label_key(fwd.hops)
-        on_path = k[:-1] < fwd.length[:, None]
+        ids = graph.vertex_by_label_key(hops)
+        on_path = k[:-1] < length[:, None]
         edge_ok = _adjacent(graph, ids[:, :-1], ids[:, 1:]) | ~on_path
-        ends_ok = (ids[:, 0] == s) & (ids[np.arange(len(s)), fwd.length] == v)
+        ends_ok = (ids[:, 0] == s) & (ids[np.arange(len(s)), length] == v)
         invalid += int(np.count_nonzero(~(edge_ok.all(axis=1) & ends_ok)))
 
-        back = fwd.length[:, None] - k
+        back = length[:, None] - k
         reversed_hops = np.where(
-            back >= 0, np.take_along_axis(fwd.hops, np.maximum(back, 0), axis=1), -1
+            back >= 0, np.take_along_axis(hops, np.maximum(back, 0), axis=1), -1
         )
-        bwd = route_batch(graph, v, s)
-        asym += int(np.count_nonzero((bwd.hops != reversed_hops).any(axis=1)))
+        asym += int(np.count_nonzero((bwd_hops != reversed_hops).any(axis=1)))
 
     mode = "all-pairs" if exhaustive else f"{len(src)} seeded pairs"
     out.append(

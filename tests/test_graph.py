@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -185,9 +186,15 @@ def test_labels_built_on_first_use():
     graph = build(1, 2)
     assert "labels" not in vars(graph) and "label_index" not in vars(graph)
     assert format_label(graph.label_of(3)) == "10.1"
-    assert "labels" in vars(graph) and "label_index" not in vars(graph)
+    assert "labels" not in vars(graph) and "label_index" not in vars(graph)
     assert graph.vertex_by_label(graph.label_of(3)) == 3
     assert "label_index" in vars(graph)
+
+
+@pytest.mark.parametrize("m,t", [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, 2)])
+def test_label_of_matches_labels(m, t):
+    graph = build(m, t)
+    assert [graph.label_of(v) for v in range(graph.n_vertices)] == graph.labels
 
 
 STEP_GRAPHS = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, t) for t in range(3)]
@@ -303,6 +310,16 @@ class TestValidation:
         with pytest.raises(SizeCapError, match="more than can be allocated"):
             build(1, 30, max_vertices=10**20)
 
+    @pytest.mark.parametrize("m", [1, 2, 4, 1000])
+    def test_cap_is_exact_at_the_boundary(self, m):
+        # the magnitude test only skips counts far above the cap; at it, the exact count decides
+        for t in range(40):
+            n = vertex_count(m, t)
+            assert graph_module.check_size(m, t, max_vertices=n) == n
+            text = str(n) if n < 10**18 else f"2*{3 * m + 1}^{t}+1"
+            with pytest.raises(SizeCapError, match=f"has {re.escape(text)} vertices"):
+                graph_module.check_size(m, t, max_vertices=n - 1)
+
     def test_cap_env(self, monkeypatch):
         monkeypatch.setenv("KOCH_MAX_VERTICES", "5")
         with pytest.raises(SizeCapError):
@@ -348,7 +365,8 @@ class TestExports:
         assert '[label="10.2"]' in buf.getvalue()
 
 
-EXPORT_SIZES = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, 2)]
+# K(4,3) has 3-digit indices; K(1,6) has ids that pass 10, 100 and 1000 inside one chunk
+EXPORT_SIZES = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, 2), (4, 3), (1, 6)]
 REFERENCE_WRITERS = {
     KochGraph.write_edgelist: reference_write_edgelist,
     KochGraph.write_json: reference_write_json,

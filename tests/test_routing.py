@@ -274,6 +274,27 @@ def test_path_validity_fails_on_a_hop_replaced_by_its_grandfather(monkeypatch):
     assert int(check.detail.removeprefix("invalid=")) > 0
 
 
+def test_reversal_fails_on_one_backward_hop_off(monkeypatch):
+    # the suite routes a chunk's pairs forward, then the same pairs backward, in one call;
+    # one hop of the first backward row is moved onto the next hop's label
+    graph = cached_graph(1, 3)
+    routed = verify.route_batch
+
+    def backward_hop_off(graph, a, b):
+        batch = routed(graph, a, b)
+        first_back = len(a) // 2
+        batch.hops[first_back, 0] = batch.hops[first_back, 1]
+        return batch
+
+    monkeypatch.setattr(verify, "route_batch", backward_hop_off)
+    checks = {c.id: c for c in verify.routing_suite(graph)}
+    assert checks["routing/optimality"].status == verify.PASS  # the forward rows are untouched
+    assert checks["routing/path-validity"].status == verify.PASS
+    check = checks["routing/reversal"]
+    assert check.status == verify.FAIL
+    assert int(check.detail.removeprefix("asymmetric=")) > 0
+
+
 def test_exhaustive_routing_suite_sweeps_once(monkeypatch):
     # K(1,4) routes all its pairs against one multi-source sweep, multi-path flags included
     sweeps = []

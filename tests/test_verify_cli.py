@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -288,6 +289,19 @@ class TestCli:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("size error:") and proc.stderr.count("\n") == 1
+
+    def test_huge_t_is_size_error_at_once(self, capsys, monkeypatch):
+        # the size check compares magnitudes first: 2*4^99999999999+1 is never computed
+        monkeypatch.delenv("KOCH_MAX_VERTICES", raising=False)
+        start = time.perf_counter()
+        code = main(["stats", "--m", "1", "--t", "99999999999"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == (
+            "size error: K_{1,99999999999} has 2*4^99999999999+1 vertices, exceeding the cap of 10000000\n"
+        )
+        assert elapsed < 0.5
 
     def test_closed_form_past_print_limit_is_size_error(self):
         # the exact clustering of K(1,1000) has more digits than Python converts to text
