@@ -1,12 +1,11 @@
-"""Hot graph kernels: BFS distances and shortest-path counts, on numpy alone.
+"""Hot graph kernels: BFS distances and multi-path flags, on numpy alone.
 
 Vectorized numpy frontier sweeps over adjacency given as int64 CSR
-arrays.  ``bfs_distances`` and ``bfs_sigma`` sweep one source through
-the private ``_bfs``.  ``_levels`` sweeps a block of sources at once, one
-bit of a uint64 word per source and vertex (multi-source BFS on packed
-bits, after Then et al., "The More the Merrier", PVLDB 8(4), 2014): a
-level is one gather of the frontier bits over the CSR slots and one
-``np.bitwise_or.reduceat`` over the rows.  ``pair_distances`` reads one
+arrays.  ``_levels`` is the one BFS: it sweeps a block of sources at
+once, one bit of a uint64 word per source and vertex (multi-source BFS
+on packed bits, after Then et al., "The More the Merrier", PVLDB 8(4),
+2014): a level is one gather of the frontier bits over the CSR slots and
+one ``np.bitwise_or.reduceat`` over the rows.  ``pair_distances`` reads one
 bit per (source, target) pair at each level, with the multi-path bit on
 request; ``all_distance_total`` and ``multi_sigma_count`` only count
 bits.  None of them unpacks a (source, vertex) array.
@@ -22,48 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 _BLOCK_ENTRIES = 1 << 20  # uint64 words in one bit-plane of a sweep block
-
-
-def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
-    """All CSR slots leaving ``frontier``: (targets, sources)."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, np.int64)
-        return empty, empty
-    excl = np.concatenate((np.zeros(1, np.int64), np.cumsum(counts)[:-1]))
-    pos = np.arange(total, dtype=np.int64) + np.repeat(starts - excl, counts)
-    return indices[pos], np.repeat(frontier, counts)
-
-
-def _bfs(indptr, indices, source):
-    """One sweep: distances and shortest-path counts."""
-    n = indptr.shape[0] - 1
-    dist = np.full(n, -1, np.int64)
-    sigma = np.zeros(n, np.float64)
-    dist[source] = 0
-    sigma[source] = 1.0
-    frontier = np.array([source], np.int64)
-    d = 0
-    while frontier.size:
-        nbrs, srcs = _gather(indptr, indices, frontier)
-        frontier = np.unique(nbrs[dist[nbrs] < 0])
-        dist[frontier] = d + 1
-        onward = dist[nbrs] == d + 1
-        np.add.at(sigma, nbrs[onward], sigma[srcs[onward]])
-        d += 1
-    return dist, sigma
-
-
-def bfs_distances(indptr: np.ndarray, indices: np.ndarray, source: int) -> np.ndarray:
-    """Unweighted single-source distances (int64, -1 if unreachable)."""
-    return _bfs(indptr, indices, source)[0]
-
-
-def bfs_sigma(indptr: np.ndarray, indices: np.ndarray, source: int):
-    """Distances plus shortest-path counts from one source."""
-    return _bfs(indptr, indices, source)
 
 
 def block_rows(n: int) -> int:

@@ -75,7 +75,7 @@ def _resolve_vertex(graph: KochGraph, text: str) -> int:
         if not 0 <= vid < graph.n_vertices:
             raise UsageError(f"vertex id {vid} out of range 0..{graph.n_vertices - 1}")
         return vid
-    return int(graph.vertex_by_labels([parse_label(text, graph.m)])[0])
+    return graph.vertex_by_label(parse_label(text, graph.m))
 
 
 def _resolve_label(args, text: str) -> Label:
@@ -142,8 +142,8 @@ def _cmd_route(args) -> int:
     summary = {"length": path.length, "ops": path.ops_used}
     if args.oracle:
         graph = build(args.m, args.t)
-        source, target = graph.vertex_by_labels([a, b]).tolist()
-        summary["oracle_length"] = int(bfs_distances(graph, source)[target])
+        dist = bfs_distances(graph, graph.vertex_by_label(a))
+        summary["oracle_length"] = int(dist[graph.vertex_by_label(b)])
     print(_jdump(summary))
     return EXIT_OK
 
@@ -259,9 +259,11 @@ def _cmd_electrical(args) -> int:
     graph = build(args.m, args.t)
     if args.cfb:
         values = electrical.current_flow_betweenness(graph)
-        print("label,current_flow_betweenness")
-        for text, value in zip(graph.label_texts(), values.tolist()):
-            print(f"{text},{value!r}")
+        texts = graph.label_texts()
+        sys.stdout.write("label,current_flow_betweenness\n")
+        for rows in _chunks(graph.n_vertices):
+            cells = zip(texts[rows], values[rows].tolist())
+            sys.stdout.write("".join([f"{text},{value!r}\n" for text, value in cells]))
         return EXIT_OK
 
     if args.source is None or args.target is None:

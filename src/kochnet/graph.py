@@ -11,10 +11,12 @@ then group number, then the two sons of a group on consecutive odd/even
 offsets.  Each growth step is a handful of numpy operations over the
 existing vertices, so a vertex is an id into four int64 arrays: ``birth``,
 ``subnet``, ``bits`` (the growth bits as a binary number of ``birth``
-digits) and ``index`` (0 for a hub).  ``Label`` objects are made from them
-only when asked for.  ``label_keys`` packs the four fields into one int64
-key per label, and ``vertex_by_label_key`` maps keys back to ids by
-arithmetic, as each (subnet, bits) class is one contiguous id range.
+digits) and ``index`` (0 for a hub).  These arrays are the only stored
+form of the labels: ``label_of`` makes one ``Label`` when asked for.
+``label_keys`` packs the four fields into one int64 key per label, and
+``vertex_by_label`` and ``vertex_by_label_key`` map labels and keys back
+to ids by arithmetic, as each (subnet, bits) class is one contiguous id
+range.
 Label texts and the three exports are formatted from the arrays too,
 with no ``Label`` and no Python string per row: ``_text_rows`` lays out
 ``_EXPORT_ROWS`` rows at a time as a matrix of ASCII bytes, one block of
@@ -93,15 +95,6 @@ def label_keys(m: int, t: int, subnet, birth, bits, index) -> np.ndarray:
     distinct labels get distinct keys.
     """
     return _label_codes(t, subnet, birth, bits) * ((2 * m) ** t + 1) + index
-
-
-def _bit_strings(t: int) -> list[str]:
-    """The growth-bit string of every code (1 << birth) | bits with birth <= t, indexed by code.
-
-    A leading 1 keeps the string's zeros: bin(code) is '0b1' + the bits.
-    There are 2^(t+1) codes, fewer than the vertices of K_{m,t}.
-    """
-    return [bin(code)[3:] for code in range(1 << (t + 1))]
 
 
 def _chunks(n: int):
@@ -209,7 +202,7 @@ class KochGraph:
 
     ``triangles`` is the one stored edge structure and the four int64
     vertex arrays the one stored vertex structure; the edge views and the
-    labels below are derived from them on first use and cached.
+    label class table below are derived from them on first use and cached.
     """
 
     m: int
@@ -241,19 +234,6 @@ class KochGraph:
         starts = self.step_starts
         return np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
 
-    @cached_property
-    def labels(self) -> list[Label]:
-        """Label of every vertex, in id order.
-
-        ``build`` made the arrays valid, so the labels skip the constructor's checks.
-        """
-        strings = _bit_strings(self.t)
-        codes = ((1 << self.birth) | self.bits).tolist()
-        return [
-            _derived(subnet, strings[code], index or None)
-            for subnet, code, index in zip(self.subnet.tolist(), codes, self.index.tolist())
-        ]
-
     def _label_columns(self, ids) -> list:
         """``format_label`` of the given vertices as text columns: subnet, bits, a non-hub's '.' and index."""
         birth = self.birth[ids]
@@ -269,45 +249,10 @@ class KochGraph:
         # label texts hold digits and dots only, so the lines split back into labels
         return _text_rows(len(self.birth[ids]), [*self._label_columns(ids), "\n"]).splitlines()
 
-    @cached_property
-    def label_index(self) -> dict[Label, int]:
-        return {label: v for v, label in enumerate(self.labels)}
-
     def label_of(self, v: int) -> Label:
-        """The label of vertex v, made from its four array entries in O(1).
-
-        Builds neither ``labels`` nor ``label_index``.
-        """
-        bits = bin((1 << int(self.birth[v])) | int(self.bits[v]))[3:]  # as in ``_bit_strings``
+        """The label of vertex v, made from its four array entries in O(1)."""
+        bits = bin((1 << int(self.birth[v])) | int(self.bits[v]))[3:]  # a leading 1 keeps the bits' zeros
         return _derived(int(self.subnet[v]), bits, int(self.index[v]) or None)
-
-    def _unknown(self, label: Label) -> UnknownLabelError:
-        return UnknownLabelError(f"label {format_label(label)} not present in K_{{{self.m},{self.t}}}")
-
-    def vertex_by_label(self, label: Label) -> int:
-        """The id of one label, from ``label_index``: a dict lookup per call, after an O(N) build."""
-        try:
-            return self.label_index[label]
-        except KeyError:
-            raise self._unknown(label) from None
-
-    def vertex_by_labels(self, labels) -> np.ndarray:
-        """``vertex_by_label`` of each label in a sequence, by label key.
-
-        Builds neither ``labels`` nor ``label_index``.
-        """
-        for label in labels:
-            try:  # a label born after step t has a key that overlaps the subnet's bits
-                _check_in_graph(self.m, self.t, label)
-            except (LabelDomainError, LabelFormatError):
-                raise self._unknown(label) from None
-        fields = [(x.subnet, x.birth, int(x.bits or "0", 2), x.index or 0) for x in labels]
-        subnet, birth, bits, index = np.array(fields, np.int64).reshape(-1, 4).T
-        ids = self.vertex_by_label_key(label_keys(self.m, self.t, subnet, birth, bits, index))
-        missing = np.flatnonzero(ids < 0)
-        if len(missing):
-            raise self._unknown(labels[missing[0]])
-        return ids
 
     @cached_property
     def _label_classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -323,6 +268,18 @@ class KochGraph:
         first[codes[starts]] = starts
         size[codes[starts]] = np.diff(starts, append=len(codes))
         return first, size
+
+    def vertex_by_label(self, label: Label) -> int:
+        """The id of one label in O(1): its class's first id plus its index less the class's lowest."""
+        try:  # a label born after step t has a code that overlaps the subnet's bits
+            _check_in_graph(self.m, self.t, label)
+        except (LabelDomainError, LabelFormatError):
+            text = f"label {format_label(label)} not present in K_{{{self.m},{self.t}}}"
+            raise UnknownLabelError(text) from None
+        # every label _check_in_graph passes is in the graph
+        code = (label.subnet << (self.t + 1)) | (1 << label.birth) | int(label.bits or "0", 2)
+        low = 0 if label.is_hub else 1  # the class's lowest index, as in ``vertex_by_label_key``
+        return int(self._label_classes[0][code]) + (label.index or 0) - low
 
     def vertex_by_label_key(self, keys) -> np.ndarray:
         """``vertex_by_label`` on label keys, vectorized: the id of each key, -1 where none.
@@ -394,13 +351,6 @@ class KochGraph:
         indptr = np.zeros(n + 1, np.int64)
         np.cumsum(self.degrees, out=indptr[1:])
         return indptr, dst[np.argsort(src * n + dst)]
-
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        """Sorted neighbor ids per vertex, as Python lists."""
-        indptr, indices = self.csr
-        flat, bounds = indices.tolist(), indptr.tolist()
-        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
     def corner_parts(self) -> np.ndarray:

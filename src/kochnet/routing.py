@@ -1,4 +1,4 @@
-"""Shortest-path routing from labels alone, plus BFS oracles.
+"""Shortest-path routing from labels alone, plus a BFS oracle.
 
 The route between two labels is assembled from their ancestor chains
 (repeated application of the father formula).  Different subnets: climb
@@ -14,6 +14,8 @@ arrays the graph stores, and returns the hops as label keys.  It makes
 each distinct endpoint's chain once and lays it out from the hub end, so
 the deepest common vertex of a pair is the first hub column where the two
 chains differ, and each hop is read from one chain or the other.
+``bfs_distances`` is the oracle: one vertex's distances to all others
+from the packed-bit BFS sweep ``_kernels.pair_distances``.
 """
 
 from __future__ import annotations
@@ -99,6 +101,18 @@ class RouteBatch:
     ops_used: np.ndarray  # int64 (pairs,)
 
 
+def _father_fields(m: int, t: int, birth, bits, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The father formula on label arrays: each label's father's (birth, bits, index).
+
+    The subnet is kept.  A hub maps to itself.
+    """
+    width = 2 * m * (m + 1) ** np.arange(t + 1, dtype=np.int64)
+    # the rightmost 0 of the bits sits above the run of r trailing ones: 2^r = (bits+1) & ~bits
+    r = np.frexp(((bits + 1) & ~bits).astype(np.float64))[1] - 1
+    birth = np.maximum(birth - r - 1, 0)
+    return birth, bits >> (r + 1), np.where(birth > 0, -(-index // width[r]), 0)
+
+
 def _ancestor_keys(graph: KochGraph, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ancestor chains of the vertices ``v`` by the father formula on their label arrays.
 
@@ -108,15 +122,10 @@ def _ancestor_keys(graph: KochGraph, v: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     m, t = graph.m, graph.t
     subnet, birth, bits, index = graph.subnet[v], graph.birth[v], graph.bits[v], graph.index[v]
-    width = 2 * m * (m + 1) ** np.arange(t + 1, dtype=np.int64)
     keys = np.empty((len(v), t + 1), np.int64)
-    for k in range(t + 1):  # each step lowers birth by at least one; a hub maps to itself
+    for k in range(t + 1):  # each step lowers birth by at least one
         keys[:, k] = label_keys(m, t, subnet, birth, bits, index)
-        # the rightmost 0 of the bits sits above the run of r trailing ones: 2^r = (bits+1) & ~bits
-        r = np.frexp(((bits + 1) & ~bits).astype(np.float64))[1] - 1
-        birth = np.maximum(birth - r - 1, 0)
-        bits = bits >> (r + 1)
-        index = np.where(birth > 0, -(-index // width[r]), 0)
+        birth, bits, index = _father_fields(m, t, birth, bits, index)
     length = 1 + np.count_nonzero(keys != keys[:, -1:], axis=1)
     keys[np.arange(t + 1) >= length[:, None]] = -1
     return keys, length
@@ -172,12 +181,12 @@ def distance(m: int, t: int, a: Label, b: Label) -> int:
 
 
 def bfs_distances(graph: KochGraph, source: int) -> np.ndarray:
-    """Exact single-source distances on the built graph (the routing oracle)."""
-    indptr, indices = graph.csr
-    return _kernels.bfs_distances(indptr, indices, source)
+    """Exact distances from one vertex to every vertex of the built graph (the routing oracle)."""
+    n = graph.n_vertices
+    return _kernels.pair_distances(*graph.csr, np.full(n, source), np.arange(n))
 
 
 def verify_path_in_graph(graph: KochGraph, path: RoutePath) -> bool:
     """Every consecutive hop pair must be an edge of the graph."""
-    ids = graph.vertex_by_labels(path.hops)
+    ids = np.array([graph.vertex_by_label(hop) for hop in path.hops], np.int64)
     return bool(np.all(graph.edge_index(ids[:-1], ids[1:]) >= 0))

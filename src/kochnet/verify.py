@@ -22,15 +22,12 @@ from .graph import (
     build,
     edge_class_counts,
     edge_count,
+    label_keys,
     triangle_count,
     vertex_count,
 )
-from .labels import (
-    enumerate_labels,
-    father,
-    l_max,
-    neighbor_partition,
-)
+from .labels import l_max
+from .routing import _father_fields
 from .routing import route, route_batch  # noqa: F401  (perfbench's tracer test wraps verify.route)
 
 PASS = "pass"
@@ -96,6 +93,13 @@ def _bfs_distance_total(graph: KochGraph) -> int | None:
 # ---------------------------------------------------------------------------
 
 def labels_suite(graph: KochGraph) -> list[CheckResult]:
+    """The label checks on arrays: no ``Label`` per vertex.
+
+    The label side reads only the four label arrays and compares int64
+    label keys: each vertex's own key, and its father's by one father step
+    on the arrays.  The graph side reads only the triangle table, the CSR
+    adjacency and ``father_of``.
+    """
     m, t = graph.m, graph.t
     out = []
     n, e, tri = graph.n_vertices, len(graph.edges), len(graph.triangles)
@@ -108,53 +112,72 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
         )
     )
 
-    seen: dict[tuple[int, int], int] = {}
-    for a, b, c in graph.triangles.tolist():
-        for u, v in ((a, b), (a, c), (b, c)):
-            seen[(u, v) if u < v else (v, u)] = seen.get((u, v) if u < v else (v, u), 0) + 1
-    edges = set(map(tuple, graph.edges.tolist()))
-    one_tri = set(seen) == edges and all(v == 1 for v in seen.values())
+    u, v = graph.triangles[:, [0, 0, 1]].ravel(), graph.triangles[:, [1, 2, 2]].ravel()
+    corner_pairs = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    covered = len(np.unique(corner_pairs))
     out.append(
         _check(
             "labels/edge-triangle",
             "every edge belongs to exactly one triangle",
-            one_tri,
-            f"covered={len(seen)}",
+            covered == len(corner_pairs) and np.array_equal(corner_pairs, graph._edge_keys),
+            f"covered={covered}",
         )
     )
 
-    enum = enumerate_labels(m, t)
-    labels = graph.labels
-    built = set(labels)
+    # l_max of each class code (1 << birth) | bits; 0 for the hubs' code and for codes of no class
+    bound = np.zeros(2 << t, np.int64)
+    for j in range(1, t + 1):
+        for k in range(1 << (j - 1)):  # a leading 0, the rest free
+            bound[(1 << j) | k] = l_max(m, format(k, f"0{j}b"))
+    subnet, birth, bits, index = graph.subnet, graph.birth, graph.bits, graph.index
+    keys = label_keys(m, t, subnet, birth, bits, index)
+    distinct, rank = np.unique(keys, return_inverse=True)
+    # the labels are the enumerated set, once each, when they are distinct, each one is a
+    # label of K_{m,t} (a class in the table, an index in 1..l_max or 0 for a hub) and
+    # there are as many as the enumeration holds
+    b = np.clip(birth, 0, t)  # keeps a bad birth's code inside the table
+    shaped = np.isin(subnet, (1, 2, 3)) & (b == birth) & (bits >= 0) & (bits < (1 << b))
+    valid = shaped & (index >= (birth > 0)) & (index <= bound[np.where(shaped, (1 << b) | bits, 0)])
+    enumerated = 3 + 3 * int(bound.sum())
     out.append(
         _check(
             "labels/bijection",
             "enumerated label set equals the built vertex labels, no duplicates",
-            enum == built and len(enum) == n and len(graph.label_index) == n,
-            f"|labels|={len(enum)}",
+            len(distinct) == n and bool(valid.all()) and n == enumerated,
+            f"|labels|={enumerated}",
         )
     )
 
-    bad = 0
-    witness = ""
-    for label, nbrs in zip(labels, graph.adjacency):
-        part = neighbor_partition(m, t, label)
-        adj_labels = {labels[w] for w in nbrs}
-        if part.as_set() != adj_labels or len(part) != len(adj_labels):
-            bad += 1
-            if not witness:
-                witness = str(label)
+    father_keys = label_keys(m, t, subnet, *_father_fields(m, t, birth, bits, index))
+    indptr, indices = graph.csr
+    slot_v, w = np.repeat(np.arange(n), np.diff(indptr)), indices
+    hub = birth == 0
+    hub_label = np.isin(keys, label_keys(m, t, np.arange(1, 4), 0, 0, 0))
+    # w is v's father or companion (index flipped within its odd/even pair), a child of v,
+    # or, for a hub v, another hub
+    kv, kw = keys[slot_v], keys[w]
+    companion_keys = keys + np.where(index % 2 == 1, 1, -1)
+    neighbor = np.where(
+        hub[slot_v],
+        hub_label[w] & (kw != kv),
+        (kw == father_keys[slot_v]) | (kw == companion_keys[slot_v]),
+    ) | (~hub[w] & (father_keys[w] == kv))
+    # the distinct neighbour labels of each vertex: its slots less repeated (v, label) pairs
+    pairs = np.sort(slot_v * n + rank[w])
+    repeats = np.bincount(pairs[1:][pairs[1:] == pairs[:-1]] // n, minlength=n)
+    bad = np.bincount(slot_v[~neighbor], minlength=n) > 0
+    bad |= np.diff(indptr) - repeats != 2 * (m + 1) ** (t - birth)
     out.append(
         _check(
             "labels/partition",
             "companion+children+father from arithmetic equal the adjacency list, all vertices",
-            bad == 0,
-            f"vertices={n} mismatches={bad}" + (f" first={witness}" if witness else ""),
+            not bad.any(),
+            f"vertices={n} mismatches={int(bad.sum())}"
+            + (f" first={graph.label_of(int(np.argmax(bad)))}" if bad.any() else ""),
         )
     )
 
-    fathers = graph.father_of(np.arange(3, n)).tolist()
-    bad = sum(father(m, labels[v]) != labels[f] for v, f in enumerate(fathers, start=3))
+    bad = int(np.count_nonzero(father_keys[3:] != keys[graph.father_of(np.arange(3, n))]))
     out.append(
         _check(
             "labels/father-blocks",
@@ -174,13 +197,8 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
         )
     )
 
-    ok = True
-    for j in range(1, t + 1):
-        total = 0
-        for k in range(1 << (j - 1)):
-            bits = "0" + format(k, f"0{j-1}b") if j > 1 else "0"
-            total += l_max(m, bits)
-        ok &= 3 * total == analytics.delta_v(m, j)
+    step_totals = [int(bound[1 << j : 3 << (j - 1)].sum()) for j in range(1, t + 1)]  # bits led by 0
+    ok = all(3 * total == analytics.delta_v(m, j) for j, total in enumerate(step_totals, start=1))
     out.append(
         _check(
             "labels/index-space",

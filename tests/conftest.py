@@ -2,7 +2,8 @@
 
 The reference implementations here deliberately avoid the package's
 kernels (plain dict/deque BFS, pair-by-pair counting, a per-vertex build
-loop) so that kernel, array and label arithmetic bugs cannot cancel out.
+loop, a labels suite with one ``Label`` per vertex) so that kernel, array
+and label arithmetic bugs cannot cancel out.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kochnet import Label, build, format_label
+from kochnet import Label, build, enumerate_labels, father, format_label, neighbor_partition, verify
+from kochnet import graph as graph_module
+from kochnet import labels as labels_module
+from kochnet import routing as routing_module
+from kochnet.analytics import delta_v
+from kochnet.graph import edge_count, triangle_count, vertex_count
+from kochnet.labels import l_max
 
 _CACHE: dict[tuple[int, int], object] = {}
 
@@ -41,6 +48,135 @@ def laplacian(graph) -> sp.csr_array:
     ones = -np.ones(len(u))
     vals = np.concatenate((ones, ones, graph.degrees.astype(np.float64)))
     return sp.csr_array((vals, (rows, cols)), shape=(n, n))
+
+
+def all_labels(graph) -> list[Label]:
+    """The label of every vertex in id order, each made by the checking constructor from the label arrays."""
+    codes = ((1 << graph.birth) | graph.bits).tolist()  # a leading 1 keeps the bits' zeros
+    rows = zip(graph.subnet.tolist(), codes, graph.index.tolist())
+    return [Label(subnet, bin(code)[3:], index or None) for subnet, code, index in rows]
+
+
+def adjacency(graph) -> list[list[int]]:
+    """Sorted neighbour ids of every vertex, as Python lists, from the CSR arrays."""
+    return csr_lists(*graph.csr)
+
+
+def csr_lists(indptr, indices) -> list[list[int]]:
+    """The rows of a CSR adjacency as Python lists."""
+    flat, bounds = indices.tolist(), indptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.fixture
+def label_count(monkeypatch):
+    """``label_count()`` is the number of ``Label``s made so far in the test, checked or derived."""
+    made = [0]
+    post_init, derived = Label.__post_init__, labels_module._derived
+
+    def counted_post_init(label):
+        made[0] += 1
+        post_init(label)
+
+    def counted_derived(*fields):
+        made[0] += 1
+        return derived(*fields)
+
+    monkeypatch.setattr(Label, "__post_init__", counted_post_init)
+    for module in (labels_module, graph_module, routing_module):
+        monkeypatch.setattr(module, "_derived", counted_derived)
+    return lambda: made[0]
+
+
+def reference_labels_suite(graph) -> list:
+    """``verify.labels_suite`` one ``Label`` at a time: the enumerated label set, and each
+    vertex's label-arithmetic neighbours against its adjacency list.
+
+    ``neighbor_partition`` raises ``LabelFormatError`` on a label whose index exceeds l_max.
+    """
+    m, t = graph.m, graph.t
+    check = verify._check
+    out = []
+    n, e, tri = graph.n_vertices, len(graph.edges), len(graph.triangles)
+    out.append(
+        check(
+            "labels/order-size",
+            "vertex/edge/triangle counts match the closed forms",
+            (n, e, tri) == (vertex_count(m, t), edge_count(m, t), triangle_count(m, t)),
+            f"N={n} E={e} T={tri}",
+        )
+    )
+
+    seen: dict[tuple[int, int], int] = {}
+    for a, b, c in graph.triangles.tolist():
+        for u, v in ((a, b), (a, c), (b, c)):
+            seen[(min(u, v), max(u, v))] = seen.get((min(u, v), max(u, v)), 0) + 1
+    edges = set(map(tuple, graph.edges.tolist()))
+    out.append(
+        check(
+            "labels/edge-triangle",
+            "every edge belongs to exactly one triangle",
+            set(seen) == edges and all(v == 1 for v in seen.values()),
+            f"covered={len(seen)}",
+        )
+    )
+
+    enum = enumerate_labels(m, t)
+    labels = all_labels(graph)
+    out.append(
+        check(
+            "labels/bijection",
+            "enumerated label set equals the built vertex labels, no duplicates",
+            enum == set(labels) and len(enum) == n and len(set(labels)) == n,
+            f"|labels|={len(enum)}",
+        )
+    )
+
+    bad = 0
+    witness = ""
+    for label, nbrs in zip(labels, adjacency(graph)):
+        part = neighbor_partition(m, t, label)
+        adj_labels = {labels[w] for w in nbrs}
+        if part.as_set() != adj_labels or len(part) != len(adj_labels):
+            bad += 1
+            witness = witness or str(label)
+    out.append(
+        check(
+            "labels/partition",
+            "companion+children+father from arithmetic equal the adjacency list, all vertices",
+            bad == 0,
+            f"vertices={n} mismatches={bad}" + (f" first={witness}" if witness else ""),
+        )
+    )
+
+    fathers = graph.father_of(np.arange(3, n)).tolist()
+    bad = sum(father(m, labels[v]) != labels[f] for v, f in enumerate(fathers, start=3))
+    out.append(
+        check(
+            "labels/father-blocks",
+            "father formula inverts the child-block assignment for every non-hub",
+            bad == 0,
+            f"mismatches={bad}",
+        )
+    )
+
+    bad = sum(d != 2 * (m + 1) ** (t - b) for d, b in zip(graph.degrees.tolist(), graph.birth.tolist()))
+    out.append(
+        check("labels/degree-formula", "every degree equals 2(m+1)^(t-birth)", bad == 0, f"mismatches={bad}")
+    )
+
+    ok = True
+    for j in range(1, t + 1):
+        patterns = ["0" + format(k, f"0{j - 1}b") if j > 1 else "0" for k in range(1 << (j - 1))]
+        ok &= 3 * sum(l_max(m, bits) for bits in patterns) == delta_v(m, j)
+    out.append(
+        check(
+            "labels/index-space",
+            "per-step index space sums to the per-step growth 6m(3m+1)^(j-1)",
+            ok,
+        )
+    )
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,7 +233,7 @@ def reference_write_edgelist(graph, fp) -> None:
 
 def reference_write_json(graph, fp) -> None:
     fp.write(f'{{"m":{graph.m},"t":{graph.t},"vertices":[')
-    rows = zip(graph.labels, graph.birth.tolist(), graph.degrees.tolist())
+    rows = zip(all_labels(graph), graph.birth.tolist(), graph.degrees.tolist())
     sep = ""
     for v, (label, birth, degree) in enumerate(rows):
         fp.write(f'{sep}{{"id":{v},"label":"{format_label(label)}","birth":{birth},"degree":{degree}}}')
@@ -112,7 +248,7 @@ def reference_write_json(graph, fp) -> None:
 
 def reference_write_dot(graph, fp) -> None:
     fp.write("graph koch {\n")
-    for v, label in enumerate(graph.labels):
+    for v, label in enumerate(all_labels(graph)):
         fp.write(f'  {v} [label="{format_label(label)}"];\n')
     for u, v in graph.edges.tolist():
         fp.write(f"  {u} -- {v};\n")

@@ -28,7 +28,7 @@ from kochnet.centrality import edge_steps
 from kochnet.graph import edge_count, vertex_count
 from kochnet.routing import verify_path_in_graph
 
-from conftest import cached_graph
+from conftest import adjacency, all_labels, cached_graph, python_bfs_sigma
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -58,7 +58,7 @@ def test_criterion_02_label_bijection():
         for t in range(0, 5):
             graph = cached_graph(m, t)
             labels = enumerate_labels(m, t)
-            built = set(graph.labels)
+            built = set(all_labels(graph))
             resolved = {graph.vertex_by_label(lab) for lab in labels}
             ok &= len(labels) == graph.n_vertices == len(resolved) and labels == built
     _report(2, ok, "|labels| = N and labels resolve to distinct vertices, m<=3, t<=4")
@@ -70,8 +70,8 @@ def test_criterion_03_neighbor_theorems():
     for m in (1, 2, 3):
         for t in range(0, 5):
             graph = cached_graph(m, t)
-            labels = graph.labels
-            for label, nbrs in zip(labels, graph.adjacency):
+            labels = all_labels(graph)
+            for label, nbrs in zip(labels, adjacency(graph)):
                 part = neighbor_partition(m, t, label)
                 adjacent = {labels[w] for w in nbrs}
                 if part.as_set() != adjacent or len(part) != len(adjacent):
@@ -132,10 +132,11 @@ def test_criterion_05_uniqueness():
             indptr, indices = graph.csr
             bad = _kernels.multi_sigma_count(indptr, indices)
             if bad:
+                adj = adjacency(graph)
                 for s in range(graph.n_vertices):
-                    _, sigma = _kernels.bfs_sigma(indptr, indices, s)
-                    for v in np.flatnonzero(sigma > 1.0):
-                        violations.append((m, t, str(graph.label_of(s)), str(graph.label_of(int(v)))))
+                    _, sigma = python_bfs_sigma(adj, s)
+                    for v in sorted(x for x in sigma if sigma[x] > 1):
+                        violations.append((m, t, str(graph.label_of(s)), str(graph.label_of(v))))
     _report(
         5,
         not violations,
@@ -213,7 +214,8 @@ def test_criterion_08_betweenness_properties():
     audit = report.audit()
     ok &= audit["eq9_matches"] is False and audit["eq12_matches"] is False
     ok &= audit["max_rel_gap"] > 0
-    ok &= report.graph.birth.tolist() == [label.birth for label in g11.labels]
+    g11_labels = all_labels(g11)
+    ok &= report.graph.birth.tolist() == [label.birth for label in g11_labels]
     ok &= all(
         report.paper_vertex[b] == paper_vertex_betweenness(1, 1, b)
         and report.firstorder[b] == firstorder_vertex_betweenness(1, 1, b)
@@ -221,7 +223,7 @@ def test_criterion_08_betweenness_properties():
         for b in range(2)
     )
     ok &= edge_steps(report.graph).tolist() == [
-        max(g11.labels[u].birth, g11.labels[v].birth) for u, v in g11.edges.tolist()
+        max(g11_labels[u].birth, g11_labels[v].birth) for u, v in g11.edges.tolist()
     ]
     deep = centrality_report(cached_graph(1, 6))
     gamma_dev = abs(deep.gamma_hat - 2.0) / 2.0

@@ -16,7 +16,7 @@ from kochnet.analytics import (
 )
 from kochnet.errors import AnalysisError
 
-from conftest import cached_graph, python_bfs
+from conftest import adjacency, cached_graph, python_bfs
 
 
 class TestClosedForms:
@@ -86,7 +86,8 @@ class TestEmpirical:
 
     def test_apl_against_python_bfs(self):
         graph = cached_graph(2, 1)
-        total = sum(sum(python_bfs(graph.adjacency, s).values()) for s in range(graph.n_vertices))
+        adj = adjacency(graph)
+        total = sum(sum(python_bfs(adj, s).values()) for s in range(graph.n_vertices))
         n = graph.n_vertices
         assert Fraction(total, n * (n - 1)) == empirical_stats(graph).apl
 

@@ -18,7 +18,7 @@ from kochnet.errors import AnalysisError
 from kochnet.graph import EDGE_CLASSES, edge_class_ids
 from kochnet.routing import ancestor_chain
 
-from conftest import cached_graph, python_betweenness
+from conftest import adjacency, all_labels, cached_graph, python_betweenness
 
 
 class TestDescendants:
@@ -35,7 +35,7 @@ class TestDescendants:
     def test_matches_ancestor_chains(self, m, t):
         graph = cached_graph(m, t)
         below = [0] * graph.n_vertices
-        for label in graph.labels:
+        for label in all_labels(graph):
             for anc in ancestor_chain(m, label)[1:]:
                 below[graph.vertex_by_label(anc)] += 1
         for v, birth in enumerate(graph.birth.tolist()):
@@ -79,7 +79,7 @@ class TestExactOracle:
     def test_against_python_reference(self, m, t):
         graph = cached_graph(m, t)
         cb = exact_vertex_betweenness(graph)
-        ref, _ = python_betweenness(graph.adjacency)
+        ref, _ = python_betweenness(adjacency(graph))
         n = graph.n_vertices
         norm = (n - 1) * (n - 2) // 2
         for v in range(n):
@@ -185,9 +185,10 @@ class TestReport:
         assert report.paper_vertex == [paper_vertex_betweenness(m, t, b) for b in steps]
         assert report.firstorder == [firstorder_vertex_betweenness(m, t, b) for b in steps]
         assert report.paper_edge == [paper_edge_betweenness(m, t, b) for b in steps]
-        assert report.graph.birth.tolist() == [label.birth for label in graph.labels]
+        labels = all_labels(graph)
+        assert report.graph.birth.tolist() == [label.birth for label in labels]
         # an edge is keyed by its later endpoint's birth step
-        later = [max(graph.labels[u].birth, graph.labels[v].birth) for u, v in graph.edges.tolist()]
+        later = [max(labels[u].birth, labels[v].birth) for u, v in graph.edges.tolist()]
         assert edge_steps(report.graph).tolist() == later
 
     @pytest.mark.parametrize("m,t", [(1, 1), (2, 2), (1, 4)])

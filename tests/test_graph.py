@@ -23,6 +23,8 @@ from kochnet.graph import (
 from kochnet.labels import l_max
 
 from conftest import (
+    adjacency,
+    all_labels,
     cached_graph,
     reference_build,
     reference_edge_class,
@@ -71,20 +73,20 @@ class TestInvariants:
     @pytest.mark.parametrize("m,t", [(1, 3), (2, 2), (3, 2)])
     def test_label_bijection(self, m, t):
         graph = cached_graph(m, t)
-        built = set(graph.labels)
-        assert built == enumerate_labels(m, t)
-        assert len(graph.label_index) == graph.n_vertices
-        for v, label in enumerate(graph.labels):
+        labels = all_labels(graph)
+        assert set(labels) == enumerate_labels(m, t)
+        assert len(set(labels)) == graph.n_vertices
+        for v, label in enumerate(labels):
             assert graph.vertex_by_label(label) == v
 
     def test_adjacency_sorted_and_symmetric(self):
-        graph = cached_graph(2, 2)
-        for u, nbrs in enumerate(graph.adjacency):
+        adj = adjacency(cached_graph(2, 2))
+        for u, nbrs in enumerate(adj):
             assert nbrs == sorted(nbrs)
             assert len(nbrs) == len(set(nbrs))
             assert u not in nbrs
             for v in nbrs:
-                assert u in graph.adjacency[v]
+                assert u in adj[v]
 
     def test_degrees(self):
         graph = cached_graph(2, 2)
@@ -93,10 +95,10 @@ class TestInvariants:
 
     def test_neighborhood_edge_count_is_half_degree(self):
         graph = cached_graph(2, 2)
-        sets = [set(nbrs) for nbrs in graph.adjacency]
+        adj = adjacency(graph)
+        sets = [set(nbrs) for nbrs in adj]
         for v in range(graph.n_vertices):
-            inside = sum(1 for a in graph.adjacency[v] for b in graph.adjacency[v]
-                         if a < b and b in sets[a])
+            inside = sum(1 for a in adj[v] for b in adj[v] if a < b and b in sets[a])
             assert inside == graph.degree(v) // 2
 
     def test_companion_and_father_ids(self):
@@ -116,7 +118,7 @@ class TestInvariants:
 
     def test_deterministic_rebuild(self):
         a, b = build(2, 2), build(2, 2)
-        assert a.labels == b.labels
+        assert all_labels(a) == all_labels(b)
         assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.triangles, b.triangles)
 
@@ -148,7 +150,7 @@ def test_derived_index_matches_plain_rebuild(m, t):
     slot_rows = np.repeat(np.arange(graph.n_vertices), np.diff(graph.csr[0]))
     assert graph.edge_index(slot_rows, graph.csr[1]).tolist() == slot_ids
     assert graph.edge_triangles.tolist() == [triangle_of[e] for e in edges]
-    assert graph.adjacency == [sorted(row) for row in neighbors]
+    assert adjacency(graph) == [sorted(row) for row in neighbors]
     assert graph.degrees.tolist() == [len(row) for row in neighbors]
 
     u, v = zip(*edges)
@@ -172,7 +174,7 @@ def test_array_build_matches_reference_loop(m, t):
     ids = np.arange(graph.n_vertices)
     assert graph.triangles.tolist() == [list(row) for row in triangles]
     assert graph.birth.tolist() == [r.birth_step for r in vertices]
-    assert graph.labels == [r.label for r in vertices]
+    assert all_labels(graph) == [r.label for r in vertices]
     assert graph.father_of(ids).tolist() == [-1 if r.father_id is None else r.father_id for r in vertices]
     assert graph.companion_of(ids).tolist() == [
         -1 if r.companion_id is None else r.companion_id for r in vertices
@@ -183,18 +185,19 @@ def test_array_build_matches_reference_loop(m, t):
 
 
 def test_labels_built_on_first_use():
+    # the label arrays are the one stored form of the labels: no list or dict of Labels exists
     graph = build(1, 2)
-    assert "labels" not in vars(graph) and "label_index" not in vars(graph)
+    assert not {"labels", "label_index", "adjacency", "vertex_by_labels"} & set(dir(graph))
     assert format_label(graph.label_of(3)) == "10.1"
-    assert "labels" not in vars(graph) and "label_index" not in vars(graph)
+    assert "_label_classes" not in vars(graph)
     assert graph.vertex_by_label(graph.label_of(3)) == 3
-    assert "label_index" in vars(graph)
+    assert set(vars(graph)) == {"m", "t", "triangles", "birth", "subnet", "bits", "index", "_label_classes"}
 
 
 @pytest.mark.parametrize("m,t", [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, 2)])
 def test_label_of_matches_labels(m, t):
     graph = build(m, t)
-    assert [graph.label_of(v) for v in range(graph.n_vertices)] == graph.labels
+    assert [graph.label_of(v) for v in range(graph.n_vertices)] == all_labels(graph)
 
 
 STEP_GRAPHS = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, t) for t in range(3)]
@@ -224,22 +227,31 @@ def test_unknown_label_is_key_error():
 
 
 @pytest.mark.parametrize("label", [Label(1, "000", 1), Label(2, "0", 3), Label(3, "00", 9)])
-def test_vertex_by_labels_refuses_what_vertex_by_label_refuses(label):
-    # born after t, or an index past l_max: the same error as the dict lookup
+def test_vertex_by_label_refuses_labels_outside_the_graph(label):
+    # born after t, or an index past l_max
     graph = build(1, 2)
-    with pytest.raises(UnknownLabelError) as key_path:
-        graph.vertex_by_labels([Label(1), label])
-    with pytest.raises(UnknownLabelError) as dict_path:
+    with pytest.raises(UnknownLabelError) as err:
         graph.vertex_by_label(label)
-    assert str(key_path.value) == str(dict_path.value)
+    assert err.value.args == (f"label {format_label(label)} not present in K_{{1,2}}",)
 
 
-@pytest.mark.parametrize("m,t", [(1, 0), (1, 3), (2, 2), (3, 2)])
-def test_vertex_by_labels_matches_vertex_by_label(m, t):
+@pytest.mark.parametrize("m,t", [(1, 2), (2, 3), (3, 2)])
+def test_vertex_by_label_refuses_one_past_each_class(m, t):
+    # index size + low of each class (subnet, bits), where low = 1: one past its last index
     graph = build(m, t)
-    labels = list(cached_graph(m, t).labels)
-    assert graph.vertex_by_labels(labels).tolist() == list(range(graph.n_vertices))
-    assert "labels" not in vars(graph) and "label_index" not in vars(graph)
+    first, size = graph._label_classes
+    for label in all_labels(graph):
+        code = int(_label_codes(t, label.subnet, label.birth, int(label.bits or "0", 2)))
+        if label.index == size[code]:
+            past = Label(label.subnet, label.bits, int(size[code]) + 1)
+            with pytest.raises(UnknownLabelError, match=f"label {format_label(past)} not present"):
+                graph.vertex_by_label(past)
+
+
+@pytest.mark.parametrize("m,t", REFERENCE_SIZES)
+def test_vertex_by_label_inverts_all_labels(m, t):
+    graph = build(m, t)
+    assert [graph.vertex_by_label(label) for label in all_labels(graph)] == list(range(graph.n_vertices))
 
 
 def _key(m, t, subnet, bits, index):
@@ -252,9 +264,9 @@ def _key(m, t, subnet, bits, index):
 )
 def test_vertex_by_label_key_matches_label_index(m, t):
     graph = cached_graph(m, t)
-    labels = list(graph.label_index)
-    keys = [_key(m, t, x.subnet, x.bits, x.index or 0) for x in labels]
-    assert graph.vertex_by_label_key(keys).tolist() == [graph.label_index[x] for x in labels]
+    label_index = {label: v for v, label in enumerate(all_labels(graph))}
+    keys = [_key(m, t, x.subnet, x.bits, x.index or 0) for x in label_index]
+    assert graph.vertex_by_label_key(keys).tolist() == list(label_index.values())
 
 
 def test_vertex_by_label_key_refuses_keys_of_no_label():
@@ -391,11 +403,12 @@ def test_exports_match_reference_writers(m, t, chunk_rows, monkeypatch):
 @pytest.mark.parametrize("m,t", EXPORT_SIZES)
 def test_label_texts_are_formatted_labels(m, t):
     graph = cached_graph(m, t)
-    texts = [format_label(label) for label in graph.labels]
+    labels = all_labels(graph)
+    texts = [format_label(label) for label in labels]
     assert graph.label_texts() == texts
     ids = np.arange(graph.n_vertices)[::-3]
     assert graph.label_texts(ids) == [texts[v] for v in ids.tolist()]
-    assert graph.labels == [r.label for r in reference_build(m, t)[0]]
+    assert labels == [r.label for r in reference_build(m, t)[0]]
 
 
 def test_vertex_ids_in_creation_order():

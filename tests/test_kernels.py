@@ -9,31 +9,32 @@ from hypothesis import strategies as st
 
 from kochnet import _kernels
 from kochnet.centrality import betweenness_counts
+from kochnet.routing import bfs_distances
 
-from conftest import cached_graph, python_betweenness, python_bfs, python_bfs_sigma
+from conftest import adjacency, cached_graph, csr_lists, python_betweenness, python_bfs, python_bfs_sigma
 
 GRAPHS = [(1, 2), (2, 2), (1, 3)]
 
 
 @pytest.mark.parametrize("m,t", GRAPHS)
 def test_bfs_matches_python(m, t):
+    # the single-source oracle: one packed-bit sweep from the source to every vertex
     graph = cached_graph(m, t)
-    indptr, indices = graph.csr
     for source in (0, 3, graph.n_vertices - 1):
-        dist = _kernels.bfs_distances(indptr, indices, source)
-        ref = python_bfs(graph.adjacency, source)
-        assert [int(d) for d in dist] == [ref[v] for v in range(graph.n_vertices)]
+        dist = bfs_distances(graph, source)
+        ref = python_bfs(adjacency(graph), source)
+        assert dist.tolist() == [ref[v] for v in range(graph.n_vertices)]
 
 
 @pytest.mark.parametrize("m,t", GRAPHS)
 def test_sigma_matches_python(m, t):
     graph = cached_graph(m, t)
-    indptr, indices = graph.csr
+    n = graph.n_vertices
     for source in (0, 5):
-        dist, sigma = _kernels.bfs_sigma(indptr, indices, source)
-        ref_d, ref_s = python_bfs_sigma(graph.adjacency, source)
-        assert [int(x) for x in dist] == [ref_d[v] for v in range(graph.n_vertices)]
-        assert [int(x) for x in sigma] == [ref_s[v] for v in range(graph.n_vertices)]
+        dist, multi = _kernels.pair_distances(*graph.csr, [source] * n, np.arange(n), with_sigma=True)
+        ref_d, ref_s = python_bfs_sigma(adjacency(graph), source)
+        assert dist.tolist() == [ref_d[v] for v in range(n)]
+        assert multi.tolist() == [ref_s[v] > 1 for v in range(n)]
 
 
 @pytest.mark.parametrize("m,t", GRAPHS)
@@ -42,8 +43,9 @@ def test_distance_total_matches_python(m, t):
     indptr, indices = graph.csr
     total = 0
     multi = 0
+    adj = adjacency(graph)
     for s in range(graph.n_vertices):
-        ref_d, ref_s = python_bfs_sigma(graph.adjacency, s)
+        ref_d, ref_s = python_bfs_sigma(adj, s)
         total += sum(ref_d.values())
         multi += sum(1 for c in ref_s.values() if c > 1)
     assert _kernels.all_distance_total(indptr, indices) == total
@@ -54,7 +56,7 @@ def test_distance_total_matches_python(m, t):
 def test_betweenness_totals_match_python(m, t):
     graph = cached_graph(m, t)
     vertex, edge = betweenness_counts(graph)
-    ref_v, ref_e = python_betweenness(graph.adjacency)
+    ref_v, ref_e = python_betweenness(adjacency(graph))
     # shortest paths are unique, so every reference total is a whole number of pairs
     assert all(x.denominator == 1 for x in [*ref_v, *ref_e.values()])
     assert vertex.dtype == edge.dtype == np.int64
@@ -81,6 +83,13 @@ def _every_pair(sources, n):
     return np.repeat(sources, n), np.tile(np.arange(n), len(sources))
 
 
+def _python_rows(indptr, indices, s):
+    """Distances (-1 if unreachable) and multi-path flags from source s, by the Python BFS."""
+    dist, sigma = python_bfs_sigma(csr_lists(indptr, indices), s)
+    n = indptr.shape[0] - 1
+    return [dist.get(v, -1) for v in range(n)], [sigma.get(v, 0) > 1 for v in range(n)]
+
+
 @pytest.mark.parametrize("m,t", GRAPHS)
 def test_pair_distances_match_single_source_rows(m, t):
     graph = cached_graph(m, t)
@@ -94,19 +103,17 @@ def test_pair_distances_match_single_source_rows(m, t):
         assert dist.shape == multi.shape == (len(block) * n,) and multi.dtype == bool
         dist, dist_s, multi = (x.reshape(len(block), n) for x in (dist, dist_s, multi))
         for r, s in enumerate(block.tolist()):
-            assert (dist[r] == _kernels.bfs_distances(indptr, indices, s)).all()
-            ref_d, ref_s = _kernels.bfs_sigma(indptr, indices, s)
-            assert (dist_s[r] == ref_d).all() and (multi[r] == (ref_s > 1)).all()
+            ref_d, ref_multi = _python_rows(indptr, indices, s)
+            assert dist[r].tolist() == dist_s[r].tolist() == ref_d and multi[r].tolist() == ref_multi
 
 
 def _sweep_totals(indptr, indices):
-    """The all-sources totals one single-source sweep at a time."""
-    n = indptr.shape[0] - 1
+    """The all-sources totals one Python BFS at a time."""
     total = multi = 0
-    for s in range(n):
-        dist, sigma = _kernels.bfs_sigma(indptr, indices, s)
-        total += int(dist.sum())
-        multi += int(np.count_nonzero(sigma > 1.0))
+    for s in range(indptr.shape[0] - 1):
+        dist, flags = _python_rows(indptr, indices, s)
+        total += sum(dist)
+        multi += sum(flags)
     return total, multi
 
 
@@ -171,9 +178,9 @@ def test_pair_distances_match_single_source_sweeps(csr, k, data):
     dist[order], multi[order] = dist.copy(), multi.copy()
     dist, multi = dist.reshape(k, n), multi.reshape(k, n)
     for r, s in enumerate(sources):
-        ref_d, ref_s = _kernels._bfs(indptr, indices, s)
-        assert dist[r].tolist() == ref_d.tolist()
-        assert multi[r].tolist() == (ref_s > 1).tolist()
+        ref_d, ref_multi = _python_rows(indptr, indices, s)
+        assert dist[r].tolist() == ref_d
+        assert multi[r].tolist() == ref_multi
 
 
 @pytest.mark.parametrize("entries", [1, 2 * 129, 1 << 20])
@@ -183,10 +190,10 @@ def test_pair_distances_in_source_blocks(monkeypatch, entries):
     indptr, indices = graph.csr
     rng = np.random.default_rng(5)
     src, dst = rng.integers(0, 129, 5000), rng.integers(0, 129, 5000)
-    rows = {s: _kernels.bfs_distances(indptr, indices, s) for s in set(src.tolist())}
+    rows = {s: python_bfs(adjacency(graph), s) for s in set(src.tolist())}
     monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
     assert _kernels.pair_distances(indptr, indices, src, dst).tolist() == [
-        int(rows[s][v]) for s, v in zip(src.tolist(), dst.tolist())
+        rows[s][v] for s, v in zip(src.tolist(), dst.tolist())
     ]
 
 

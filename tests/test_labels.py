@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from kochnet import (
     Label,
     LabelDomainError,
     LabelFormatError,
+    build,
     children,
     companion,
     degree_of,
@@ -16,11 +19,12 @@ from kochnet import (
     neighbor_partition,
     parse_label,
     route,
+    verify,
 )
 from kochnet.labels import validate_in_graph
 from kochnet.routing import ancestor_chain
 
-from conftest import cached_graph
+from conftest import adjacency, all_labels, cached_graph, reference_labels_suite
 
 
 class TestLmax:
@@ -159,8 +163,8 @@ class TestPartition:
     @pytest.mark.parametrize("m,t", [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (2, 3)])
     def test_matches_adjacency_exactly(self, m, t):
         graph = cached_graph(m, t)
-        labels = graph.labels
-        for label, nbrs in zip(labels, graph.adjacency):
+        labels = all_labels(graph)
+        for label, nbrs in zip(labels, adjacency(graph)):
             part = neighbor_partition(m, t, label)
             adjacent = {labels[w] for w in nbrs}
             assert part.as_set() == adjacent
@@ -203,10 +207,11 @@ def _assert_as_if_checked(m, t, label):
 
 class TestDerivedLabels:
     # father, companion, children, the chains, the route hops and the graph's
-    # labels skip the constructor's checks; each must pass them anyway
+    # label_of skip the constructor's checks; each must pass them anyway
     @pytest.mark.parametrize("m,t", DERIVED_GRAPHS)
     def test_valid_by_construction(self, m, t):
-        labels = cached_graph(m, t).labels
+        graph = cached_graph(m, t)
+        labels = [graph.label_of(v) for v in range(graph.n_vertices)]
         targets = (labels[0], labels[len(labels) // 2], labels[-1])
         for label in labels:
             derived = [label, *children(m, t, label), *ancestor_chain(m, label)]
@@ -216,3 +221,59 @@ class TestDerivedLabels:
                 derived += route(m, t, label, target).hops
             for x in derived:
                 _assert_as_if_checked(m, t, x)
+
+
+def _swapped(values, u, v):
+    out = values.copy()
+    out[[u, v]] = out[[v, u]]
+    return out
+
+
+class TestLabelsSuite:
+    # verify.labels_suite reads label keys off the arrays; the reference checks one Label at a time
+    @pytest.mark.parametrize(
+        "m,t", [(1, t) for t in range(6)] + [(2, t) for t in range(5)] + [(3, t) for t in range(4)]
+    )
+    def test_matches_reference_on_intact_graphs(self, m, t):
+        graph = cached_graph(m, t)
+        got = verify.labels_suite(graph)
+        assert got == reference_labels_suite(graph)
+        assert all(c.status == verify.PASS for c in got)
+
+    @pytest.mark.parametrize("corruption", ["companions' indices swapped", "a triangle row's father changed"])
+    def test_matches_reference_on_corrupted_graphs(self, corruption):
+        graph = cached_graph(2, 4)
+        v = graph.vertex_by_label(parse_label("1011.1", 2))
+        if corruption == "companions' indices swapped":
+            bad = dataclasses.replace(graph, index=_swapped(graph.index, v, int(graph.companion_of(v))))
+        else:
+            triangles = graph.triangles.copy()
+            triangles[(v - 1) // 2, 0] = 5  # v's father, hub 1, becomes a vertex born at step 1
+            bad = dataclasses.replace(graph, triangles=triangles)
+        got = verify.labels_suite(bad)
+        assert got == reference_labels_suite(bad)
+        assert {c.id for c in got if c.status == verify.FAIL} >= {"labels/partition", "labels/father-blocks"}
+
+    def test_far_indices_swapped(self):
+        # 1011.1 takes index 46, past l_max = 36 for its bits: the reference stops at that label
+        graph = cached_graph(2, 4)
+        u = graph.vertex_by_label(parse_label("1011.1", 2))
+        v = graph.vertex_by_label(parse_label("3000.46", 2))
+        bad = dataclasses.replace(graph, index=_swapped(graph.index, u, v))
+        with pytest.raises(LabelFormatError, match=r"^1011\.46: index 46 exceeds l_max=36$"):
+            reference_labels_suite(bad)
+        got = {c.id: c for c in verify.labels_suite(bad)}
+        assert got["labels/bijection"] == verify.CheckResult(
+            "labels/bijection",
+            "enumerated label set equals the built vertex labels, no duplicates",
+            verify.FAIL,
+            "|labels|=4803",
+        )
+        assert got["labels/partition"].status == verify.FAIL
+
+    def test_makes_no_label_per_vertex(self, label_count):
+        graph = build(2, 4)
+        verify.labels_suite(graph)
+        assert label_count() == 0  # a failing partition check makes one, for its first= label
+        reference_labels_suite(graph)
+        assert label_count() >= graph.n_vertices  # the counter sees the reference's Labels

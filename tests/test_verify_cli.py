@@ -44,10 +44,9 @@ class TestVerifyModule:
         assert row.status == verify.DISCREPANCY
         assert result.exit_code == 0
 
-    def test_centrality_suite_builds_no_labels(self):
-        graph = build(1, 3)
-        verify.centrality_suite(graph)
-        assert "labels" not in vars(graph)
+    def test_centrality_suite_builds_no_labels(self, label_count):
+        verify.centrality_suite(build(1, 3))
+        assert label_count() == 0
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -389,30 +388,16 @@ class TestCli:
 
     @pytest.mark.parametrize("mode", ["formula", "exact", "compare"])
     @pytest.mark.parametrize("edges", [False, True])
-    def test_betweenness_builds_no_labels(self, mode, edges, monkeypatch, capsys):
-        graphs = []
-
-        def recorded(m, t):
-            graphs.append(build(m, t))
-            return graphs[-1]
-
-        monkeypatch.setattr(cli, "build", recorded)
+    def test_betweenness_builds_no_labels(self, mode, edges, label_count, capsys):
         argv = ["betweenness", "--m", "2", "--t", "3", "--mode", mode] + ["--edges"] * edges
         assert main(argv) == 0
         assert capsys.readouterr().out.count("\n") == 1 + (1029 if edges else 687) + (mode == "compare")
-        assert "labels" not in vars(graphs[0])
+        assert label_count() == 0
 
-    def test_electrical_by_label_builds_no_labels(self, monkeypatch, capsys):
-        graphs = []
-
-        def recorded(m, t):
-            graphs.append(build(m, t))
-            return graphs[-1]
-
-        monkeypatch.setattr(cli, "build", recorded)
+    def test_electrical_by_label_builds_no_labels(self, label_count, capsys):
         assert main(["electrical", "--m", "2", "--t", "3", "--source", "2011.5", "--target", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["thm6"] is True
-        assert "labels" not in vars(graphs[0]) and "label_index" not in vars(graphs[0])
+        assert label_count() == 2  # the two parsed end labels
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
     @pytest.mark.parametrize(
