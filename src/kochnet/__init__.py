@@ -51,7 +51,6 @@ from .routing import (
     RoutePath,
     ancestor_chain,
     bfs_distances,
-    distance,
     route,
     route_batch,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "current_flow_betweenness",
     "degree_of",
     "descendant_count",
-    "distance",
     "empirical_stats",
     "enumerate_labels",
     "exact_edge_betweenness",

@@ -145,15 +145,11 @@ def all_distance_total(indptr: np.ndarray, indices: np.ndarray) -> int:
     return total
 
 
-def multi_sigma_count(indptr: np.ndarray, indices: np.ndarray, sources=None) -> int:
-    """Number of (source, vertex) pairs joined by more than one shortest path.
-
-    Over every source, or over the given ones.
-    """
+def multi_sigma_count(indptr: np.ndarray, indices: np.ndarray, sources) -> int:
+    """Number of (source, vertex) pairs joined by more than one shortest path, over the given sources."""
     n = indptr.shape[0] - 1
-    sources = np.arange(n) if sources is None else np.asarray(sources, np.int64)
     return sum(
         int(np.bitwise_count(fresh_multi).sum())
-        for block in _blocks(sources, n)
+        for block in _blocks(np.asarray(sources, np.int64), n)
         for _, _, fresh_multi in _levels(indptr, indices, block, multi=True)
     )

@@ -188,16 +188,11 @@ def cumulative_degree_check(m: int, t: int, histogram: dict[int, int]) -> bool:
 
 @dataclass
 class ClaimAudit:
-    m: int
-    t: int
-    apl_exact_match: bool
     clustering_value: float
     clustering_gap_vs_limit: float | None  # m = 1 only
     apl_increment: float
     apl_increment_target: float
     apl_increment_rel_dev: float
-    cumulative_degree_ok: bool
-    clustering_formula_matches_measurement: bool
 
 
 def claim_audit(report: StatsReport) -> ClaimAudit:
@@ -209,16 +204,10 @@ def claim_audit(report: StatsReport) -> ClaimAudit:
     gap = abs(clustering - CLUSTERING_LIMIT_M1) if m == 1 else None
     increment = float(apl_closed_form(m, t) - apl_closed_form(m, t - 1))
     target = 4 * m / (3 * m + 1)
-    formula_matches = report.closed.clustering == report.empirical.clustering
     return ClaimAudit(
-        m=m,
-        t=t,
-        apl_exact_match=report.apl_matches,
         clustering_value=clustering,
         clustering_gap_vs_limit=gap,
         apl_increment=increment,
         apl_increment_target=target,
         apl_increment_rel_dev=abs(increment - target) / target,
-        cumulative_degree_ok=cumulative_degree_check(m, t, report.empirical.degree_histogram),
-        clustering_formula_matches_measurement=formula_matches,
     )

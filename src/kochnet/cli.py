@@ -78,12 +78,19 @@ def _resolve_vertex(graph: KochGraph, text: str) -> int:
     return graph.vertex_by_label(parse_label(text, graph.m))
 
 
-def _resolve_label(args, text: str) -> Label:
-    """Textual label, or '#<id>' resolved through a build of K_{m,t}."""
-    if text.startswith("#"):
-        graph = build(args.m, args.t)
-        return graph.label_of(_resolve_vertex(graph, text))
-    return parse_label(text, args.m)
+def _resolve_labels(args, texts) -> tuple[KochGraph | None, list[Label]]:
+    """Textual labels, or '#<id>' resolved through one build of K_{m,t}, made at the first id.
+
+    Returns the graph too, None when no id needed it.
+    """
+    graph, labels = None, []
+    for text in texts:
+        if text.startswith("#"):
+            graph = graph or build(args.m, args.t)
+            labels.append(graph.label_of(_resolve_vertex(graph, text)))
+        else:
+            labels.append(parse_label(text, args.m))
+    return graph, labels
 
 
 def _jdump(obj) -> str:
@@ -116,7 +123,7 @@ def _cmd_generate(args) -> int:
 def _cmd_decode(args) -> int:
     m, t = args.m, args.t
     check_size(m, t)  # a hub of a graph past the cap has more children than can be listed
-    label = _resolve_label(args, args.label)
+    _, (label,) = _resolve_labels(args, [args.label])
     doc = {
         "label": format_label(label),
         "subnet": label.subnet,
@@ -134,14 +141,13 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    a = _resolve_label(args, args.a)
-    b = _resolve_label(args, args.b)
+    graph, (a, b) = _resolve_labels(args, [args.a, args.b])
     path = route(args.m, args.t, a, b)
     for hop in path.hops:
         print(format_label(hop))
     summary = {"length": path.length, "ops": path.ops_used}
     if args.oracle:
-        graph = build(args.m, args.t)
+        graph = graph or build(args.m, args.t)
         dist = bfs_distances(graph, graph.vertex_by_label(a))
         summary["oracle_length"] = int(dist[graph.vertex_by_label(b)])
     print(_jdump(summary))

@@ -47,6 +47,7 @@ from .routing import route_batch
 
 RESIDUAL_TOL = 1e-10
 SUPPORT_EPS = 1e-9  # absolute current on unit injection
+PROFILE_TOL = 1e-9  # absolute tolerance of ``path_profile``'s chain checks
 CFB_EXHAUSTIVE_MAX_N = 600  # vertices: cap on the Laplacian oracle of current-flow betweenness
 _CFB_BLOCK_ROWS = 128  # edge rows per block of the oracle's reduction
 
@@ -55,9 +56,6 @@ Mode = Literal["unit-current", "unit-voltage"]
 
 @dataclass
 class ElectricalProfile:
-    source: int
-    target: int
-    mode: Mode
     potentials: np.ndarray
     edge_currents: np.ndarray  # oriented low-id -> high-id, aligned with graph.edges
     effective_resistance: float
@@ -71,11 +69,6 @@ class ElectricalProfile:
     thm_support_ok: bool | None = None
     thm_voltages_ok: bool | None = None
     thm_split_ok: bool | None = None
-
-
-def _grounded_potentials(graph: KochGraph, b: np.ndarray) -> np.ndarray:
-    """Solve L phi = b with phi[0] = 0 (each column of b sums to 0) by back-solving the factor."""
-    return graph.laplacian_factor.solve(b)
 
 
 def _kcl_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,7 +97,7 @@ def _solve_unit_current(graph: KochGraph, source: int, target: int) -> tuple[np.
     b = np.zeros(graph.n_vertices)
     b[source] = 1.0
     b[target] = -1.0
-    phi = _grounded_potentials(graph, b)
+    phi = graph.laplacian_factor.solve(b)
     phi -= phi[target]
     return phi, _checked_residual(graph, _edge_currents(graph, phi), b)
 
@@ -133,9 +126,6 @@ def solve(
     elif mode != "unit-current":
         raise ValueError(f"unknown mode {mode!r}")
     return ElectricalProfile(
-        source=source,
-        target=target,
-        mode=mode,
         potentials=phi,
         edge_currents=currents,
         effective_resistance=r_eff,
@@ -144,21 +134,21 @@ def solve(
     )
 
 
-def path_profile(graph: KochGraph, source: int, target: int, tol: float = 1e-9) -> ElectricalProfile:
+def path_profile(graph: KochGraph, source: int, target: int) -> ElectricalProfile:
     """Unit-voltage profile annotated with the triangle-chain checks.
 
     Verifies against the solved field that (a) current is confined to the
     3d edges of the d triangles along the shortest path, (b) on-path
     voltages fall 1, (d-1)/d, ..., 0 with the chain midpoints at the half
     steps, (c) every chain triangle splits its through-current 2/3 direct
-    versus 1/3 detour, within ``tol``.
+    versus 1/3 detour, within ``PROFILE_TOL``.
     """
     profile = solve(graph, source, target, mode="unit-voltage")
     path = route_batch(graph, [source], [target])
     d = int(path.length[0])
     ids = graph.vertex_by_label_key(path.hops[0, : d + 1])
     u, v = ids[:-1], ids[1:]
-    tris = graph.triangles[graph.edge_triangles[graph.edge_index(u, v)]]
+    tris = graph.triangles[(np.maximum(u, v) - 1) // 2]  # edge (u, v) lies in this row
     w = tris.sum(axis=1) - u - v  # the third corner of each hop's triangle
 
     chain = graph.edge_index(tris[:, [0, 0, 1]], tris[:, [1, 2, 2]]).ravel()
@@ -183,9 +173,9 @@ def path_profile(graph: KochGraph, source: int, target: int, tol: float = 1e-9) 
     splits = list(zip(direct.tolist(), detour_a.tolist(), detour_b.tolist()))
     split_ok = bool(
         np.all(
-            (np.abs(direct - 2 / 3) < tol)
-            & (np.abs(detour_a - 1 / 3) < tol)
-            & (np.abs(detour_b - 1 / 3) < tol)
+            (np.abs(direct - 2 / 3) < PROFILE_TOL)
+            & (np.abs(detour_a - 1 / 3) < PROFILE_TOL)
+            & (np.abs(detour_b - 1 / 3) < PROFILE_TOL)
         )
     )
 
@@ -194,21 +184,20 @@ def path_profile(graph: KochGraph, source: int, target: int, tol: float = 1e-9) 
     profile.companion_voltages = midpoints
     profile.max_offpath_current = max_off
     profile.current_split = splits
-    profile.thm_support_ok = bool(max_off < tol and profile.support_edges == support)
+    profile.thm_support_ok = bool(max_off < PROFILE_TOL and profile.support_edges == support)
     profile.thm_voltages_ok = bool(
-        all(abs(a - b) < tol for a, b in zip(on_path, expected_path))
-        and all(abs(a - b) < tol for a, b in zip(midpoints, expected_mid))
+        all(abs(a - b) < PROFILE_TOL for a, b in zip(on_path, expected_path))
+        and all(abs(a - b) < PROFILE_TOL for a, b in zip(midpoints, expected_mid))
     )
     profile.thm_split_ok = bool(split_ok)
     return profile
 
 
-def current_flow_betweenness(graph: KochGraph, endpoint_contribution: bool = False) -> np.ndarray:
+def current_flow_betweenness(graph: KochGraph) -> np.ndarray:
     """Average interior current per vertex over all C(N, 2) source/target pairs.
 
     For an interior vertex the pair current is half the absolute currents
-    on its incident edges; endpoint pairs contribute 0 by default (set
-    ``endpoint_contribution`` for the convention where they count as 1).
+    on its incident edges; the pairs a vertex ends contribute 0 to it.
     A pair's whole current passes each vertex interior to its path, and a
     third of it passes the third corner of each triangle the path crosses,
     the triangles whose other two corner parts hold the pair.  So
@@ -221,12 +210,10 @@ def current_flow_betweenness(graph: KochGraph, endpoint_contribution: bool = Fal
     others = parts[:, [1, 0, 0]] * parts[:, [2, 2, 1]]  # column k: product at corner k's others
     numerator = 3 * vertex_betweenness_counts(graph)
     np.add.at(numerator, graph.triangles.ravel(), others.ravel())
-    if endpoint_contribution:
-        numerator += 3 * (n - 1)  # every vertex ends n - 1 pairs
     return numerator / (3 * (n * (n - 1) // 2))
 
 
-def _exhaustive_cfb(graph: KochGraph, endpoint_contribution: bool = False) -> np.ndarray:
+def _exhaustive_cfb(graph: KochGraph) -> np.ndarray:
     """``current_flow_betweenness``'s oracle: one multi-column back-solve of the Laplacian.
 
     Column j of ``drops`` is the edge drops for unit current from j to hub
@@ -235,8 +222,7 @@ def _exhaustive_cfb(graph: KochGraph, endpoint_contribution: bool = False) -> np
     sum_r x_(r) (2r - N + 1).  An interior vertex takes half the current
     of each incident edge, so vertex v gets half of each incident edge's
     pair total less its spread at v, sum_t |x_v - x_t|: the pairs with v
-    as an endpoint, which count 1 each with ``endpoint_contribution`` and
-    0 without.  Edge rows are reduced ``_CFB_BLOCK_ROWS`` at a time, which
+    as an endpoint, which count 0.  Edge rows are reduced ``_CFB_BLOCK_ROWS`` at a time, which
     bounds the scratch arrays.  Capped at ``CFB_EXHAUSTIVE_MAX_N`` vertices.
     """
     n = graph.n_vertices
@@ -246,10 +232,10 @@ def _exhaustive_cfb(graph: KochGraph, endpoint_contribution: bool = False) -> np
         )
     b = np.eye(n)
     b[0] -= 1.0
-    drops = _edge_currents(graph, _grounded_potentials(graph, b))
+    drops = _edge_currents(graph, graph.laplacian_factor.solve(b))
     _checked_residual(graph, drops, b)
     rank = 2.0 * np.arange(n) - (n - 1)
-    totals = np.full(n, n - 1.0 if endpoint_contribution else 0.0)
+    totals = np.zeros(n)
     for lo in range(0, graph.n_edges, _CFB_BLOCK_ROWS):
         rows = drops[lo : lo + _CFB_BLOCK_ROWS]
         ends = graph.edges[lo : lo + _CFB_BLOCK_ROWS]
@@ -262,8 +248,6 @@ def _exhaustive_cfb(graph: KochGraph, endpoint_contribution: bool = False) -> np
 
 @dataclass
 class VoltageGap:
-    source: int
-    target: int
     gap: float
     spectrum: np.ndarray  # sorted potentials, normalized to a unit pair drop
 
@@ -278,4 +262,4 @@ def voltage_gap(graph: KochGraph, source: int, target: int) -> VoltageGap:
     profile = solve(graph, source, target, mode="unit-voltage")
     spectrum = np.sort(profile.potentials)
     gap = float(np.max(np.diff(spectrum)))
-    return VoltageGap(source=source, target=target, gap=gap, spectrum=spectrum)
+    return VoltageGap(gap=gap, spectrum=spectrum)

@@ -32,9 +32,9 @@ together as ids 2k+1 and 2k+2.  Every edge lies in exactly one triangle,
 so edge (u, v) lies in triangle (max(u, v) - 1) // 2; the father of a
 vertex v >= 3 is the first corner of row (v - 1) // 2, and its companion
 is the other son of that row.  The sorted edge list, degrees, CSR
-adjacency, edge ids, edge-to-triangle map, the corner parts and the
-Laplacian's one LDL^T factor (``CactusLDL``, on numpy alone) are derived
-from the table and cached.
+adjacency, edge ids, the corner parts and the Laplacian's one LDL^T
+factor (``CactusLDL``, on numpy alone) are derived from the table and
+cached.
 
 The graph is a cactus of triangles: triangles meet only at vertices, so
 removing a triangle's edges splits the graph into the parts that hang at
@@ -56,7 +56,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import LabelDomainError, LabelFormatError, SettingError, SizeCapError, UnknownLabelError
-from .labels import Label, _check_in_graph, _derived, format_label
+from .labels import Label, _derived, format_label, validate_in_graph
 
 DEFAULT_VERTEX_CAP = 10**7
 _CAP_ENV = "KOCH_MAX_VERTICES"
@@ -244,10 +244,10 @@ class KochGraph:
             _decimal(self.index[ids], omit_zero=True),
         ]
 
-    def label_texts(self, ids=slice(None)) -> list[str]:
-        """``format_label`` of the given vertices (all by default), made without ``Label`` objects."""
+    def label_texts(self) -> list[str]:
+        """``format_label`` of every vertex, made without ``Label`` objects."""
         # label texts hold digits and dots only, so the lines split back into labels
-        return _text_rows(len(self.birth[ids]), [*self._label_columns(ids), "\n"]).splitlines()
+        return _text_rows(self.n_vertices, [*self._label_columns(slice(None)), "\n"]).splitlines()
 
     def label_of(self, v: int) -> Label:
         """The label of vertex v, made from its four array entries in O(1)."""
@@ -272,11 +272,11 @@ class KochGraph:
     def vertex_by_label(self, label: Label) -> int:
         """The id of one label in O(1): its class's first id plus its index less the class's lowest."""
         try:  # a label born after step t has a code that overlaps the subnet's bits
-            _check_in_graph(self.m, self.t, label)
+            validate_in_graph(self.m, self.t, label)
         except (LabelDomainError, LabelFormatError):
             text = f"label {format_label(label)} not present in K_{{{self.m},{self.t}}}"
             raise UnknownLabelError(text) from None
-        # every label _check_in_graph passes is in the graph
+        # every label validate_in_graph passes is in the graph
         code = (label.subnet << (self.t + 1)) | (1 << label.birth) | int(label.bits or "0", 2)
         low = 0 if label.is_hub else 1  # the class's lowest index, as in ``vertex_by_label_key``
         return int(self._label_classes[0][code]) + (label.index or 0) - low
@@ -331,11 +331,6 @@ class KochGraph:
         keys = self._edge_keys
         pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
         return np.where(keys[pos] == key, pos, -1)
-
-    @cached_property
-    def edge_triangles(self) -> np.ndarray:
-        """Triangle row of every edge: edge (u, v) lies in triangle (max(u, v) - 1) // 2."""
-        return (self.edges[:, 1] - 1) // 2
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -461,29 +456,24 @@ class KochGraph:
         fp.write("}\n")
 
 
-def _resolve_cap(max_vertices: int | None) -> int:
-    if max_vertices is not None:
-        return max_vertices
-    env = os.environ.get(_CAP_ENV)
-    if not env:
-        return DEFAULT_VERTEX_CAP
-    try:
-        cap = int(env) if env.strip().isdecimal() else 0
-    except ValueError:  # past int()'s limit of 4300 digits
-        cap = 0
-    if cap < 1:
-        raise SettingError(f"{_CAP_ENV} must be an integer >= 1, got {env[:40]!r}")
-    return cap
+def check_size(m: int, t: int) -> int:
+    """Vertex count of K_{m,t}; raises SizeCapError when it exceeds the cap.
 
-
-def check_size(m: int, t: int, max_vertices: int | None = None) -> int:
-    """Vertex count of K_{m,t}; raises SizeCapError when it exceeds the cap (see ``build``).
-
-    The magnitude comes first: once t log(3m+1) passes log(cap) + 1, the
-    count 2(3m+1)^t + 1 is above the cap whatever the float rounding, and
-    it is never computed (at huge t it would take minutes or all memory).
+    The cap is 10^7 vertices; the KOCH_MAX_VERTICES environment variable
+    is the one way to change it.  The magnitude comes first:
+    once t log(3m+1) passes log(cap) + 1, the count 2(3m+1)^t + 1 is above
+    the cap whatever the float rounding, and it is never computed (at huge
+    t it would take minutes or all memory).
     """
-    cap = _resolve_cap(max_vertices)
+    cap = DEFAULT_VERTEX_CAP
+    env = os.environ.get(_CAP_ENV)
+    if env:
+        try:
+            cap = int(env) if env.strip().isdecimal() else 0
+        except ValueError:  # past int()'s limit of 4300 digits
+            cap = 0
+        if cap < 1:
+            raise SettingError(f"{_CAP_ENV} must be an integer >= 1, got {env[:40]!r}")
     if t * math.log(3 * m + 1) <= math.log(cap) + 1:
         n = vertex_count(m, t)
         if n <= cap:
@@ -498,16 +488,16 @@ def _count_text(m: int, t: int) -> str:
     return f"2*{3 * m + 1}^{t}+1"
 
 
-def build(m: int, t: int, max_vertices: int | None = None) -> KochGraph:
+def build(m: int, t: int) -> KochGraph:
     """Construct K_{m,t} with canonical labels.
 
-    Raises SizeCapError when 2(3m+1)^t + 1 would exceed the cap
-    (default 10^7, overridable via the KOCH_MAX_VERTICES env var or the
-    ``max_vertices`` argument).
+    Raises SizeCapError when 2(3m+1)^t + 1 would exceed the cap (10^7
+    vertices; the KOCH_MAX_VERTICES environment variable is the one way
+    to change it).
     """
     if not isinstance(m, int) or not isinstance(t, int) or m < 1 or t < 0:
         raise ValueError(f"need integer m >= 1 and t >= 0, got m={m!r}, t={t!r}")
-    n_final = check_size(m, t, max_vertices)
+    n_final = check_size(m, t)
 
     try:
         birth, subnet, bits, index = (np.zeros(n_final, np.int64) for _ in range(4))

@@ -58,10 +58,6 @@ class Label:
         """Iteration at which the vertex joined the network (bit-string length)."""
         return len(self.bits)
 
-    @property
-    def text(self) -> str:
-        return format_label(self)
-
     def __str__(self) -> str:
         return format_label(self)
 
@@ -85,10 +81,6 @@ def _derived(subnet: int, bits: str, index: int | None) -> Label:
     _set_bits(label, bits)
     _set_index(label, index)
     return label
-
-
-def hub(subnet: int) -> Label:
-    return Label(subnet)
 
 
 def l_max(m: int, bits: str) -> int:
@@ -137,16 +129,11 @@ def parse_label(text: str, m: int) -> Label:
 
 
 def validate_in_graph(m: int, t: int, label: Label) -> None:
-    """Check the label denotes a vertex of K_{m,t}."""
-    if label.birth <= t and not label.is_hub:
-        l_max(m, label.bits)  # checks m and the bit string
-    _check_in_graph(m, t, label)
+    """Check the label denotes a vertex of K_{m,t}.
 
-
-def _check_in_graph(m: int, t: int, label: Label) -> None:
-    """``validate_in_graph`` for a Label, whose bits its constructor checked: the same errors.
-
-    The index bound is read from the bits without scanning them again.
+    A Label's bits were checked when it was made (or are valid by
+    derivation), so only its birth step and the index bound are checked
+    here; the bound is read from the bits without scanning them again.
     """
     bits = label.bits
     if len(bits) > t:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .graph import KochGraph, label_keys
-from .labels import Label, _check_in_graph, _derived, _father_step, _widths, father
+from .labels import Label, _derived, _father_step, _widths, father, validate_in_graph
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ def route(m: int, t: int, a: Label, b: Label) -> RoutePath:
     ``ops_used`` counts father/companion evaluations (the ceil/modulo
     work), which stays below 2t + 3 for any pair.
     """
-    _check_in_graph(m, t, a)
-    _check_in_graph(m, t, b)
+    validate_in_graph(m, t, a)
+    validate_in_graph(m, t, b)
     if a == b:
         return RoutePath((a,), 0)
 
@@ -174,10 +174,6 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
     hops = np.where(k < n_a[:, None], from_a[ea], from_b)
     ops = np.where(a == b, 0, len_a + len_b - 2 + split)
     return RouteBatch(hops=hops, length=n_a + n_b - 1, ops_used=ops)
-
-
-def distance(m: int, t: int, a: Label, b: Label) -> int:
-    return route(m, t, a, b).length
 
 
 def bfs_distances(graph: KochGraph, source: int) -> np.ndarray:

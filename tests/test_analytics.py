@@ -121,10 +121,11 @@ class TestChecks:
         assert not cumulative_degree_check(2, 3, bad)
 
     def test_claim_audit(self):
-        audit = claim_audit(stats_report(cached_graph(1, 2)))
-        assert audit.apl_exact_match is True
-        assert audit.cumulative_degree_ok
-        assert audit.clustering_formula_matches_measurement
+        report = stats_report(cached_graph(1, 2))
+        audit = claim_audit(report)
+        assert report.apl_matches is True
+        assert cumulative_degree_check(1, 2, report.empirical.degree_histogram)
+        assert report.closed.clustering == report.empirical.clustering
         assert audit.apl_increment_target == 1.0
 
     def test_claim_audit_needs_t2(self):

@@ -206,12 +206,20 @@ class TestReport:
         for x, p in pairs_v + pairs_e:
             if x > 0:
                 worst = max(worst, abs(x - p) / x)
-        assert report.audit(rel_tol) == {
-            "eq9_matches": all(math.isclose(x, p, rel_tol=rel_tol, abs_tol=1e-15) for x, p in pairs_v),
-            "eq12_matches": all(math.isclose(x, p, rel_tol=rel_tol, abs_tol=1e-15) for x, p in pairs_e),
+
+        def matches(pairs, tol):
+            return all(math.isclose(x, p, rel_tol=tol, abs_tol=1e-15) for x, p in pairs)
+
+        assert report.audit() == {
+            "eq9_matches": matches(pairs_v, 1e-9),
+            "eq12_matches": matches(pairs_e, 1e-9),
             "max_rel_gap": worst,
             "gamma_hat": report.gamma_hat,
         }
+        # the audit's pairing of exact and printed values, compared at other tolerances too
+        for (exact, printed), pairs in zip(report._against_paper, (pairs_v, pairs_e)):
+            assert list(zip(exact.tolist(), printed.tolist())) == pairs
+            assert _close(exact, printed, rel_tol) is matches(pairs, rel_tol)
 
     def test_close_is_isclose_elementwise(self):
         rng = np.random.default_rng(5)

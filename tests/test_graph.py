@@ -149,7 +149,7 @@ def test_derived_index_matches_plain_rebuild(m, t):
     assert graph.csr[1].tolist() == indices
     slot_rows = np.repeat(np.arange(graph.n_vertices), np.diff(graph.csr[0]))
     assert graph.edge_index(slot_rows, graph.csr[1]).tolist() == slot_ids
-    assert graph.edge_triangles.tolist() == [triangle_of[e] for e in edges]
+    assert ((graph.edges[:, 1] - 1) // 2).tolist() == [triangle_of[e] for e in edges]  # the documented rule
     assert adjacency(graph) == [sorted(row) for row in neighbors]
     assert graph.degrees.tolist() == [len(row) for row in neighbors]
 
@@ -313,24 +313,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             build(1, -1)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("KOCH_MAX_VERTICES", "100")
         with pytest.raises(SizeCapError):
-            build(1, 3, max_vertices=100)
+            build(1, 3)
 
-    def test_past_address_space(self):
+    def test_past_address_space(self, monkeypatch):
         # numpy refuses 8 * (2 * 4^30 + 1) bytes before allocating anything
+        monkeypatch.setenv("KOCH_MAX_VERTICES", str(10**20))
         with pytest.raises(SizeCapError, match="more than can be allocated"):
-            build(1, 30, max_vertices=10**20)
+            build(1, 30)
 
     @pytest.mark.parametrize("m", [1, 2, 4, 1000])
-    def test_cap_is_exact_at_the_boundary(self, m):
+    def test_cap_is_exact_at_the_boundary(self, m, monkeypatch):
         # the magnitude test only skips counts far above the cap; at it, the exact count decides
         for t in range(40):
             n = vertex_count(m, t)
-            assert graph_module.check_size(m, t, max_vertices=n) == n
+            monkeypatch.setenv("KOCH_MAX_VERTICES", str(n))
+            assert graph_module.check_size(m, t) == n
             text = str(n) if n < 10**18 else f"2*{3 * m + 1}^{t}+1"
+            monkeypatch.setenv("KOCH_MAX_VERTICES", str(n - 1))
             with pytest.raises(SizeCapError, match=f"has {re.escape(text)} vertices"):
-                graph_module.check_size(m, t, max_vertices=n - 1)
+                graph_module.check_size(m, t)
 
     def test_cap_env(self, monkeypatch):
         monkeypatch.setenv("KOCH_MAX_VERTICES", "5")
@@ -406,8 +410,6 @@ def test_label_texts_are_formatted_labels(m, t):
     labels = all_labels(graph)
     texts = [format_label(label) for label in labels]
     assert graph.label_texts() == texts
-    ids = np.arange(graph.n_vertices)[::-3]
-    assert graph.label_texts(ids) == [texts[v] for v in ids.tolist()]
     assert labels == [r.label for r in reference_build(m, t)[0]]
 
 

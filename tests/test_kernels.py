@@ -49,7 +49,7 @@ def test_distance_total_matches_python(m, t):
         total += sum(ref_d.values())
         multi += sum(1 for c in ref_s.values() if c > 1)
     assert _kernels.all_distance_total(indptr, indices) == total
-    assert _kernels.multi_sigma_count(indptr, indices) == multi == 0
+    assert _kernels.multi_sigma_count(indptr, indices, np.arange(graph.n_vertices)) == multi == 0
 
 
 @pytest.mark.parametrize("m,t", GRAPHS)
@@ -70,7 +70,7 @@ def test_multi_sigma_detects_square():
     # C4 has two shortest paths between opposite corners
     indptr = np.array([0, 2, 4, 6, 8], np.int64)
     indices = np.array([1, 3, 0, 2, 1, 3, 0, 2], np.int64)
-    assert _kernels.multi_sigma_count(indptr, indices) == 4
+    assert _kernels.multi_sigma_count(indptr, indices, np.arange(4)) == 4
     assert _kernels.multi_sigma_count(indptr, indices, [0, 2]) == 2  # from two of the sources
 
 
@@ -144,7 +144,7 @@ def test_all_sources_totals_unchanged_by_blocking(monkeypatch, shape):
     for entries in (1 << 20, 3 * n, 1):  # one block, blocks of 3 sources, one source each
         monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
         total = _kernels.all_distance_total(indptr, indices)
-        assert (total, _kernels.multi_sigma_count(indptr, indices)) == want
+        assert (total, _kernels.multi_sigma_count(indptr, indices, np.arange(n))) == want
 
 
 @st.composite

@@ -10,7 +10,6 @@ from kochnet import (
     ancestor_chain,
     bfs_distances,
     build,
-    distance,
     parse_label,
     route,
     verify,
@@ -57,7 +56,7 @@ class TestRoute:
         assert path.length == 3
 
     def test_hub_pair(self):
-        assert distance(1, 1, Label(1), Label(2)) == 1
+        assert route(1, 1, Label(1), Label(2)).length == 1
 
     def test_companion_shortcut(self):
         a, b = _labels("100.1 100.3", 1)
@@ -66,13 +65,13 @@ class TestRoute:
         assert path.length == 3
 
     def test_self_distance(self):
-        assert distance(2, 2, parse_label("20.3", 2), parse_label("20.3", 2)) == 0
+        assert route(2, 2, parse_label("20.3", 2), parse_label("20.3", 2)).length == 0
 
     def test_companions_adjacent(self):
-        assert distance(1, 1, *_labels("10.1 10.2", 1)) == 1
+        assert route(1, 1, *_labels("10.1 10.2", 1)).length == 1
 
     def test_k21_example(self):
-        assert distance(2, 1, *_labels("10.1 30.4", 2)) == 3
+        assert route(2, 1, *_labels("10.1 30.4", 2)).length == 3
 
     def test_ancestor_descendant(self):
         a, b = _labels("100.1 1", 1)
@@ -122,7 +121,7 @@ class TestRoute:
 
     def test_symmetric_distance(self):
         a, b = _labels("100.4 301.2", 1)
-        assert distance(1, 2, a, b) == distance(1, 2, b, a)
+        assert route(1, 2, a, b).length == route(1, 2, b, a).length
 
 
 class TestOracles:
@@ -309,3 +308,31 @@ def test_exhaustive_routing_suite_sweeps_once(monkeypatch):
     checks = verify.routing_suite(cached_graph(1, 4))
     assert all(c.status == verify.PASS for c in checks)
     assert len(sweeps) == 1
+
+
+def test_sampled_routing_suite_sweeps_its_sources_once(monkeypatch):
+    # K(2,4) samples: the pairs sit in rows under 32 distinct seeded sources, each row with
+    # an equal share of targets other than its source, and the distance sweep and the
+    # uniqueness sweep both cover just those sources
+    sweeps, pairs = [], []
+    levels, distances = _kernels._levels, _kernels.pair_distances
+
+    def counted(*args, **kwargs):
+        sweeps.append(np.sort(args[2]))
+        return levels(*args, **kwargs)
+
+    def recorded(indptr, indices, src, dst, **kwargs):
+        pairs.append((src, dst))
+        return distances(indptr, indices, src, dst, **kwargs)
+
+    monkeypatch.setattr(_kernels, "_levels", counted)
+    monkeypatch.setattr(_kernels, "pair_distances", recorded)
+    total = 10**5 + 7  # 7 rows get one target more
+    checks = verify.routing_suite(cached_graph(2, 4), seed=3, sample_pairs=total)
+    assert all(c.status == verify.PASS for c in checks)
+    assert f"pairs={total} " in checks[0].detail
+    ((src, dst),) = pairs
+    sources, per_row = np.unique(src, return_counts=True)
+    assert len(sources) == verify.SAMPLE_SOURCES and not (src == dst).any()
+    assert sorted(per_row.tolist()) == [10**5 // 32] * 25 + [10**5 // 32 + 1] * 7
+    assert len(sweeps) == 2 and all(np.array_equal(s, sources) for s in sweeps)

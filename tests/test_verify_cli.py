@@ -399,6 +399,35 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["thm6"] is True
         assert label_count() == 2  # the two parsed end labels
 
+    @pytest.mark.parametrize(
+        "argv,builds",
+        [
+            (("route", "--m", "2", "--t", "3", "#5", "#300", "--oracle"), 1),
+            (("route", "--m", "2", "--t", "3", "#5", "2011.5"), 1),
+            (("route", "--m", "2", "--t", "3", "10.3", "2011.5", "--oracle"), 1),
+            (("route", "--m", "2", "--t", "3", "10.3", "2011.5"), 0),
+            (("decode", "--m", "2", "--t", "3", "#5"), 1),
+            (("decode", "--m", "2", "--t", "3", "2011.5"), 0),
+        ],
+        ids=["route-ids-oracle", "route-id", "route-oracle", "route-labels", "decode-id", "decode-label"],
+    )
+    def test_labels_resolve_through_at_most_one_build(self, argv, builds, monkeypatch, capsys):
+        made = []
+
+        def counted(m, t):
+            made.append((m, t))
+            return build(m, t)
+
+        monkeypatch.setattr(cli, "build", counted)
+        assert main(list(argv)) == 0
+        assert len(made) == builds
+        if builds:  # an id prints what its label does
+            by_id = capsys.readouterr().out
+            graph = build(2, 3)
+            texts = [str(graph.label_of(int(x[1:]))) if x.startswith("#") else x for x in argv]
+            assert main(texts) == 0
+            assert capsys.readouterr().out == by_id
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
     @pytest.mark.parametrize(
         "argv",
