@@ -6,9 +6,9 @@ once, one bit of a uint64 word per source and vertex (multi-source BFS
 on packed bits, after Then et al., "The More the Merrier", PVLDB 8(4),
 2014): a level is one gather of the frontier bits over the CSR slots and
 one ``np.bitwise_or.reduceat`` over the rows.  ``pair_distances`` reads one
-bit per (source, target) pair at each level, with the multi-path bit on
-request; ``all_distance_total`` and ``multi_sigma_count`` only count
-bits.  None of them unpacks a (source, vertex) array.
+bit per (source, target) pair at each level and ``all_distance_total``
+only counts bits.  ``multi_sigma_pairs`` is the one reader of the
+multi-path bit-plane; it unpacks a level only when a bit of it is set.
 ``_BLOCK_ENTRIES`` is the one memory bound: it caps the packed words of
 one bit-plane of a sweep block.  These sweeps are oracles: the library's
 distance total and betweenness come from the triangle table in O(N), and
@@ -93,21 +93,18 @@ def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, multi:
         d += 1
 
 
-def pair_distances(indptr: np.ndarray, indices: np.ndarray, src, dst, with_sigma: bool = False):
+def pair_distances(indptr: np.ndarray, indices: np.ndarray, src, dst) -> np.ndarray:
     """Distance from src[p] to dst[p] for every pair p: int64, -1 if unreachable.
 
-    With ``with_sigma`` also bool flags, True where more than one shortest
-    path joins the pair.  The distinct sources are swept on packed bits
-    (``_levels``), ``_blocks`` at a time.  At each level every pair still
-    open reads its one bit, ``(fresh[v, j >> 6] >> (j & 63)) & 1`` for
-    target v and source bit j, and a block's sweep stops once all its
-    pairs are read.
+    The distinct sources are swept on packed bits (``_levels``),
+    ``_blocks`` at a time.  At each level every pair still open reads its
+    one bit, ``(fresh[v, j >> 6] >> (j & 63)) & 1`` for target v and
+    source bit j, and a block's sweep stops once all its pairs are read.
     """
     n = indptr.shape[0] - 1
     src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
     sources, col = np.unique(src, return_inverse=True)
     dist = np.full(len(src), -1, np.int64)
-    multi = np.zeros(len(src), bool)
     order = np.argsort(col, kind="stable")  # the pairs grouped by source bit
     col = col[order]
     one = np.uint64(1)
@@ -116,16 +113,14 @@ def pair_distances(indptr: np.ndarray, indices: np.ndarray, src, dst, with_sigma
         pairs, j = order[lo:hi], col[lo:hi] - block[0]
         word = dst[pairs] * -(-len(block) // 64) + (j >> 6)  # the pair's word in a flat (N, words) plane
         shift = (j & 63).astype(np.uint64)
-        for d, fresh, fresh_multi in _levels(indptr, indices, sources[block], with_sigma):
+        for d, fresh, _ in _levels(indptr, indices, sources[block]):
             hit = ((fresh.reshape(-1)[word] >> shift) & one).astype(bool)
             dist[pairs[hit]] = d
-            if with_sigma:
-                multi[pairs[hit]] = ((fresh_multi.reshape(-1)[word[hit]] >> shift[hit]) & one).astype(bool)
             if hit.all():
                 break
             left = ~hit
             pairs, word, shift = pairs[left], word[left], shift[left]
-    return (dist, multi) if with_sigma else dist
+    return dist
 
 
 def all_distance_total(indptr: np.ndarray, indices: np.ndarray) -> int:
@@ -145,11 +140,18 @@ def all_distance_total(indptr: np.ndarray, indices: np.ndarray) -> int:
     return total
 
 
-def multi_sigma_count(indptr: np.ndarray, indices: np.ndarray, sources) -> int:
-    """Number of (source, vertex) pairs joined by more than one shortest path, over the given sources."""
+def multi_sigma_pairs(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarray:
+    """Keys ``source * N + vertex``, ascending int64, of the pairs joined by more than one shortest path.
+
+    The pairs run from each of the given sources to every vertex.  A
+    level's multi-path bit-plane is unpacked only when it holds a set bit.
+    """
     n = indptr.shape[0] - 1
-    return sum(
-        int(np.bitwise_count(fresh_multi).sum())
-        for block in _blocks(np.asarray(sources, np.int64), n)
-        for _, _, fresh_multi in _levels(indptr, indices, block, multi=True)
-    )
+    keys = [np.zeros(0, np.int64)]
+    for block in _blocks(np.asarray(sources, np.int64), n):
+        for _, _, fresh_multi in _levels(indptr, indices, block, multi=True):
+            if fresh_multi.any():
+                bits = np.unpackbits(fresh_multi.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+                v, j = np.nonzero(bits[:, : len(block)])
+                keys.append(block[j] * n + v)
+    return np.sort(np.concatenate(keys))

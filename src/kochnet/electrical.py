@@ -7,7 +7,9 @@ between two vertices localizes to the chain of triangles along their
 with a 2-ohm detour, so the pair resistance is (2/3) * distance, the
 on-path voltages fall arithmetically, and each triangle splits current
 2/3 (direct edge) versus 1/3 (detour).  ``path_profile`` measures all of
-that against the solver; nothing is assumed.
+that against the solver; nothing is assumed.  ``solve`` returns the field
+at unit current; ``path_profile`` and ``voltage_gap`` divide it by the
+effective resistance, which gives a unit pair drop.
 
 Every solve is a back-solve of one factorization per graph,
 ``KochGraph.laplacian_factor``: a numpy LDL^T of the Laplacian grounded at
@@ -36,7 +38,6 @@ with no loop over sources.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
@@ -51,21 +52,17 @@ PROFILE_TOL = 1e-9  # absolute tolerance of ``path_profile``'s chain checks
 CFB_EXHAUSTIVE_MAX_N = 600  # vertices: cap on the Laplacian oracle of current-flow betweenness
 _CFB_BLOCK_ROWS = 128  # edge rows per block of the oracle's reduction
 
-Mode = Literal["unit-current", "unit-voltage"]
-
 
 @dataclass
 class ElectricalProfile:
     potentials: np.ndarray
     edge_currents: np.ndarray  # oriented low-id -> high-id, aligned with graph.edges
     effective_resistance: float
-    solver_residual: float
     support_edges: frozenset[int] = frozenset()
     on_path_voltages: list[float] = field(default_factory=list)
     companion_voltages: list[float] = field(default_factory=list)
     distance: int | None = None
     max_offpath_current: float | None = None
-    current_split: list[tuple[float, float, float]] = field(default_factory=list)
     thm_support_ok: bool | None = None
     thm_voltages_ok: bool | None = None
     thm_split_ok: bool | None = None
@@ -83,23 +80,10 @@ def _kcl_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> np.ndar
     return net
 
 
-def _checked_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> float:
+def _checked_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> None:
     residual = float(np.max(np.abs(_kcl_residual(graph, drops, b))))
     if residual > RESIDUAL_TOL:
         raise KochError(f"solver residual {residual:.2e} above {RESIDUAL_TOL:.0e}")
-    return residual
-
-
-def _solve_unit_current(graph: KochGraph, source: int, target: int) -> tuple[np.ndarray, float]:
-    """Potentials for b = e_source - e_target, shifted so phi[target] = 0, and the residual."""
-    if source == target:
-        raise ValueError("source and target must differ")
-    b = np.zeros(graph.n_vertices)
-    b[source] = 1.0
-    b[target] = -1.0
-    phi = graph.laplacian_factor.solve(b)
-    phi -= phi[target]
-    return phi, _checked_residual(graph, _edge_currents(graph, phi), b)
 
 
 def _edge_currents(graph: KochGraph, phi: np.ndarray) -> np.ndarray:
@@ -107,35 +91,31 @@ def _edge_currents(graph: KochGraph, phi: np.ndarray) -> np.ndarray:
     return phi[edges[:, 0]] - phi[edges[:, 1]]
 
 
-def solve(
-    graph: KochGraph, source: int, target: int, mode: Mode = "unit-current"
-) -> ElectricalProfile:
-    """Laplacian solve for one source/target pair.
+def solve(graph: KochGraph, source: int, target: int) -> ElectricalProfile:
+    """Laplacian solve for one source/target pair at unit current.
 
-    unit-current: one ampere in at the source, out at the target; the
-    source potential equals the effective resistance (target grounded).
-    unit-voltage: same field rescaled so the pair potential drop is 1.
+    One ampere in at the source, out at the target; with the target
+    grounded, the source potential equals the effective resistance.
     """
-    phi, residual = _solve_unit_current(graph, source, target)
-    r_eff = float(phi[source])
+    if source == target:
+        raise ValueError("source and target must differ")
+    b = np.zeros(graph.n_vertices)
+    b[source] = 1.0
+    b[target] = -1.0
+    phi = graph.laplacian_factor.solve(b)
+    phi -= phi[target]
     currents = _edge_currents(graph, phi)
-    support = frozenset(int(e) for e in np.flatnonzero(np.abs(currents) > SUPPORT_EPS))
-    if mode == "unit-voltage":
-        phi = phi / r_eff
-        currents = currents / r_eff
-    elif mode != "unit-current":
-        raise ValueError(f"unknown mode {mode!r}")
+    _checked_residual(graph, currents, b)
     return ElectricalProfile(
         potentials=phi,
         edge_currents=currents,
-        effective_resistance=r_eff,
-        solver_residual=residual,
-        support_edges=support,
+        effective_resistance=float(phi[source]),
+        support_edges=frozenset(int(e) for e in np.flatnonzero(np.abs(currents) > SUPPORT_EPS)),
     )
 
 
 def path_profile(graph: KochGraph, source: int, target: int) -> ElectricalProfile:
-    """Unit-voltage profile annotated with the triangle-chain checks.
+    """``solve``'s profile at unit voltage, annotated with the triangle-chain checks.
 
     Verifies against the solved field that (a) current is confined to the
     3d edges of the d triangles along the shortest path, (b) on-path
@@ -143,7 +123,9 @@ def path_profile(graph: KochGraph, source: int, target: int) -> ElectricalProfil
     steps, (c) every chain triangle splits its through-current 2/3 direct
     versus 1/3 detour, within ``PROFILE_TOL``.
     """
-    profile = solve(graph, source, target, mode="unit-voltage")
+    profile = solve(graph, source, target)
+    profile.potentials = profile.potentials / profile.effective_resistance  # the pair drop is 1
+    profile.edge_currents = profile.edge_currents / profile.effective_resistance
     path = route_batch(graph, [source], [target])
     d = int(path.length[0])
     ids = graph.vertex_by_label_key(path.hops[0, : d + 1])
@@ -165,12 +147,11 @@ def path_profile(graph: KochGraph, source: int, target: int) -> ElectricalProfil
     midpoints = phi[w].tolist()
     expected_mid = [1.0 - (2 * k + 1) / (2 * d) for k in range(d)]
 
-    total = 1.0 / profile.effective_resistance  # pair current in unit-voltage mode
+    total = 1.0 / profile.effective_resistance  # pair current at unit voltage
     current = np.abs(profile.edge_currents)
     direct = current[graph.edge_index(u, v)] / total
     detour_a = current[graph.edge_index(u, w)] / total
     detour_b = current[graph.edge_index(v, w)] / total
-    splits = list(zip(direct.tolist(), detour_a.tolist(), detour_b.tolist()))
     split_ok = bool(
         np.all(
             (np.abs(direct - 2 / 3) < PROFILE_TOL)
@@ -183,7 +164,6 @@ def path_profile(graph: KochGraph, source: int, target: int) -> ElectricalProfil
     profile.on_path_voltages = on_path
     profile.companion_voltages = midpoints
     profile.max_offpath_current = max_off
-    profile.current_split = splits
     profile.thm_support_ok = bool(max_off < PROFILE_TOL and profile.support_edges == support)
     profile.thm_voltages_ok = bool(
         all(abs(a - b) < PROFILE_TOL for a, b in zip(on_path, expected_path))
@@ -259,7 +239,7 @@ def voltage_gap(graph: KochGraph, source: int, target: int) -> VoltageGap:
     spectrum includes the probe vertices, so the statistic is 1/2 for a
     bare triangle probed across one edge.
     """
-    profile = solve(graph, source, target, mode="unit-voltage")
-    spectrum = np.sort(profile.potentials)
+    profile = solve(graph, source, target)
+    spectrum = np.sort(profile.potentials / profile.effective_resistance)
     gap = float(np.max(np.diff(spectrum)))
     return VoltageGap(gap=gap, spectrum=spectrum)

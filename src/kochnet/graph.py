@@ -221,9 +221,6 @@ class KochGraph:
     def n_edges(self) -> int:
         return 3 * len(self.triangles)
 
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
     @cached_property
     def step_starts(self) -> np.ndarray:
         """First id of each birth step 0..t: ids are made step by step, so ``birth`` never falls."""

@@ -21,8 +21,8 @@ from typing import Iterator
 
 from .errors import LabelDomainError, LabelFormatError
 
-_LABEL_RE = re.compile(r"^([123])(0[01]*)\.([1-9][0-9]*)$")
-_HUB_RE = re.compile(r"^[123]$")
+_LABEL_RE = re.compile(r"([123])(0[01]*)\.([1-9][0-9]*)")
+_HUB_RE = re.compile(r"[123]")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -114,14 +114,18 @@ def format_label(label: Label) -> str:
 
 def parse_label(text: str, m: int) -> Label:
     """Parse ``text`` into a Label, enforcing the index bound for parameter m."""
-    if _HUB_RE.match(text):
+    if _HUB_RE.fullmatch(text):
         return Label(int(text))
-    match = _LABEL_RE.match(text)
+    match = _LABEL_RE.fullmatch(text)
     if match is None:
         if re.match(r"^[123]1", text):
             raise LabelFormatError(f"{text!r}: first bit must be 0")
         raise LabelFormatError(f"{text!r}: expected 'n' or 'n<bits>.<index>' with n in 1..3")
-    subnet, bits, index = int(match.group(1)), match.group(2), int(match.group(3))
+    subnet, bits, digits = int(match.group(1)), match.group(2), match.group(3)
+    try:
+        index = int(digits)
+    except ValueError:  # more digits than Python converts: sys.get_int_max_str_digits()
+        raise LabelFormatError(f"{text!r}: index of {len(digits)} digits is too long") from None
     bound = l_max(m, bits)
     if index > bound:
         raise LabelFormatError(f"{text!r}: index {index} exceeds l_max={bound} for m={m}")

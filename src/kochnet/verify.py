@@ -233,8 +233,9 @@ def routing_suite(
 
     Above that, on ``sample_pairs`` seeded pairs in rows: ``SAMPLE_SOURCES``
     distinct seeded sources, each with an equal share of seeded targets, so
-    one BFS sweep reads every pair's distance and the uniqueness check
-    sweeps the same sources.
+    one BFS sweep reads every pair's distance.  In both cases a second
+    sweep, from the same sources, lists the pairs with more than one
+    shortest path for the uniqueness check.
     """
     m, t = graph.m, graph.t
     n = graph.n_vertices
@@ -243,8 +244,8 @@ def routing_suite(
 
     exhaustive = n <= EXHAUSTIVE_PAIR_LIMIT
     if exhaustive:
+        sources = np.arange(n)
         src, dst = np.triu_indices(n, 1)
-        dist, multi_path = _kernels.pair_distances(indptr, indices, src, dst, with_sigma=True)
     else:
         rng = np.random.default_rng(seed)
         sources = rng.choice(n, SAMPLE_SOURCES, replace=False)
@@ -252,7 +253,7 @@ def routing_suite(
         src = np.repeat(sources, per_row)
         dst = rng.integers(0, n - 1, sample_pairs)
         dst[dst >= src] += 1
-        dist = _kernels.pair_distances(indptr, indices, src, dst)
+    dist = _kernels.pair_distances(indptr, indices, src, dst)
 
     mismatches = 0
     invalid = 0
@@ -325,34 +326,20 @@ def routing_suite(
         )
     )
 
+    keys = _kernels.multi_sigma_pairs(indptr, indices, sources)  # by source, then by target
     if exhaustive:
-        # path counts are symmetric and the pairs are every s < v: each one counts both ways
-        s, v = src[multi_path], dst[multi_path]
-        multi = 2 * len(s)
-        detail = f"multi-path (source,target) incidences={multi}"
-        if multi:
-            first = np.sort(np.concatenate((s * n + v, v * n + s)))[:10]  # by source, then by target
+        scope = "between every vertex pair"
+        detail = f"multi-path (source,target) incidences={len(keys)}"
+        if len(keys):
             detail += " first: " + ", ".join(
-                f"{graph.label_of(int(x))}->{graph.label_of(int(y))}" for x, y in zip(*np.divmod(first, n))
+                f"{graph.label_of(int(x))}->{graph.label_of(int(y))}" for x, y in zip(*np.divmod(keys[:10], n))
             )
-        out.append(
-            _check(
-                "routing/uniqueness",
-                "exactly one shortest path between every vertex pair",
-                multi == 0,
-                detail,
-            )
-        )
     else:
-        multi = _kernels.multi_sigma_count(indptr, indices, sources)
-        out.append(
-            _check(
-                "routing/uniqueness",
-                f"exactly one shortest path from {SAMPLE_SOURCES} sampled sources to every target",
-                multi == 0,
-                f"multi-path incidences={multi}",
-            )
-        )
+        scope = f"from {SAMPLE_SOURCES} sampled sources to every target"
+        detail = f"multi-path incidences={len(keys)}"
+    out.append(
+        _check("routing/uniqueness", f"exactly one shortest path {scope}", len(keys) == 0, detail)
+    )
     return out
 
 

@@ -255,6 +255,25 @@ def reference_write_dot(graph, fp) -> None:
     fp.write("}\n")
 
 
+def chain_splits(graph, prof, source, target) -> list[tuple[float, float, float]]:
+    """Each route triangle's shares of the pair current: (direct edge, detour edge, detour edge).
+
+    Read from a unit-voltage profile's edge currents along the label route
+    from source to target; each hop's third corner is the one vertex
+    adjacent to both of its ends.
+    """
+    adj = [set(row) for row in adjacency(graph)]
+    path = routing_module.route(graph.m, graph.t, graph.label_of(source), graph.label_of(target))
+    ids = [graph.vertex_by_label(h) for h in path.hops]
+    total = 1.0 / prof.effective_resistance  # the pair current at unit voltage
+    current = np.abs(prof.edge_currents)
+    splits = []
+    for u, v in zip(ids, ids[1:]):
+        (w,) = adj[u] & adj[v]
+        splits.append(tuple(float(current[graph.edge_index(a, b)]) / total for a, b in ((u, v), (u, w), (v, w))))
+    return splits
+
+
 def python_bfs(adjacency, source):
     """Plain BFS over adjacency lists; returns the distance dict."""
     dist = {source: 0}

@@ -28,7 +28,7 @@ from kochnet.centrality import edge_steps
 from kochnet.graph import edge_count, vertex_count
 from kochnet.routing import verify_path_in_graph
 
-from conftest import adjacency, all_labels, cached_graph, python_bfs_sigma
+from conftest import adjacency, all_labels, cached_graph, chain_splits, python_bfs_sigma
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -130,7 +130,7 @@ def test_criterion_05_uniqueness():
         for t in range(0, 4):
             graph = cached_graph(m, t)
             indptr, indices = graph.csr
-            bad = _kernels.multi_sigma_count(indptr, indices, np.arange(graph.n_vertices))
+            bad = len(_kernels.multi_sigma_pairs(indptr, indices, np.arange(graph.n_vertices)))
             if bad:
                 adj = adjacency(graph)
                 for s in range(graph.n_vertices):
@@ -258,7 +258,7 @@ def test_criterion_09_electrical_theorems():
             max(abs(a - b) for a, b in zip(prof.on_path_voltages, expected_path)),
             max(abs(a - b) for a, b in zip(prof.companion_voltages, expected_mid)),
         )
-        for direct, da, db in prof.current_split:
+        for direct, da, db in chain_splits(g, prof, s, v):
             worst_split = max(
                 worst_split, abs(direct - 2 / 3), abs(da - 1 / 3), abs(db - 1 / 3)
             )

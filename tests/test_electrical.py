@@ -17,7 +17,7 @@ from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, RESIDUAL_TOL, _exhaustive_c
 from kochnet.errors import SizeCapError
 from kochnet.verify import _control_gap
 
-from conftest import cached_graph, laplacian
+from conftest import cached_graph, chain_splits, laplacian
 
 
 def _vid(graph, text):
@@ -67,12 +67,20 @@ class TestSolve:
         s, v = 8200, 223642
         prof = solve(graph, s, v)
         d = route(graph.m, graph.t, graph.label_of(s), graph.label_of(v)).length
-        assert prof.solver_residual < RESIDUAL_TOL
+        b = np.zeros(graph.n_vertices)
+        b[s], b[v] = 1.0, -1.0
+        assert np.max(np.abs(_kcl_residual(graph, prof.edge_currents, b))) < RESIDUAL_TOL
         assert abs(prof.effective_resistance - 2 * d / 3) < 1e-9
 
     def test_unit_voltage_rescale(self):
+        # path_profile's potentials are solve's unit-current field over R_eff, to the bit
         graph = cached_graph(1, 1)
-        prof = solve(graph, 3, 7, mode="unit-voltage")
+        unit_current = solve(graph, 3, 7)
+        prof = path_profile(graph, 3, 7)
+        r_eff = unit_current.effective_resistance
+        assert prof.effective_resistance == r_eff
+        assert np.array_equal(prof.potentials, unit_current.potentials / r_eff)
+        assert np.array_equal(prof.edge_currents, unit_current.edge_currents / r_eff)
         assert abs(prof.potentials[3] - 1.0) < 1e-12
         assert abs(prof.potentials[7]) < 1e-12
 
@@ -91,7 +99,7 @@ class TestPathProfile:
     def test_hub_pair_split(self):
         graph = cached_graph(3, 0)
         prof = path_profile(graph, 0, 1)
-        (direct, da, db) = prof.current_split[0]
+        ((direct, da, db),) = chain_splits(graph, prof, 0, 1)
         assert abs(direct - 2 / 3) < 1e-9
         assert abs(da - 1 / 3) < 1e-9 and abs(db - 1 / 3) < 1e-9
 
@@ -269,7 +277,7 @@ def test_laplacian_structure():
     lap = laplacian(graph).toarray()
     assert np.allclose(lap, lap.T)
     assert np.allclose(lap.sum(axis=1), 0)
-    assert lap[0, 0] == graph.degree(0)
+    assert lap[0, 0] == graph.degrees[0]
 
 
 def test_pinv_and_grounded_solve_agree():
@@ -293,7 +301,7 @@ def test_factor_has_no_fill(m, t):
     lower[f, a] = factor.a_coupling / factor.a_pivot
     pivots[a], pivots[b] = factor.a_pivot, factor.b_pivot
     lower, pivots = lower[1:, 1:], pivots[1:]  # hub 0 is grounded
-    assert np.count_nonzero(lower) - (n - 1) == graph.n_edges - graph.degree(0)
+    assert np.count_nonzero(lower) - (n - 1) == graph.n_edges - graph.degrees[0]
     grounded = laplacian(graph).toarray()[1:, 1:]
     np.testing.assert_allclose(lower @ np.diag(pivots) @ lower.T, grounded, atol=1e-12)
 

@@ -91,7 +91,7 @@ class TestInvariants:
     def test_degrees(self):
         graph = cached_graph(2, 2)
         for v, birth in enumerate(graph.birth.tolist()):
-            assert graph.degree(v) == 2 * 3 ** (2 - birth)
+            assert graph.degrees[v] == 2 * 3 ** (2 - birth)
 
     def test_neighborhood_edge_count_is_half_degree(self):
         graph = cached_graph(2, 2)
@@ -99,7 +99,7 @@ class TestInvariants:
         sets = [set(nbrs) for nbrs in adj]
         for v in range(graph.n_vertices):
             inside = sum(1 for a in adj[v] for b in adj[v] if a < b and b in sets[a])
-            assert inside == graph.degree(v) // 2
+            assert inside == graph.degrees[v] // 2
 
     def test_companion_and_father_ids(self):
         graph = cached_graph(2, 2)

@@ -31,10 +31,11 @@ def test_sigma_matches_python(m, t):
     graph = cached_graph(m, t)
     n = graph.n_vertices
     for source in (0, 5):
-        dist, multi = _kernels.pair_distances(*graph.csr, [source] * n, np.arange(n), with_sigma=True)
+        dist = _kernels.pair_distances(*graph.csr, [source] * n, np.arange(n))
+        keys = _kernels.multi_sigma_pairs(*graph.csr, [source])
         ref_d, ref_s = python_bfs_sigma(adjacency(graph), source)
         assert dist.tolist() == [ref_d[v] for v in range(n)]
-        assert multi.tolist() == [ref_s[v] > 1 for v in range(n)]
+        assert keys.tolist() == [source * n + v for v in range(n) if ref_s[v] > 1]
 
 
 @pytest.mark.parametrize("m,t", GRAPHS)
@@ -49,7 +50,7 @@ def test_distance_total_matches_python(m, t):
         total += sum(ref_d.values())
         multi += sum(1 for c in ref_s.values() if c > 1)
     assert _kernels.all_distance_total(indptr, indices) == total
-    assert _kernels.multi_sigma_count(indptr, indices, np.arange(graph.n_vertices)) == multi == 0
+    assert len(_kernels.multi_sigma_pairs(indptr, indices, np.arange(graph.n_vertices))) == multi == 0
 
 
 @pytest.mark.parametrize("m,t", GRAPHS)
@@ -67,11 +68,46 @@ def test_betweenness_totals_match_python(m, t):
 
 
 def test_multi_sigma_detects_square():
-    # C4 has two shortest paths between opposite corners
+    # C4 has two shortest paths between opposite corners: keys source * 4 + vertex
     indptr = np.array([0, 2, 4, 6, 8], np.int64)
     indices = np.array([1, 3, 0, 2, 1, 3, 0, 2], np.int64)
-    assert _kernels.multi_sigma_count(indptr, indices, np.arange(4)) == 4
-    assert _kernels.multi_sigma_count(indptr, indices, [0, 2]) == 2  # from two of the sources
+    keys = _kernels.multi_sigma_pairs(indptr, indices, np.arange(4))
+    assert keys.dtype == np.int64 and keys.tolist() == [0 * 4 + 2, 1 * 4 + 3, 2 * 4 + 0, 3 * 4 + 1]
+    assert _kernels.multi_sigma_pairs(indptr, indices, [2, 0]).tolist() == [2, 8]  # from two of the sources
+    assert _kernels.multi_sigma_pairs(indptr, indices, []).tolist() == []
+
+
+def _chord_graph():
+    """K(1,2) with one extra edge across a distance-3 pair, which closes a 4-cycle, as CSR."""
+    graph = cached_graph(1, 2)
+    far = int(np.flatnonzero(bfs_distances(graph, 3) == 3)[0])
+    return _csr(graph.n_vertices, [*map(tuple, graph.edges.tolist()), (3, far)])
+
+
+def _python_multi_keys(indptr, indices, sources):
+    """source * N + vertex of every pair with more than one shortest path, by the Python BFS."""
+    n = indptr.shape[0] - 1
+    adj = csr_lists(indptr, indices)
+    keys = []
+    for s in sources:
+        _, sigma = python_bfs_sigma(adj, s)
+        keys += [s * n + v for v in sorted(sigma) if sigma[v] > 1]
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("shape", ["square", "chord"])
+@pytest.mark.parametrize("entries", [1 << 20, 1])  # one block, or blocks of 64 sources
+def test_multi_sigma_pairs_match_python_sigma(monkeypatch, shape, entries):
+    indptr, indices = _csr(4, [(0, 1), (1, 2), (2, 3), (3, 0)]) if shape == "square" else _chord_graph()
+    n = indptr.shape[0] - 1
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(7)
+    # every vertex; a shuffled half; 150 drawn with repeats, which take three blocks of 64
+    for sources in (np.arange(n), rng.permutation(n)[: n // 2], rng.integers(0, n, 150)):
+        want = _python_multi_keys(indptr, indices, sources.tolist())
+        assert len(want) > 0
+        assert _kernels.multi_sigma_pairs(indptr, indices, sources).tolist() == want
+    assert len(list(_kernels._blocks(sources, n))) == (3 if entries == 1 else 1)
 
 
 def _blocks(n, rows):
@@ -99,12 +135,13 @@ def test_pair_distances_match_single_source_rows(m, t):
     for block in _blocks(n, rows):
         src, dst = _every_pair(block, n)
         dist = _kernels.pair_distances(indptr, indices, src, dst)
-        dist_s, multi = _kernels.pair_distances(indptr, indices, src, dst, with_sigma=True)
-        assert dist.shape == multi.shape == (len(block) * n,) and multi.dtype == bool
-        dist, dist_s, multi = (x.reshape(len(block), n) for x in (dist, dist_s, multi))
+        multi = np.zeros(len(block) * n, bool)
+        multi[_kernels.multi_sigma_pairs(indptr, indices, block) - block[0] * n] = True
+        assert dist.shape == (len(block) * n,)
+        dist, multi = dist.reshape(len(block), n), multi.reshape(len(block), n)
         for r, s in enumerate(block.tolist()):
             ref_d, ref_multi = _python_rows(indptr, indices, s)
-            assert dist[r].tolist() == dist_s[r].tolist() == ref_d and multi[r].tolist() == ref_multi
+            assert dist[r].tolist() == ref_d and multi[r].tolist() == ref_multi
 
 
 def _sweep_totals(indptr, indices):
@@ -144,7 +181,7 @@ def test_all_sources_totals_unchanged_by_blocking(monkeypatch, shape):
     for entries in (1 << 20, 3 * n, 1):  # one block, blocks of 3 sources, one source each
         monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
         total = _kernels.all_distance_total(indptr, indices)
-        assert (total, _kernels.multi_sigma_count(indptr, indices, np.arange(n))) == want
+        assert (total, len(_kernels.multi_sigma_pairs(indptr, indices, np.arange(n)))) == want
 
 
 @st.composite
@@ -173,14 +210,16 @@ def test_pair_distances_match_single_source_sweeps(csr, k, data):
     order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(src))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
-        dist, multi = _kernels.pair_distances(indptr, indices, src[order], dst[order], with_sigma=True)
-        assert (_kernels.pair_distances(indptr, indices, src[order], dst[order]) == dist).all()
-    dist[order], multi[order] = dist.copy(), multi.copy()
-    dist, multi = dist.reshape(k, n), multi.reshape(k, n)
+        dist = _kernels.pair_distances(indptr, indices, src[order], dst[order])
+        keys = _kernels.multi_sigma_pairs(indptr, indices, sources)
+    dist[order] = dist.copy()
+    dist = dist.reshape(k, n)
+    want_keys = []
     for r, s in enumerate(sources):
         ref_d, ref_multi = _python_rows(indptr, indices, s)
         assert dist[r].tolist() == ref_d
-        assert multi[r].tolist() == ref_multi
+        want_keys += [s * n + v for v in range(n) if ref_multi[v]]
+    assert keys.tolist() == sorted(want_keys)  # a repeated source lists its pairs again
 
 
 @pytest.mark.parametrize("entries", [1, 2 * 129, 1 << 20])
@@ -199,14 +238,14 @@ def test_pair_distances_in_source_blocks(monkeypatch, entries):
 
 def test_pair_distances_trailing_isolated_vertex():
     indptr, indices = _csr(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C4 and vertex 4 alone
-    dist, multi = _kernels.pair_distances(indptr, indices, *_every_pair([0, 4], 5), with_sigma=True)
+    dist = _kernels.pair_distances(indptr, indices, *_every_pair([0, 4], 5))
     assert dist.tolist() == [0, 1, 2, 1, -1] + [-1, -1, -1, -1, 0]
-    assert multi.tolist() == [False, False, True, False, False] + [False] * 5
+    assert _kernels.multi_sigma_pairs(indptr, indices, [0, 4]).tolist() == [0 * 5 + 2]
 
 
 def test_multi_flag_from_slots_apart_in_their_row():
     # from 3, vertex 4 is reached through 0 and 2, which are not next to each other in its row
     indptr, indices = _csr(5, [(3, 0), (3, 2), (4, 0), (4, 1), (4, 2)])
-    dist, multi = _kernels.pair_distances(indptr, indices, *_every_pair([3], 5), with_sigma=True)
+    dist = _kernels.pair_distances(indptr, indices, *_every_pair([3], 5))
     assert dist.tolist() == [1, 3, 1, 0, 2]
-    assert multi.tolist() == [False, True, False, False, True]
+    assert _kernels.multi_sigma_pairs(indptr, indices, [3]).tolist() == [3 * 5 + 1, 3 * 5 + 4]

@@ -211,9 +211,10 @@ class TestRoutingSuite:
         kwargs = {} if pairs is None else {"sample_pairs": pairs}
         reference = verify.routing_suite(graph, **kwargs)
         assert all(c.status == verify.PASS for c in reference)
-        # chunks that do not divide the pair count, and
-        # BFS blocks that split a chunk's sources
-        for chunk, entries in ((1000, 1 << 20), (777, 1 << 20), (333, 50 * graph.n_vertices)):
+        # chunks that do not divide the pair count, and BFS blocks of 64 sources, which split
+        # the exhaustive sweeps (K(1,3)'s 129 sources take 3 blocks, K(2,2)'s 99 take 2);
+        # the 32 sampled sources always fit one block, which holds at least 64
+        for chunk, entries in ((1000, 1 << 20), (777, 1 << 20), (333, graph.n_vertices)):
             monkeypatch.setattr(verify, "_CHUNK_PAIRS", chunk)
             monkeypatch.setattr(verify._kernels, "_BLOCK_ENTRIES", entries)
             assert verify.routing_suite(graph, **kwargs) == reference
@@ -295,8 +296,9 @@ def test_reversal_fails_on_one_backward_hop_off(monkeypatch):
     assert int(check.detail.removeprefix("asymmetric=")) > 0
 
 
-def test_exhaustive_routing_suite_sweeps_once(monkeypatch):
-    # K(1,4) routes all its pairs against one multi-source sweep, multi-path flags included
+def test_exhaustive_routing_suite_sweeps_its_sources_once(monkeypatch):
+    # K(1,4) routes all its pairs against one multi-source distance sweep, from every source
+    # of a pair s < v, and the uniqueness check makes one multi-path sweep from all 513 vertices
     sweeps = []
     levels = _kernels._levels
 
@@ -305,9 +307,12 @@ def test_exhaustive_routing_suite_sweeps_once(monkeypatch):
         return levels(*args, **kwargs)
 
     monkeypatch.setattr(_kernels, "_levels", counted)
-    checks = verify.routing_suite(cached_graph(1, 4))
+    graph = cached_graph(1, 4)
+    checks = verify.routing_suite(graph)
     assert all(c.status == verify.PASS for c in checks)
-    assert len(sweeps) == 1
+    n = graph.n_vertices
+    assert n == 513 and len(sweeps) == 2
+    assert np.array_equal(sweeps[0], np.arange(n - 1)) and np.array_equal(sweeps[1], np.arange(n))
 
 
 def test_sampled_routing_suite_sweeps_its_sources_once(monkeypatch):

@@ -241,6 +241,10 @@ class TestCli:
             # above MAX_PAIRS: refused before any pair array is allocated
             (("verify", "--m", "1", "--t", "5", "--pairs", "1000000000"), {}),
             (("electrical", "--m", "2", "--t", "3", "--cfb", "--pairs", "1000000000"), {}),
+            # an index of more digits than int() converts, and a label with a trailing newline
+            (("decode", "--m", "1", "--t", "2", "10." + "9" * 5000), {}),
+            (("route", "--m", "1", "--t", "2", "10." + "9" * 5000, "10.1"), {}),
+            (("decode", "--m", "1", "--t", "3", "10.1\n"), {}),
         ],
         ids=[
             "stats-m0", "verify-t-1", "generate-m0", "cap-abc", "cap-5000-digits", "route-m0",
@@ -248,6 +252,7 @@ class TestCli:
             "verify-pairs0", "verify-pairs-5", "verify-electrical-pairs0", "electrical-pairs0",
             "electrical-pairs1", "generate-unwritable-output", "electrical-seed-1",
             "verify-seed-1", "stats-seed-5", "verify-pairs-1e9", "electrical-pairs-1e9",
+            "decode-index-5000-digits", "route-index-5000-digits", "decode-trailing-newline",
         ],
     )
     def test_bad_input_is_usage_error(self, argv, env):
