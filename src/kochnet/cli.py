@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -66,11 +67,17 @@ def _add_mt(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t", type=_int_at_least(0), required=True, help="growth steps (>= 0)")
 
 
+_VERTEX_ID_RE = re.compile(r"#[0-9]+")
+
+
 def _resolve_vertex(graph: KochGraph, text: str) -> int:
     if text.startswith("#"):
+        # int() alone would also take signs, spaces, underscores and non-ASCII digits
+        if not _VERTEX_ID_RE.fullmatch(text):
+            raise UsageError(f"bad vertex id {text!r}")
         try:
             vid = int(text[1:])
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             raise UsageError(f"bad vertex id {text!r}") from None
         if not 0 <= vid < graph.n_vertices:
             raise UsageError(f"vertex id {vid} out of range 0..{graph.n_vertices - 1}")

@@ -10,6 +10,13 @@ Everything in this module is arithmetic on (m, t, label); no adjacency
 structure is touched.  The companion / children / father operations
 together reconstruct the full neighbor set of any vertex, which the test
 suite checks against explicitly built graphs.
+
+The per-class arithmetic sits in one table per (m, bits), kept in a
+bounded cache: the class's l_max, and for each ancestor the length of
+its bit prefix and the child-block width that maps an index to its
+index.  ``validate_in_graph``, ``father`` and the ancestor climb of
+``routing.ancestor_chain`` and ``routing.route`` all read it, so after
+the first lookup one climb step is one ceiling division and one slice.
 """
 
 from __future__ import annotations
@@ -83,6 +90,14 @@ def _derived(subnet: int, bits: str, index: int | None) -> Label:
     return label
 
 
+# the three hubs, by subnet digit; Labels are frozen, so every caller may share them
+_HUBS = (None, Label(1), Label(2), Label(3))
+
+# bit classes whose table ``_class_table`` keeps.  K(m,t) has 2^t - 1 of them, so every
+# class of a graph up to t = 8 stays; an entry costs about 90 bytes per ancestor.
+_CLASS_TABLE_SIZE = 256
+
+
 def l_max(m: int, bits: str) -> int:
     """Number of vertices sharing one subnet and the bit string ``bits``.
 
@@ -133,21 +148,30 @@ def parse_label(text: str, m: int) -> Label:
 
 
 def validate_in_graph(m: int, t: int, label: Label) -> None:
-    """Check the label denotes a vertex of K_{m,t}.
+    """Check the label denotes a vertex of K_{m,t}: m >= 1, t >= 0, born by step t, index in bound.
 
     A Label's bits were checked when it was made (or are valid by
-    derivation), so only its birth step and the index bound are checked
-    here; the bound is read from the bits without scanning them again.
+    derivation), so only the parameters, the birth step and the index
+    bound are checked here; the bound comes from the class table.
     """
+    _checked_steps(m, t, label)
+
+
+def _checked_steps(m: int, t: int, label: Label) -> tuple[tuple[int, int], ...]:
+    """``validate_in_graph``, then the label's climb steps from its class table (() for a hub)."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     bits = label.bits
     if len(bits) > t:
         raise LabelDomainError(f"{label} born at step {len(bits)} > t={t}")
-    if bits:
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        bound = _index_bound(m, bits)
-        if label.index > bound:
-            raise LabelFormatError(f"{label}: index {label.index} exceeds l_max={bound}")
+    if not bits:
+        return ()
+    bound, steps = _class_table(m, bits)
+    if label.index > bound:
+        raise LabelFormatError(f"{label}: index {label.index} exceeds l_max={bound}")
+    return steps
 
 
 def companion(label: Label) -> Label:
@@ -168,26 +192,50 @@ def father(m: int, label: Label) -> Label:
     """
     if label.is_hub:
         raise LabelDomainError(f"hub {label} has no father")
-    bits, index = _father_step(_widths(m, label.birth), label.bits, label.index)
-    return _derived(label.subnet, bits, index)
+    steps = _class_table(m, label.bits)[1]
+    if not steps:
+        return _HUBS[label.subnet]
+    cut, width = steps[0]
+    return _derived(label.subnet, label.bits[:cut], -(-label.index // width))
 
 
-@lru_cache
-def _widths(m: int, t: int) -> tuple[int, ...]:
-    """Child-block widths 2m(m+1)^k for k = 0..t-1 (k is the father's age at the child's birth)."""
-    return tuple(2 * m * (m + 1) ** k for k in range(t))
+def _ancestors(label: Label, steps: tuple[tuple[int, int], ...]) -> list[Label]:
+    """[label, father, ..., hub], by the steps of the label's class table (() for a hub).
 
-
-def _father_step(widths: tuple[int, ...], bits: str, index: int) -> tuple[str, int | None]:
-    """The father formula on plain fields: (bits, index) of a non-hub vertex to its father's.
-
-    ``widths`` is ``_widths(m, b)`` for any b >= len(bits); a hub father
-    is ("", None).
+    Each step is one ceiling division of the index and one cut of the bits.
     """
-    j = bits.rfind("0")  # 0-based position of the rightmost 0
-    if j == 0:
-        return "", None
-    return bits[:j], -(-index // widths[len(bits) - 1 - j])
+    subnet, bits, index = label.subnet, label.bits, label.index
+    chain = [label]
+    if not bits:
+        return chain
+    for cut, width in steps:
+        index = -(-index // width)
+        chain.append(_derived(subnet, bits[:cut], index))
+    chain.append(_HUBS[subnet])
+    return chain
+
+
+@lru_cache(maxsize=_CLASS_TABLE_SIZE)
+def _class_table(m: int, bits: str) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Everything the label arithmetic needs of one non-hub bit class, for parameter m.
+
+    Returns the class's ``l_max`` and one step per non-hub ancestor, from
+    the father up: (cut, width), where the ancestor's bits are ``bits[:cut]``
+    and its index is the ceiling of the previous index over ``width``, the
+    child-block width 2m(m+1)^r for the r ones after the cut's 0.  The hub
+    at the top has no step.  Entries hold lengths and widths, never bit
+    strings, so a deep class costs O(birth) ints.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    steps = []
+    end = len(bits)
+    cut = bits.rfind("0", 0, end)
+    while cut > 0:  # the rightmost 0 of bits[:end]; at position 0 the father is the hub
+        steps.append((cut, 2 * m * (m + 1) ** (end - 1 - cut)))
+        end = cut
+        cut = bits.rfind("0", 0, end)
+    return _index_bound(m, bits), tuple(steps)
 
 
 def child_block(m: int, label: Label, step: int) -> tuple[str, int, int]:

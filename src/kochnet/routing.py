@@ -2,18 +2,20 @@
 
 The route between two labels is assembled from their ancestor chains
 (repeated application of the father formula).  Different subnets: climb
-both chains to the hubs, which are adjacent.  Same subnet: splice the
-chains at their deepest common vertex, and when the two chain vertices
-just below the splice point are companions, connect them directly and
-drop the splice vertex (that detour through the common father would be
-one hop longer).
+both chains to the hubs, which are adjacent, and join the two climbs.
+Same subnet: splice the chains at their deepest common vertex, and when
+the two chain vertices just below the splice point are companions,
+connect them directly and drop the splice vertex (that detour through
+the common father would be one hop longer).
 
-``route`` does this for one pair of ``Label``s; ``route_batch`` does the
-same arithmetic for whole arrays of vertex ids at once, on the four label
-arrays the graph stores, and returns the hops as label keys.  It makes
-each distinct endpoint's chain once and lays it out from the hub end, so
-the deepest common vertex of a pair is the first hub column where the two
-chains differ, and each hop is read from one chain or the other.
+``route`` does this for one pair of ``Label``s, climbing each chain by
+the steps of its cached class table in ``labels`` and making each hop's
+``Label`` as it climbs.  ``route_batch`` does the same arithmetic for
+whole arrays of vertex ids at once, on the four label arrays the graph
+stores, and returns the hops as label keys.  It makes each distinct
+endpoint's chain once and lays it out from the hub end, so the deepest
+common vertex of a pair is the first hub column where the two chains
+differ, and each hop is read from one chain or the other.
 ``bfs_distances`` is the oracle: one vertex's distances to all others
 from the packed-bit BFS sweep ``_kernels.pair_distances``.
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .graph import KochGraph, label_keys
-from .labels import Label, _derived, _father_step, _widths, father, validate_in_graph
+from .labels import Label, _ancestors, _checked_steps, _class_table
 
 
 @dataclass(frozen=True)
@@ -44,10 +46,7 @@ class RoutePath:
 
 def ancestor_chain(m: int, label: Label) -> list[Label]:
     """[label, father, grandfather, ..., hub]."""
-    chain = [label]
-    while not chain[-1].is_hub:
-        chain.append(father(m, chain[-1]))
-    return chain
+    return _ancestors(label, _class_table(m, label.bits)[1] if label.bits else ())
 
 
 def route(m: int, t: int, a: Label, b: Label) -> RoutePath:
@@ -56,40 +55,28 @@ def route(m: int, t: int, a: Label, b: Label) -> RoutePath:
     ``ops_used`` counts father/companion evaluations (the ceil/modulo
     work), which stays below 2t + 3 for any pair.
     """
-    validate_in_graph(m, t, a)
-    validate_in_graph(m, t, b)
+    chain_a = _ancestors(a, _checked_steps(m, t, a))
+    chain_b = _ancestors(b, _checked_steps(m, t, b))
+    ops = len(chain_a) + len(chain_b) - 2
+    chain_b.reverse()  # from the hub down to b
+    if a.subnet != b.subnet:  # the two hubs are adjacent
+        return RoutePath(tuple(chain_a + chain_b), ops)
     if a == b:
         return RoutePath((a,), 0)
 
-    # the ancestor chains as (bits, index), from the vertex up to its hub ("", None)
-    widths = _widths(m, max(len(a.bits), len(b.bits)))
-    chain_a, chain_b = [(a.bits, a.index)], [(b.bits, b.index)]
-    for chain in (chain_a, chain_b):
-        bits, index = chain[0]
-        while bits:
-            bits, index = _father_step(widths, bits, index)
-            chain.append((bits, index))
-    ops = (len(chain_a) - 1) + (len(chain_b) - 1)
-    i, j = len(chain_a) - 1, len(chain_b) - 1  # the last hop taken from each chain
-
-    if a.subnet == b.subnet:
-        # scan from the hub end for the deepest common vertex
-        while i >= 0 and j >= 0 and chain_a[i] == chain_b[j]:
+    # scan from the hub end for the deepest common vertex, kept on a's side
+    i, j, last = len(chain_a) - 1, 0, len(chain_b) - 1
+    while i >= 0 and j <= last and chain_a[i] == chain_b[j]:
+        i -= 1
+        j += 1
+    i += 1
+    if i >= 1 and j <= last:
+        ops += 1
+        x, y = chain_a[i - 1], chain_b[j]
+        if x.bits == y.bits and y.index == (x.index + 1 if x.index % 2 == 1 else x.index - 1):
+            # companions: splice the two sibling subtrees directly, skip their father
             i -= 1
-            j -= 1
-        i += 1  # keep the splice vertex on a's side
-        if i >= 1 and j >= 0:
-            ops += 1
-            (bits, l), (bits_b, l_b) = chain_a[i - 1], chain_b[j]
-            if bits == bits_b and l_b == (l + 1 if l % 2 == 1 else l - 1):
-                # companions: splice the two sibling subtrees directly, skip their father
-                i -= 1
-
-    hops = [a] + [_derived(a.subnet, bits, index) for bits, index in chain_a[1 : i + 1]]
-    if j >= 0:  # j = -1 when b itself is the splice vertex
-        hops += [_derived(b.subnet, bits, index) for bits, index in chain_b[j:0:-1]]
-        hops.append(b)
-    return RoutePath(tuple(hops), ops)
+    return RoutePath(tuple(chain_a[: i + 1] + chain_b[j:]), ops)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 The reference implementations here deliberately avoid the package's
 kernels (plain dict/deque BFS, pair-by-pair counting, a per-vertex build
-loop, a labels suite with one ``Label`` per vertex) so that kernel, array
-and label arithmetic bugs cannot cancel out.
+loop, a labels suite with one ``Label`` per vertex, a route that climbs
+one father formula per hop) so that kernel, array and label arithmetic
+bugs cannot cancel out.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from kochnet import labels as labels_module
 from kochnet import routing as routing_module
 from kochnet.analytics import delta_v
 from kochnet.graph import edge_count, triangle_count, vertex_count
-from kochnet.labels import l_max
+from kochnet.labels import l_max, validate_in_graph
 
 _CACHE: dict[tuple[int, int], object] = {}
 
@@ -83,9 +84,66 @@ def label_count(monkeypatch):
         return derived(*fields)
 
     monkeypatch.setattr(Label, "__post_init__", counted_post_init)
-    for module in (labels_module, graph_module, routing_module):
+    for module in (labels_module, graph_module):
         monkeypatch.setattr(module, "_derived", counted_derived)
     return lambda: made[0]
+
+
+def _reference_widths(m: int, t: int) -> tuple[int, ...]:
+    """Child-block widths 2m(m+1)^k for k = 0..t-1 (k is the father's age at the child's birth)."""
+    return tuple(2 * m * (m + 1) ** k for k in range(t))
+
+
+def _reference_father_step(widths: tuple[int, ...], bits: str, index: int) -> tuple[str, int | None]:
+    """The father formula on plain fields: (bits, index) of a non-hub vertex to its father's.
+
+    ``widths`` is ``_reference_widths(m, b)`` for any b >= len(bits); a hub
+    father is ("", None).
+    """
+    j = bits.rfind("0")  # 0-based position of the rightmost 0
+    if j == 0:
+        return "", None
+    return bits[:j], -(-index // widths[len(bits) - 1 - j])
+
+
+def reference_route(m: int, t: int, a: Label, b: Label) -> routing_module.RoutePath:
+    """``routing.route`` with one father step per hop on plain (bits, index) pairs, each
+    hop made by the checking ``Label`` constructor: the oracle for the class-table climb.
+    """
+    validate_in_graph(m, t, a)
+    validate_in_graph(m, t, b)
+    if a == b:
+        return routing_module.RoutePath((a,), 0)
+
+    # the ancestor chains as (bits, index), from the vertex up to its hub ("", None)
+    widths = _reference_widths(m, max(len(a.bits), len(b.bits)))
+    chain_a, chain_b = [(a.bits, a.index)], [(b.bits, b.index)]
+    for chain in (chain_a, chain_b):
+        bits, index = chain[0]
+        while bits:
+            bits, index = _reference_father_step(widths, bits, index)
+            chain.append((bits, index))
+    ops = (len(chain_a) - 1) + (len(chain_b) - 1)
+    i, j = len(chain_a) - 1, len(chain_b) - 1  # the last hop taken from each chain
+
+    if a.subnet == b.subnet:
+        # scan from the hub end for the deepest common vertex
+        while i >= 0 and j >= 0 and chain_a[i] == chain_b[j]:
+            i -= 1
+            j -= 1
+        i += 1  # keep the splice vertex on a's side
+        if i >= 1 and j >= 0:
+            ops += 1
+            (bits, l), (bits_b, l_b) = chain_a[i - 1], chain_b[j]
+            if bits == bits_b and l_b == (l + 1 if l % 2 == 1 else l - 1):
+                # companions: splice the two sibling subtrees directly, skip their father
+                i -= 1
+
+    hops = [a] + [Label(a.subnet, bits, index) for bits, index in chain_a[1 : i + 1]]
+    if j >= 0:  # j = -1 when b itself is the splice vertex
+        hops += [Label(b.subnet, bits, index) for bits, index in chain_b[j:0:-1]]
+        hops.append(b)
+    return routing_module.RoutePath(tuple(hops), ops)
 
 
 def reference_labels_suite(graph) -> list:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,16 +12,19 @@ from kochnet import (
     ancestor_chain,
     bfs_distances,
     build,
+    companion,
+    l_max,
     parse_label,
     route,
     verify,
 )
 from kochnet import _kernels
+from kochnet import labels as labels_module
 from kochnet.graph import label_keys
-from kochnet.labels import validate_in_graph
+from kochnet.labels import child_block, validate_in_graph
 from kochnet.routing import route_batch, verify_path_in_graph
 
-from conftest import adjacency, all_labels, cached_graph, python_bfs, python_bfs_sigma
+from conftest import adjacency, all_labels, cached_graph, python_bfs, python_bfs_sigma, reference_route
 
 
 def _labels(text, m):
@@ -119,9 +124,88 @@ class TestRoute:
                 route(m, t, a, b)
             assert str(got.value) == message
 
+    @pytest.mark.parametrize(
+        "m,t,message", [(0, 3, "m must be >= 1, got 0"), (1, -1, "t must be >= 0, got -1")]
+    )
+    def test_rejects_hubs_outside_the_graph(self, m, t, message):
+        # the parameters are checked for hubs too; t < 0 is no label's fault
+        with pytest.raises(ValueError) as want:
+            validate_in_graph(m, t, Label(1))
+        with pytest.raises(ValueError) as got:
+            route(m, t, Label(1), Label(2))
+        for error in (want, got):
+            assert type(error.value) is ValueError and str(error.value) == message
+
     def test_symmetric_distance(self):
         a, b = _labels("100.4 301.2", 1)
         assert route(1, 2, a, b).length == route(1, 2, b, a).length
+
+
+# every ordered pair of these graphs is routed against the reference
+REFERENCE_GRAPHS = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, t) for t in range(3)]
+
+
+@st.composite
+def deep_pairs(draw, t=40):
+    """(m, a, b): labels born at up to t bits; b is often drawn below an ancestor of a or
+    below that ancestor's companion, so that splices and companion shortcuts occur."""
+    m = draw(st.integers(1, 3))
+
+    def label(birth):
+        bits = "0" + "".join(draw(st.lists(st.sampled_from("01"), min_size=birth - 1, max_size=birth - 1)))
+        return Label(draw(st.integers(1, 3)), bits, draw(st.integers(1, l_max(m, bits))))
+
+    a = label(draw(st.integers(1, t)))
+    kind = draw(st.sampled_from(["any", "below-ancestor", "below-companion"]))
+    if kind == "any":
+        birth = draw(st.integers(0, t))
+        b = label(birth) if birth else Label(draw(st.integers(1, 3)))
+    else:
+        b = draw(st.sampled_from(reference_route(m, t, a, Label(a.subnet)).hops))  # a's chain
+        if kind == "below-companion" and not b.is_hub:
+            b = companion(b)
+        while b.birth < t and draw(st.booleans()):
+            bits, first, last = child_block(m, b, draw(st.integers(b.birth + 1, t)))
+            b = Label(b.subnet, bits, draw(st.integers(first, last)))
+    return (m, b, a) if draw(st.booleans()) else (m, a, b)
+
+
+class TestRouteEqualsReference:
+    @pytest.mark.parametrize("m,t", REFERENCE_GRAPHS)
+    def test_every_ordered_pair(self, m, t):
+        labels = all_labels(cached_graph(m, t))
+        for a in labels:
+            for b in labels:
+                assert route(m, t, a, b) == reference_route(m, t, a, b), (a, b)
+
+    @settings(deadline=None, max_examples=300)
+    @given(deep_pairs())
+    def test_deep_label_pairs(self, pair):
+        m, a, b = pair
+        assert route(m, 40, a, b) == reference_route(m, 40, a, b)
+
+    def test_class_table_stays_bounded_on_deep_labels(self):
+        # label-only routes between labels born at step 2000, over more bit classes than
+        # the table keeps; an entry holds ints (cut lengths and widths), never bit strings
+        m, t = 1, 2000
+        rng = random.Random(5)
+
+        def deep_label():
+            bits = "0" + "".join(rng.choices("01", k=t - 1))
+            return Label(rng.randint(1, 3), bits, rng.randint(1, l_max(m, bits)))
+
+        table = labels_module._class_table
+        table.cache_clear()
+        size = table.cache_info().maxsize
+        for k in range(size // 2 + 8):
+            a, b = deep_label(), deep_label()
+            path = route(m, t, a, b)
+            if k < 2:
+                assert path == reference_route(m, t, a, b)
+            bound, steps = table(m, a.bits)
+            assert type(bound) is int and all(type(x) is int for step in steps for x in step)
+        info = table.cache_info()
+        assert info.misses > size and info.currsize <= size
 
 
 class TestOracles:

@@ -245,6 +245,14 @@ class TestCli:
             (("decode", "--m", "1", "--t", "2", "10." + "9" * 5000), {}),
             (("route", "--m", "1", "--t", "2", "10." + "9" * 5000, "10.1"), {}),
             (("decode", "--m", "1", "--t", "3", "10.1\n"), {}),
+            # a vertex id is '#' and ASCII digits only: no digit-group underscore, space, sign,
+            # other script's digit or trailing newline, all of which int() takes
+            (("decode", "--m", "1", "--t", "2", "#1_0"), {}),
+            (("decode", "--m", "1", "--t", "2", "# 3"), {}),
+            (("decode", "--m", "1", "--t", "2", "#+3"), {}),
+            (("decode", "--m", "1", "--t", "2", "#\u0663"), {}),
+            (("decode", "--m", "1", "--t", "2", "#3\n"), {}),
+            (("route", "--m", "1", "--t", "2", "#1_0", "#1"), {}),
         ],
         ids=[
             "stats-m0", "verify-t-1", "generate-m0", "cap-abc", "cap-5000-digits", "route-m0",
@@ -253,6 +261,8 @@ class TestCli:
             "electrical-pairs1", "generate-unwritable-output", "electrical-seed-1",
             "verify-seed-1", "stats-seed-5", "verify-pairs-1e9", "electrical-pairs-1e9",
             "decode-index-5000-digits", "route-index-5000-digits", "decode-trailing-newline",
+            "decode-id-underscore", "decode-id-space", "decode-id-plus", "decode-id-arabic-indic",
+            "decode-id-trailing-newline", "route-id-underscore",
         ],
     )
     def test_bad_input_is_usage_error(self, argv, env):
