@@ -35,15 +35,12 @@ from .errors import (
 from .graph import KochGraph, build
 from .labels import (
     Label,
-    NeighborPartition,
     children,
     companion,
     degree_of,
-    enumerate_labels,
     father,
     format_label,
     l_max,
-    neighbor_partition,
     parse_label,
 )
 from .routing import (
@@ -64,7 +61,6 @@ __all__ = [
     "Label",
     "LabelDomainError",
     "LabelFormatError",
-    "NeighborPartition",
     "RouteBatch",
     "RoutePath",
     "SettingError",
@@ -82,14 +78,12 @@ __all__ = [
     "degree_of",
     "descendant_count",
     "empirical_stats",
-    "enumerate_labels",
     "exact_edge_betweenness",
     "exact_vertex_betweenness",
     "father",
     "firstorder_vertex_betweenness",
     "format_label",
     "l_max",
-    "neighbor_partition",
     "paper_edge_betweenness",
     "paper_vertex_betweenness",
     "parse_label",

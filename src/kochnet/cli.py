@@ -23,7 +23,17 @@ import numpy as np
 
 from . import analytics, centrality, electrical, verify
 from .errors import KochError, SizeCapError
-from .graph import EDGE_CLASSES, KochGraph, _chunks, build, check_size, edge_class_ids
+from .graph import (
+    EDGE_CLASSES,
+    KochGraph,
+    _chunks,
+    _decimal,
+    _table,
+    _text_rows,
+    build,
+    check_size,
+    edge_class_ids,
+)
 from .labels import (
     Label,
     children,
@@ -228,28 +238,22 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _write_betweenness_csv(graph: KochGraph, columns: dict[str, np.ndarray], edges: bool) -> None:
-    """One CSV row per vertex (label,birth,degree) or per edge (u,v,class), then ``columns``."""
-    texts = graph.label_texts()
-    if edges:
-        head, prefix = "u,v,class", "%s,%s,%s"
-        classes = edge_class_ids(graph)
+def _float_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``repr`` of each float64 as a text column, made once per distinct bit pattern.
 
-        def cells(rows):
-            u, v = graph.edges[rows].T.tolist()
-            names = map(EDGE_CLASSES.__getitem__, classes[rows].tolist())
-            return map(texts.__getitem__, u), map(texts.__getitem__, v), names
-    else:
-        head, prefix = "label,birth,degree", "%s,%d,%d"
+    The unique runs on the int64 view, so 0.0 and -0.0 stay apart.
+    """
+    bits = np.ascontiguousarray(values, np.float64).view(np.int64)
+    patterns, which = np.unique(bits, return_inverse=True)
+    return _table([repr(x) for x in patterns.view(np.float64).tolist()], which)
 
-        def cells(rows):
-            return texts[rows], graph.birth[rows].tolist(), graph.degrees[rows].tolist()
 
+def _write_csv(n: int, head: str, keys, columns: dict[str, np.ndarray]) -> None:
+    """A CSV of n rows: each row's text columns ``keys(rows)``, then ``repr`` of each of ``columns``."""
     sys.stdout.write(",".join([head, *columns]) + "\n")
-    row = prefix + ",%r" * len(columns) + "\n"
-    for rows in _chunks(len(graph.edges) if edges else graph.n_vertices):
-        values = zip(*cells(rows), *(column[rows].tolist() for column in columns.values()))
-        sys.stdout.write("".join([row % cell for cell in values]))
+    for rows in _chunks(n):
+        floats = [cell for values in columns.values() for cell in (",", _float_column(values[rows]))]
+        sys.stdout.write(_text_rows(rows.stop - rows.start, [*keys(rows), *floats, "\n"]))
 
 
 def _cmd_betweenness(args) -> int:
@@ -262,7 +266,19 @@ def _cmd_betweenness(args) -> int:
         steps = centrality.edge_steps(graph) if args.edges else graph.birth
         for name, forms in centrality.step_forms(args.m, args.t, args.edges).items():
             columns[name] = centrality.per_element(forms, steps)
-    _write_betweenness_csv(graph, columns, args.edges)
+    if args.edges:
+        head, n, classes = "u,v,class", len(graph.edges), edge_class_ids(graph)
+
+        def keys(rows):
+            u, v = graph.edges[rows].T
+            return [*graph._label_columns(u), ",", *graph._label_columns(v), ",", _table(EDGE_CLASSES, classes[rows])]
+    else:
+        head, n = "label,birth,degree", graph.n_vertices
+
+        def keys(rows):
+            return [*graph._label_columns(rows), ",", _decimal(graph.birth[rows]), ",", _decimal(graph.degrees[rows])]
+
+    _write_csv(n, head, keys, columns)
     if args.mode == "compare":
         print(_jdump(report.audit()))
     return EXIT_OK
@@ -272,11 +288,7 @@ def _cmd_electrical(args) -> int:
     graph = build(args.m, args.t)
     if args.cfb:
         values = electrical.current_flow_betweenness(graph)
-        texts = graph.label_texts()
-        sys.stdout.write("label,current_flow_betweenness\n")
-        for rows in _chunks(graph.n_vertices):
-            cells = zip(texts[rows], values[rows].tolist())
-            sys.stdout.write("".join([f"{text},{value!r}\n" for text, value in cells]))
+        _write_csv(graph.n_vertices, "label", graph._label_columns, {"current_flow_betweenness": values})
         return EXIT_OK
 
     if args.source is None or args.target is None:

@@ -17,13 +17,13 @@ form of the labels: ``label_of`` makes one ``Label`` when asked for.
 ``vertex_by_label`` and ``vertex_by_label_key`` map labels and keys back
 to ids by arithmetic, as each (subnet, bits) class is one contiguous id
 range.
-Label texts and the three exports are formatted from the arrays too,
-with no ``Label`` and no Python string per row: ``_text_rows`` lays out
-``_EXPORT_ROWS`` rows at a time as a matrix of ASCII bytes, one block of
-columns per field (a constant, decimal digits by repeated divmod, or a
-label's growth bits), and reads it out through a keep mask that drops
-leading zeros and the '.' and index a hub's label lacks.  ``label_texts``
-is the label's columns joined by newlines and split once.
+Every bulk text output (the three exports here and the CLI's CSVs) is
+formatted from the arrays too, with no ``Label`` and no Python string per
+row: ``_text_rows`` lays out ``_EXPORT_ROWS`` rows at a time as a matrix
+of ASCII bytes, one block of columns per field (a text from a small
+table, decimal digits by repeated divmod, or a label's growth bits), and
+reads it out through a keep mask that drops leading zeros and the '.'
+and index a hub's label lacks.
 
 The triangle table is the one stored edge structure: an int64 (T, 3)
 array whose row 0 is the hubs (0, 1, 2) and whose row k >= 1 is
@@ -106,9 +106,20 @@ def _chunks(n: int):
 # every row repeats.
 
 
-def _text(text: str, keep=True) -> tuple[np.ndarray, np.ndarray]:
-    """The same text in every row, kept where ``keep`` (True, or a bool per row)."""
-    return np.frombuffer(text.encode("ascii"), np.uint8)[None, :], np.reshape(keep, (-1, 1))
+def _table(texts, which=0) -> tuple[np.ndarray, np.ndarray]:
+    """Row r is ``texts[which[r]]``; a scalar ``which`` gives one row that every row repeats.
+
+    Each distinct text is laid out once, left-aligned in a block as wide as
+    the longest, and the rows are gathered from the block.
+    """
+    width = max(map(len, texts))
+    chars = np.zeros((len(texts), width), np.uint8)
+    keep = np.zeros((len(texts), width), bool)
+    for row, text in enumerate(texts):
+        chars[row, : len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
+        keep[row, : len(text)] = True
+    which = np.atleast_1d(np.asarray(which, np.intp))  # a bool mask picks texts[0] or texts[1]
+    return chars[which], keep[which]
 
 
 def _decimal(values, omit_zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -142,12 +153,12 @@ def _binary(bits: np.ndarray, length: np.ndarray, width: int) -> tuple[np.ndarra
 
 
 def _text_rows(n: int, columns) -> str:
-    """n rows of text, each the columns side by side, with nothing between rows; a str is a ``_text``.
+    """n rows of text, each the columns side by side, with nothing between rows; a str is a constant.
 
     The columns fill one (n, width) byte matrix and its keep mask, and the
     kept bytes are read out row by row in one pass.
     """
-    columns = [_text(c) if isinstance(c, str) else c for c in columns]
+    columns = [_table((c,)) if isinstance(c, str) else c for c in columns]
     width = sum(chars.shape[1] for chars, _ in columns)
     matrix = np.empty((n, width), np.uint8)
     kept = np.empty((n, width), bool)
@@ -237,14 +248,9 @@ class KochGraph:
         return [
             _decimal(self.subnet[ids]),
             _binary(self.bits[ids], birth, self.t),
-            _text(".", birth > 0),
+            _table(("", "."), birth > 0),
             _decimal(self.index[ids], omit_zero=True),
         ]
-
-    def label_texts(self) -> list[str]:
-        """``format_label`` of every vertex, made without ``Label`` objects."""
-        # label texts hold digits and dots only, so the lines split back into labels
-        return _text_rows(self.n_vertices, [*self._label_columns(slice(None)), "\n"]).splitlines()
 
     def label_of(self, v: int) -> Label:
         """The label of vertex v, made from its four array entries in O(1)."""
@@ -414,7 +420,7 @@ class KochGraph:
         for rows in _chunks(len(self.edges)):
             u, v = self.edges[rows].T
             joined = np.arange(rows.start, rows.stop) > 0  # every row but the very first follows a ``sep``
-            columns = [_text(sep, joined), before, _decimal(u), between, _decimal(v), after]
+            columns = [_table(("", sep), joined), before, _decimal(u), between, _decimal(v), after]
             fp.write(_text_rows(len(u), columns))
 
     def write_edgelist(self, fp: IO[str]) -> None:
@@ -427,7 +433,7 @@ class KochGraph:
         for rows in _chunks(self.n_vertices):
             ids = np.arange(rows.start, rows.stop)
             columns = [
-                _text(",", ids > 0),
+                _table(("", ","), ids > 0),
                 '{"id":',
                 _decimal(ids),
                 ',"label":"',

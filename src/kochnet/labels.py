@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import LabelDomainError, LabelFormatError
 
@@ -268,56 +267,3 @@ def degree_of(m: int, t: int, label: Label) -> int:
     """Degree in K_{m,t}: 2(m+1)^(t - birth)."""
     validate_in_graph(m, t, label)
     return 2 * (m + 1) ** (t - label.birth)
-
-
-@dataclass(frozen=True)
-class NeighborPartition:
-    """Neighbor labels split by degree relative to the vertex."""
-
-    equal: frozenset[Label]
-    lower: frozenset[Label]
-    higher: frozenset[Label]
-
-    def as_set(self) -> set[Label]:
-        return set(self.equal) | set(self.lower) | set(self.higher)
-
-    def __len__(self) -> int:
-        return len(self.equal) + len(self.lower) + len(self.higher)
-
-
-def neighbor_partition(m: int, t: int, label: Label) -> NeighborPartition:
-    """Full neighbor set of the vertex, from label arithmetic alone.
-
-    Non-hub: equal = {companion}, lower = children, higher = {father}.
-    Hubs have the two other hubs as their equal-degree neighbors and no
-    higher-degree neighbor.
-    """
-    validate_in_graph(m, t, label)
-    lower = frozenset(children(m, t, label))
-    if label.is_hub:
-        equal = frozenset(Label(n) for n in (1, 2, 3) if n != label.subnet)
-        higher: frozenset[Label] = frozenset()
-    else:
-        equal = frozenset((companion(label),))
-        higher = frozenset((father(m, label),))
-    return NeighborPartition(equal=equal, lower=lower, higher=higher)
-
-
-def _bit_strings(length: int) -> Iterator[str]:
-    # all valid strings of one length: leading 0, rest free
-    for k in range(1 << (length - 1)):
-        yield "0" + format(k, f"0{length - 1}b") if length > 1 else "0"
-
-
-def enumerate_labels(m: int, t: int) -> set[Label]:
-    """The complete label set of K_{m,t} (hubs plus every per-step class)."""
-    if m < 1 or t < 0:
-        raise ValueError(f"need m >= 1 and t >= 0, got m={m}, t={t}")
-    out: set[Label] = {Label(1), Label(2), Label(3)}
-    for j in range(1, t + 1):
-        for bits in _bit_strings(j):
-            bound = l_max(m, bits)
-            for n in (1, 2, 3):
-                for l in range(1, bound + 1):
-                    out.add(Label(n, bits, l))
-    return out

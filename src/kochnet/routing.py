@@ -167,9 +167,3 @@ def bfs_distances(graph: KochGraph, source: int) -> np.ndarray:
     """Exact distances from one vertex to every vertex of the built graph (the routing oracle)."""
     n = graph.n_vertices
     return _kernels.pair_distances(*graph.csr, np.full(n, source), np.arange(n))
-
-
-def verify_path_in_graph(graph: KochGraph, path: RoutePath) -> bool:
-    """Every consecutive hop pair must be an edge of the graph."""
-    ids = np.array([graph.vertex_by_label(hop) for hop in path.hops], np.int64)
-    return bool(np.all(graph.edge_index(ids[:-1], ids[1:]) >= 0))

@@ -3,26 +3,29 @@
 The reference implementations here deliberately avoid the package's
 kernels (plain dict/deque BFS, pair-by-pair counting, a per-vertex build
 loop, a labels suite with one ``Label`` per vertex, a route that climbs
-one father formula per hop) so that kernel, array and label arithmetic
-bugs cannot cancel out.
+one father formula per hop, writers that format one row at a time) so
+that kernel, array and label arithmetic bugs cannot cancel out.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kochnet import Label, build, enumerate_labels, father, format_label, neighbor_partition, verify
+from kochnet import Label, build, centrality, children, companion, electrical, father, format_label, verify
 from kochnet import graph as graph_module
 from kochnet import labels as labels_module
 from kochnet import routing as routing_module
 from kochnet.analytics import delta_v
-from kochnet.graph import edge_count, triangle_count, vertex_count
+from kochnet.graph import EDGE_CLASSES, _chunks, edge_class_ids, edge_count, triangle_count, vertex_count
 from kochnet.labels import l_max, validate_in_graph
 
 _CACHE: dict[tuple[int, int], object] = {}
@@ -144,6 +147,65 @@ def reference_route(m: int, t: int, a: Label, b: Label) -> routing_module.RouteP
         hops += [Label(b.subnet, bits, index) for bits, index in chain_b[j:0:-1]]
         hops.append(b)
     return routing_module.RoutePath(tuple(hops), ops)
+
+
+@dataclass(frozen=True)
+class NeighborPartition:
+    """Neighbor labels split by degree relative to the vertex."""
+
+    equal: frozenset[Label]
+    lower: frozenset[Label]
+    higher: frozenset[Label]
+
+    def as_set(self) -> set[Label]:
+        return set(self.equal) | set(self.lower) | set(self.higher)
+
+    def __len__(self) -> int:
+        return len(self.equal) + len(self.lower) + len(self.higher)
+
+
+def neighbor_partition(m: int, t: int, label: Label) -> NeighborPartition:
+    """Full neighbor set of the vertex, from label arithmetic alone.
+
+    Non-hub: equal = {companion}, lower = children, higher = {father}.
+    Hubs have the two other hubs as their equal-degree neighbors and no
+    higher-degree neighbor.
+    """
+    validate_in_graph(m, t, label)
+    lower = frozenset(children(m, t, label))
+    if label.is_hub:
+        equal = frozenset(Label(n) for n in (1, 2, 3) if n != label.subnet)
+        higher: frozenset[Label] = frozenset()
+    else:
+        equal = frozenset((companion(label),))
+        higher = frozenset((father(m, label),))
+    return NeighborPartition(equal=equal, lower=lower, higher=higher)
+
+
+def _bit_strings(length: int) -> Iterator[str]:
+    # all valid strings of one length: leading 0, rest free
+    for k in range(1 << (length - 1)):
+        yield "0" + format(k, f"0{length - 1}b") if length > 1 else "0"
+
+
+def enumerate_labels(m: int, t: int) -> set[Label]:
+    """The complete label set of K_{m,t} (hubs plus every per-step class)."""
+    if m < 1 or t < 0:
+        raise ValueError(f"need m >= 1 and t >= 0, got m={m}, t={t}")
+    out: set[Label] = {Label(1), Label(2), Label(3)}
+    for j in range(1, t + 1):
+        for bits in _bit_strings(j):
+            bound = l_max(m, bits)
+            for n in (1, 2, 3):
+                for l in range(1, bound + 1):
+                    out.add(Label(n, bits, l))
+    return out
+
+
+def verify_path_in_graph(graph, path: routing_module.RoutePath) -> bool:
+    """Every consecutive hop pair must be an edge of the graph."""
+    ids = np.array([graph.vertex_by_label(hop) for hop in path.hops], np.int64)
+    return bool(np.all(graph.edge_index(ids[:-1], ids[1:]) >= 0))
 
 
 def reference_labels_suite(graph) -> list:
@@ -311,6 +373,52 @@ def reference_write_dot(graph, fp) -> None:
     for u, v in graph.edges.tolist():
         fp.write(f"  {u} -- {v};\n")
     fp.write("}\n")
+
+
+def reference_betweenness(graph, mode: str, edges: bool) -> None:
+    """``kochnet betweenness`` on stdout with one ``%`` row template per row, the reference for
+    the byte-column CSV writer."""
+    report = None if mode == "formula" else centrality.centrality_report(graph)
+    columns = {}
+    if report is not None:
+        columns["exact"] = report.edge if edges else report.vertex
+    if mode != "exact":
+        steps = centrality.edge_steps(graph) if edges else graph.birth
+        for name, forms in centrality.step_forms(graph.m, graph.t, edges).items():
+            columns[name] = centrality.per_element(forms, steps)
+
+    texts = [format_label(graph.label_of(v)) for v in range(graph.n_vertices)]
+    if edges:
+        head, prefix = "u,v,class", "%s,%s,%s"
+        classes = edge_class_ids(graph)
+
+        def cells(rows):
+            u, v = graph.edges[rows].T.tolist()
+            names = map(EDGE_CLASSES.__getitem__, classes[rows].tolist())
+            return map(texts.__getitem__, u), map(texts.__getitem__, v), names
+    else:
+        head, prefix = "label,birth,degree", "%s,%d,%d"
+
+        def cells(rows):
+            return texts[rows], graph.birth[rows].tolist(), graph.degrees[rows].tolist()
+
+    sys.stdout.write(",".join([head, *columns]) + "\n")
+    row = prefix + ",%r" * len(columns) + "\n"
+    for rows in _chunks(len(graph.edges) if edges else graph.n_vertices):
+        values = zip(*cells(rows), *(column[rows].tolist() for column in columns.values()))
+        sys.stdout.write("".join([row % cell for cell in values]))
+    if mode == "compare":
+        print(json.dumps(report.audit(), separators=(",", ":")))
+
+
+def reference_cfb(graph) -> None:
+    """``kochnet electrical --cfb`` on stdout with one f-string per row."""
+    values = electrical.current_flow_betweenness(graph)
+    texts = [format_label(graph.label_of(v)) for v in range(graph.n_vertices)]
+    sys.stdout.write("label,current_flow_betweenness\n")
+    for rows in _chunks(graph.n_vertices):
+        cells = zip(texts[rows], values[rows].tolist())
+        sys.stdout.write("".join([f"{text},{value!r}\n" for text, value in cells]))
 
 
 def chain_splits(graph, prof, source, target) -> list[tuple[float, float, float]]:

@@ -13,10 +13,9 @@ from kochnet import (
     _kernels,
     build,
     centrality_report,
-    enumerate_labels,
     exact_vertex_betweenness,
     firstorder_vertex_betweenness,
-    neighbor_partition,
+    format_label,
     paper_edge_betweenness,
     paper_vertex_betweenness,
     path_profile,
@@ -26,9 +25,17 @@ from kochnet import (
 from kochnet.analytics import apl_closed_form, clustering_closed_form, empirical_stats
 from kochnet.centrality import edge_steps
 from kochnet.graph import edge_count, vertex_count
-from kochnet.routing import verify_path_in_graph
 
-from conftest import adjacency, all_labels, cached_graph, chain_splits, python_bfs_sigma
+from conftest import (
+    adjacency,
+    all_labels,
+    cached_graph,
+    chain_splits,
+    enumerate_labels,
+    neighbor_partition,
+    python_bfs_sigma,
+    verify_path_in_graph,
+)
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -208,7 +215,7 @@ def test_criterion_08_betweenness_properties():
     ok &= abs(cb[0] - 3 / 7) <= 1e-12
     report = centrality_report(g11)
     hub_son = g11.edge_index(0, 3)
-    ok &= [g11.label_texts()[v] for v in (0, 3)] == ["1", "10.1"]
+    ok &= [format_label(g11.label_of(v)) for v in (0, 3)] == ["1", "10.1"]
     ok &= abs(report.edge[hub_son] - 1 / 4) <= 1e-12
     # the discrepancy report itself: present, well formed, and honest
     audit = report.audit()

@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from kochnet import Label, SizeCapError, UnknownLabelError, build, enumerate_labels, format_label
+from kochnet import Label, SizeCapError, UnknownLabelError, build, format_label
 from kochnet import current_flow_betweenness, exact_vertex_betweenness
 from kochnet import graph as graph_module
+from kochnet.cli import _float_column, main
 from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, _exhaustive_cfb
 from kochnet.graph import (
     EDGE_CLASSES,
@@ -26,7 +27,10 @@ from conftest import (
     adjacency,
     all_labels,
     cached_graph,
+    enumerate_labels,
+    reference_betweenness,
     reference_build,
+    reference_cfb,
     reference_edge_class,
     reference_write_dot,
     reference_write_edgelist,
@@ -409,8 +413,48 @@ def test_label_texts_are_formatted_labels(m, t):
     graph = cached_graph(m, t)
     labels = all_labels(graph)
     texts = [format_label(label) for label in labels]
-    assert graph.label_texts() == texts
+    assert [format_label(graph.label_of(v)) for v in range(graph.n_vertices)] == texts
     assert labels == [r.label for r in reference_build(m, t)[0]]
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7], ids=["default-chunk", "chunk-7"])
+@pytest.mark.parametrize("m,t", EXPORT_SIZES)
+def test_csv_match_reference_writers(m, t, chunk_rows, monkeypatch, capsys):
+    """``betweenness`` in every mode, with and without --edges, and ``electrical --cfb``: byte
+    equality with the per-row writers, chunked as the exports are."""
+    if chunk_rows is not None:
+        monkeypatch.setattr(graph_module, "_EXPORT_ROWS", chunk_rows)
+    graph = build(m, t)
+    mt = ["--m", str(m), "--t", str(t)]
+    runs = [(["electrical", *mt, "--cfb"], lambda: reference_cfb(graph))]
+    for mode in ("formula", "exact", "compare"):
+        for edges in (False, True):
+            argv = ["betweenness", *mt, "--mode", mode] + ["--edges"] * edges
+            runs.append((argv, lambda mode=mode, edges=edges: reference_betweenness(graph, mode, edges)))
+    for argv, reference in runs:
+        assert main(argv) == 0
+        got = capsys.readouterr().out
+        reference()
+        same = got == capsys.readouterr().out  # a bool: pytest's diff of two long texts takes minutes
+        assert same, argv
+
+
+def float_rows(values) -> list[str]:
+    return graph_module._text_rows(len(values), [_float_column(values), "\n"]).splitlines()
+
+
+def test_float_column_is_repr_on_corner_cases():
+    """0.0 and -0.0 stay apart, exponent forms, subnormals, inf and nan print as ``repr`` does."""
+    corners = [0.0, -0.0, 1e-05, 5e-324, 1e16, 0.1 + 0.2, float("nan"), float("inf"), float("-inf")]
+    values = np.array(corners * 3)
+    assert float_rows(values) == [repr(float(x)) for x in values]
+
+
+def test_float_column_is_repr_on_distinct_values():
+    """A column with as many distinct values as rows still formats every row."""
+    values = np.random.default_rng(0).standard_normal(1000) * 10.0 ** np.arange(-300, 300, 0.6)
+    assert len(np.unique(values)) == len(values)
+    assert float_rows(values) == [repr(float(x)) for x in values]
 
 
 def test_vertex_ids_in_creation_order():

@@ -12,11 +12,9 @@ from kochnet import (
     children,
     companion,
     degree_of,
-    enumerate_labels,
     father,
     format_label,
     l_max,
-    neighbor_partition,
     parse_label,
     route,
     verify,
@@ -24,7 +22,14 @@ from kochnet import (
 from kochnet.labels import validate_in_graph
 from kochnet.routing import ancestor_chain
 
-from conftest import adjacency, all_labels, cached_graph, reference_labels_suite
+from conftest import (
+    adjacency,
+    all_labels,
+    cached_graph,
+    enumerate_labels,
+    neighbor_partition,
+    reference_labels_suite,
+)
 
 
 class TestLmax:

@@ -22,9 +22,17 @@ from kochnet import _kernels
 from kochnet import labels as labels_module
 from kochnet.graph import label_keys
 from kochnet.labels import child_block, validate_in_graph
-from kochnet.routing import route_batch, verify_path_in_graph
+from kochnet.routing import route_batch
 
-from conftest import adjacency, all_labels, cached_graph, python_bfs, python_bfs_sigma, reference_route
+from conftest import (
+    adjacency,
+    all_labels,
+    cached_graph,
+    python_bfs,
+    python_bfs_sigma,
+    reference_route,
+    verify_path_in_graph,
+)
 
 
 def _labels(text, m):

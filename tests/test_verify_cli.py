@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from kochnet import _kernels, build, cli, current_flow_betweenness, verify
+from kochnet import _kernels, build, cli, current_flow_betweenness, format_label, verify
 from kochnet.analytics import apl_closed_form
 from kochnet.cli import main
 
@@ -176,7 +176,8 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         graph = build(2, 5)
         values = current_flow_betweenness(graph).tolist()
-        expected = [f"{text},{value!r}" for text, value in zip(graph.label_texts(), values)]
+        texts = [format_label(graph.label_of(v)) for v in range(graph.n_vertices)]
+        expected = [f"{text},{value!r}" for text, value in zip(texts, values)]
         assert proc.stdout.splitlines() == ["label,current_flow_betweenness"] + expected
 
     def test_stats_csv(self):
@@ -519,6 +520,14 @@ PINNED_STDOUT = {
     # at t = 2 there is no scaling fit, so the audit line has no LAPACK bits
     ("betweenness", "--m", "2", "--t", "2", "--mode", "compare", "--edges"):
         "8b712ac1fbbc2d860813f9ce21703c70286a4eab3798e67c4de1daef5201c11d",
+    ("electrical", "--m", "2", "--t", "3", "--cfb"):
+        "bfe75c92747cd6bbb5d2b52cdfaf9e5780c0c538d2d6860e543485c60d3803be",
+    # edge values that print in exponent form (9.447219667636576e-05)
+    ("betweenness", "--m", "2", "--t", "4", "--mode", "exact", "--edges"):
+        "2ebbd21ec6d00e78630ba396a5344eecc95723a03e13012c94e9f49be4948871",
+    # a negative paper column (-0.5)
+    ("betweenness", "--m", "1", "--t", "0", "--mode", "formula"):
+        "fe4a6dfa85beb98723614493a355c3fa144dd77b7e53724580d0113f1e00c457",
 }
 
 
