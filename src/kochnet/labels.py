@@ -17,6 +17,9 @@ its bit prefix and the child-block width that maps an index to its
 index.  ``validate_in_graph``, ``father`` and the ancestor climb of
 ``routing.ancestor_chain`` and ``routing.route`` all read it, so after
 the first lookup one climb step is one ceiling division and one slice.
+The climb makes each hop ``Label`` inline, by ``object.__new__`` and
+the three slot setters that ``_derived`` also uses, with no call per
+hop; the colder father, companion and child formulas call ``_derived``.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ class Label:
         return format_label(self)
 
 
-# the slots' own setters, which the frozen __setattr__ does not guard
+# a bare instance, and the slots' own setters, which the frozen __setattr__ does not guard
+_new = object.__new__
 _set_subnet, _set_bits, _set_index = Label.subnet.__set__, Label.bits.__set__, Label.index.__set__
 
 
@@ -81,8 +85,9 @@ def _derived(subnet: int, bits: str, index: int | None) -> Label:
     its index is a ceiling >= 1.  A companion stays in 1..l_max because
     l_max is even for every non-hub bit string.  Children append '0' and
     ones to valid bits, within the index range ``child_block`` gives.
+    The ancestor climb ``_ancestors`` makes its hops the same way, inline.
     """
-    label = object.__new__(Label)
+    label = _new(Label)
     _set_subnet(label, subnet)
     _set_bits(label, bits)
     _set_index(label, index)
@@ -202,6 +207,7 @@ def _ancestors(label: Label, steps: tuple[tuple[int, int], ...]) -> list[Label]:
     """[label, father, ..., hub], by the steps of the label's class table (() for a hub).
 
     Each step is one ceiling division of the index and one cut of the bits.
+    Each hop is made inline as ``_derived`` makes it, which saves a call per hop.
     """
     subnet, bits, index = label.subnet, label.bits, label.index
     chain = [label]
@@ -209,7 +215,11 @@ def _ancestors(label: Label, steps: tuple[tuple[int, int], ...]) -> list[Label]:
         return chain
     for cut, width in steps:
         index = -(-index // width)
-        chain.append(_derived(subnet, bits[:cut], index))
+        hop = _new(Label)
+        _set_subnet(hop, subnet)
+        _set_bits(hop, bits[:cut])
+        _set_index(hop, index)
+        chain.append(hop)
     chain.append(_HUBS[subnet])
     return chain
 

@@ -10,12 +10,16 @@ the common father would be one hop longer).
 
 ``route`` does this for one pair of ``Label``s, climbing each chain by
 the steps of its cached class table in ``labels`` and making each hop's
-``Label`` as it climbs.  ``route_batch`` does the same arithmetic for
-whole arrays of vertex ids at once, on the four label arrays the graph
-stores, and returns the hops as label keys.  It makes each distinct
-endpoint's chain once and lays it out from the hub end, so the deepest
-common vertex of a pair is the first hub column where the two chains
-differ, and each hop is read from one chain or the other.
+``Label`` inline as it climbs.  It compares hops by their index and bits
+(the chains share a subnet wherever it compares them, and the hubs are
+shared objects), and sets the two slots of its ``RoutePath`` directly.
+``route_batch`` does the same arithmetic for whole arrays of vertex ids
+at once, on the four label arrays the graph stores, and returns the hops
+as label keys.  It finds the distinct endpoints by marking them in one
+bool array over the vertex ids, with no sort, makes each one's chain
+once and lays it out from the hub end, so the deepest common vertex of a
+pair is the first hub column where the two chains differ, and each hop
+is read from one chain or the other.
 ``bfs_distances`` is the oracle: one vertex's distances to all others
 from the packed-bit BFS sweep ``_kernels.pair_distances``.
 """
@@ -31,7 +35,7 @@ from .graph import KochGraph, label_keys
 from .labels import Label, _ancestors, _checked_steps, _class_table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutePath:
     hops: tuple[Label, ...]
     ops_used: int
@@ -42,6 +46,18 @@ class RoutePath:
 
     def reversed(self) -> "RoutePath":
         return RoutePath(tuple(reversed(self.hops)), self.ops_used)
+
+
+# the slots' own setters, which the frozen __setattr__ does not guard
+_set_hops, _set_ops = RoutePath.hops.__set__, RoutePath.ops_used.__set__
+
+
+def _path(hops: tuple[Label, ...], ops: int) -> RoutePath:
+    """``RoutePath(hops, ops)`` without the frozen ``__init__``: ``route``'s fields are built whole."""
+    path = object.__new__(RoutePath)
+    _set_hops(path, hops)
+    _set_ops(path, ops)
+    return path
 
 
 def ancestor_chain(m: int, label: Label) -> list[Label]:
@@ -60,13 +76,18 @@ def route(m: int, t: int, a: Label, b: Label) -> RoutePath:
     ops = len(chain_a) + len(chain_b) - 2
     chain_b.reverse()  # from the hub down to b
     if a.subnet != b.subnet:  # the two hubs are adjacent
-        return RoutePath(tuple(chain_a + chain_b), ops)
-    if a == b:
-        return RoutePath((a,), 0)
+        chain_a += chain_b
+        return _path(tuple(chain_a), ops)
+    # from here on every hop shares the subnet, so index and bits decide equality
+    if a is b or (a.index == b.index and a.bits == b.bits):
+        return _path((a,), 0)
 
     # scan from the hub end for the deepest common vertex, kept on a's side
     i, j, last = len(chain_a) - 1, 0, len(chain_b) - 1
-    while i >= 0 and j <= last and chain_a[i] == chain_b[j]:
+    while i >= 0 and j <= last:
+        x, y = chain_a[i], chain_b[j]
+        if x is not y and (x.index != y.index or x.bits != y.bits):
+            break
         i -= 1
         j += 1
     i += 1
@@ -76,7 +97,7 @@ def route(m: int, t: int, a: Label, b: Label) -> RoutePath:
         if x.bits == y.bits and y.index == (x.index + 1 if x.index % 2 == 1 else x.index - 1):
             # companions: splice the two sibling subtrees directly, skip their father
             i -= 1
-    return RoutePath(tuple(chain_a[: i + 1] + chain_b[j:]), ops)
+    return _path(tuple(chain_a[: i + 1] + chain_b[j:]), ops)
 
 
 @dataclass(frozen=True)
@@ -123,16 +144,24 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
 
     Label arithmetic only, on the graph's ``subnet``, ``birth``, ``bits``
     and ``index`` arrays; map the hop keys to ids with
-    ``graph.vertex_by_label_key``.  Each distinct endpoint's chain is
-    made once and laid out once from the hub end, where column c holds
-    the ancestor c steps below the hub.  Two chains agree on a prefix of
+    ``graph.vertex_by_label_key``.  The distinct endpoints are marked in
+    one bool array over the N vertex ids, with no sort: they are the
+    marked ids in ascending order, and each one's row is written back at
+    its id, so a call for a few pairs on a large graph makes no O(N) pass
+    beyond the mark and its scan.  Each distinct endpoint's chain is made
+    once and laid out once from the hub end, where column c holds the
+    ancestor c steps below the hub.  Two chains agree on a prefix of
     those columns exactly when they share a subnet; its length is the
     splice column.
     """
     m, t = graph.m, graph.t
     a, b = np.asarray(a_ids, np.int64), np.asarray(b_ids, np.int64)
-    ends, end_of = np.unique(np.concatenate((a, b)), return_inverse=True)
-    ea, eb = end_of[: len(a)], end_of[len(a) :]
+    mark = np.zeros(len(graph.birth), bool)
+    mark[a] = mark[b] = True
+    ends = np.flatnonzero(mark)
+    row = np.empty(len(mark), np.int64)  # read only at marked ids
+    row[ends] = np.arange(len(ends))
+    ea, eb = row[a], row[b]
     chain, length = _ancestor_keys(graph, ends)
     k = np.arange(2 * t + 2)  # hop columns
     from_a = np.full((len(ends), len(k)), -1, np.int64)

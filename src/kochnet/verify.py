@@ -115,7 +115,7 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
 
     u, v = graph.triangles[:, [0, 0, 1]].ravel(), graph.triangles[:, [1, 2, 2]].ravel()
     corner_pairs = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    covered = len(np.unique(corner_pairs))
+    covered = len(corner_pairs) - int(np.count_nonzero(np.diff(corner_pairs) == 0))
     out.append(
         _check(
             "labels/edge-triangle",
@@ -218,11 +218,12 @@ def _adjacent(graph: KochGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Whether each (u, v) is an edge, from the triangle table alone.
 
     With lo < hi the pair is an edge iff both are hubs, or lo is hi's
-    father or companion; a -1 id is on no edge.
+    father (the first corner of hi's triangle) or its companion (hi - 1,
+    for an even hi); a -1 id is on no edge.
     """
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     return (lo >= 0) & (lo < hi) & (
-        (hi < 3) | (graph.father_of(hi) == lo) | (graph.companion_of(hi) == lo)
+        (hi < 3) | (graph.triangles[(hi - 1) >> 1, 0] == lo) | ((hi % 2 == 0) & (lo == hi - 1))
     )
 
 

@@ -405,7 +405,8 @@ def test_exports_match_reference_writers(m, t, chunk_rows, monkeypatch):
         got, want = io.StringIO(), io.StringIO()
         write(graph, got)
         reference(graph, want)
-        assert got.getvalue() == want.getvalue(), write.__name__
+        same = got.getvalue() == want.getvalue()  # a bool: pytest's diff of two long texts takes minutes
+        assert same, write.__name__
 
 
 @pytest.mark.parametrize("m,t", EXPORT_SIZES)

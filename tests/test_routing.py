@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -22,7 +23,7 @@ from kochnet import _kernels
 from kochnet import labels as labels_module
 from kochnet.graph import label_keys
 from kochnet.labels import child_block, validate_in_graph
-from kochnet.routing import route_batch
+from kochnet.routing import RoutePath, route_batch
 
 from conftest import (
     adjacency,
@@ -216,6 +217,30 @@ class TestRouteEqualsReference:
         assert info.misses > size and info.currsize <= size
 
 
+class TestRouteObjects:
+    @pytest.mark.parametrize("m,t", [(1, 3), (2, 2)])
+    def test_hops_are_plain_labels(self, m, t):
+        # the climb makes its hops without Label's __init__; each must still behave as one made by it
+        labels = all_labels(cached_graph(m, t))
+        for a in labels:
+            for b in labels:
+                hops = route(m, t, a, b).hops
+                made = [Label(h.subnet, h.bits, h.index) for h in hops]
+                for h, x in zip(hops, made):
+                    assert type(h) is Label and h == x and hash(h) == hash(x), (a, b)
+                    assert h <= x and x <= h and not h < x and not x < h, (a, b)
+                    assert (str(h), repr(h)) == (str(x), repr(x)), (a, b)
+                assert sorted(hops) == sorted(made), (a, b)
+
+    def test_route_path_is_slotted_and_frozen(self):
+        path = route(1, 2, *_labels("100.1 100.3", 1))
+        assert not hasattr(path, "__dict__")
+        for name, value in (("hops", ()), ("ops_used", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(path, name, value)
+        assert path == RoutePath(path.hops, path.ops_used) and path.reversed().reversed() == path
+
+
 class TestOracles:
     def test_triangle(self):
         graph = cached_graph(1, 0)
@@ -280,6 +305,24 @@ class TestRouteBatch:
         pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=40))
         a, b = (np.array(x, np.int64) for x in zip(*pairs))
         _assert_batch_matches_route(graph, a, b)
+
+    @pytest.mark.parametrize("m,t", [(2, 3), (3, 2)])
+    def test_each_row_equals_its_pair_alone(self, m, t):
+        # repeated endpoints, rows with a == b and shuffled order: the distinct endpoints are
+        # shared across rows, and no row may depend on another
+        graph = cached_graph(m, t)
+        rng = np.random.default_rng(3)
+        pool = rng.choice(graph.n_vertices, 40, replace=False)
+        a, b = rng.choice(pool, 400), rng.choice(pool, 400)
+        b[::7] = a[::7]
+        order = rng.permutation(len(a))
+        a, b = a[order], b[order]
+        both = route_batch(graph, a, b)
+        assert (a == b).any() and len(np.unique(np.concatenate((a, b)))) < len(a)
+        for p in range(len(a)):
+            one = route_batch(graph, a[p : p + 1], b[p : p + 1])
+            assert (both.hops[p] == one.hops[0]).all(), (a[p], b[p])
+            assert (both.length[p], both.ops_used[p]) == (one.length[0], one.ops_used[0])
 
     def test_uses_labels_only(self):
         graph = build(2, 2)

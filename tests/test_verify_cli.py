@@ -354,10 +354,13 @@ class TestCli:
         assert json.loads(proc.stdout)["closed_form"]["vertices"] == 2 * 4**20 + 1
 
     def test_commands_load_no_scipy(self):
-        # scipy is a test-only oracle: neither the import nor any of these commands loads it
+        # scipy is a test-only oracle: neither the import nor any of these commands loads it,
+        # nor numpy.ma, which a plain np.unique imports on first use (exhaustive and sampled
+        # verify branches both)
         argvs = [
             ["generate", "--m", "2", "--t", "2", "--format", "json"],
             ["verify", "--m", "1", "--t", "4", "--suite", "all"],
+            ["verify", "--m", "1", "--t", "5", "--suite", "all"],
             ["electrical", "--m", "2", "--t", "3", "--cfb"],
             ["electrical", "--m", "2", "--t", "3", "--source", "2011.5", "--target", "#3", "--profile"],
             ["stats", "--m", "2", "--t", "3", "--empirical"],
@@ -365,7 +368,7 @@ class TestCli:
         code = (
             "import io, sys, contextlib, kochnet.cli\n"
             "def loaded():\n"
-            "    return [n for n in sys.modules if n.split('.')[0] == 'scipy' or n == 'numpy.f2py']\n"
+            "    return [n for n in sys.modules if n.split('.')[0] == 'scipy' or n in ('numpy.f2py', 'numpy.ma')]\n"
             "print('import', loaded())\n"
             f"for argv in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
