@@ -9,6 +9,11 @@ one ``np.bitwise_or.reduceat`` over the rows.  ``pair_distances`` reads one
 bit per (source, target) pair at each level and ``all_distance_total``
 only counts bits.  ``multi_sigma_pairs`` is the one reader of the
 multi-path bit-plane; it unpacks a level only when a bit of it is set.
+The multi-path bits are found by counting: a row whose slots' popcounts,
+masked by its unseen bits, add up to more than its fresh popcount holds
+a bit from two frontier neighbours, and only on a level with such a row
+does the exact segmented prefix-OR run (never on a Koch network, whose
+shortest paths are unique).
 ``_BLOCK_ENTRIES`` is the one memory bound: it caps the packed words of
 one bit-plane of a sweep block.  These sweeps are oracles: the library's
 distance total and betweenness come from the triangle table in O(N), and
@@ -42,6 +47,25 @@ def _source_bits(n: int, sources: np.ndarray) -> np.ndarray:
     return bits
 
 
+def _prefix_steps(indptr: np.ndarray, degree: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Hillis-Steele steps of a segmented prefix-OR over the CSR slots: (shift, slots that take it)."""
+    place = np.arange(indptr[-1]) - np.repeat(indptr[:-1], degree)  # slot's place in its row
+    shifts = [1 << b for b in range(int(degree.max(initial=0) - 1).bit_length())]
+    return [(s, np.flatnonzero(place >= s)) for s in shifts]
+
+
+def _repeated_bits(slots: np.ndarray, steps: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Per CSR slot, the bits that an earlier slot of its row also holds (the exact pass)."""
+    prefix = slots.copy()  # OR of each row's slots up to and including this one
+    for s, idx in steps:
+        prefix[idx] |= prefix[idx - s]
+    repeat = np.zeros_like(slots)
+    if steps:
+        idx = steps[0][1]
+        repeat[idx] = slots[idx] & prefix[idx - 1]
+    return repeat
+
+
 def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, multi: bool = False):
     """One BFS for each source at once, level by level: yields (d, fresh, fresh_multi).
 
@@ -49,9 +73,14 @@ def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, multi:
     distance d from ``sources[j]``.  A level is one gather of the
     frontier's bits over the CSR slots and one OR per CSR row.  With
     ``multi``, ``fresh_multi`` marks the fresh bits reached by two or more
-    shortest paths: from at least two frontier neighbours (some slot's bit
-    also held by an earlier slot of its row, by a segmented prefix-OR), or
-    from a frontier neighbour that was.  Without it ``fresh_multi`` is None.
+    shortest paths: from at least two frontier neighbours, or from a
+    frontier neighbour that was.  A row has a bit from two neighbours
+    exactly when the popcounts of its slots, masked by its unseen bits,
+    add up to more than the popcount of its fresh bits; only on a level
+    where some row does is the exact pass (``_repeated_bits``, a
+    segmented prefix-OR) run, and the multi bits of the frontier are
+    gathered only while some are set.  Without ``multi`` ``fresh_multi``
+    is None.
     """
     n = indptr.shape[0] - 1
     degree = np.diff(indptr)
@@ -66,10 +95,7 @@ def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, multi:
             out[rows] = np.bitwise_or.reduceat(slots, starts, axis=0)
         return out
 
-    if multi:
-        place = np.arange(len(indices)) - np.repeat(indptr[:-1], degree)  # slot's place in its row
-        shifts = [1 << b for b in range(int(degree.max(initial=0) - 1).bit_length())]
-        later = [(s, np.flatnonzero(place >= s)) for s in shifts]  # Hillis-Steele steps
+    steps = None  # the exact pass's index arrays, made on its first level
     front = _source_bits(n, sources)
     unseen = ~front
     front_multi = np.zeros_like(front) if multi else None
@@ -79,15 +105,18 @@ def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, multi:
         slots = front[indices]
         fresh = row_or(slots)
         fresh &= unseen
-        if multi:
-            prefix = slots.copy()  # OR of each row's slots up to and including this one
-            for s, idx in later:
-                prefix[idx] |= prefix[idx - s]
-            repeat = front_multi[indices]
-            if later:
-                idx = later[0][1]
-                repeat[idx] |= slots[idx] & prefix[idx - 1]
-            front_multi = row_or(repeat) & fresh
+        if multi and len(rows):
+            slots &= np.repeat(unseen, degree, axis=0)  # only the bits that can be fresh
+            hits = np.add.reduceat(np.bitwise_count(slots), starts, axis=0, dtype=np.int64)
+            twice = bool((hits != np.bitwise_count(fresh[rows])).any())
+            carried = bool(front_multi.any())
+            if twice or carried:
+                repeat = front_multi[indices] if carried else np.zeros_like(slots)
+                if twice:
+                    if steps is None:
+                        steps = _prefix_steps(indptr, degree)
+                    repeat |= _repeated_bits(slots, steps)
+                front_multi = row_or(repeat) & fresh
         unseen ^= fresh
         front = fresh
         d += 1

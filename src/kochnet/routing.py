@@ -14,12 +14,15 @@ the steps of its cached class table in ``labels`` and making each hop's
 (the chains share a subnet wherever it compares them, and the hubs are
 shared objects), and sets the two slots of its ``RoutePath`` directly.
 ``route_batch`` does the same arithmetic for whole arrays of vertex ids
-at once, on the four label arrays the graph stores, and returns the hops
-as label keys.  It finds the distinct endpoints by marking them in one
+at once, on the four label arrays the graph stores, and returns each
+route in two halves, as label keys: the ancestor chain of each distinct
+endpoint once, and per pair how many hops come from a's chain and how
+many from b's.  It finds the distinct endpoints by marking them in one
 bool array over the vertex ids, with no sort, makes each one's chain
-once and lays it out from the hub end, so the deepest common vertex of a
-pair is the first hub column where the two chains differ, and each hop
-is read from one chain or the other.
+once and reads it from the hub end, so the deepest common vertex of a
+pair is the first hub column where the two chains differ.  The
+(pairs, 2t + 2) hop matrix, ``RouteBatch.hops``, is derived from the
+halves on demand.
 ``bfs_distances`` is the oracle: one vertex's distances to all others
 from the packed-bit BFS sweep ``_kernels.pair_distances``.
 """
@@ -102,11 +105,40 @@ def route(m: int, t: int, a: Label, b: Label) -> RoutePath:
 
 @dataclass(frozen=True)
 class RouteBatch:
-    """``route`` for many pairs: row p holds hops 0..length[p] as label keys, then -1."""
+    """``route`` for many pairs, as two halves of ancestor chains.
 
-    hops: np.ndarray  # int64 (pairs, 2t + 2)
-    length: np.ndarray  # int64 (pairs,)
+    ``chains`` holds the label keys of each distinct endpoint's ancestor
+    chain once, in chain order: the vertex, its father, ..., its hub, then
+    -1.  Pair p's route is ``A[:a_hops[p]]`` followed by ``B[:b_hops[p]]``
+    read back down to b, where A and B are rows ``a_row[p]`` and
+    ``b_row[p]`` of ``chains``: a's climb, a first, up to the splice vertex
+    (or to its hub), then b's chain below the splice (or all of it, from
+    the other hub).  ``b_hops`` is 0 when b is the splice vertex.
+    """
+
+    chains: np.ndarray  # int64 (ends, t + 1)
+    a_row: np.ndarray  # int64 (pairs,), rows of chains
+    b_row: np.ndarray
+    a_hops: np.ndarray  # int64 (pairs,), at least 1
+    b_hops: np.ndarray
     ops_used: np.ndarray  # int64 (pairs,)
+
+    @property
+    def length(self) -> np.ndarray:
+        return self.a_hops + self.b_hops - 1
+
+    @property
+    def hops(self) -> np.ndarray:
+        """int64 (pairs, 2t + 2): row p holds hops 0..length[p] as label keys, then -1."""
+        width = self.chains.shape[1]
+        k = np.arange(2 * width)  # hop columns
+        padded = np.full((len(self.chains), len(k)), -1, np.int64)  # column `width` on is -1
+        padded[:, :width] = self.chains
+        back = self.length[:, None] - k  # the column of b's chain at hop k, past a's hops
+        from_b = np.take_along_axis(
+            padded[self.b_row], np.where((back >= 0) & (back < width), back, width), axis=1
+        )
+        return np.where(k < self.a_hops[:, None], padded[self.a_row], from_b)
 
 
 def _father_fields(m: int, t: int, birth, bits, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,16 +175,18 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
     """``route`` between graph vertices a_ids[p] and b_ids[p], for every p at once.
 
     Label arithmetic only, on the graph's ``subnet``, ``birth``, ``bits``
-    and ``index`` arrays; map the hop keys to ids with
+    and ``index`` arrays; map the chain keys to ids with
     ``graph.vertex_by_label_key``.  The distinct endpoints are marked in
     one bool array over the N vertex ids, with no sort: they are the
     marked ids in ascending order, and each one's row is written back at
     its id, so a call for a few pairs on a large graph makes no O(N) pass
     beyond the mark and its scan.  Each distinct endpoint's chain is made
-    once and laid out once from the hub end, where column c holds the
+    once, and read once from the hub end, where column c holds the
     ancestor c steps below the hub.  Two chains agree on a prefix of
     those columns exactly when they share a subnet; its length is the
-    splice column.
+    splice column, which fixes each pair's two hop counts.  No hop is
+    copied per pair: the result is the chains and those counts (see
+    ``RouteBatch``).
     """
     m, t = graph.m, graph.t
     a, b = np.asarray(a_ids, np.int64), np.asarray(b_ids, np.int64)
@@ -163,14 +197,9 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
     row[ends] = np.arange(len(ends))
     ea, eb = row[a], row[b]
     chain, length = _ancestor_keys(graph, ends)
-    k = np.arange(2 * t + 2)  # hop columns
-    from_a = np.full((len(ends), len(k)), -1, np.int64)
-    from_a[:, : t + 1] = chain
-    # hub columns 0..t at t+1..2t+1, with -1 on either side for the reads below
-    from_hub = np.full((len(ends), 4 * t + 3), -1, np.int64)
-    hub_cols = from_hub[:, t + 1 : 2 * t + 2]
+    # hub columns 0..t at 0..t, with -1 past the chain's end
     col = length[:, None] - 1 - np.arange(t + 1)
-    hub_cols[:] = np.where(col >= 0, np.take_along_axis(chain, np.maximum(col, 0), axis=1), -1)
+    hub_cols = np.where(col >= 0, np.take_along_axis(chain, np.maximum(col, 0), axis=1), -1)
 
     len_a, len_b = length[ea], length[eb]
     # the splice column: the first hub column where the chains differ (none when a == b)
@@ -179,17 +208,19 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
     split = same & (common < len_a) & (common < len_b)  # neither end is the splice vertex
     # the vertices just below the splice sit at hub column `common`; the companion flips
     # the index within its odd/even pair, which moves the key by one
-    flat, wide = from_hub.reshape(-1), from_hub.shape[1]
-    key_a, key_b = flat[ea * wide + t + 1 + common], flat[eb * wide + t + 1 + common]
+    below = np.minimum(common, t)  # read only where split, which puts common below t + 1
+    key_a, key_b = hub_cols[ea, below], hub_cols[eb, below]
     odd = key_a % ((2 * m) ** t + 1) % 2 == 1
     shortcut = split & (key_a + np.where(odd, 1, -1) == key_b)
 
-    n_a = np.where(same, len_a + 1 - common - shortcut, len_a)  # hops taken from a's chain
-    n_b = len_b - common  # then b's chain below the splice, read from the hub end
-    from_b = flat[(eb * wide + t + 1 + common - n_a)[:, None] + k]
-    hops = np.where(k < n_a[:, None], from_a[ea], from_b)
-    ops = np.where(a == b, 0, len_a + len_b - 2 + split)
-    return RouteBatch(hops=hops, length=n_a + n_b - 1, ops_used=ops)
+    return RouteBatch(
+        chains=chain,
+        a_row=ea,
+        b_row=eb,
+        a_hops=np.where(same, len_a + 1 - common - shortcut, len_a),
+        b_hops=len_b - common,
+        ops_used=np.where(a == b, 0, len_a + len_b - 2 + split),
+    )
 
 
 def bfs_distances(graph: KochGraph, source: int) -> np.ndarray:

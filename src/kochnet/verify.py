@@ -237,6 +237,14 @@ def routing_suite(
     one BFS sweep reads every pair's distance.  In both cases a second
     sweep, from the same sources, lists the pairs with more than one
     shortest path for the uniqueness check.
+
+    Routes are checked on their two halves (``RouteBatch``): per chunk,
+    each distinct endpoint's chain is mapped to ids and each of its edges
+    tested once, and then each route costs O(1): its length, its two
+    halves against their chains' runs of edges, the junction, its two
+    ends, and its reversal against the backward route, by key where the
+    two splits differ.  That is O(P + E t) per chunk of P pairs with E
+    distinct endpoints, not O(P t).
     """
     m, t = graph.m, graph.t
     n = graph.n_vertices
@@ -261,16 +269,17 @@ def routing_suite(
     ops_max = 0
     asym = 0
     witness = ""
-    k = np.arange(2 * t + 2)
     # each chunk is routed both ways in one call, which finds every endpoint's chain once;
-    # each direction is still routed on its own, then checked against the pairs' BFS distances
+    # each chain's hop pairs are tested once, and each route costs O(1) on its two halves
     for lo in range(0, len(src), _CHUNK_PAIRS):
         chunk = slice(lo, lo + _CHUNK_PAIRS)
         s, v, want = src[chunk], dst[chunk], dist[chunk]
         both = route_batch(graph, np.concatenate((s, v)), np.concatenate((v, s)))
-        hops, bwd_hops = both.hops[: len(s)], both.hops[len(s) :]
-        length = both.length[: len(s)]
-        ops_max = max(ops_max, int(both.ops_used[: len(s)].max()))
+        fwd, bwd = slice(0, len(s)), slice(len(s), None)
+        a_row, b_row = both.a_row[fwd], both.b_row[fwd]
+        a_hops, b_hops = both.a_hops[fwd], both.b_hops[fwd]
+        length, bwd_length = both.length[fwd], both.length[bwd]
+        ops_max = max(ops_max, int(both.ops_used[fwd].max()))
 
         wrong = np.flatnonzero(length != want)
         mismatches += len(wrong)
@@ -281,17 +290,36 @@ def routing_suite(
                 f" got {int(length[p])} want {int(want[p])}"
             )
 
-        ids = graph.vertex_by_label_key(hops)
-        on_path = k[:-1] < length[:, None]
-        edge_ok = _adjacent(graph, ids[:, :-1], ids[:, 1:]) | ~on_path
-        ends_ok = (ids[:, 0] == s) & (ids[np.arange(len(s)), length] == v)
-        invalid += int(np.count_nonzero(~(edge_ok.all(axis=1) & ends_ok)))
-
-        back = length[:, None] - k
-        reversed_hops = np.where(
-            back >= 0, np.take_along_axis(hops, np.maximum(back, 0), axis=1), -1
+        # per chain, how many of its leading hop pairs are edges: the first non-edge's column
+        chains = both.chains
+        ids = graph.vertex_by_label_key(chains)
+        edge = _adjacent(graph, ids[:, :-1], ids[:, 1:])
+        good = np.argmin(np.column_stack((edge, np.zeros(len(ids), bool))), axis=1)
+        a_end, b_end = ids[a_row, np.maximum(a_hops - 1, 0)], ids[b_row, np.maximum(b_hops - 1, 0)]
+        valid = (
+            (a_hops > 0)
+            & (a_hops - 1 <= good[a_row])
+            & (b_hops - 1 <= good[b_row])
+            & ((b_hops == 0) | _adjacent(graph, a_end, b_end))  # the junction
+            & (ids[a_row, 0] == s)
+            & (np.where(b_hops > 0, ids[b_row, 0], a_end) == v)  # the last hop
         )
-        asym += int(np.count_nonzero((bwd_hops != reversed_hops).any(axis=1)))
+        invalid += int(np.count_nonzero(~valid))
+
+        # route(b,a), split (m_b, m_a), reversed is A[:m_a] then B[:m_b] read back: it equals
+        # route(a,b) when the rows and lengths agree and, at each hop k from the smaller split
+        # to below the larger, A[k] == B[length - k], one side's key against the other's
+        m_a = both.b_hops[bwd]
+        sym = (both.b_row[bwd] == a_row) & (both.a_row[bwd] == b_row) & (bwd_length == length)
+        k, stop = np.minimum(a_hops, m_a), np.maximum(a_hops, m_a)
+        p = np.flatnonzero(sym & (k < stop))
+        while len(p):  # at most t + 1 rounds; a typical pair needs one
+            at = k[p]
+            same = chains[a_row[p], np.minimum(at, t)] == chains[b_row[p], np.clip(length[p] - at, 0, t)]
+            sym[p[~same]] = False
+            k[p] += 1
+            p = p[same & (k[p] < stop[p])]
+        asym += int(np.count_nonzero(~sym))
 
     mode = "all-pairs" if exhaustive else f"{len(src)} seeded pairs"
     out.append(

@@ -110,6 +110,24 @@ def test_multi_sigma_pairs_match_python_sigma(monkeypatch, shape, entries):
     assert len(list(_kernels._blocks(sources, n))) == (3 if entries == 1 else 1)
 
 
+@pytest.mark.parametrize("graph,exact", [("koch", False), ("chord", True)])
+def test_exact_multi_pass_runs_only_where_a_row_repeats_a_bit(monkeypatch, graph, exact):
+    # K(1,4) has one shortest path per pair, so popcount sums never exceed the fresh popcount
+    # and the prefix-OR pass never runs; the chord's 4-cycle makes it run on some level
+    calls = []
+    repeated = _kernels._repeated_bits
+
+    def counted(slots, steps):
+        calls.append(len(slots))
+        return repeated(slots, steps)
+
+    monkeypatch.setattr(_kernels, "_repeated_bits", counted)
+    indptr, indices = cached_graph(1, 4).csr if graph == "koch" else _chord_graph()
+    n = indptr.shape[0] - 1
+    keys = _kernels.multi_sigma_pairs(indptr, indices, np.arange(n))
+    assert (len(keys) > 0) == exact and (len(calls) > 0) == exact
+
+
 def _blocks(n, rows):
     return [np.arange(s, min(s + rows, n)) for s in range(0, n, rows)]
 

@@ -324,6 +324,21 @@ class TestRouteBatch:
             assert (both.hops[p] == one.hops[0]).all(), (a[p], b[p])
             assert (both.length[p], both.ops_used[p]) == (one.length[0], one.ops_used[0])
 
+    @pytest.mark.parametrize("m,t", [(1, 3), (2, 2)])
+    def test_halves_rebuild_each_route(self, m, t):
+        # a's chain up to its split, then b's chain read back down: route's hops, key for key
+        graph = cached_graph(m, t)
+        a, b = np.divmod(np.arange(graph.n_vertices**2), graph.n_vertices)
+        batch = route_batch(graph, a, b)
+        assert batch.chains.shape == (len(np.unique(a)), t + 1)
+        for p, (s, v) in enumerate(zip(a.tolist(), b.tolist())):
+            path = route(m, t, graph.label_of(s), graph.label_of(v))
+            half_a = batch.chains[batch.a_row[p], : batch.a_hops[p]]
+            half_b = batch.chains[batch.b_row[p], : batch.b_hops[p]]
+            want = _key(graph, [graph.vertex_by_label(h) for h in path.hops])
+            assert [*half_a.tolist(), *half_b[::-1].tolist()] == want.tolist(), (s, v)
+            assert batch.length[p] == batch.a_hops[p] + batch.b_hops[p] - 1 == path.length
+
     def test_uses_labels_only(self):
         graph = build(2, 2)
         a, b = np.divmod(np.arange(graph.n_vertices**2), graph.n_vertices)
@@ -386,49 +401,124 @@ def test_triangle_table_edge_test_matches_edge_index(m, t):
     assert not verify._adjacent(graph, np.array([-1, -1, 0]), np.array([0, 2, -1])).any()  # an unmapped hop
 
 
+def _forward(batch):
+    """The suite routes a chunk's pairs forward, then the same pairs backward, in one call."""
+    return np.arange(len(batch.a_row)) < len(batch.a_row) // 2
+
+
+def _with_half(batch, p, side, keys):
+    """``batch`` with pair p's half on ``side`` ("a" or "b") read from a new chain row holding ``keys``."""
+    batch = dataclasses.replace(batch, chains=np.vstack((batch.chains, keys)))
+    getattr(batch, f"{side}_row")[p] = len(batch.chains) - 1
+    return batch
+
+
+def _key(graph, v):
+    return label_keys(graph.m, graph.t, graph.subnet[v], graph.birth[v], graph.bits[v], graph.index[v])
+
+
+def _mutated_suite(monkeypatch, graph, mutate, **kwargs):
+    monkeypatch.setattr(verify, "route_batch", lambda graph, a, b: mutate(graph, route_batch(graph, a, b)))
+    return {c.id: c for c in verify.routing_suite(graph, **kwargs)}
+
+
 def test_path_validity_fails_on_a_hop_replaced_by_its_grandfather(monkeypatch):
-    graph = cached_graph(1, 3)
-    m, t = graph.m, graph.t
-    routed = verify.route_batch
+    def one_hop_off(side):
+        def mutate(graph, batch):
+            row, hops = getattr(batch, f"{side}_row"), getattr(batch, f"{side}_hops")
+            ids = graph.vertex_by_label_key(batch.chains)
+            col = np.arange(batch.chains.shape[1])
+            # an inner hop of one half, neither an end of the route nor at the junction
+            inner = (col > 0) & (col < hops[:, None] - 1) & (graph.birth[ids[row]] >= 2)
+            p, k = np.argwhere(inner & _forward(batch)[:, None])[0]
+            keys = batch.chains[row[p]].copy()
+            keys[k] = _key(graph, graph.father_of(graph.father_of(ids[row[p], k])))
+            return _with_half(batch, p, side, keys)
 
-    def one_hop_off(graph, a, b):
-        batch = routed(graph, a, b)
-        ids = graph.vertex_by_label_key(batch.hops)
-        col = np.arange(batch.hops.shape[1])
-        inner = (col > 0) & (col < batch.length[:, None]) & (graph.birth[ids] >= 2)
-        p, k = np.argwhere(inner)[0]
-        up = graph.father_of(graph.father_of(ids[p, k]))
-        fields = graph.subnet[up], graph.birth[up], graph.bits[up], graph.index[up]
-        batch.hops[p, k] = label_keys(m, t, *fields)
-        return batch
+        return mutate
 
-    monkeypatch.setattr(verify, "route_batch", one_hop_off)
-    checks = {c.id: c for c in verify.routing_suite(graph)}
-    assert checks["routing/optimality"].status == verify.PASS  # the lengths are untouched
-    check = checks["routing/path-validity"]
-    assert check.status == verify.FAIL
-    assert int(check.detail.removeprefix("invalid=")) > 0
+    for side in "ab":
+        checks = _mutated_suite(monkeypatch, cached_graph(1, 3), one_hop_off(side))
+        assert checks["routing/optimality"].status == verify.PASS  # the lengths are untouched
+        check = checks["routing/path-validity"]
+        assert check.status == verify.FAIL
+        assert check.detail == "invalid=1", side
 
 
 def test_reversal_fails_on_one_backward_hop_off(monkeypatch):
-    # the suite routes a chunk's pairs forward, then the same pairs backward, in one call;
-    # one hop of the first backward row is moved onto the next hop's label
-    graph = cached_graph(1, 3)
-    routed = verify.route_batch
-
-    def backward_hop_off(graph, a, b):
-        batch = routed(graph, a, b)
-        first_back = len(a) // 2
-        batch.hops[first_back, 0] = batch.hops[first_back, 1]
+    # one backward route takes one hop more from its first chain and one fewer from its
+    # second: the same length, but the hop where its halves meet moves up the first chain
+    def split_moved(graph, batch):
+        depth = np.count_nonzero(batch.chains >= 0, axis=1)
+        q = np.flatnonzero(~_forward(batch) & (batch.b_hops > 0) & (batch.a_hops < depth[batch.a_row]))[0]
+        batch.a_hops[q] += 1
+        batch.b_hops[q] -= 1
         return batch
 
-    monkeypatch.setattr(verify, "route_batch", backward_hop_off)
-    checks = {c.id: c for c in verify.routing_suite(graph)}
-    assert checks["routing/optimality"].status == verify.PASS  # the forward rows are untouched
+    checks = _mutated_suite(monkeypatch, cached_graph(1, 3), split_moved)
+    assert checks["routing/optimality"].status == verify.PASS  # the forward routes are untouched
     assert checks["routing/path-validity"].status == verify.PASS
     check = checks["routing/reversal"]
     assert check.status == verify.FAIL
     assert int(check.detail.removeprefix("asymmetric=")) > 0
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_a_companion_shortcut_dropped_or_added_fails(monkeypatch, change):
+    # drop: the route runs through the common father, one hop too long but on edges;
+    # add: a's half stops below the splice, and its last hop is no neighbour of b's
+    def shortcut_changed(graph, batch):
+        ids = graph.vertex_by_label_key(batch.chains)
+        a_end = ids[batch.a_row, batch.a_hops - 1]
+        b_end = ids[batch.b_row, np.maximum(batch.b_hops - 1, 0)]
+        companions = (batch.b_hops > 0) & (graph.companion_of(a_end) == b_end)
+        if change == "drop":
+            p = np.flatnonzero(_forward(batch) & companions)[0]
+            batch.a_hops[p] += 1
+        else:
+            splice = (batch.b_hops > 0) & (graph.father_of(b_end) == a_end) & (batch.a_hops > 1)
+            p = np.flatnonzero(_forward(batch) & splice)[0]
+            batch.a_hops[p] -= 1
+        return batch
+
+    checks = _mutated_suite(monkeypatch, cached_graph(1, 3), shortcut_changed)
+    assert checks["routing/optimality"].status == verify.FAIL
+    assert checks["routing/path-validity"].status == (verify.PASS if change == "drop" else verify.FAIL)
+
+
+def test_path_validity_fails_on_the_first_hop_moved_to_its_companion(monkeypatch):
+    # the companion shares the first hop's father, so every hop pair stays an edge
+    def first_hop_off(graph, batch):
+        ids = graph.vertex_by_label_key(batch.chains)
+        p = np.flatnonzero(_forward(batch) & (batch.a_hops > 1))[0]
+        keys = batch.chains[batch.a_row[p]].copy()
+        keys[0] = _key(graph, graph.companion_of(ids[batch.a_row[p], 0]))
+        return _with_half(batch, p, "a", keys)
+
+    checks = _mutated_suite(monkeypatch, cached_graph(1, 3), first_hop_off)
+    assert checks["routing/optimality"].status == verify.PASS
+    assert checks["routing/path-validity"].detail == "invalid=1"
+
+
+def test_path_validity_fails_on_the_last_hop_off_when_b_is_the_splice(monkeypatch):
+    # b is an ancestor of a, so the route is a's half alone and ends on A[a_hops - 1]; that
+    # hop is moved to the companion of the hop before it, which keeps every hop pair an edge.
+    # All-pairs routes run from the lower id forward, never up to an ancestor, so the pairs
+    # are sampled here
+    def last_hop_off(graph, batch):
+        ids = graph.vertex_by_label_key(batch.chains)
+        p = np.flatnonzero(_forward(batch) & (batch.b_hops == 0) & (batch.a_hops > 1))[0]
+        keys = batch.chains[batch.a_row[p]].copy()
+        k = batch.a_hops[p] - 1
+        keys[k] = _key(graph, graph.companion_of(ids[batch.a_row[p], k - 1]))
+        return _with_half(batch, p, "a", keys)
+
+    monkeypatch.setattr(verify, "EXHAUSTIVE_PAIR_LIMIT", 0)
+    checks = _mutated_suite(monkeypatch, cached_graph(1, 3), last_hop_off, sample_pairs=2000)
+    assert checks["routing/optimality"].status == verify.PASS
+    check = checks["routing/path-validity"]
+    assert check.status == verify.FAIL
+    assert check.detail == "invalid=1"
 
 
 def test_exhaustive_routing_suite_sweeps_its_sources_once(monkeypatch):
