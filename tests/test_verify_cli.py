@@ -531,6 +531,17 @@ PINNED_STDOUT = {
     # a negative paper column (-0.5)
     ("betweenness", "--m", "1", "--t", "0", "--mode", "formula"):
         "fe4a6dfa85beb98723614493a355c3fa144dd77b7e53724580d0113f1e00c457",
+    # K(2,6), N = 235299: many export chunks, ids and indexes of up to 6 digits
+    ("generate", "--m", "2", "--t", "6", "--format", "edgelist"):
+        "b871de0d98d5d03921f4333ed86dff38426f236590be6c0c7e06cd10b5aa0c0b",
+    ("generate", "--m", "2", "--t", "6", "--format", "json"):
+        "8bcb90490a31f49ce675fc12418c0aa636e8c8df934b53b68a9ec0835af3c92d",
+    ("generate", "--m", "2", "--t", "6", "--format", "dot"):
+        "bbd3225e80f6ff5caa339fc8b1c3db7227c381286308dc2a6699e977204b63f4",
+    ("betweenness", "--m", "2", "--t", "6", "--mode", "exact", "--edges"):
+        "d1c48fc63f42957f4591568f31d8b8e95a0128578a9f215db971ed2be551a689",
+    ("betweenness", "--m", "2", "--t", "6", "--mode", "exact"):
+        "2512829e12daef3f8d9d1a06c720c708837fdbeca77f5c15829231f080aeee8d",
 }
 
 
