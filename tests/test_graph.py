@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kochnet import Label, SizeCapError, UnknownLabelError, build, format_label
 from kochnet import current_flow_betweenness, exact_vertex_betweenness
@@ -385,8 +387,18 @@ class TestExports:
         assert '[label="10.2"]' in buf.getvalue()
 
 
-# K(4,3) has 3-digit indices; K(1,6) has ids that pass 10, 100 and 1000 inside one chunk
+# K(4,3) has 3-digit indices; K(1,6) has ids that pass 10, 100 and 1000 inside one chunk, and
+# its 8,193 vertices are one past the default chunk of 2^13 rows, so its default-chunk case
+# crosses that boundary
 EXPORT_SIZES = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, 2), (4, 3), (1, 6)]
+# a chunk of 7 rows splits vertices and edges mid-list; a chunk of 1 row, on the graphs of at
+# most 30 vertices, puts a chunk boundary before every row and its separator
+EXPORT_CASES = [
+    pytest.param(m, t, rows, id=f"{m}-{t}-{name}")
+    for m, t in EXPORT_SIZES
+    for rows, name in ((None, "default-chunk"), (7, "chunk-7"), (1, "chunk-1"))
+    if rows != 1 or vertex_count(m, t) <= 30
+]
 REFERENCE_WRITERS = {
     KochGraph.write_edgelist: reference_write_edgelist,
     KochGraph.write_json: reference_write_json,
@@ -394,10 +406,13 @@ REFERENCE_WRITERS = {
 }
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 7], ids=["default-chunk", "chunk-7"])
-@pytest.mark.parametrize("m,t", EXPORT_SIZES)
+def test_largest_export_size_crosses_the_default_chunk():
+    assert vertex_count(1, 6) == graph_module._EXPORT_ROWS + 1
+
+
+@pytest.mark.parametrize("m,t,chunk_rows", EXPORT_CASES)
 def test_exports_match_reference_writers(m, t, chunk_rows, monkeypatch):
-    """Byte equality with the per-Label writers; a chunk of 7 rows splits vertices and edges mid-list."""
+    """Byte equality with the per-Label writers, in every chunking of ``EXPORT_CASES``."""
     if chunk_rows is not None:
         monkeypatch.setattr(graph_module, "_EXPORT_ROWS", chunk_rows)
     graph = build(m, t)
@@ -418,8 +433,7 @@ def test_label_texts_are_formatted_labels(m, t):
     assert labels == [r.label for r in reference_build(m, t)[0]]
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 7], ids=["default-chunk", "chunk-7"])
-@pytest.mark.parametrize("m,t", EXPORT_SIZES)
+@pytest.mark.parametrize("m,t,chunk_rows", EXPORT_CASES)
 def test_csv_match_reference_writers(m, t, chunk_rows, monkeypatch, capsys):
     """``betweenness`` in every mode, with and without --edges, and ``electrical --cfb``: byte
     equality with the per-row writers, chunked as the exports are."""
@@ -456,6 +470,72 @@ def test_float_column_is_repr_on_distinct_values():
     values = np.random.default_rng(0).standard_normal(1000) * 10.0 ** np.arange(-300, 300, 0.6)
     assert len(np.unique(values)) == len(values)
     assert float_rows(values) == [repr(float(x)) for x in values]
+
+
+def column_rows(column) -> list[str]:
+    """Each row's kept bytes of a text column (chars, keep)."""
+    chars, keep = column
+    return [row[kept].tobytes().decode("ascii") for row, kept in zip(chars, keep)]
+
+
+def test_decimal_is_str_at_every_digit_count():
+    edges = [0, 2**31 - 1, 2**31, 2**32 - 1]
+    edges += [p for k in range(10) for p in (10**k - 1, 10**k)]
+    sample = np.random.default_rng(24).integers(0, 2**32, 10_000).tolist()
+    for values in (edges, sample):
+        assert column_rows(graph_module._decimal(np.array(values))) == [str(x) for x in values]
+
+
+def test_decimal_omit_zero_keeps_no_digit_of_a_zero():
+    assert column_rows(graph_module._decimal(np.zeros(3, np.int64), omit_zero=True)) == ["", "", ""]
+    assert column_rows(graph_module._decimal(np.array([0, 7, 10]), omit_zero=True)) == ["", "7", "10"]
+
+
+@pytest.mark.parametrize("values", [[2**32], [0, 2**32 + 5], [-1]])
+def test_decimal_refuses_values_past_32_bits(values):
+    with pytest.raises(ValueError):
+        graph_module._decimal(np.array(values, np.int64))
+
+
+TEXTS = st.text(alphabet='0123456789.,:"{}[] -', max_size=4)
+
+
+@st.composite
+def text_columns(draw, n):
+    """One column for ``_text_rows`` and the text it gives each of n rows."""
+    kind = draw(st.sampled_from(["constant", "table", "decimal", "binary"]))
+    if kind == "constant":
+        text = draw(TEXTS)
+        return text, [text] * n
+    if kind == "table":
+        texts = draw(st.lists(TEXTS, min_size=1, max_size=4))
+        which = draw(st.lists(st.integers(0, len(texts) - 1), min_size=n, max_size=n))
+        return graph_module._table(texts, which), [texts[w] for w in which]
+    if kind == "decimal":
+        values = draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n))
+        omit_zero = draw(st.booleans())
+        texts = ["" if omit_zero and x == 0 else str(x) for x in values]
+        return graph_module._decimal(np.array(values, np.int64), omit_zero), texts
+    width = draw(st.integers(0, 8))
+    length = draw(st.lists(st.integers(0, width), min_size=n, max_size=n))
+    bits = draw(st.lists(st.integers(0, 2**width - 1), min_size=n, max_size=n))
+    texts = [format(b, "b").zfill(k)[-k:] if k else "" for b, k in zip(bits, length)]
+    column = graph_module._binary(np.array(bits, np.int64), np.array(length, np.int64), width)
+    return column, texts
+
+
+@st.composite
+def text_tables(draw):
+    n = draw(st.integers(1, 40))
+    return n, draw(st.lists(text_columns(n), min_size=1, max_size=6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(text_tables())
+def test_text_rows_is_a_per_row_join(table):
+    n, columns = table
+    want = "".join("".join(texts[row] for _, texts in columns) for row in range(n))
+    assert graph_module._text_rows(n, [column for column, _ in columns]) == want
 
 
 def test_vertex_ids_in_creation_order():
