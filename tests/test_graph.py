@@ -479,10 +479,10 @@ def column_rows(column) -> list[str]:
 
 
 def test_decimal_is_str_at_every_digit_count():
-    edges = [0, 2**31 - 1, 2**31, 2**32 - 1]
-    edges += [p for k in range(10) for p in (10**k - 1, 10**k)]
+    corners = [0, 2**31 - 1, 2**31, 2**32 - 1]
+    corners += [p for k in range(10) for p in (10**k - 1, 10**k)]
     sample = np.random.default_rng(24).integers(0, 2**32, 10_000).tolist()
-    for values in (edges, sample):
+    for values in (corners, sample):
         assert column_rows(graph_module._decimal(np.array(values))) == [str(x) for x in values]
 
 
@@ -492,7 +492,7 @@ def test_decimal_omit_zero_keeps_no_digit_of_a_zero():
 
 
 @pytest.mark.parametrize("values", [[2**32], [0, 2**32 + 5], [-1]])
-def test_decimal_refuses_values_past_32_bits(values):
+def test_decimal_refuses_values_outside_32_bits(values):
     with pytest.raises(ValueError):
         graph_module._decimal(np.array(values, np.int64))
 
