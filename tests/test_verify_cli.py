@@ -542,6 +542,13 @@ PINNED_STDOUT = {
         "d1c48fc63f42957f4591568f31d8b8e95a0128578a9f215db971ed2be551a689",
     ("betweenness", "--m", "2", "--t", "6", "--mode", "exact"):
         "2512829e12daef3f8d9d1a06c720c708837fdbeca77f5c15829231f080aeee8d",
+    # pair profiles and a voltage spectrum: unit-drop voltages and raw off-path currents
+    ("electrical", "--m", "1", "--t", "3", "--source", "#5", "--target", "#120"):
+        "9a0c58e91faebe0a953e56f1aaac5caecfc32bfc8aa68eb6890ce1bbe1bb2e6a",
+    ("electrical", "--m", "1", "--t", "3", "--source", "#5", "--target", "#120", "--gap"):
+        "d48d8845b2843376dea969fefc3a94819f21b195483f068fc4e5d4be76889844",
+    ("electrical", "--m", "2", "--t", "4", "--source", "#7", "--target", "#4000"):
+        "7839771b9aa8ed44457833ac91b358c9dbf5175337eb2008051f18f519b32597",
 }
 
 
