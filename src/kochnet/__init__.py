@@ -10,8 +10,7 @@ from .analytics import claim_audit, closed_forms, empirical_stats, stats_report
 from .centrality import (
     centrality_report,
     descendant_count,
-    exact_edge_betweenness,
-    exact_vertex_betweenness,
+    exact_betweenness,
     firstorder_vertex_betweenness,
     paper_edge_betweenness,
     paper_vertex_betweenness,
@@ -78,8 +77,7 @@ __all__ = [
     "degree_of",
     "descendant_count",
     "empirical_stats",
-    "exact_edge_betweenness",
-    "exact_vertex_betweenness",
+    "exact_betweenness",
     "father",
     "firstorder_vertex_betweenness",
     "format_label",

@@ -105,14 +105,6 @@ def exact_betweenness(graph: KochGraph) -> tuple[np.ndarray, np.ndarray]:
     return vertex / norm, edge / norm
 
 
-def exact_vertex_betweenness(graph: KochGraph) -> np.ndarray:
-    return exact_betweenness(graph)[0]
-
-
-def exact_edge_betweenness(graph: KochGraph) -> np.ndarray:
-    return exact_betweenness(graph)[1]
-
-
 def _close(a: np.ndarray, b: np.ndarray, rel_tol: float) -> bool:
     """``math.isclose(x, y, rel_tol=rel_tol, abs_tol=1e-15)`` for every pair of elements."""
     bound = np.maximum(rel_tol * np.maximum(np.abs(a), np.abs(b)), 1e-15)

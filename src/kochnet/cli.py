@@ -285,6 +285,8 @@ def _cmd_betweenness(args) -> int:
 
 
 def _cmd_electrical(args) -> int:
+    if args.cfb and (args.source is not None or args.target is not None):
+        raise UsageError("--source and --target do not apply to --cfb")
     graph = build(args.m, args.t)
     if args.cfb:
         values = electrical.current_flow_betweenness(graph)
@@ -298,7 +300,7 @@ def _cmd_electrical(args) -> int:
     if s == v:
         raise UsageError("source and target must differ")
     if args.gap:
-        gap = electrical.voltage_gap(graph, s, v)
+        gap = electrical.voltage_gap(electrical.solve(graph, s, v))
         print(_jdump({"gap": gap.gap, "spectrum": [float(x) for x in gap.spectrum]}))
         return EXIT_OK
     prof = electrical.path_profile(graph, s, v)
@@ -306,7 +308,7 @@ def _cmd_electrical(args) -> int:
         _jdump(
             {
                 "d": prof.distance,
-                "R_eff": prof.effective_resistance,
+                "R_eff": prof.field.effective_resistance,
                 "path_voltages": prof.on_path_voltages,
                 "companion_voltages": prof.companion_voltages,
                 "support_edges": len(prof.support_edges),

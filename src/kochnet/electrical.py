@@ -7,9 +7,13 @@ between two vertices localizes to the chain of triangles along their
 with a 2-ohm detour, so the pair resistance is (2/3) * distance, the
 on-path voltages fall arithmetically, and each triangle splits current
 2/3 (direct edge) versus 1/3 (detour).  ``path_profile`` measures all of
-that against the solver; nothing is assumed.  ``solve`` returns the field
-at unit current; ``path_profile`` and ``voltage_gap`` divide it by the
-effective resistance, which gives a unit pair drop.
+that against the solver; nothing is assumed.  ``solve`` returns one
+frozen field at unit current, and every other call reads such a field
+without changing it: ``path_profile`` wraps its own in a frozen
+``PathProfile`` with the chain checks, and ``voltage_gap`` takes one that
+was already solved.  Currents are read at unit current; only the
+reported voltages are divided by the effective resistance, at the
+vertices they report, which puts them at a unit pair drop.
 
 Every solve is a back-solve of one factorization per graph,
 ``KochGraph.laplacian_factor``: a numpy LDL^T of the Laplacian grounded at
@@ -37,7 +41,7 @@ with no loop over sources.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,19 +57,28 @@ CFB_EXHAUSTIVE_MAX_N = 600  # vertices: cap on the Laplacian oracle of current-f
 _CFB_BLOCK_ROWS = 128  # edge rows per block of the oracle's reduction
 
 
-@dataclass
+@dataclass(frozen=True)
 class ElectricalProfile:
+    """One solved field at unit current, target grounded."""
+
     potentials: np.ndarray
     edge_currents: np.ndarray  # oriented low-id -> high-id, aligned with graph.edges
     effective_resistance: float
-    support_edges: frozenset[int] = frozenset()
-    on_path_voltages: list[float] = field(default_factory=list)
-    companion_voltages: list[float] = field(default_factory=list)
-    distance: int | None = None
-    max_offpath_current: float | None = None
-    thm_support_ok: bool | None = None
-    thm_voltages_ok: bool | None = None
-    thm_split_ok: bool | None = None
+
+
+@dataclass(frozen=True)
+class PathProfile:
+    """``path_profile``'s chain checks, read from one unit-current ``field``."""
+
+    field: ElectricalProfile
+    distance: int
+    on_path_voltages: list[float]  # source to target, at a unit pair drop
+    companion_voltages: list[float]  # each hop triangle's third corner, at a unit pair drop
+    support_edges: frozenset[int]  # edges carrying more than SUPPORT_EPS
+    max_offpath_current: float  # largest current off the chain's 3d edges
+    thm_support_ok: bool
+    thm_voltages_ok: bool
+    thm_split_ok: bool
 
 
 def _kcl_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,71 +119,56 @@ def solve(graph: KochGraph, source: int, target: int) -> ElectricalProfile:
     phi -= phi[target]
     currents = _edge_currents(graph, phi)
     _checked_residual(graph, currents, b)
-    return ElectricalProfile(
-        potentials=phi,
-        edge_currents=currents,
-        effective_resistance=float(phi[source]),
-        support_edges=frozenset(int(e) for e in np.flatnonzero(np.abs(currents) > SUPPORT_EPS)),
-    )
+    return ElectricalProfile(phi, currents, float(phi[source]))
 
 
-def path_profile(graph: KochGraph, source: int, target: int) -> ElectricalProfile:
-    """``solve``'s profile at unit voltage, annotated with the triangle-chain checks.
+def path_profile(graph: KochGraph, source: int, target: int) -> PathProfile:
+    """``solve``'s field checked against the triangle chain of the shortest path.
 
-    Verifies against the solved field that (a) current is confined to the
-    3d edges of the d triangles along the shortest path, (b) on-path
-    voltages fall 1, (d-1)/d, ..., 0 with the chain midpoints at the half
-    steps, (c) every chain triangle splits its through-current 2/3 direct
-    versus 1/3 detour, within ``PROFILE_TOL``.
+    Verifies that (a) current is confined to the 3d edges of the d
+    triangles along the shortest path, (b) on-path voltages at a unit pair
+    drop fall 1, (d-1)/d, ..., 0 with the chain midpoints at the half
+    steps, (c) every chain triangle splits the unit pair current 2/3
+    direct versus 1/3 detour, within ``PROFILE_TOL``.
     """
-    profile = solve(graph, source, target)
-    profile.potentials = profile.potentials / profile.effective_resistance  # the pair drop is 1
-    profile.edge_currents = profile.edge_currents / profile.effective_resistance
+    field = solve(graph, source, target)
+    r_eff = field.effective_resistance
     path = route_batch(graph, [source], [target])
-    d = int(path.length[0])
-    ids = graph.vertex_by_label_key(path.hops[0, : d + 1])
+    a_half = path.chains[path.a_row[0], : path.a_hops[0]]
+    b_half = path.chains[path.b_row[0], : path.b_hops[0]]
+    ids = graph.vertex_by_label_key(np.concatenate((a_half, b_half[::-1])))
+    d = len(ids) - 1
     u, v = ids[:-1], ids[1:]
     tris = graph.triangles[(np.maximum(u, v) - 1) // 2]  # edge (u, v) lies in this row
     w = tris.sum(axis=1) - u - v  # the third corner of each hop's triangle
+    # rows: the direct edge, then the detour's edges at u and at v; together the chain's 3d edges
+    chain = graph.edge_index(np.stack((u, u, v)), np.stack((v, w, w)))
 
-    chain = graph.edge_index(tris[:, [0, 0, 1]], tris[:, [1, 2, 2]]).ravel()
-    support = frozenset(chain.tolist())
-    off = np.ones(graph.n_edges, bool)
-    off[chain] = False
-    # classification currents are taken at unit injection
-    raw = profile.edge_currents * profile.effective_resistance
-    max_off = float(np.max(np.abs(raw[off]))) if off.any() else 0.0
+    current = np.abs(field.edge_currents)
+    support = frozenset(np.flatnonzero(current > SUPPORT_EPS).tolist())
+    shares = current[chain]  # of the unit pair current
+    split_ok = bool(np.all(np.abs(shares - [[2 / 3], [1 / 3], [1 / 3]]) < PROFILE_TOL))
+    current[chain] = 0.0
+    max_off = float(current.max())
 
-    phi = profile.potentials
-    on_path = phi[ids].tolist()
+    on_path = (field.potentials[ids] / r_eff).tolist()
+    midpoints = (field.potentials[w] / r_eff).tolist()
     expected_path = [1.0 - k / d for k in range(d + 1)]
-    midpoints = phi[w].tolist()
     expected_mid = [1.0 - (2 * k + 1) / (2 * d) for k in range(d)]
-
-    total = 1.0 / profile.effective_resistance  # pair current at unit voltage
-    current = np.abs(profile.edge_currents)
-    direct = current[graph.edge_index(u, v)] / total
-    detour_a = current[graph.edge_index(u, w)] / total
-    detour_b = current[graph.edge_index(v, w)] / total
-    split_ok = bool(
-        np.all(
-            (np.abs(direct - 2 / 3) < PROFILE_TOL)
-            & (np.abs(detour_a - 1 / 3) < PROFILE_TOL)
-            & (np.abs(detour_b - 1 / 3) < PROFILE_TOL)
-        )
+    return PathProfile(
+        field=field,
+        distance=d,
+        on_path_voltages=on_path,
+        companion_voltages=midpoints,
+        support_edges=support,
+        max_offpath_current=max_off,
+        thm_support_ok=bool(max_off < PROFILE_TOL and support == frozenset(chain.ravel().tolist())),
+        thm_voltages_ok=bool(
+            all(abs(a - b) < PROFILE_TOL for a, b in zip(on_path, expected_path))
+            and all(abs(a - b) < PROFILE_TOL for a, b in zip(midpoints, expected_mid))
+        ),
+        thm_split_ok=split_ok,
     )
-
-    profile.distance = d
-    profile.on_path_voltages = on_path
-    profile.companion_voltages = midpoints
-    profile.max_offpath_current = max_off
-    profile.thm_support_ok = bool(max_off < PROFILE_TOL and profile.support_edges == support)
-    profile.thm_voltages_ok = bool(
-        all(abs(a - b) < PROFILE_TOL for a, b in zip(on_path, expected_path))
-        and all(abs(a - b) < PROFILE_TOL for a, b in zip(midpoints, expected_mid))
-    )
-    profile.thm_split_ok = bool(split_ok)
-    return profile
 
 
 def current_flow_betweenness(graph: KochGraph) -> np.ndarray:
@@ -226,20 +224,18 @@ def _exhaustive_cfb(graph: KochGraph) -> np.ndarray:
     return totals / (n * (n - 1) // 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VoltageGap:
     gap: float
     spectrum: np.ndarray  # sorted potentials, normalized to a unit pair drop
 
 
-def voltage_gap(graph: KochGraph, source: int, target: int) -> VoltageGap:
-    """Largest jump in the sorted voltage spectrum, as a fraction of the pair drop.
+def voltage_gap(field: ElectricalProfile) -> VoltageGap:
+    """Largest jump in a solved field's sorted voltage spectrum, as a fraction of the pair drop.
 
     A strong two-community structure shows up as one dominant jump; the
     spectrum includes the probe vertices, so the statistic is 1/2 for a
     bare triangle probed across one edge.
     """
-    profile = solve(graph, source, target)
-    spectrum = np.sort(profile.potentials / profile.effective_resistance)
-    gap = float(np.max(np.diff(spectrum)))
-    return VoltageGap(gap=gap, spectrum=spectrum)
+    spectrum = np.sort(field.potentials / field.effective_resistance)
+    return VoltageGap(gap=float(np.max(np.diff(spectrum))), spectrum=spectrum)

@@ -20,9 +20,8 @@ endpoint once, and per pair how many hops come from a's chain and how
 many from b's.  It finds the distinct endpoints by marking them in one
 bool array over the vertex ids, with no sort, makes each one's chain
 once and reads it from the hub end, so the deepest common vertex of a
-pair is the first hub column where the two chains differ.  The
-(pairs, 2t + 2) hop matrix, ``RouteBatch.hops``, is derived from the
-halves on demand.
+pair is the first hub column where the two chains differ.  A caller
+reads a pair's hops from its two halves of ``chains``.
 ``bfs_distances`` is the oracle: one vertex's distances to all others
 from the packed-bit BFS sweep ``_kernels.pair_distances``.
 """
@@ -126,19 +125,6 @@ class RouteBatch:
     @property
     def length(self) -> np.ndarray:
         return self.a_hops + self.b_hops - 1
-
-    @property
-    def hops(self) -> np.ndarray:
-        """int64 (pairs, 2t + 2): row p holds hops 0..length[p] as label keys, then -1."""
-        width = self.chains.shape[1]
-        k = np.arange(2 * width)  # hop columns
-        padded = np.full((len(self.chains), len(k)), -1, np.int64)  # column `width` on is -1
-        padded[:, :width] = self.chains
-        back = self.length[:, None] - k  # the column of b's chain at hop k, past a's hops
-        from_b = np.take_along_axis(
-            padded[self.b_row], np.where((back >= 0) & (back < width), back, width), axis=1
-        )
-        return np.where(k < self.a_hops[:, None], padded[self.a_row], from_b)
 
 
 def _father_fields(m: int, t: int, birth, bits, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -554,16 +554,20 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
     support_ok = voltage_ok = split_ok = series_ok = rayleigh_ok = True
     worst_off = 0.0
     worst_series = 0.0
+    fwd = None  # the first pair's field, which the reciprocity check reads again
     for s, v in pairs:
         prof = electrical.path_profile(graph, s, v)
-        support_ok &= bool(prof.thm_support_ok)
-        voltage_ok &= bool(prof.thm_voltages_ok)
-        split_ok &= bool(prof.thm_split_ok)
+        if fwd is None:
+            fwd = prof.field
+        support_ok &= prof.thm_support_ok
+        voltage_ok &= prof.thm_voltages_ok
+        split_ok &= prof.thm_split_ok
         worst_off = max(worst_off, prof.max_offpath_current)
-        gap = abs(prof.effective_resistance - 2 * prof.distance / 3)
+        r_eff = prof.field.effective_resistance
+        gap = abs(r_eff - 2 * prof.distance / 3)
         worst_series = max(worst_series, gap)
         series_ok &= gap < 1e-9
-        rayleigh_ok &= prof.effective_resistance <= prof.distance + 1e-12
+        rayleigh_ok &= r_eff <= prof.distance + 1e-12
     out.append(
         _check(
             "electrical/current-localization",
@@ -603,7 +607,6 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
     )
 
     s, v = pairs[0]
-    fwd = electrical.solve(graph, s, v)
     rev = electrical.solve(graph, v, s)
     out.append(
         _check(
@@ -636,7 +639,7 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
                 )
             )
 
-    hub_gap = electrical.voltage_gap(graph, 0, 1).gap
+    hub_gap = electrical.voltage_gap(hub_profile).gap
     control = _control_gap()
     out.append(
         _check(

@@ -202,6 +202,23 @@ def enumerate_labels(m: int, t: int) -> set[Label]:
     return out
 
 
+def batch_hops(batch: routing_module.RouteBatch) -> np.ndarray:
+    """A ``RouteBatch``'s routes as one int64 (pairs, 2t + 2) matrix of label keys.
+
+    Row p holds hops 0..length[p], then -1: a's half from ``chains``, then
+    b's half read back down to b.
+    """
+    width = batch.chains.shape[1]
+    k = np.arange(2 * width)  # hop columns
+    padded = np.full((len(batch.chains), len(k)), -1, np.int64)  # column `width` on is -1
+    padded[:, :width] = batch.chains
+    back = batch.length[:, None] - k  # the column of b's chain at hop k, past a's hops
+    from_b = np.take_along_axis(
+        padded[batch.b_row], np.where((back >= 0) & (back < width), back, width), axis=1
+    )
+    return np.where(k < batch.a_hops[:, None], padded[batch.a_row], from_b)
+
+
 def verify_path_in_graph(graph, path: routing_module.RoutePath) -> bool:
     """Every consecutive hop pair must be an edge of the graph."""
     ids = np.array([graph.vertex_by_label(hop) for hop in path.hops], np.int64)
@@ -421,22 +438,21 @@ def reference_cfb(graph) -> None:
         sys.stdout.write("".join([f"{text},{value!r}\n" for text, value in cells]))
 
 
-def chain_splits(graph, prof, source, target) -> list[tuple[float, float, float]]:
+def chain_splits(graph, field, source, target) -> list[tuple[float, float, float]]:
     """Each route triangle's shares of the pair current: (direct edge, detour edge, detour edge).
 
-    Read from a unit-voltage profile's edge currents along the label route
-    from source to target; each hop's third corner is the one vertex
-    adjacent to both of its ends.
+    Read from a unit-current field's edge currents along the label route
+    from source to target, so each current is its share; each hop's third
+    corner is the one vertex adjacent to both of its ends.
     """
     adj = [set(row) for row in adjacency(graph)]
     path = routing_module.route(graph.m, graph.t, graph.label_of(source), graph.label_of(target))
     ids = [graph.vertex_by_label(h) for h in path.hops]
-    total = 1.0 / prof.effective_resistance  # the pair current at unit voltage
-    current = np.abs(prof.edge_currents)
+    current = np.abs(field.edge_currents)
     splits = []
     for u, v in zip(ids, ids[1:]):
         (w,) = adj[u] & adj[v]
-        splits.append(tuple(float(current[graph.edge_index(a, b)]) / total for a, b in ((u, v), (u, w), (v, w))))
+        splits.append(tuple(float(current[graph.edge_index(a, b)]) for a, b in ((u, v), (u, w), (v, w))))
     return splits
 
 

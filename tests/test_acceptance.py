@@ -13,7 +13,7 @@ from kochnet import (
     _kernels,
     build,
     centrality_report,
-    exact_vertex_betweenness,
+    exact_betweenness,
     firstorder_vertex_betweenness,
     format_label,
     paper_edge_betweenness,
@@ -194,7 +194,7 @@ def test_criterion_08_betweenness_properties():
     details = []
     for m, t in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (1, 4)]:
         graph = cached_graph(m, t)
-        cb = exact_vertex_betweenness(graph)
+        cb = exact_betweenness(graph)[0]
         by_birth: dict[int, list[float]] = {}
         for v, birth in enumerate(graph.birth.tolist()):
             by_birth.setdefault(birth, []).append(float(cb[v]))
@@ -205,13 +205,13 @@ def test_criterion_08_betweenness_properties():
     # a father's sons born in one step form a single group
     for t in (1, 2, 3, 4):
         graph = cached_graph(1, t)
-        cb = exact_vertex_betweenness(graph)
+        cb = exact_betweenness(graph)[0]
         for v, birth in enumerate(graph.birth.tolist()):
             if t - birth <= 1:
                 want = float(firstorder_vertex_betweenness(1, t, birth))
                 ok &= abs(cb[v] - want) <= 1e-12
     g11 = cached_graph(1, 1)
-    cb = exact_vertex_betweenness(g11)
+    cb = exact_betweenness(g11)[0]
     ok &= abs(cb[0] - 3 / 7) <= 1e-12
     report = centrality_report(g11)
     hub_son = g11.edge_index(0, 3)
@@ -265,11 +265,11 @@ def test_criterion_09_electrical_theorems():
             max(abs(a - b) for a, b in zip(prof.on_path_voltages, expected_path)),
             max(abs(a - b) for a, b in zip(prof.companion_voltages, expected_mid)),
         )
-        for direct, da, db in chain_splits(g, prof, s, v):
+        for direct, da, db in chain_splits(g, prof.field, s, v):
             worst_split = max(
                 worst_split, abs(direct - 2 / 3), abs(da - 1 / 3), abs(db - 1 / 3)
             )
-        worst_r = max(worst_r, abs(prof.effective_resistance - 2 * d / 3))
+        worst_r = max(worst_r, abs(prof.field.effective_resistance - 2 * d / 3))
     ok &= worst_off < 1e-9 and worst_v < 1e-9 and worst_split < 1e-9 and worst_r < 1e-9
     base = solve(cached_graph(3, 0), 0, 1)
     ok &= abs(base.effective_resistance - 2 / 3) < 1e-10

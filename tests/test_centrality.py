@@ -7,8 +7,7 @@ import pytest
 from kochnet import (
     centrality_report,
     descendant_count,
-    exact_edge_betweenness,
-    exact_vertex_betweenness,
+    exact_betweenness,
     firstorder_vertex_betweenness,
     paper_edge_betweenness,
     paper_vertex_betweenness,
@@ -44,12 +43,12 @@ class TestDescendants:
 
 class TestExactOracle:
     def test_k11_hub(self):
-        cb = exact_vertex_betweenness(cached_graph(1, 1))
+        cb = exact_betweenness(cached_graph(1, 1))[0]
         assert abs(cb[0] - 3 / 7) < 1e-15
 
     def test_k11_edges(self):
         graph = cached_graph(1, 1)
-        eb = exact_edge_betweenness(graph)
+        eb = exact_betweenness(graph)[1]
         hub_son = graph.edge_index(0, 3)  # "1" -- "10.1"
         comp = graph.edge_index(3, 4)  # "10.1" -- "10.2"
         hubs = graph.edge_index(0, 1)
@@ -58,19 +57,19 @@ class TestExactOracle:
         assert abs(eb[hubs] - 9 / 28) < 1e-15
 
     def test_triangle_edges(self):
-        eb = exact_edge_betweenness(cached_graph(2, 0))
+        eb = exact_betweenness(cached_graph(2, 0))[1]
         assert np.allclose(eb, 1.0)
 
     def test_leaves_zero(self):
         graph = cached_graph(2, 2)
-        cb = exact_vertex_betweenness(graph)
+        cb = exact_betweenness(graph)[0]
         for v, birth in enumerate(graph.birth.tolist()):
             if birth == 2:
                 assert cb[v] == 0.0
 
     def test_birth_step_symmetry(self):
         graph = cached_graph(2, 2)
-        cb = exact_vertex_betweenness(graph)
+        cb = exact_betweenness(graph)[0]
         step1 = [cb[v] for v, birth in enumerate(graph.birth.tolist()) if birth == 1]
         assert len(step1) == 12
         assert max(step1) - min(step1) <= 1e-15
@@ -78,7 +77,7 @@ class TestExactOracle:
     @pytest.mark.parametrize("m,t", [(1, 1), (1, 2), (2, 1)])
     def test_against_python_reference(self, m, t):
         graph = cached_graph(m, t)
-        cb = exact_vertex_betweenness(graph)
+        cb = exact_betweenness(graph)[0]
         ref, _ = python_betweenness(adjacency(graph))
         n = graph.n_vertices
         norm = (n - 1) * (n - 2) // 2
@@ -103,7 +102,7 @@ class TestPaperFormulas:
         assert paper_vertex_betweenness(1, 1, 0) == 0
 
     def test_eq_vertex_disagrees_with_oracle(self):
-        cb = exact_vertex_betweenness(cached_graph(1, 1))
+        cb = exact_betweenness(cached_graph(1, 1))[0]
         assert abs(cb[0] - 3 / 7) < 1e-15  # oracle says 3/7, the printed form 0
 
     def test_eq_edge_value(self):
@@ -111,14 +110,14 @@ class TestPaperFormulas:
 
     def test_eq_edge_disagrees_with_oracle(self):
         graph = cached_graph(1, 1)
-        eb = exact_edge_betweenness(graph)
+        eb = exact_betweenness(graph)[1]
         assert abs(eb[graph.edge_index(0, 3)] - 1 / 4) < 1e-15  # vs printed 1/8
 
 
 class TestFirstOrder:
     def test_matches_exact_at_m1(self):
         graph = cached_graph(1, 1)
-        cb = exact_vertex_betweenness(graph)
+        cb = exact_betweenness(graph)[0]
         assert firstorder_vertex_betweenness(1, 1, 0) == Fraction(3, 7)
         assert abs(cb[0] - 3 / 7) < 1e-15
 
@@ -127,13 +126,13 @@ class TestFirstOrder:
 
     def test_strictly_below_exact_at_depth_two(self):
         graph = cached_graph(1, 2)
-        cb = exact_vertex_betweenness(graph)
+        cb = exact_betweenness(graph)[0]
         assert float(firstorder_vertex_betweenness(1, 2, 0)) < cb[0]
 
     def test_m1_equality_at_young_vertices(self):
         for t in (1, 2, 3):
             graph = cached_graph(1, t)
-            cb = exact_vertex_betweenness(graph)
+            cb = exact_betweenness(graph)[0]
             for v, birth in enumerate(graph.birth.tolist()):
                 if t - birth <= 1:
                     expected = float(firstorder_vertex_betweenness(1, t, birth))
@@ -143,7 +142,7 @@ class TestFirstOrder:
         # sons of one father in different groups still route through it, so
         # the descendants-times-rest composition undershoots whenever m > 1
         graph = cached_graph(2, 1)
-        cb = exact_vertex_betweenness(graph)
+        cb = exact_betweenness(graph)[0]
         assert cb[0] > float(firstorder_vertex_betweenness(2, 1, 0))
         norm = 14 * 13 // 2
         assert abs(cb[0] - 44 / norm) < 1e-12
@@ -255,7 +254,7 @@ def test_sum_rule_against_distances():
 
     graph = cached_graph(2, 2)
     n = graph.n_vertices
-    cb = exact_vertex_betweenness(graph)
+    cb = exact_betweenness(graph)[0]
     interior = cb.sum() * ((n - 1) * (n - 2) // 2)
     indptr, indices = graph.csr
     expected = _kernels.all_distance_total(indptr, indices) / 2 - n * (n - 1) / 2

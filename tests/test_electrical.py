@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -15,9 +17,10 @@ from kochnet import electrical
 from kochnet.centrality import betweenness_counts
 from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, RESIDUAL_TOL, _exhaustive_cfb, _kcl_residual
 from kochnet.errors import SizeCapError
-from kochnet.verify import _control_gap
+from kochnet.graph import CactusLDL
+from kochnet.verify import PASS, _control_gap, electrical_suite
 
-from conftest import cached_graph, chain_splits, laplacian
+from conftest import adjacency, cached_graph, chain_splits, laplacian
 
 
 def _vid(graph, text):
@@ -73,16 +76,29 @@ class TestSolve:
         assert abs(prof.effective_resistance - 2 * d / 3) < 1e-9
 
     def test_unit_voltage_rescale(self):
-        # path_profile's potentials are solve's unit-current field over R_eff, to the bit
-        graph = cached_graph(1, 1)
-        unit_current = solve(graph, 3, 7)
-        prof = path_profile(graph, 3, 7)
-        r_eff = unit_current.effective_resistance
-        assert prof.effective_resistance == r_eff
-        assert np.array_equal(prof.potentials, unit_current.potentials / r_eff)
-        assert np.array_equal(prof.edge_currents, unit_current.edge_currents / r_eff)
-        assert abs(prof.potentials[3] - 1.0) < 1e-12
-        assert abs(prof.potentials[7]) < 1e-12
+        # path_profile and voltage_gap divide solve's own field by R_eff, to the bit
+        graph = cached_graph(1, 2)
+        s, v = _vid(graph, "100.1"), _vid(graph, "200.3")
+        field = solve(graph, s, v)
+        unit_drop = field.potentials / field.effective_resistance
+        prof = path_profile(graph, s, v)
+        assert prof.field.effective_resistance == field.effective_resistance
+        assert np.array_equal(prof.field.potentials, field.potentials)
+        assert np.array_equal(prof.field.edge_currents, field.edge_currents)
+        path = route(graph.m, graph.t, graph.label_of(s), graph.label_of(v))
+        ids = [graph.vertex_by_label(h) for h in path.hops]
+        adj = [set(row) for row in adjacency(graph)]
+        mids = [next(iter(adj[a] & adj[b])) for a, b in zip(ids, ids[1:])]
+        assert prof.on_path_voltages == unit_drop[ids].tolist()
+        assert prof.companion_voltages == unit_drop[mids].tolist()
+        assert prof.on_path_voltages[0] == 1.0 and prof.on_path_voltages[-1] == 0.0
+        assert np.array_equal(voltage_gap(field).spectrum, np.sort(unit_drop))
+
+    def test_results_are_frozen(self):
+        prof = path_profile(cached_graph(1, 1), 3, 7)
+        for result, name in ((prof.field, "potentials"), (prof, "thm_split_ok"), (prof, "field")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, name, None)
 
 
 class TestPathProfile:
@@ -94,12 +110,12 @@ class TestPathProfile:
         np.testing.assert_allclose(prof.companion_voltages, [5 / 6, 1 / 2, 1 / 6], atol=1e-9)
         assert len(prof.support_edges) == 9
         assert prof.thm_support_ok and prof.thm_voltages_ok and prof.thm_split_ok
-        assert abs(prof.effective_resistance - 2.0) < 1e-9
+        assert abs(prof.field.effective_resistance - 2.0) < 1e-9
 
     def test_hub_pair_split(self):
         graph = cached_graph(3, 0)
         prof = path_profile(graph, 0, 1)
-        ((direct, da, db),) = chain_splits(graph, prof, 0, 1)
+        ((direct, da, db),) = chain_splits(graph, prof.field, 0, 1)
         assert abs(direct - 2 / 3) < 1e-9
         assert abs(da - 1 / 3) < 1e-9 and abs(db - 1 / 3) < 1e-9
 
@@ -109,8 +125,8 @@ class TestPathProfile:
             for v in range(s + 1, graph.n_vertices):
                 prof = path_profile(graph, s, v)
                 assert prof.thm_support_ok and prof.thm_voltages_ok and prof.thm_split_ok
-                assert abs(prof.effective_resistance - 2 * prof.distance / 3) < 1e-9
-                assert prof.effective_resistance <= prof.distance + 1e-12
+                assert abs(prof.field.effective_resistance - 2 * prof.distance / 3) < 1e-9
+                assert prof.field.effective_resistance <= prof.distance + 1e-12
 
     def test_fifty_seeded_pairs_k22(self):
         graph = cached_graph(2, 2)
@@ -124,7 +140,7 @@ class TestPathProfile:
             prof = path_profile(graph, int(s), int(v))
             assert prof.max_offpath_current < 1e-9
             assert prof.thm_support_ok and prof.thm_voltages_ok and prof.thm_split_ok
-            assert abs(prof.effective_resistance - 2 * prof.distance / 3) < 1e-9
+            assert abs(prof.field.effective_resistance - 2 * prof.distance / 3) < 1e-9
 
     def test_builds_no_label_objects(self, label_count):
         # the route is taken on ids and label keys, with no Label per vertex
@@ -139,10 +155,10 @@ class TestPathProfile:
         # zero current on a 1-ohm edge means equal potentials: every dangling
         # subtree sits at its attachment potential
         graph = cached_graph(1, 2)
-        prof = solve(graph, 0, 1)
+        prof = path_profile(graph, 0, 1)
         for eid, (u, v) in enumerate(graph.edges):
             if eid not in prof.support_edges:
-                assert abs(prof.potentials[u] - prof.potentials[v]) < 1e-9
+                assert abs(prof.field.potentials[u] - prof.field.potentials[v]) < 1e-9
 
 
 CFB_GRAPHS = [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (3, 2)]
@@ -257,18 +273,18 @@ class TestCurrentFlow:
 
 class TestVoltageGap:
     def test_triangle(self):
-        gap = voltage_gap(cached_graph(1, 0), 0, 1)
+        gap = voltage_gap(solve(cached_graph(1, 0), 0, 1))
         assert abs(gap.gap - 0.5) < 1e-12
         np.testing.assert_allclose(gap.spectrum, [0, 0.5, 1], atol=1e-12)
 
     def test_k11_hub_pair_plateaus(self):
-        gap = voltage_gap(cached_graph(1, 1), 0, 1)
+        gap = voltage_gap(solve(cached_graph(1, 1), 0, 1))
         spectrum = gap.spectrum
         # subtree plateaus: values only at 0, 1/2, 1, three vertices each
         np.testing.assert_allclose(spectrum, [0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1], atol=1e-9)
 
     def test_control_beats_koch(self):
-        koch = voltage_gap(cached_graph(1, 1), 0, 1).gap
+        koch = voltage_gap(solve(cached_graph(1, 1), 0, 1)).gap
         assert _control_gap() > koch
 
 
@@ -335,3 +351,22 @@ def test_edgewise_residual_is_laplacian_residual(m, t):
         edgewise = _kcl_residual(graph, prof.edge_currents, b)
         expected = laplacian(graph) @ prof.potentials - b
         np.testing.assert_allclose(edgewise, expected, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_electrical_suite_makes_one_solve_per_pair(monkeypatch, k):
+    # the hub field serves the triangle base and the community gap, and the first pair's
+    # field the reciprocity check: k pair solves, the hub pair and the reversed first pair
+    graph = cached_graph(2, 3)
+    assert graph.n_vertices > CFB_EXHAUSTIVE_MAX_N  # so no multi-column oracle solve runs
+    calls = []
+    solve_columns = CactusLDL.solve
+
+    def counted(self, rhs):
+        calls.append(rhs.shape)
+        return solve_columns(self, rhs)
+
+    monkeypatch.setattr(CactusLDL, "solve", counted)
+    checks = electrical_suite(graph, n_pairs=k)
+    assert [c.status for c in checks] == [PASS] * len(checks)
+    assert calls == [(graph.n_vertices,)] * (k + 2)

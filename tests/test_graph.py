@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kochnet import Label, SizeCapError, UnknownLabelError, build, format_label
-from kochnet import current_flow_betweenness, exact_vertex_betweenness
+from kochnet import current_flow_betweenness, exact_betweenness
 from kochnet import graph as graph_module
 from kochnet.cli import _float_column, main
 from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, _exhaustive_cfb
@@ -213,7 +213,7 @@ STEP_GRAPHS = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, t) 
 def test_step_min_max_matches_dict_by_birth(m, t):
     graph = cached_graph(m, t)
     assert graph.step_starts.tolist() == [graph.birth.tolist().index(b) for b in range(t + 1)]
-    arrays = [exact_vertex_betweenness(graph), current_flow_betweenness(graph)]
+    arrays = [exact_betweenness(graph)[0], current_flow_betweenness(graph)]
     if graph.n_vertices <= CFB_EXHAUSTIVE_MAX_N:
         arrays.append(_exhaustive_cfb(graph))
     for values in arrays:

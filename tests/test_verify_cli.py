@@ -254,6 +254,9 @@ class TestCli:
             (("decode", "--m", "1", "--t", "2", "#\u0663"), {}),
             (("decode", "--m", "1", "--t", "2", "#3\n"), {}),
             (("route", "--m", "1", "--t", "2", "#1_0", "#1"), {}),
+            # current-flow betweenness is over all pairs: an endpoint is refused, not ignored
+            (("electrical", "--m", "1", "--t", "2", "--cfb", "--source", "10.1"), {}),
+            (("electrical", "--m", "1", "--t", "2", "--cfb", "--target", "#3"), {}),
         ],
         ids=[
             "stats-m0", "verify-t-1", "generate-m0", "cap-abc", "cap-5000-digits", "route-m0",
@@ -263,7 +266,8 @@ class TestCli:
             "verify-seed-1", "stats-seed-5", "verify-pairs-1e9", "electrical-pairs-1e9",
             "decode-index-5000-digits", "route-index-5000-digits", "decode-trailing-newline",
             "decode-id-underscore", "decode-id-space", "decode-id-plus", "decode-id-arabic-indic",
-            "decode-id-trailing-newline", "route-id-underscore",
+            "decode-id-trailing-newline", "route-id-underscore", "electrical-cfb-source",
+            "electrical-cfb-target",
         ],
     )
     def test_bad_input_is_usage_error(self, argv, env):
