@@ -16,11 +16,11 @@ Three values are computed side by side:
   over the same normalization, the directly reconstructible part of the
   printed derivation.
 
-The report is arrays plus closed forms: the exact values as one float
-array over the vertices and one over the edges, and ``paper`` and
-``firstorder`` as one Fraction per birth step, since they depend on the
-step alone.  The discrepancy report ships all three; nothing is
-"corrected" silently.
+The report is exact counts plus closed forms: one int64 count array over
+the vertices and one over the edges, and ``paper`` and ``firstorder`` as
+one Fraction per birth step, since they depend on the step alone.  Floats
+are derived from the counts only where text is written.  The discrepancy
+report ships all three; nothing is "corrected" silently.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -111,47 +111,54 @@ def _close(a: np.ndarray, b: np.ndarray, rel_tol: float) -> bool:
     return bool(np.all(np.abs(a - b) <= bound))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CentralityReport:
-    """Exact betweenness of every vertex and edge, and each closed form once per birth step.
+    """Exact betweenness counts of every vertex and edge, and each closed form once per birth step.
 
-    ``vertex`` and ``edge`` (aligned with ``graph.edges``) are normalized
-    by ``pair_norm``.  ``paper_vertex``, ``firstorder`` and ``paper_edge``
-    hold one Fraction per birth step 0..t, read at a vertex's birth step
-    and at an edge's ``edge_steps``.
+    ``vertex_counts`` and ``edge_counts`` (aligned with ``graph.edges``)
+    count unordered pairs; ``vertex`` and ``edge`` are the same values
+    normalized by ``pair_norm``.  ``paper_vertex``, ``firstorder`` and
+    ``paper_edge`` hold one Fraction per birth step 0..t, read at a
+    vertex's birth step and at an edge's ``edge_steps``.
     """
 
     graph: KochGraph = field(repr=False)
     pair_norm: int
-    vertex: np.ndarray
-    edge: np.ndarray
+    vertex_counts: np.ndarray
+    edge_counts: np.ndarray
     paper_vertex: list[Fraction]
     firstorder: list[Fraction]
     paper_edge: list[Fraction]
-    gamma_hat: float | None = None
+    gamma_hat: float | None
 
-    @cached_property
-    def _against_paper(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(exact, printed formula) per vertex, then per edge."""
-        return (
-            (self.vertex, per_element(self.paper_vertex, self.graph.birth)),
-            (self.edge, per_element(self.paper_edge, edge_steps(self.graph))),
-        )
+    @property
+    def vertex(self) -> np.ndarray:
+        return self.vertex_counts / self.pair_norm
 
-    def max_rel_gap(self) -> float:
-        worst = 0.0
-        for exact, paper in self._against_paper:
-            pos = exact > 0
-            if pos.any():
-                worst = max(worst, float(np.max(np.abs(exact[pos] - paper[pos]) / exact[pos])))
-        return worst
+    @property
+    def edge(self) -> np.ndarray:
+        return self.edge_counts / self.pair_norm
+
+    @property
+    def _against_paper(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(exact, printed formula) as floats per vertex, then per edge, one kind at a time."""
+        yield self.vertex, per_element(self.paper_vertex, self.graph.birth)
+        yield self.edge, per_element(self.paper_edge, edge_steps(self.graph))
 
     def audit(self) -> dict:
-        (vertex, paper_v), (edge, paper_e) = self._against_paper
+        """Each printed formula against the exact values in floats, one kind at a time.
+
+        A kind matches when every element is isclose at rel_tol 1e-9; ``max_rel_gap`` is the
+        largest |exact - printed| / exact over the elements of positive exact betweenness.
+        """
+        (eq9, gap_v), (eq12, gap_e) = (
+            (_close(x, p, 1e-9), float(np.divide(np.abs(x - p), x, out=np.zeros_like(x), where=x > 0).max()))
+            for x, p in self._against_paper
+        )
         return {
-            "eq9_matches": _close(vertex, paper_v, 1e-9),
-            "eq12_matches": _close(edge, paper_e, 1e-9),
-            "max_rel_gap": self.max_rel_gap(),
+            "eq9_matches": eq9,
+            "eq12_matches": eq12,
+            "max_rel_gap": max(gap_v, gap_e),
             "gamma_hat": self.gamma_hat,
         }
 
@@ -188,21 +195,23 @@ def centrality_report(graph: KochGraph) -> CentralityReport:
     once per step.  From t = 3 on, ``gamma_hat`` is the ``scaling_fit``
     slope.
     """
-    vertex, edge = exact_betweenness(graph)
+    vertex, edge = betweenness_counts(graph)
+    norm = _pair_norm(graph.n_vertices)
     vertex_forms = step_forms(graph.m, graph.t)
-    report = CentralityReport(
+    gamma_hat = None
+    if graph.t >= 3:
+        first = graph.step_starts
+        gamma_hat = scaling_fit(graph.degrees[first].tolist(), (vertex[first] / norm).tolist())[0]
+    return CentralityReport(
         graph=graph,
-        pair_norm=_pair_norm(graph.n_vertices),
-        vertex=vertex,
-        edge=edge,
+        pair_norm=norm,
+        vertex_counts=vertex,
+        edge_counts=edge,
         paper_vertex=vertex_forms["paper"],
         firstorder=vertex_forms["firstorder"],
         paper_edge=step_forms(graph.m, graph.t, edges=True)["paper"],
+        gamma_hat=gamma_hat,
     )
-    if graph.t >= 3:
-        first = graph.step_starts
-        report.gamma_hat = scaling_fit(graph.degrees[first].tolist(), vertex[first].tolist())[0]
-    return report
 
 
 def scaling_fit(degrees: list[int], exact: list[float]) -> tuple[float, float]:

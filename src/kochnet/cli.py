@@ -258,9 +258,11 @@ def _write_csv(n: int, head: str, keys, columns: dict[str, np.ndarray]) -> None:
 
 def _cmd_betweenness(args) -> int:
     graph = build(args.m, args.t)
-    report = None if args.mode == "formula" else centrality.centrality_report(graph)
     columns = {}
-    if report is not None:
+    if args.mode == "exact":
+        columns["exact"] = centrality.exact_betweenness(graph)[args.edges]
+    if args.mode == "compare":
+        report = centrality.centrality_report(graph)
         columns["exact"] = report.edge if args.edges else report.vertex
     if args.mode != "exact":
         steps = centrality.edge_steps(graph) if args.edges else graph.birth

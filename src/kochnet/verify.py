@@ -10,6 +10,7 @@ they are the run's findings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -376,78 +377,67 @@ def routing_suite(
 # centrality
 # ---------------------------------------------------------------------------
 
+def _birth_symmetry(low: np.ndarray, high: np.ndarray, pair_norm: int) -> CheckResult:
+    """Each birth step's exact counts, as their per-step min and max, are all equal."""
+    spread = int(np.max(high - low))
+    desc = "exact betweenness is identical within each birth step"
+    return _check("centrality/birth-symmetry", desc, spread == 0, f"max_spread={_fmt(spread / pair_norm)}")
+
+
+def _firstorder_young(
+    m: int, counts: np.ndarray, births: np.ndarray, forms: list[Fraction], pair_norm: int
+) -> CheckResult:
+    """Exact counts of the vertices born at t-1 or t against the per-step ``firstorder`` forms.
+
+    Decided pair for pair in integers; ``max_gap`` is the normalized float gap, for the text.
+    """
+    ok = bool(np.array_equal(counts, np.array([int(form * pair_norm) for form in forms])[births]))
+    gap = float(np.max(np.abs(counts / pair_norm - centrality.per_element(forms, births))))
+    return CheckResult(
+        "centrality/firstorder-young",
+        "descendants-times-rest composition equals the oracle at t-birth <= 1",
+        PASS if ok else (DISCREPANCY if m >= 2 else FAIL),
+        f"max_gap={_fmt(gap)}" + ("" if ok else " (grouped sons of one father route through it when m>1)"),
+    )
+
+
+def _sum_rule(m: int, t: int, total: int, distance_total: int, bfs_total: int | None) -> CheckResult:
+    """The summed vertex counts against sum(d_st - 1) over unordered pairs, exactly.
+
+    ``distance_total`` (ordered pairs) must also equal the paper's APL
+    closed form, and ``bfs_total``, its BFS oracle where there is one.
+    """
+    n = vertex_count(m, t)
+    pairs = n * (n - 1) // 2
+    expected = analytics.apl_closed_form(m, t) * pairs - pairs
+    return _check(
+        "centrality/sum-rule",
+        "interior path counts sum to sum(d_st - 1) over pairs",
+        total == distance_total // 2 - pairs == expected and (bfs_total is None or bfs_total == distance_total),
+        f"sum={_fmt(float(total))} expected={_fmt(float(expected))}",
+    )
+
+
 def centrality_suite(graph: KochGraph) -> list[CheckResult]:
+    """Every verdict but the printed-formula audit and the scaling fit is an int or Fraction equality."""
     m, t = graph.m, graph.t
-    n = graph.n_vertices
-    out = []
     report = centrality.centrality_report(graph)
-    low, high = graph.step_min_max(report.vertex)
-
-    spread = float(np.max(high - low))
-    out.append(
-        _check(
-            "centrality/birth-symmetry",
-            "exact betweenness is identical within each birth step",
-            spread <= 1e-12,
-            f"max_spread={_fmt(spread)}",
-        )
-    )
-
-    leaf_max = float(high[t])
-    out.append(
-        _check(
-            "centrality/leaves-zero",
-            "vertices born at the final step have betweenness 0",
-            leaf_max <= 1e-15,
-            f"max={_fmt(leaf_max)}",
-        )
-    )
-
+    counts, norm = report.vertex_counts, report.pair_norm
+    low, high = graph.step_min_max(counts)
+    out = [_birth_symmetry(low, high, norm)]
+    leaf_max = int(high[t])
+    desc = "vertices born at the final step have betweenness 0"
+    out.append(_check("centrality/leaves-zero", desc, leaf_max == 0, f"max={_fmt(leaf_max / norm)}"))
     if t >= 1:
         young = slice(graph.step_starts[t - 1], None)  # born at t - 1 or t
-        firstorder = centrality.per_element(report.firstorder, graph.birth[young])
-        gap = float(np.max(np.abs(report.vertex[young] - firstorder)))
-        ok = gap <= 1e-12
-        status = PASS if ok else (DISCREPANCY if m >= 2 else FAIL)
-        out.append(
-            CheckResult(
-                "centrality/firstorder-young",
-                "descendants-times-rest composition equals the oracle at t-birth <= 1",
-                status,
-                f"max_gap={_fmt(gap)}"
-                + ("" if ok else " (grouped sons of one father route through it when m>1)"),
-            )
-        )
-
+        out.append(_firstorder_young(m, counts[young], graph.birth[young], report.firstorder, norm))
     if t >= 2:
-        mono = bool(np.all(high[1:] < low[:-1]))
-        out.append(
-            _check(
-                "centrality/monotone",
-                "exact betweenness strictly decreases with birth step",
-                mono,
-            )
-        )
-
-    # sum rule against the paper's APL closed form and, up to APL_EXACT_MAX_N, the BFS
-    # distance total (valid given path uniqueness)
-    raw_interior = sum(report.vertex.tolist()) * report.pair_norm  # left to right: the printed sum
-    pairs = n * (n - 1) // 2
-    apl = analytics.apl_closed_form(m, t)
-    expected = apl * pairs - pairs
-    bfs_total = _bfs_distance_total(graph)
-    out.append(
-        _check(
-            "centrality/sum-rule",
-            "interior path counts sum to sum(d_st - 1) over pairs",
-            abs(raw_interior - expected) < 1e-6 * max(1.0, expected)
-            and (bfs_total is None or bfs_total == 2 * apl * pairs),
-            f"sum={_fmt(raw_interior)} expected={_fmt(float(expected))}",
-        )
-    )
+        desc = "exact betweenness strictly decreases with birth step"
+        out.append(_check("centrality/monotone", desc, bool(np.all(high[1:] < low[:-1]))))
+    out.append(_sum_rule(m, t, int(counts.sum()), graph.distance_total, _bfs_distance_total(graph)))
 
     tri = triangle_count(m, t)
-    counts = edge_class_counts(graph)
+    classes = edge_class_counts(graph)
     expected_counts = {
         EDGE_HUB_HUB: 3,
         EDGE_COMPANION: tri - 1,
@@ -459,21 +449,20 @@ def centrality_suite(graph: KochGraph) -> list[CheckResult]:
         _check(
             "centrality/edge-classes",
             "edges split as 3 hub-hub, one companion per group, two father-child per group",
-            counts == expected_counts and third_vertex_pairs == tri - 1,
-            f"counts={counts}",
+            classes == expected_counts and third_vertex_pairs == tri - 1,
+            f"counts={classes}",
         )
     )
 
     if (m, t) == (1, 1):
-        hub = float(report.vertex[0])  # hub 1
-        edge = float(report.edge[graph.edge_index(0, 3)])  # hub 1 to its son 10.1
-        ok = abs(hub - 3 / 7) < 1e-12 and abs(edge - 1 / 4) < 1e-12
+        hub = Fraction(int(counts[0]), norm)  # hub 1
+        edge = Fraction(int(report.edge_counts[graph.edge_index(0, 3)]), norm)  # hub 1 to its son 10.1
         out.append(
             _check(
                 "centrality/k11-golden",
                 "hand-enumerated K_{1,1} values: hub 3/7, hub-son edge 1/4",
-                ok,
-                f"hub={_fmt(hub)} edge={_fmt(edge)}",
+                hub == Fraction(3, 7) and edge == Fraction(1, 4),
+                f"hub={_fmt(float(hub))} edge={_fmt(float(edge))}",
             )
         )
 

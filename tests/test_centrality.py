@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,11 @@ from kochnet import (
     paper_edge_betweenness,
     paper_vertex_betweenness,
 )
+from kochnet import verify
+from kochnet.analytics import delta_v
 from kochnet.centrality import _close, betweenness_counts, edge_steps, scaling_fit
 from kochnet.errors import AnalysisError
-from kochnet.graph import EDGE_CLASSES, edge_class_ids
+from kochnet.graph import EDGE_CLASSES, edge_class_ids, vertex_count
 from kochnet.routing import ancestor_chain
 
 from conftest import adjacency, all_labels, cached_graph, python_betweenness
@@ -259,3 +262,110 @@ def test_sum_rule_against_distances():
     indptr, indices = graph.csr
     expected = _kernels.all_distance_total(indptr, indices) / 2 - n * (n - 1) / 2
     assert math.isclose(interior, expected, rel_tol=1e-12)
+
+
+def step_count(m: int, t: int, birth: int) -> int:
+    """A vertex's exact count, from its birth step alone: pairs split between components of G - v.
+
+    One component is everything outside the vertex's own part in the
+    triangle it was born in.  Each triangle it spawns at step s holds two
+    corners born at s, each with its descendants; it spawns m such
+    triangles per triangle it already lies in.
+    """
+    n = vertex_count(m, t)
+    sizes = [(1, n - 1 - descendant_count(m, t, birth))]
+    for s in range(birth + 1, t + 1):
+        sizes.append((m * (m + 1) ** (s - 1 - birth), 2 * (1 + descendant_count(m, t, s))))
+    return ((n - 1) ** 2 - sum(k * size**2 for k, size in sizes)) // 2
+
+
+def old_float_gap(counts, births, forms, pair_norm) -> float:
+    """The normalized gap the float rule of ``centrality/firstorder-young`` bounded by 1e-12."""
+    return float(np.max(np.abs(counts / pair_norm - np.array([float(f) for f in forms])[births])))
+
+
+class TestIntegerVerdicts:
+    """The count verdicts decided on closed-form per-step counts, with no graph."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_step_counts_match_betweenness_counts(self, m, t):
+        graph = cached_graph(m, t)
+        n = graph.n_vertices
+        vertex = betweenness_counts(graph)[0]
+        assert vertex.tolist() == [step_count(m, t, b) for b in graph.birth.tolist()]
+        young = vertex[graph.birth == t - 1]
+        assert young.tolist() == [2 * m * (n - m - 2)] * len(young)
+        pair_norm = (n - 1) * (n - 2) // 2
+        assert firstorder_vertex_betweenness(m, t, t - 1) * pair_norm == 2 * m * (n - 2 * m - 1)
+        assert not vertex[graph.birth == t].any()
+
+    @pytest.mark.parametrize(
+        "m,t,n,gap",
+        [(4, 6, 9_653_619, "5.15063842424e-13"), (2, 8, 11_529_603, "6.01812762798e-14")],
+    )
+    def test_firstorder_young_found_where_the_float_gap_is_below_1e12(self, m, t, n, gap):
+        assert vertex_count(m, t) == n
+        pair_norm = (n - 1) * (n - 2) // 2
+        forms = [firstorder_vertex_betweenness(m, t, b) for b in range(t + 1)]
+        births = np.array([t - 1, t])
+        counts = np.array([step_count(m, t, t - 1), step_count(m, t, t)])
+        assert counts.tolist() == [2 * m * (n - m - 2), 0]
+        # off by 2m(m-1) pairs per vertex born at t - 1: under the 1e-12 float bound
+        assert old_float_gap(counts, births, forms, pair_norm) <= 1e-12
+        result = verify._firstorder_young(m, counts, births, forms, pair_norm)
+        assert result.status == verify.DISCREPANCY
+        assert result.detail.startswith(f"max_gap={gap} (grouped sons")
+
+    @pytest.mark.parametrize("m,t", [(4, 6), (2, 8), (1, 12)])
+    def test_one_pair_flips_each_count_verdict(self, m, t):
+        n = vertex_count(m, t)
+        pairs, pair_norm = n * (n - 1) // 2, (n - 1) * (n - 2) // 2
+        steps = np.array([step_count(m, t, b) for b in range(t + 1)])
+        assert steps[t - 1] < 2**53  # exact in the float rule's arithmetic too
+        total = sum(delta_v(m, b) * int(x) for b, x in enumerate(steps))
+        distance_total = 2 * (total + pairs)
+        assert verify._sum_rule(m, t, total, distance_total, None).status == verify.PASS
+        assert verify._sum_rule(m, t, total, distance_total, distance_total).status == verify.PASS
+        for wrong in ((total + 1, distance_total), (total + 1, distance_total + 2)):
+            assert verify._sum_rule(m, t, *wrong, None).status == verify.FAIL
+        assert verify._sum_rule(m, t, total, distance_total + 2, None).status == verify.FAIL
+        assert verify._sum_rule(m, t, total, distance_total, distance_total + 2).status == verify.FAIL
+        assert 1 < 1e-6 * total  # one pair is inside the float rule's relative bound
+
+        assert verify._birth_symmetry(steps, steps, pair_norm).status == verify.PASS
+        high = steps.copy()
+        high[t - 1] += 1
+        assert verify._birth_symmetry(steps, high, pair_norm).status == verify.FAIL
+        assert 1 / pair_norm <= 1e-12  # the float rule's bound on the normalized spread
+
+        forms = [firstorder_vertex_betweenness(m, t, b) for b in range(t + 1)]
+        births = np.array([t - 1, t - 1, t])
+        composition = np.array([int(forms[b] * pair_norm) for b in births.tolist()])
+        assert verify._firstorder_young(m, composition, births, forms, pair_norm).status == verify.PASS
+        composition[1] += 1
+        assert old_float_gap(composition, births, forms, pair_norm) <= 1e-12
+        assert verify._firstorder_young(m, composition, births, forms, pair_norm).status == (
+            verify.FAIL if m == 1 else verify.DISCREPANCY
+        )
+
+    def test_sum_rule_detail_prints_the_exact_total(self):
+        m, t = 4, 6
+        n = vertex_count(m, t)
+        total = sum(delta_v(m, b) * step_count(m, t, b) for b in range(t + 1))
+        result = verify._sum_rule(m, t, total, 2 * (total + n * (n - 1) // 2), None)
+        assert result.detail == "sum=3.57237302489e+14 expected=3.57237302489e+14"
+
+
+class TestReportCounts:
+    def test_frozen_and_float_views_are_exact_betweenness(self):
+        graph = cached_graph(2, 3)
+        report = centrality_report(graph)
+        with pytest.raises(FrozenInstanceError):
+            report.gamma_hat = 0.0
+        vertex, edge = exact_betweenness(graph)
+        assert report.vertex_counts.dtype == report.edge_counts.dtype == np.int64
+        assert report.vertex.tobytes() == vertex.tobytes()
+        assert report.edge.tobytes() == edge.tobytes()
+        counts = betweenness_counts(graph)
+        assert [report.vertex_counts.tolist(), report.edge_counts.tolist()] == [c.tolist() for c in counts]

@@ -6,9 +6,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from kochnet import _kernels, build, cli, current_flow_betweenness, format_label, verify
+from kochnet import _kernels, build, centrality, cli, current_flow_betweenness, format_label, verify
 from kochnet.analytics import apl_closed_form
 from kochnet.cli import main
 
@@ -564,6 +565,25 @@ def test_pinned_stdout_digests():
         if hashlib.sha256(proc.stdout).hexdigest() != digest:
             changed.append(" ".join(argv))
     assert changed == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("betweenness", "--m", "2", "--t", "2", "--mode", "exact"),
+        ("betweenness", "--m", "2", "--t", "4", "--mode", "exact", "--edges"),
+    ],
+)
+def test_exact_mode_reads_the_counts_alone(argv, monkeypatch, capsys):
+    """`betweenness --mode exact` evaluates no per-step closed form and fits no slope."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("exact mode evaluated a closed form or a fit")
+
+    monkeypatch.setattr(centrality, "step_forms", refused)
+    monkeypatch.setattr(np, "polyfit", refused)
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
 def test_pinned_compare_stdout():
