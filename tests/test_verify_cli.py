@@ -554,6 +554,12 @@ PINNED_STDOUT = {
         "d48d8845b2843376dea969fefc3a94819f21b195483f068fc4e5d4be76889844",
     ("electrical", "--m", "2", "--t", "4", "--source", "#7", "--target", "#4000"):
         "7839771b9aa8ed44457833ac91b358c9dbf5175337eb2008051f18f519b32597",
+    # K(1,8): vertices born at steps 7 and 8, whose growth bits and degree exponents pass
+    # what an 8-bit shift or power holds
+    ("verify", "--m", "1", "--t", "8", "--seed", "3"):
+        "4c4a5746ea2e042a58b1efc6d12008966557688cab8cb8ce9056874995f8b1c3",
+    ("generate", "--m", "1", "--t", "8", "--format", "dot"):
+        "0ebf8edc414569bff1996e9ee834d8100ac0100c5dfbc39abc93fefe46af22e5",
 }
 
 
