@@ -1,11 +1,12 @@
 """Hot graph kernels: BFS distances and multi-path flags, on numpy alone.
 
-Vectorized numpy frontier sweeps over adjacency given as int64 CSR
-arrays.  ``_levels`` is the one BFS: it sweeps a block of sources at
-once, one bit of a uint64 word per source and vertex (multi-source BFS
-on packed bits, after Then et al., "The More the Merrier", PVLDB 8(4),
-2014): a level is one gather of the frontier bits over the CSR slots and
-one ``np.bitwise_or.reduceat`` over the rows.  ``pair_distances`` reads one
+Vectorized numpy frontier sweeps over adjacency given as CSR arrays
+(int64 offsets; int32 or int64 neighbour ids).  ``_levels`` is the one
+BFS: it sweeps a block of sources at once, one bit of a uint64 word per
+source and vertex (multi-source BFS on packed bits, after Then et al.,
+"The More the Merrier", PVLDB 8(4), 2014): a level is a gather of the
+frontier bits over the CSR slots and an ``np.bitwise_or.reduceat`` over
+the rows.  ``pair_distances`` reads one
 bit per (source, target) pair at each level and ``all_distance_total``
 only counts bits.  ``multi_sigma_pairs`` is the one reader of the
 multi-path bit-plane; it unpacks a level only when a bit of it is set.
@@ -15,7 +16,9 @@ a bit from two frontier neighbours, and only on a level with such a row
 does the exact segmented prefix-OR run (never on a Koch network, whose
 shortest paths are unique).
 ``_BLOCK_ENTRIES`` is the one memory bound: it caps the packed words of
-one bit-plane of a sweep block.  These sweeps are oracles: the library's
+one bit-plane of a sweep block, and a level gathers the slots of a run of
+rows at a time (``row_chunks``), at most N slots, so its gathered words
+are at most one bit-plane too.  These sweeps are oracles: the library's
 distance total and betweenness come from the triangle table in O(N), and
 the sweeps check them and the label routes on small graphs.  Every
 kernel is sequential, so results are bit-for-bit deterministic.
@@ -47,9 +50,30 @@ def _source_bits(n: int, sources: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _prefix_steps(indptr: np.ndarray, degree: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Hillis-Steele steps of a segmented prefix-OR over the CSR slots: (shift, slots that take it)."""
-    place = np.arange(indptr[-1]) - np.repeat(indptr[:-1], degree)  # slot's place in its row
+def row_chunks(indptr: np.ndarray, slots: int):
+    """Row ranges (lo, hi) in order, each of at most ``slots`` CSR slots or of one row."""
+    n, lo = len(indptr) - 1, 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + slots, side="right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _row_reduce(ufunc, slots: np.ndarray, degree: np.ndarray, dtype=None) -> np.ndarray:
+    """``ufunc.reduceat`` over each row's run of ``slots``, rows of ``degree`` slots; 0 for a row of none."""
+    starts = np.cumsum(degree) - degree
+    if degree.all():
+        return ufunc.reduceat(slots, starts, axis=0, dtype=dtype)
+    rows = np.flatnonzero(degree)
+    out = np.zeros((len(degree), slots.shape[1]), dtype or slots.dtype)
+    if len(rows):
+        out[rows] = ufunc.reduceat(slots, starts[rows], axis=0, dtype=dtype)
+    return out
+
+
+def _prefix_steps(degree: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Hillis-Steele steps of a segmented prefix-OR over rows of ``degree`` slots: (shift, slots that take it)."""
+    place = np.arange(degree.sum()) - np.repeat(np.cumsum(degree) - degree, degree)  # slot's place in its row
     shifts = [1 << b for b in range(int(degree.max(initial=0) - 1).bit_length())]
     return [(s, np.flatnonzero(place >= s)) for s in shifts]
 
@@ -70,55 +94,46 @@ def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, multi:
     """One BFS for each source at once, level by level: yields (d, fresh, fresh_multi).
 
     ``fresh`` is uint64 (N, words) with bit j of vertex v set when v is at
-    distance d from ``sources[j]``.  A level is one gather of the
-    frontier's bits over the CSR slots and one OR per CSR row.  With
+    distance d from ``sources[j]``.  A level gathers the frontier's bits
+    over the CSR slots, a run of rows at a time, and ORs each row.  With
     ``multi``, ``fresh_multi`` marks the fresh bits reached by two or more
     shortest paths: from at least two frontier neighbours, or from a
     frontier neighbour that was.  A row has a bit from two neighbours
     exactly when the popcounts of its slots, masked by its unseen bits,
-    add up to more than the popcount of its fresh bits; only on a level
-    where some row does is the exact pass (``_repeated_bits``, a
+    add up to more than the popcount of its fresh bits; only on a run of
+    rows where some row does is the exact pass (``_repeated_bits``, a
     segmented prefix-OR) run, and the multi bits of the frontier are
     gathered only while some are set.  Without ``multi`` ``fresh_multi``
     is None.
     """
     n = indptr.shape[0] - 1
-    degree = np.diff(indptr)
-    rows = np.flatnonzero(degree)  # one reduceat segment per vertex with neighbours
-    starts = indptr[rows]
-
-    def row_or(slots):
-        if len(rows) == n:
-            return np.bitwise_or.reduceat(slots, starts, axis=0)
-        out = np.zeros((n, slots.shape[1]), np.uint64)
-        if len(rows):
-            out[rows] = np.bitwise_or.reduceat(slots, starts, axis=0)
-        return out
-
-    steps = None  # the exact pass's index arrays, made on its first level
     front = _source_bits(n, sources)
+    chunks = list(row_chunks(indptr, n))  # a chunk's gathered slots are at most one bit-plane
     unseen = ~front
     front_multi = np.zeros_like(front) if multi else None
     d = 0
     while front.any():
         yield d, front, front_multi
-        slots = front[indices]
-        fresh = row_or(slots)
-        fresh &= unseen
-        if multi and len(rows):
-            slots &= np.repeat(unseen, degree, axis=0)  # only the bits that can be fresh
-            hits = np.add.reduceat(np.bitwise_count(slots), starts, axis=0, dtype=np.int64)
-            twice = bool((hits != np.bitwise_count(fresh[rows])).any())
-            carried = bool(front_multi.any())
-            if twice or carried:
-                repeat = front_multi[indices] if carried else np.zeros_like(slots)
-                if twice:
-                    if steps is None:
-                        steps = _prefix_steps(indptr, degree)
-                    repeat |= _repeated_bits(slots, steps)
-                front_multi = row_or(repeat) & fresh
+        fresh = np.empty_like(front)
+        fresh_multi = np.zeros_like(front) if multi else None
+        carried = multi and bool(front_multi.any())
+        for lo, hi in chunks:
+            rows, run = slice(lo, hi), slice(indptr[lo], indptr[hi])
+            degree = np.diff(indptr[lo : hi + 1])
+            slots = np.take(front, indices[run], axis=0)
+            fresh[rows] = _row_reduce(np.bitwise_or, slots, degree)
+            fresh[rows] &= unseen[rows]
+            if multi:
+                slots &= np.repeat(unseen[rows], degree, axis=0)  # only the bits that can be fresh
+                hits = _row_reduce(np.add, np.bitwise_count(slots), degree, np.int64)
+                twice = bool((hits != np.bitwise_count(fresh[rows])).any())
+                if twice or carried:
+                    repeat = np.take(front_multi, indices[run], axis=0) if carried else np.zeros_like(slots)
+                    if twice:
+                        repeat |= _repeated_bits(slots, _prefix_steps(degree))
+                    fresh_multi[rows] = _row_reduce(np.bitwise_or, repeat, degree) & fresh[rows]
         unseen ^= fresh
-        front = fresh
+        front, front_multi = fresh, fresh_multi
         d += 1
 
 

@@ -105,6 +105,19 @@ class EmpiricalStats:
     local_clustering_is_inverse_degree: bool = True
 
 
+def _lower_wedges(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every wedge u > v > w of lower neighbours v and w of a vertex u, from edges (low, high), low < high."""
+    order = np.lexsort((low, high))
+    u, v = high[order], low[order]  # grouped by u, lower neighbours ascending
+    del order
+    rank = np.arange(len(u)) - np.searchsorted(u, u)  # u's lower neighbours below v
+    wedge = np.repeat(np.arange(len(u)), rank)
+    # wedge i of edge e pairs v with u's lower neighbour number i - (wedges before e's): the edge
+    # e - rank[e] + that number
+    w = v[np.arange(len(wedge)) + (np.arange(len(u)) - np.cumsum(rank))[wedge]]
+    return u[wedge], v[wedge], w
+
+
 def _measured_triangles(n: int, edges: np.ndarray) -> np.ndarray:
     """Triangle memberships per vertex of a simple graph, measured from its edge list alone.
 
@@ -112,17 +125,17 @@ def _measured_triangles(n: int, edges: np.ndarray) -> np.ndarray:
     wedge of u's lower neighbours v and w, closed by the edge (w, v): found
     once, at its highest corner, and counted at all three.  In K_{m,t} no
     vertex has more than two lower neighbours, so there are at most N wedges.
+    Ids may be int32; the edge keys u * N + v are int64.
     """
     low, high = edges[:, 0], edges[:, 1]
-    order = np.lexsort((low, high))
-    u, v = high[order], low[order]  # grouped by u, lower neighbours ascending
-    first = np.searchsorted(u, u)  # each edge's group start
-    rank = np.arange(len(u)) - first  # u's lower neighbours below v
-    wedge = np.repeat(np.arange(len(u)), rank)
-    w = v[first[wedge] + np.arange(len(wedge)) - np.repeat(np.cumsum(rank) - rank, rank)]
-    u, v = u[wedge], v[wedge]
-    keys = np.sort(low * n + high)
-    closing = w * n + v
+    u, v, w = _lower_wedges(low, high)
+    keys = low.astype(np.int64)
+    keys *= n
+    keys += high
+    keys.sort()
+    closing = w.astype(np.int64)
+    closing *= n
+    closing += v
     closed = keys[np.minimum(np.searchsorted(keys, closing), len(keys) - 1)] == closing
     return np.bincount(np.concatenate((u[closed], v[closed], w[closed])), minlength=n)
 

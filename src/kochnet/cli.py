@@ -260,7 +260,8 @@ def _cmd_betweenness(args) -> int:
     graph = build(args.m, args.t)
     columns = {}
     if args.mode == "exact":
-        columns["exact"] = centrality.exact_betweenness(graph)[args.edges]
+        counts = centrality.edge_betweenness_counts if args.edges else centrality.vertex_betweenness_counts
+        columns["exact"] = counts(graph) / centrality._pair_norm(graph.n_vertices)
     if args.mode == "compare":
         report = centrality.centrality_report(graph)
         columns["exact"] = report.edge if args.edges else report.vertex

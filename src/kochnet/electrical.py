@@ -94,14 +94,17 @@ def _kcl_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> np.ndar
 
 
 def _checked_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> None:
-    residual = float(np.max(np.abs(_kcl_residual(graph, drops, b))))
+    net = _kcl_residual(graph, drops, b)
+    residual = float(max(net.max(), -net.min()))  # the max-norm, with no array of absolute values
     if residual > RESIDUAL_TOL:
         raise KochError(f"solver residual {residual:.2e} above {RESIDUAL_TOL:.0e}")
 
 
 def _edge_currents(graph: KochGraph, phi: np.ndarray) -> np.ndarray:
     edges = graph.edges
-    return phi[edges[:, 0]] - phi[edges[:, 1]]
+    drops = phi[edges[:, 0]]
+    drops -= phi[edges[:, 1]]
+    return drops
 
 
 def solve(graph: KochGraph, source: int, target: int) -> ElectricalProfile:

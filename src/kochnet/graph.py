@@ -9,10 +9,11 @@ with index f gains at one step occupy the contiguous index block
 ((f-1)*D, f*D], ordered by the father's triangle list (creation order),
 then group number, then the two sons of a group on consecutive odd/even
 offsets.  Each growth step is a handful of numpy operations over the
-existing vertices, so a vertex is an id into four int64 arrays: ``birth``,
-``subnet``, ``bits`` (the growth bits as a binary number of ``birth``
-digits) and ``index`` (0 for a hub).  These arrays are the only stored
-form of the labels: ``label_of`` makes one ``Label`` when asked for.
+existing vertices, so a vertex is an id into four narrow arrays: int8
+``birth`` and ``subnet``, and int32 ``bits`` (the growth bits as a binary
+number of ``birth`` digits) and ``index`` (0 for a hub).  These arrays are
+the only stored form of the labels: ``label_of`` makes one ``Label`` when
+asked for.
 ``label_keys`` packs the four fields into one int64 key per label, and
 ``vertex_by_label`` and ``vertex_by_label_key`` map labels and keys back
 to ids by arithmetic, as each (subnet, bits) class is one contiguous id
@@ -25,7 +26,7 @@ table, decimal digits by multiply and shift, or a label's growth bits), and
 reads it out through a keep mask that drops leading zeros and the '.'
 and index a hub's label lacks.
 
-The triangle table is the one stored edge structure: an int64 (T, 3)
+The triangle table is the one stored edge structure: an int32 (T, 3)
 array whose row 0 is the hubs (0, 1, 2) and whose row k >= 1 is
 (father, 2k+1, 2k+2), because the sons of the k-th triangle are created
 together as ids 2k+1 and 2k+2.  Every edge lies in exactly one triangle,
@@ -42,6 +43,11 @@ its three corners (``corner_parts``).  Those sizes give the exact
 betweenness counts, current-flow betweenness and the all-pairs distance
 total in O(N); the blocked BFS sum ``bfs_distance_total`` is kept as the
 total's oracle.
+
+Ids are int32 in every stored array (the triangle table, ``edges``, the
+CSR ``indices``), so ``build`` refuses N >= 2^31 before it allocates.
+Label keys, pair and edge keys (``u * N + v``), degrees and counts are
+int64: a narrow id is widened where such a value is computed from it.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from .labels import Label, _derived, format_label, validate_in_graph
 
 DEFAULT_VERTEX_CAP = 10**7
 _CAP_ENV = "KOCH_MAX_VERTICES"
+ID_LIMIT = 1 << 31  # vertex ids are int32: ``build`` refuses N at or above this, whatever the cap
 # vertices or edges formatted per write: a chunk's byte blocks (about 0.5 MB) stay in the
 # L2 cache and are reused from the heap, while chunks of many MB take fresh pages each write
 _EXPORT_ROWS = 1 << 13
@@ -97,6 +104,14 @@ def label_keys(m: int, t: int, subnet, birth, bits, index) -> np.ndarray:
     distinct labels get distinct keys.
     """
     return _label_codes(t, subnet, birth, bits) * ((2 * m) ** t + 1) + index
+
+
+def _son_ids(rows: slice) -> tuple[slice, slice]:
+    """The ids of the two sons of triangle rows ``rows``, as slices: row k's are 2k+1 and 2k+2.
+
+    Row 0's are hubs 1 and 2.
+    """
+    return slice(2 * rows.start + 1, 2 * rows.stop, 2), slice(2 * rows.start + 2, 2 * rows.stop + 1, 2)
 
 
 def _chunks(n: int):
@@ -188,10 +203,12 @@ class CactusLDL:
     Son b's column of L holds -1/D_b at a and at f; son a's holds
     ``a_coupling / a_pivot`` at f, where ``a_coupling`` is the a-f entry
     left once b is eliminated.  A solve is one forward and one backward
-    pass over the same batches of rows, a few vectorized steps each.
+    pass over the same batches of rows, a few vectorized steps each.  The
+    sons of a batch are two strided slices of the ids (``_son_ids``); only
+    the fathers are gathered.
     """
 
-    triangles: np.ndarray
+    triangles: np.ndarray  # the graph's int32 table: row k is (father, 2k+1, 2k+2)
     batches: tuple[slice, ...]  # triangle rows eliminated together, in elimination order
     b_pivot: np.ndarray  # D at son b (the higher id), eliminated first
     a_pivot: np.ndarray  # D at son a, eliminated second
@@ -201,19 +218,19 @@ class CactusLDL:
         """phi with phi[0] = 0 and (L phi)[v] = rhs[v] at every other vertex; rhs is (N,) or (N, c)."""
         phi = np.array(rhs, np.float64)
         x = phi.reshape(len(phi), -1)  # a view: the columns are solved together
-        tri = self.triangles
         for rows in self.batches:  # L y = rhs: each son's right-hand side passes on to its father
-            f, a, b = tri[rows].T
+            a, b = _son_ids(rows)
             carry = x[b] / self.b_pivot[rows, None]
             x[a] += carry
-            np.add.at(x, f, carry - self.a_coupling[rows, None] / self.a_pivot[rows, None] * x[a])
+            np.add.at(x, self.triangles[rows, 0], carry - self.a_coupling[rows, None] / self.a_pivot[rows, None] * x[a])
         x[0] = 0.0  # hub 0 is grounded: what the sons passed on to it is dropped
         for rows in reversed(self.batches):  # D L^T phi = y: each son from its father, oldest first
-            f, a, b = tri[rows].T
+            a, b = _son_ids(rows)
+            xf = np.take(x, self.triangles[rows, 0], axis=0)
             # times the reciprocal pivot, as a BLAS triangular solve rounds: printed potentials
             # then keep the bits they had under a sparse LU solve
-            x[a] = (x[a] - self.a_coupling[rows, None] * x[f]) * (1 / self.a_pivot[rows, None])
-            x[b] = (x[b] + x[f] + x[a]) / self.b_pivot[rows, None]
+            x[a] = (x[a] - self.a_coupling[rows, None] * xf) * (1 / self.a_pivot[rows, None])
+            x[b] = (x[b] + xf + x[a]) / self.b_pivot[rows, None]
         return phi
 
 
@@ -221,18 +238,18 @@ class CactusLDL:
 class KochGraph:
     """Immutable generated network; safe for concurrent read-only use.
 
-    ``triangles`` is the one stored edge structure and the four int64
+    ``triangles`` is the one stored edge structure and the four narrow
     vertex arrays the one stored vertex structure; the edge views and the
     label class table below are derived from them on first use and cached.
     """
 
     m: int
     t: int
-    triangles: np.ndarray  # int64 (T, 3): row 0 the hubs, row k (father, 2k+1, 2k+2)
-    birth: np.ndarray  # int64 (N,): growth step that added the vertex, 0 for a hub
-    subnet: np.ndarray  # int64 (N,): subnet digit 1..3
-    bits: np.ndarray  # int64 (N,): growth bits read as a binary number of `birth` digits
-    index: np.ndarray  # int64 (N,): index within (subnet, bits), 0 for a hub
+    triangles: np.ndarray  # int32 (T, 3): row 0 the hubs, row k (father, 2k+1, 2k+2)
+    birth: np.ndarray  # int8 (N,): growth step that added the vertex, 0 for a hub
+    subnet: np.ndarray  # int8 (N,): subnet digit 1..3
+    bits: np.ndarray  # int32 (N,): growth bits read as a binary number of `birth` digits
+    index: np.ndarray  # int32 (N,): index within (subnet, bits), 0 for a hub
 
     @property
     def n_vertices(self) -> int:
@@ -319,20 +336,34 @@ class KochGraph:
         return np.where(v < 3, -1, self.triangles[(v - 1) // 2, 0])
 
     def companion_of(self, v) -> np.ndarray:
-        """The other son of vertex v's triangle: v + 1 for odd v, v - 1 for even; -1 for a hub."""
-        v = np.asarray(v, np.int64)
+        """The other son of vertex v's triangle: v + 1 for odd v, v - 1 for even; -1 for a hub.
+
+        Ids keep their integer type: an int32 id array gives int32 companions.
+        """
+        v = np.asarray(v)
         return np.where(v < 3, -1, np.where(v % 2 == 1, v + 1, v - 1))
+
+    def _corner_pair_keys(self) -> np.ndarray:
+        """Key u * N + v, int64, of the corner pairs (f, a), (f, b), (a, b) of each triangle row, row by row."""
+        tri = self.triangles  # rows are ascending, so each corner pair is (low, high)
+        keys = tri[:, [0, 0, 1]].astype(np.int64)
+        keys *= self.n_vertices
+        keys += tri[:, [1, 2, 2]]
+        return keys.ravel()
 
     @cached_property
     def _edge_keys(self) -> np.ndarray:
         """Sort key u * N + v of every edge (u < v), ascending; ``edges`` is its divmod by N."""
-        tri = self.triangles  # rows are ascending, so each corner pair is (low, high)
-        return np.sort((tri[:, [0, 0, 1]] * self.n_vertices + tri[:, [1, 2, 2]]).ravel())
+        keys = self._corner_pair_keys()
+        keys.sort()
+        return keys
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """All edges as rows (u, v) with u < v, sorted ascending; int64 (E, 2)."""
-        return np.stack(np.divmod(self._edge_keys, self.n_vertices), axis=1)
+        """All edges as rows (u, v) with u < v, sorted ascending; int32 (E, 2)."""
+        edges = np.empty((self.n_edges, 2), np.int32)
+        np.divmod(self._edge_keys, self.n_vertices, out=(edges[:, 0], edges[:, 1]))
+        return edges
 
     def edge_index(self, u, v) -> np.ndarray:
         """Row of edge (u, v) in ``edges``, either orientation; -1 where it is no edge.
@@ -352,13 +383,23 @@ class KochGraph:
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency in CSR form (indptr, indices), int64, neighbors ascending."""
+        """Adjacency in CSR form: int64 ``indptr`` and int32 ``indices``, neighbors ascending.
+
+        A row is its vertex's lower neighbours, then its higher ones.  Row
+        by row, the higher ones are the second ids of ``edges`` in edge
+        order, and the lower ones are the first ids in a stable sort by the
+        second: no sort of the 2E slots.
+        """
         n = self.n_vertices
         u, v = self.edges[:, 0], self.edges[:, 1]
-        src, dst = np.concatenate((u, v)), np.concatenate((v, u))
         indptr = np.zeros(n + 1, np.int64)
         np.cumsum(self.degrees, out=indptr[1:])
-        return indptr, dst[np.argsort(src * n + dst)]
+        lower = np.bincount(v, minlength=n)
+        low_slot = np.repeat(np.tile([True, False], n), np.stack((lower, self.degrees - lower), axis=1).ravel())
+        indices = np.empty(2 * len(u), np.int32)
+        indices[low_slot] = u[np.argsort(v, kind="stable")]
+        indices[~low_slot] = v
+        return indptr, indices
 
     @cached_property
     def corner_parts(self) -> np.ndarray:
@@ -371,13 +412,15 @@ class KochGraph:
         The father's part is the rest of the graph; each hub's part is its
         own subtree.
         """
-        tri = self.triangles
         n = self.n_vertices
         below = np.ones(n, np.int64)
         for step in range(self.t, 0, -1):
-            rows = tri[triangle_count(self.m, step - 1) : triangle_count(self.m, step)]
-            np.add.at(below, rows[:, 0], below[rows[:, 1]] + below[rows[:, 2]])
-        parts = below[tri]
+            rows = slice(triangle_count(self.m, step - 1), triangle_count(self.m, step))
+            a, b = _son_ids(rows)
+            np.add.at(below, self.triangles[rows, 0], below[a] + below[b])
+        parts = np.empty((len(self.triangles), 3), np.int64)
+        parts[:, 1], parts[:, 2] = below[1::2], below[2::2]  # every row's sons, the hubs' too
+        parts[0, 0] = below[0]
         parts[1:, 0] = n - parts[1:, 1] - parts[1:, 2]
         return parts
 
@@ -415,11 +458,11 @@ class KochGraph:
         pivot = self.degrees.astype(np.float64)  # each vertex's diagonal as its sons are eliminated
         b_pivot, a_pivot, a_coupling = (np.empty(len(tri)) for _ in range(3))
         for rows in batches:
-            f, a, b = tri[rows].T
+            a, b = _son_ids(rows)
             b_pivot[rows] = pivot[b]
             a_pivot[rows] = pivot[a] - 1 / b_pivot[rows]
             a_coupling[rows] = -1 - 1 / b_pivot[rows]
-            np.subtract.at(pivot, f, 1 / b_pivot[rows] + a_coupling[rows] ** 2 / a_pivot[rows])
+            np.subtract.at(pivot, tri[rows, 0], 1 / b_pivot[rows] + a_coupling[rows] ** 2 / a_pivot[rows])
         return CactusLDL(tri, tuple(batches), b_pivot, a_pivot, a_coupling)
 
     # ---- exports -------------------------------------------------------
@@ -506,34 +549,42 @@ def build(m: int, t: int) -> KochGraph:
 
     Raises SizeCapError when 2(3m+1)^t + 1 would exceed the cap (10^7
     vertices; the KOCH_MAX_VERTICES environment variable is the one way
-    to change it).
+    to change it), and at N >= 2^31 whatever the cap: ids are int32.
+    Both refusals come before anything is allocated.
     """
     if not isinstance(m, int) or not isinstance(t, int) or m < 1 or t < 0:
         raise ValueError(f"need integer m >= 1 and t >= 0, got m={m!r}, t={t!r}")
     n_final = check_size(m, t)
+    too_many = f"K_{{{m},{t}}} has {_count_text(m, t)} vertices, more than can be allocated"
+    if n_final >= ID_LIMIT:
+        raise SizeCapError(f"{too_many}: vertex ids are int32, so N must be below 2^31")
 
     try:
-        birth, subnet, bits, index = (np.zeros(n_final, np.int64) for _ in range(4))
-        triangles = np.empty((triangle_count(m, t), 3), np.int64)
-    except (ValueError, MemoryError):  # numpy refuses a size past the address space with ValueError
-        raise SizeCapError(
-            f"K_{{{m},{t}}} has {_count_text(m, t)} vertices, more than can be allocated"
-        ) from None
+        birth, subnet = np.zeros(n_final, np.int8), np.zeros(n_final, np.int8)
+        bits, index = np.zeros(n_final, np.int32), np.zeros(n_final, np.int32)
+        triangles = np.empty((triangle_count(m, t), 3), np.int32)
+    except MemoryError:
+        raise SizeCapError(too_many) from None
     subnet[:3] = (1, 2, 3)
     triangles[0] = (0, 1, 2)
+    # by age, the full steps a vertex has already lived: it sits in (m+1)^age triangles and
+    # gives each m groups of two sons, whose bits are its own + "0" + "1"*age
+    widths = 2 * m * (m + 1) ** np.arange(t, dtype=np.int64)
+    ones = (1 << np.arange(t, dtype=np.int32)) - 1
     n = 3
     for step in range(1, t + 1):
-        age = step - birth[:n] - 1  # full steps each vertex has already lived
-        # a vertex sits in (m+1)^age triangles and gives each m groups of two sons
-        width = 2 * m * (m + 1) ** age
+        age = step - 1 - birth[:n]
+        width = widths[age]
         father = np.repeat(np.arange(n), width)
-        slot = np.arange(len(father)) - (np.cumsum(width) - width)[father]  # place in the block
-        base = np.where(birth[:n] == 0, 0, (index[:n] - 1) * width)  # hubs own the whole range
         new = slice(n, n + len(father))
         birth[new] = step
         subnet[new] = subnet[father]
-        bits[new] = ((bits[:n] << (age + 1)) | ((1 << age) - 1))[father]  # bits + "0" + "1"*age
-        index[new] = base[father] + slot + 1
+        bits[new] = ((bits[:n] << (age + 1)) | ones[age])[father]
+        # a son's index is its father's block base plus its place in the block, plus 1;
+        # hubs own the whole range
+        base = np.where(birth[:n] == 0, 0, (index[:n] - 1) * width) - (np.cumsum(width) - width) + 1
+        index[new] = base.astype(np.int32)[father]
+        index[new] += np.arange(len(father), dtype=np.int32)
         # sons 2k+1 and 2k+2 close triangle k with their father
         first = (n - 1) // 2
         triangles[first : first + len(father) // 2, 0] = father[::2]
@@ -547,10 +598,10 @@ def edge_class_ids(graph: KochGraph) -> np.ndarray:
     """Class of every edge in ``graph.edges``, as an index into EDGE_CLASSES.
 
     An edge u < v joins two hubs when v < 3, a companion pair when v is the
-    companion of u, and a father and its child otherwise.
+    companion of u, and a father and its child otherwise.  int8.
     """
     u, v = graph.edges[:, 0], graph.edges[:, 1]
-    return np.where(v < 3, 0, np.where(graph.companion_of(u) == v, 1, 2))
+    return np.where(v < 3, np.int8(0), np.where(graph.companion_of(u) == v, np.int8(1), np.int8(2)))
 
 
 def edge_class_counts(graph: KochGraph) -> dict[str, int]:

@@ -38,6 +38,7 @@ DISCREPANCY = "paper-discrepancy"
 EXHAUSTIVE_PAIR_LIMIT = 700  # vertices; above this, routing checks sample
 SAMPLE_SOURCES = 32  # sources of the sampled routing pairs: one BFS sweep
 _CHUNK_PAIRS = 16384  # pairs routed and checked together
+_CHUNK_SLOTS = 1 << 16  # CSR slots (vertex-neighbour pairs) the label checks hold at once
 
 
 @dataclass(frozen=True)
@@ -94,13 +95,31 @@ def _bfs_distance_total(graph: KochGraph) -> int | None:
 # labels
 # ---------------------------------------------------------------------------
 
+def _edge_triangle(graph: KochGraph) -> CheckResult:
+    """The triangles' corner pairs, each an edge key u * N + v, are the edges once each."""
+    u, v = graph.triangles[:, [0, 0, 1]].ravel(), graph.triangles[:, [1, 2, 2]].ravel()
+    corner_pairs = np.minimum(u, v).astype(np.int64)
+    corner_pairs *= graph.n_vertices
+    corner_pairs += np.maximum(u, v)
+    corner_pairs.sort()
+    covered = len(corner_pairs) - int(np.count_nonzero(np.diff(corner_pairs) == 0))
+    return _check(
+        "labels/edge-triangle",
+        "every edge belongs to exactly one triangle",
+        covered == len(corner_pairs) and np.array_equal(corner_pairs, graph._edge_keys),
+        f"covered={covered}",
+    )
+
+
 def labels_suite(graph: KochGraph) -> list[CheckResult]:
     """The label checks on arrays: no ``Label`` per vertex.
 
     The label side reads only the four label arrays and compares int64
     label keys: each vertex's own key, and its father's by one father step
     on the arrays.  The graph side reads only the triangle table, the CSR
-    adjacency and ``father_of``.
+    adjacency and ``father_of``.  The per-vertex and per-slot checks run
+    over vertex ranges of about ``_CHUNK_SLOTS`` CSR slots, so what they
+    hold beyond the N-long keys is bounded by the chunk.
     """
     m, t = graph.m, graph.t
     out = []
@@ -114,88 +133,92 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
         )
     )
 
-    u, v = graph.triangles[:, [0, 0, 1]].ravel(), graph.triangles[:, [1, 2, 2]].ravel()
-    corner_pairs = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    covered = len(corner_pairs) - int(np.count_nonzero(np.diff(corner_pairs) == 0))
-    out.append(
-        _check(
-            "labels/edge-triangle",
-            "every edge belongs to exactly one triangle",
-            covered == len(corner_pairs) and np.array_equal(corner_pairs, graph._edge_keys),
-            f"covered={covered}",
-        )
-    )
+    out.append(_edge_triangle(graph))
 
     # l_max of each class code (1 << birth) | bits; 0 for the hubs' code and for codes of no class
     bound = np.zeros(2 << t, np.int64)
     for j in range(1, t + 1):
         for k in range(1 << (j - 1)):  # a leading 0, the rest free
             bound[(1 << j) | k] = l_max(m, format(k, f"0{j}b"))
+    enumerated = 3 + 3 * int(bound.sum())
     subnet, birth, bits, index = graph.subnet, graph.birth, graph.bits, graph.index
     keys = label_keys(m, t, subnet, birth, bits, index)
-    distinct, rank = np.unique(keys, return_inverse=True)
-    # the labels are the enumerated set, once each, when they are distinct, each one is a
-    # label of K_{m,t} (a class in the table, an index in 1..l_max or 0 for a hub) and
-    # there are as many as the enumeration holds
-    b = np.clip(birth, 0, t)  # keeps a bad birth's code inside the table
-    shaped = np.isin(subnet, (1, 2, 3)) & (b == birth) & (bits >= 0) & (bits < (1 << b))
-    valid = shaped & (index >= (birth > 0)) & (index <= bound[np.where(shaped, (1 << b) | bits, 0)])
-    enumerated = 3 + 3 * int(bound.sum())
+    rank = np.unique(keys, return_inverse=True)[1]  # of each key among the distinct keys
+    father_keys = label_keys(m, t, subnet, *_father_fields(m, t, birth, bits, index))
+    hub = birth == 0
+    hub_label = np.isin(keys, label_keys(m, t, np.arange(1, 4), 0, 0, 0))
+    indptr, indices = graph.csr
+
+    invalid = partition_bad = father_bad = degree_bad = 0
+    first_bad = -1
+    for lo, hi in _kernels.row_chunks(indptr, _CHUNK_SLOTS):
+        at = slice(lo, hi)
+        b = np.clip(birth[at], 0, t).astype(np.int64)  # keeps a bad birth's code inside the table
+        growth = 2 * (m + 1) ** (t - birth[at].astype(np.int64))  # the degree formula
+        # the labels are the enumerated set, once each, when they are distinct, each one is a
+        # label of K_{m,t} (a class in the table, an index in 1..l_max or 0 for a hub) and
+        # there are as many as the enumeration holds
+        shaped = np.isin(subnet[at], (1, 2, 3)) & (b == birth[at]) & (bits[at] >= 0) & (bits[at] < (1 << b))
+        code = np.where(shaped, (1 << b) | bits[at], 0)
+        valid = shaped & (index[at] >= (birth[at] > 0)) & (index[at] <= bound[code])
+        invalid += int(np.count_nonzero(~valid))
+
+        # each slot's neighbour w is v's father or companion (index flipped within its odd/even
+        # pair), a child of v, or, for a hub v, another hub
+        degree = np.diff(indptr[lo : hi + 1])
+        slot_v = np.repeat(np.arange(hi - lo), degree)  # from lo
+        w = indices[indptr[lo] : indptr[hi]].astype(np.intp)
+        kv, kw = keys[at][slot_v], keys[w]
+        companion_keys = keys[at] + np.where(index[at] % 2 == 1, 1, -1)
+        neighbor = np.where(
+            hub[at][slot_v],
+            hub_label[w] & (kw != kv),
+            (kw == father_keys[at][slot_v]) | (kw == companion_keys[slot_v]),
+        ) | (~hub[w] & (father_keys[w] == kv))
+        # the distinct neighbour labels of each vertex: its slots less repeated (v, label) pairs
+        pairs = np.sort(slot_v * n + rank[w])
+        repeats = np.bincount(pairs[1:][pairs[1:] == pairs[:-1]] // n, minlength=hi - lo)
+        bad = np.bincount(slot_v[~neighbor], minlength=hi - lo) > 0
+        bad |= degree - repeats != growth
+        partition_bad += int(bad.sum())
+        if first_bad < 0 and bad.any():
+            first_bad = lo + int(np.argmax(bad))
+
+        sons = np.arange(max(lo, 3), max(hi, 3))
+        father_bad += int(np.count_nonzero(father_keys[sons] != keys[graph.father_of(sons)]))
+        degree_bad += int(np.count_nonzero(graph.degrees[at] != growth))
+
     out.append(
         _check(
             "labels/bijection",
             "enumerated label set equals the built vertex labels, no duplicates",
-            len(distinct) == n and bool(valid.all()) and n == enumerated,
+            int(rank.max()) + 1 == n and invalid == 0 and n == enumerated,
             f"|labels|={enumerated}",
         )
     )
-
-    father_keys = label_keys(m, t, subnet, *_father_fields(m, t, birth, bits, index))
-    indptr, indices = graph.csr
-    slot_v, w = np.repeat(np.arange(n), np.diff(indptr)), indices
-    hub = birth == 0
-    hub_label = np.isin(keys, label_keys(m, t, np.arange(1, 4), 0, 0, 0))
-    # w is v's father or companion (index flipped within its odd/even pair), a child of v,
-    # or, for a hub v, another hub
-    kv, kw = keys[slot_v], keys[w]
-    companion_keys = keys + np.where(index % 2 == 1, 1, -1)
-    neighbor = np.where(
-        hub[slot_v],
-        hub_label[w] & (kw != kv),
-        (kw == father_keys[slot_v]) | (kw == companion_keys[slot_v]),
-    ) | (~hub[w] & (father_keys[w] == kv))
-    # the distinct neighbour labels of each vertex: its slots less repeated (v, label) pairs
-    pairs = np.sort(slot_v * n + rank[w])
-    repeats = np.bincount(pairs[1:][pairs[1:] == pairs[:-1]] // n, minlength=n)
-    bad = np.bincount(slot_v[~neighbor], minlength=n) > 0
-    bad |= np.diff(indptr) - repeats != 2 * (m + 1) ** (t - birth)
     out.append(
         _check(
             "labels/partition",
             "companion+children+father from arithmetic equal the adjacency list, all vertices",
-            not bad.any(),
-            f"vertices={n} mismatches={int(bad.sum())}"
-            + (f" first={graph.label_of(int(np.argmax(bad)))}" if bad.any() else ""),
+            partition_bad == 0,
+            f"vertices={n} mismatches={partition_bad}"
+            + (f" first={graph.label_of(first_bad)}" if partition_bad else ""),
         )
     )
-
-    bad = int(np.count_nonzero(father_keys[3:] != keys[graph.father_of(np.arange(3, n))]))
     out.append(
         _check(
             "labels/father-blocks",
             "father formula inverts the child-block assignment for every non-hub",
-            bad == 0,
-            f"mismatches={bad}",
+            father_bad == 0,
+            f"mismatches={father_bad}",
         )
     )
-
-    bad = int(np.count_nonzero(graph.degrees != 2 * (m + 1) ** (t - graph.birth)))
     out.append(
         _check(
             "labels/degree-formula",
             "every degree equals 2(m+1)^(t-birth)",
-            bad == 0,
-            f"mismatches={bad}",
+            degree_bad == 0,
+            f"mismatches={degree_bad}",
         )
     )
 
@@ -517,17 +540,32 @@ def _control_gap() -> float:
     return float(np.max(np.diff(np.sort(phi))))
 
 
+def _hub_probe(graph: KochGraph) -> tuple[float, float]:
+    """Effective resistance and voltage gap of the field between hubs 0 and 1; the field is not kept."""
+    field = electrical.solve(graph, 0, 1)
+    return field.effective_resistance, electrical.voltage_gap(field).gap
+
+
+def _reciprocal(graph: KochGraph, field: electrical.ElectricalProfile, s: int, v: int) -> bool:
+    """The field from s to v against the solve from v to s: equal resistance, negated currents."""
+    rev = electrical.solve(graph, v, s)
+    return (
+        abs(field.effective_resistance - rev.effective_resistance) < 1e-9
+        and float(np.max(np.abs(field.edge_currents + rev.edge_currents))) < 1e-9
+    )
+
+
 def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list[CheckResult]:
     n = graph.n_vertices
     out = []
 
-    hub_profile = electrical.solve(graph, 0, 1)
+    hub_r, hub_gap = _hub_probe(graph)
     out.append(
         _check(
             "electrical/triangle-base",
             "adjacent hubs see 1 ohm parallel to a 2 ohm detour: R = 2/3",
-            abs(hub_profile.effective_resistance - 2 / 3) < 1e-9,
-            f"R={_fmt(hub_profile.effective_resistance)}",
+            abs(hub_r - 2 / 3) < 1e-9,
+            f"R={_fmt(hub_r)}",
         )
     )
 
@@ -543,11 +581,11 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
     support_ok = voltage_ok = split_ok = series_ok = rayleigh_ok = True
     worst_off = 0.0
     worst_series = 0.0
-    fwd = None  # the first pair's field, which the reciprocity check reads again
+    reciprocal = None  # read from the first pair's field while it is held
     for s, v in pairs:
         prof = electrical.path_profile(graph, s, v)
-        if fwd is None:
-            fwd = prof.field
+        if reciprocal is None:
+            reciprocal = _reciprocal(graph, prof.field, s, v)
         support_ok &= prof.thm_support_ok
         voltage_ok &= prof.thm_voltages_ok
         split_ok &= prof.thm_split_ok
@@ -557,6 +595,7 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
         worst_series = max(worst_series, gap)
         series_ok &= gap < 1e-9
         rayleigh_ok &= r_eff <= prof.distance + 1e-12
+        del prof  # one field at a time: the next pair's is solved without this one held
     out.append(
         _check(
             "electrical/current-localization",
@@ -595,14 +634,11 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
         )
     )
 
-    s, v = pairs[0]
-    rev = electrical.solve(graph, v, s)
     out.append(
         _check(
             "electrical/reciprocity",
             "swapping the probe pair preserves resistance and negates currents",
-            abs(fwd.effective_resistance - rev.effective_resistance) < 1e-9
-            and float(np.max(np.abs(fwd.edge_currents + rev.edge_currents))) < 1e-9,
+            reciprocal,
         )
     )
 
@@ -628,7 +664,6 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
                 )
             )
 
-    hub_gap = electrical.voltage_gap(hub_profile).gap
     control = _control_gap()
     out.append(
         _check(

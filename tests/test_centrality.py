@@ -100,6 +100,17 @@ class TestExactOracle:
         assert [ref_e[e] for e in map(tuple, graph.edges.tolist())] == edge.tolist()
 
 
+    @pytest.mark.parametrize("m,t", [(1, 6), (2, 4), (3, 3)])
+    def test_edge_counts_sit_at_their_edges(self, m, t):
+        # placed by the order that sorts the corner-pair keys: each triangle's three products land
+        # on the rows ``edge_index`` finds for its corner pairs
+        graph = cached_graph(m, t)
+        tri, parts = graph.triangles, graph.corner_parts
+        want = np.empty(graph.n_edges, np.int64)
+        want[graph.edge_index(tri[:, [0, 0, 1]], tri[:, [1, 2, 2]])] = parts[:, [0, 0, 1]] * parts[:, [1, 2, 2]]
+        assert np.array_equal(betweenness_counts(graph)[1], want)
+
+
 class TestPaperFormulas:
     def test_eq_vertex_vanishes_at_t1(self):
         assert paper_vertex_betweenness(1, 1, 0) == 0

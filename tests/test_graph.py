@@ -347,6 +347,100 @@ class TestValidation:
         with pytest.raises(SizeCapError):
             build(1, 1)
 
+    def test_ids_past_int32_refused_before_allocating(self, monkeypatch, tmp_path):
+        # K(1,15) has 2^31 + 1 vertices: under a raised cap it passes check_size, and build refuses
+        # it before any array is made, whatever the cap says
+        monkeypatch.setenv("KOCH_MAX_VERTICES", "3000000000")
+        assert graph_module.check_size(1, 15) == vertex_count(1, 15) == 2**31 + 1
+
+        class NoArrays:
+            def __getattr__(self, name):
+                if name in ("zeros", "empty", "ones", "full", "arange"):
+                    raise AssertionError(f"np.{name} called")
+                return getattr(np, name)
+
+        monkeypatch.setattr(graph_module, "np", NoArrays())
+        with pytest.raises(SizeCapError, match=r"has 2147483649 vertices, more than can be allocated: .* 2\^31$"):
+            build(1, 15)
+        out = tmp_path / "x.json"
+        assert main(["generate", "--m", "1", "--t", "15", "-o", str(out)]) == 3
+        assert not out.exists()
+
+
+def test_stored_arrays_are_narrow():
+    # the five stored arrays: an int8 birth and subnet, int32 bits and index, and the int32
+    # triangle table at 12 B per row, about half a row per vertex
+    graph = build(2, 5)
+    arrays = {
+        "birth": np.int8,
+        "subnet": np.int8,
+        "bits": np.int32,
+        "index": np.int32,
+        "triangles": np.int32,
+    }
+    assert {name: getattr(graph, name).dtype for name in arrays} == arrays
+    assert sum(getattr(graph, name).nbytes for name in arrays) <= 17 * graph.n_vertices
+    assert graph.edges.dtype == graph.csr[1].dtype == np.int32
+    assert graph.csr[0].dtype == graph.degrees.dtype == graph._edge_keys.dtype == np.int64
+
+
+NEAR_2_31 = 2**31 - 1
+
+
+def test_label_keys_widen_narrow_fields():
+    # int8 subnet and birth, int32 bits and index up to 2^31 - 1: every key is the exact int64
+    for m, t in ((1, 14), (2, 9), (40, 4)):
+        births = [0, 1, t // 2, t] + ([7, 8] if t >= 8 else [])
+        rows = [
+            (subnet, b, bits, index)
+            for subnet in (1, 3)
+            for b in births
+            for bits in sorted({0, (1 << max(b - 1, 0)) - 1} if b else {0})
+            for index in (0, 1, NEAR_2_31)
+        ]
+        subnet, birth, bits, index = (np.array(col, dtype) for col, dtype in zip(zip(*rows), (np.int8, np.int8, np.int32, np.int32)))
+        keys = label_keys(m, t, subnet, birth, bits, index)
+        want = [((s << (t + 1)) | (1 << b) | x) * ((2 * m) ** t + 1) + i for s, b, x, i in rows]
+        assert keys.dtype == np.int64 and keys.tolist() == want
+
+
+def _near_limit_graph(triangles) -> KochGraph:
+    """A stand-in of N = 2^31 - 1 vertices whose vertex arrays take no memory: only the ids are real."""
+    n = NEAR_2_31
+    empty = np.broadcast_to(np.int8(0), (n,))
+    return KochGraph(
+        m=1, t=0, triangles=np.array(triangles, np.int32), birth=empty, subnet=empty, bits=empty, index=empty
+    )
+
+
+def test_edge_keys_widen_ids_near_2_31():
+    top = NEAR_2_31 - 1  # the largest id
+    rows = [(0, 1, 2), (5, top - 1, top), (top - 5, top - 3, top - 2)]
+    graph = _near_limit_graph(rows)
+    n = graph.n_vertices
+    pairs = sorted((r[a], r[b]) for r in rows for a, b in ((0, 1), (0, 2), (1, 2)))
+    assert graph._edge_keys.dtype == np.int64
+    assert graph._edge_keys.tolist() == [u * n + v for u, v in pairs]
+    assert graph.edges.dtype == np.int32 and graph.edges.tolist() == [list(p) for p in pairs]
+    u, v = np.array(pairs, np.int32).T
+    assert graph.edge_index(v, u).tolist() == list(range(len(pairs)))  # either orientation
+    assert graph.edge_index(np.int32(top), np.int32(top - 3)).tolist() == -1
+
+
+def test_vertex_by_label_key_widens_near_2_31():
+    # a class whose ids run up to 2^31 - 2, looked up by the keys of int8 and int32 fields
+    m, t = 1, 14
+    graph = _near_limit_graph([(0, 1, 2)])
+    graph.m, graph.t = m, t
+    size = 1000
+    code = int(_label_codes(t, 2, 14, 0b01))
+    first, sizes = np.zeros((2, 4 << (t + 1)), np.int64)
+    first[code], sizes[code] = NEAR_2_31 - 1 - size, size
+    graph._label_classes = (first, sizes)
+    index = np.array([1, 2, size, size + 1], np.int32)
+    keys = label_keys(m, t, np.int8(2), np.int8(14), np.int32(0b01), index)
+    assert graph.vertex_by_label_key(keys).tolist() == [NEAR_2_31 - 1 - size + i for i in (0, 1, size - 1)] + [-1]
+
 
 class TestExports:
     def test_edgelist(self):
@@ -495,6 +589,18 @@ def test_decimal_omit_zero_keeps_no_digit_of_a_zero():
 def test_decimal_refuses_values_outside_32_bits(values):
     with pytest.raises(ValueError):
         graph_module._decimal(np.array(values, np.int64))
+
+
+@pytest.mark.parametrize(
+    "dtype,values",
+    [(np.int8, [0, 1, 9, 10, 99, 100, 127]), (np.int32, [0, 7, 10**9 - 1, 10**9, 2**31 - 2, 2**31 - 1])],
+)
+def test_decimal_of_narrow_columns(dtype, values):
+    # the label columns are int8 and int32: widened, each value keeps its digits, and a
+    # negative one is refused rather than read as a wrapped unsigned value
+    assert column_rows(graph_module._decimal(np.array(values, dtype))) == [str(x) for x in values]
+    with pytest.raises(ValueError):
+        graph_module._decimal(np.array([5, np.iinfo(dtype).min], dtype))
 
 
 TEXTS = st.text(alphabet='0123456789.,:"{}[] -', max_size=4)

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -275,6 +276,38 @@ class TestLabelsSuite:
             "|labels|=4803",
         )
         assert got["labels/partition"].status == verify.FAIL
+
+    @pytest.mark.parametrize("slots", [1, 5, 64, 1000])
+    @pytest.mark.parametrize(
+        "corruption", ["none", "companions' indices swapped", "a triangle row's father changed", "far indices swapped"]
+    )
+    def test_chunks_do_not_change_a_verdict(self, monkeypatch, slots, corruption):
+        # the per-vertex and per-slot checks run over vertex ranges of at most `slots` CSR slots
+        # (a hub's row alone is longer than the smaller ones): every detail, witness included,
+        # is the one the whole graph gives in one range
+        graph = cached_graph(2, 4)
+        u = graph.vertex_by_label(parse_label("1011.1", 2))
+        if corruption == "companions' indices swapped":
+            graph = dataclasses.replace(graph, index=_swapped(graph.index, u, int(graph.companion_of(u))))
+        elif corruption == "a triangle row's father changed":
+            triangles = graph.triangles.copy()
+            triangles[(u - 1) // 2, 0] = 5
+            graph = dataclasses.replace(graph, triangles=triangles)
+        elif corruption == "far indices swapped":
+            v = graph.vertex_by_label(parse_label("3000.46", 2))
+            graph = dataclasses.replace(graph, index=_swapped(graph.index, u, v))
+        monkeypatch.setattr(verify, "_CHUNK_SLOTS", 2 * graph.csr[0][-1])
+        whole = verify.labels_suite(graph)
+        monkeypatch.setattr(verify, "_CHUNK_SLOTS", slots)
+        assert verify.labels_suite(graph) == whole
+        assert all(c.status == verify.PASS for c in whole) == (corruption == "none")
+
+    def test_births_past_seven_pass(self):
+        # birth is int8: the degree formula 2(m+1)^(t-birth) and the bit bound 1 << birth widen it
+        # first, or K(1,8)'s hubs (degree 2^9) and its vertices born at steps 7 and 8 fail
+        graph = build(1, 8)
+        assert graph.birth.dtype == np.int8 and int(graph.birth.max()) == 8
+        assert all(c.status == verify.PASS for c in verify.labels_suite(graph))
 
     def test_makes_no_label_per_vertex(self, label_count):
         graph = build(2, 4)
