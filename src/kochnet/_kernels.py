@@ -59,15 +59,23 @@ def row_chunks(indptr: np.ndarray, slots: int):
         lo = hi
 
 
-def _row_reduce(ufunc, slots: np.ndarray, degree: np.ndarray, dtype=None) -> np.ndarray:
-    """``ufunc.reduceat`` over each row's run of ``slots``, rows of ``degree`` slots; 0 for a row of none."""
+def _segments(degree: np.ndarray) -> tuple[slice | np.ndarray, np.ndarray]:
+    """The rows of ``degree`` slots that have any (a slice when all do) and their first slots."""
     starts = np.cumsum(degree) - degree
     if degree.all():
-        return ufunc.reduceat(slots, starts, axis=0, dtype=dtype)
+        return slice(None), starts
     rows = np.flatnonzero(degree)
-    out = np.zeros((len(degree), slots.shape[1]), dtype or slots.dtype)
+    return rows, starts[rows]
+
+
+def _row_reduce(ufunc, slots: np.ndarray, n_rows: int, segments, dtype=None) -> np.ndarray:
+    """``ufunc.reduceat`` over each row's run of ``slots`` (``_segments``); 0 for a row of none."""
+    rows, starts = segments
+    if isinstance(rows, slice):
+        return ufunc.reduceat(slots, starts, axis=0, dtype=dtype)
+    out = np.zeros((n_rows, slots.shape[1]), dtype or slots.dtype)
     if len(rows):
-        out[rows] = ufunc.reduceat(slots, starts[rows], axis=0, dtype=dtype)
+        out[rows] = ufunc.reduceat(slots, starts, axis=0, dtype=dtype)
     return out
 
 
@@ -108,7 +116,10 @@ def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, multi:
     """
     n = indptr.shape[0] - 1
     front = _source_bits(n, sources)
-    chunks = list(row_chunks(indptr, n))  # a chunk's gathered slots are at most one bit-plane
+    chunks = []  # a chunk's gathered slots are at most one bit-plane
+    for lo, hi in row_chunks(indptr, n):
+        degree = np.diff(indptr[lo : hi + 1])
+        chunks.append((slice(lo, hi), slice(indptr[lo], indptr[hi]), degree, _segments(degree)))
     unseen = ~front
     front_multi = np.zeros_like(front) if multi else None
     d = 0
@@ -117,21 +128,19 @@ def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, multi:
         fresh = np.empty_like(front)
         fresh_multi = np.zeros_like(front) if multi else None
         carried = multi and bool(front_multi.any())
-        for lo, hi in chunks:
-            rows, run = slice(lo, hi), slice(indptr[lo], indptr[hi])
-            degree = np.diff(indptr[lo : hi + 1])
+        for rows, run, degree, segments in chunks:
             slots = np.take(front, indices[run], axis=0)
-            fresh[rows] = _row_reduce(np.bitwise_or, slots, degree)
+            fresh[rows] = _row_reduce(np.bitwise_or, slots, len(degree), segments)
             fresh[rows] &= unseen[rows]
             if multi:
                 slots &= np.repeat(unseen[rows], degree, axis=0)  # only the bits that can be fresh
-                hits = _row_reduce(np.add, np.bitwise_count(slots), degree, np.int64)
+                hits = _row_reduce(np.add, np.bitwise_count(slots), len(degree), segments, np.int64)
                 twice = bool((hits != np.bitwise_count(fresh[rows])).any())
                 if twice or carried:
                     repeat = np.take(front_multi, indices[run], axis=0) if carried else np.zeros_like(slots)
                     if twice:
                         repeat |= _repeated_bits(slots, _prefix_steps(degree))
-                    fresh_multi[rows] = _row_reduce(np.bitwise_or, repeat, degree) & fresh[rows]
+                    fresh_multi[rows] = _row_reduce(np.bitwise_or, repeat, len(degree), segments) & fresh[rows]
         unseen ^= fresh
         front, front_multi = fresh, fresh_multi
         d += 1

@@ -55,6 +55,7 @@ SUPPORT_EPS = 1e-9  # absolute current on unit injection
 PROFILE_TOL = 1e-9  # absolute tolerance of ``path_profile``'s chain checks
 CFB_EXHAUSTIVE_MAX_N = 600  # vertices: cap on the Laplacian oracle of current-flow betweenness
 _CFB_BLOCK_ROWS = 128  # edge rows per block of the oracle's reduction
+_EDGE_CHUNK = 1 << 16  # edges gathered together by ``_edge_currents``
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,17 @@ def _checked_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> Non
 
 
 def _edge_currents(graph: KochGraph, phi: np.ndarray) -> np.ndarray:
+    """phi[u] - phi[v] on every edge (u, v), ``_EDGE_CHUNK`` edges at a time.
+
+    ``np.take`` gathers at int32 ids about twice as fast as indexing with
+    them, and the intp copy of the ids it makes stays one chunk long.
+    """
     edges = graph.edges
-    drops = phi[edges[:, 0]]
-    drops -= phi[edges[:, 1]]
+    drops = np.empty((len(edges),) + phi.shape[1:])
+    for lo in range(0, len(edges), _EDGE_CHUNK):
+        u, v = edges[lo : lo + _EDGE_CHUNK].T
+        np.take(phi, u, axis=0, out=drops[lo : lo + _EDGE_CHUNK])
+        drops[lo : lo + _EDGE_CHUNK] -= np.take(phi, v, axis=0)
     return drops
 
 
