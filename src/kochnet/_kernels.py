@@ -12,9 +12,9 @@ only counts bits.  ``multi_sigma_pairs`` is the one reader of the
 multi-path bit-plane; it unpacks a level only when a bit of it is set.
 The multi-path bits are found by counting: a row whose slots' popcounts,
 masked by its unseen bits, add up to more than its fresh popcount holds
-a bit from two frontier neighbours, and only on a level with such a row
-does the exact segmented prefix-OR run (never on a Koch network, whose
-shortest paths are unique).
+a bit from two frontier neighbours, and only on a run of rows with such a
+row does the exact segmented prefix-OR run (never on a Koch network,
+whose shortest paths are unique).
 ``_BLOCK_ENTRIES`` is the one memory bound: it caps the packed words of
 one bit-plane of a sweep block, and a level gathers the slots of a run of
 rows at a time (``row_chunks``), at most N slots, so its gathered words

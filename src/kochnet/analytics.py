@@ -112,8 +112,8 @@ def _lower_wedges(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.nda
     del order
     rank = np.arange(len(u)) - np.searchsorted(u, u)  # u's lower neighbours below v
     wedge = np.repeat(np.arange(len(u)), rank)
-    # wedge i of edge e pairs v with u's lower neighbour number i - (wedges before e's): the edge
-    # e - rank[e] + that number
+    # edge e's wedges pair v with u's lower neighbours below it, the edges e - rank[e] .. e - 1 in
+    # order: wedge i takes edge i + e - cumsum(rank)[e]
     w = v[np.arange(len(wedge)) + (np.arange(len(u)) - np.cumsum(rank))[wedge]]
     return u[wedge], v[wedge], w
 

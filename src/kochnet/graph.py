@@ -222,7 +222,8 @@ class CactusLDL:
             a, b = _son_ids(rows)
             carry = x[b] / self.b_pivot[rows, None]
             x[a] += carry
-            np.add.at(x, self.triangles[rows, 0], carry - self.a_coupling[rows, None] / self.a_pivot[rows, None] * x[a])
+            carry -= self.a_coupling[rows, None] / self.a_pivot[rows, None] * x[a]
+            np.add.at(x, self.triangles[rows, 0], carry)
         x[0] = 0.0  # hub 0 is grounded: what the sons passed on to it is dropped
         for rows in reversed(self.batches):  # D L^T phi = y: each son from its father, oldest first
             a, b = _son_ids(rows)

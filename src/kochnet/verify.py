@@ -153,14 +153,15 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
     first_bad = -1
     for lo, hi in _kernels.row_chunks(indptr, _CHUNK_SLOTS):
         at = slice(lo, hi)
-        b = np.clip(birth[at], 0, t).astype(np.int64)  # keeps a bad birth's code inside the table
-        growth = 2 * (m + 1) ** (t - birth[at].astype(np.int64))  # the degree formula
+        born = birth[at].astype(np.int64)  # int8 wraps in a shift or power past 7 steps
+        b = np.clip(born, 0, t)  # keeps a bad birth's code inside the table
+        growth = 2 * (m + 1) ** (t - born)  # the degree formula
         # the labels are the enumerated set, once each, when they are distinct, each one is a
         # label of K_{m,t} (a class in the table, an index in 1..l_max or 0 for a hub) and
         # there are as many as the enumeration holds
-        shaped = np.isin(subnet[at], (1, 2, 3)) & (b == birth[at]) & (bits[at] >= 0) & (bits[at] < (1 << b))
+        shaped = np.isin(subnet[at], (1, 2, 3)) & (b == born) & (bits[at] >= 0) & (bits[at] < (1 << b))
         code = np.where(shaped, (1 << b) | bits[at], 0)
-        valid = shaped & (index[at] >= (birth[at] > 0)) & (index[at] <= bound[code])
+        valid = shaped & (index[at] >= (born > 0)) & (index[at] <= bound[code])
         invalid += int(np.count_nonzero(~valid))
 
         # each slot's neighbour w is v's father or companion (index flipped within its odd/even

@@ -398,7 +398,8 @@ def test_label_keys_widen_narrow_fields():
             for bits in sorted({0, (1 << max(b - 1, 0)) - 1} if b else {0})
             for index in (0, 1, NEAR_2_31)
         ]
-        subnet, birth, bits, index = (np.array(col, dtype) for col, dtype in zip(zip(*rows), (np.int8, np.int8, np.int32, np.int32)))
+        dtypes = (np.int8, np.int8, np.int32, np.int32)
+        subnet, birth, bits, index = (np.array(col, dtype) for col, dtype in zip(zip(*rows), dtypes))
         keys = label_keys(m, t, subnet, birth, bits, index)
         want = [((s << (t + 1)) | (1 << b) | x) * ((2 * m) ** t + 1) + i for s, b, x, i in rows]
         assert keys.dtype == np.int64 and keys.tolist() == want
