@@ -19,13 +19,14 @@ Every solve is a back-solve of one factorization per graph,
 ``KochGraph.laplacian_factor``: a numpy LDL^T of the Laplacian grounded at
 hub 0, eliminated youngest vertex first, one birth step of triangles at a
 time, with no fill-in.  Factor and solve are O(N) vectorized passes, one
-or many right-hand-side columns at once.  Each solve checks the max-norm
-of L phi - b against 1e-10, evaluated edge-wise (Kirchhoff's current
-law: per vertex, the sum of the potential drops on its edges minus the
-injection, using L = B^T B).  Summing O(1) edge currents keeps that check
-at round-off size; a sparse product L @ phi sums deg * phi terms instead,
-and on K(2,6), whose hubs have degree 1458, its round-off alone reaches
-1.2e-10.
+or many right-hand-side columns at once.  Edge drops are made per
+triangle row and placed in ``graph.edges`` order by its edge rank.  Each
+solve checks the max-norm of L phi - b against 1e-10, evaluated
+edge-wise (Kirchhoff's current law: per vertex, the sum of the potential
+drops on its edges minus the injection, using L = B^T B).  Summing O(1)
+edge currents keeps that check at round-off size; a sparse product
+L @ phi sums deg * phi terms instead, and on K(2,6), whose hubs have
+degree 1458, its round-off alone reaches 1.2e-10.
 
 Current-flow betweenness needs no solve: by the same localization a
 pair's current passes whole through the cut vertices on its path and a
@@ -55,7 +56,6 @@ SUPPORT_EPS = 1e-9  # absolute current on unit injection
 PROFILE_TOL = 1e-9  # absolute tolerance of ``path_profile``'s chain checks
 CFB_EXHAUSTIVE_MAX_N = 600  # vertices: cap on the Laplacian oracle of current-flow betweenness
 _CFB_BLOCK_ROWS = 128  # edge rows per block of the oracle's reduction
-_EDGE_CHUNK = 1 << 16  # edges gathered together by ``_edge_currents``
 
 
 @dataclass(frozen=True)
@@ -82,37 +82,34 @@ class PathProfile:
     thm_split_ok: bool
 
 
+def _row_drops(graph: KochGraph, phi: np.ndarray) -> np.ndarray:
+    """phi[u] - phi[v] on the corner pairs (f, a), (f, b), (a, b) of every triangle row: (T, 3) + phi.shape[1:]."""
+    a, b = phi[1::2], phi[2::2]  # every row's sons
+    f = np.take(phi, graph.triangles[:, 0], axis=0)
+    return np.stack((f - a, f - b, a - b), axis=1)
+
+
 def _kcl_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L @ phi - b evaluated edge-wise, from the drops phi[u] - phi[v] of every edge.
+    """L @ phi - b evaluated edge-wise, from the ``_row_drops`` of phi.
 
     Equal to the Laplacian times phi, less b, in exact arithmetic; ``drops``
-    and ``b`` may carry one column per solve.
+    and ``b`` may carry one column per solve.  Every vertex but hub 0 is a
+    son of one row: only the fathers' sums are scattered.
     """
     net = -b
-    np.add.at(net, graph.edges[:, 0], drops)
-    np.subtract.at(net, graph.edges[:, 1], drops)
+    net[1::2] += drops[:, 2] - drops[:, 0]
+    net[2::2] -= drops[:, 1] + drops[:, 2]
+    np.add.at(net, graph.triangles[:, 0], drops[:, 0] + drops[:, 1])
     return net
 
 
-def _checked_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> None:
+def _checked_drops(graph: KochGraph, phi: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``_row_drops`` of phi, once the residual they give against b is within ``RESIDUAL_TOL``."""
+    drops = _row_drops(graph, phi)
     net = _kcl_residual(graph, drops, b)
     residual = float(max(net.max(), -net.min()))  # the max-norm, with no array of absolute values
     if residual > RESIDUAL_TOL:
         raise KochError(f"solver residual {residual:.2e} above {RESIDUAL_TOL:.0e}")
-
-
-def _edge_currents(graph: KochGraph, phi: np.ndarray) -> np.ndarray:
-    """phi[u] - phi[v] on every edge (u, v), ``_EDGE_CHUNK`` edges at a time.
-
-    ``np.take`` gathers at int32 ids about twice as fast as indexing with
-    them, and the intp copy of the ids it makes stays one chunk long.
-    """
-    edges = graph.edges
-    drops = np.empty((len(edges),) + phi.shape[1:])
-    for lo in range(0, len(edges), _EDGE_CHUNK):
-        u, v = edges[lo : lo + _EDGE_CHUNK].T
-        np.take(phi, u, axis=0, out=drops[lo : lo + _EDGE_CHUNK])
-        drops[lo : lo + _EDGE_CHUNK] -= np.take(phi, v, axis=0)
     return drops
 
 
@@ -129,9 +126,7 @@ def solve(graph: KochGraph, source: int, target: int) -> ElectricalProfile:
     b[target] = -1.0
     phi = graph.laplacian_factor.solve(b)
     phi -= phi[target]
-    currents = _edge_currents(graph, phi)
-    _checked_residual(graph, currents, b)
-    return ElectricalProfile(phi, currents, float(phi[source]))
+    return ElectricalProfile(phi, graph.at_edge_rows(_checked_drops(graph, phi, b)), float(phi[source]))
 
 
 def path_profile(graph: KochGraph, source: int, target: int) -> PathProfile:
@@ -151,8 +146,7 @@ def path_profile(graph: KochGraph, source: int, target: int) -> PathProfile:
     ids = graph.vertex_by_label_key(np.concatenate((a_half, b_half[::-1])))
     d = len(ids) - 1
     u, v = ids[:-1], ids[1:]
-    tris = graph.triangles[(np.maximum(u, v) - 1) // 2]  # edge (u, v) lies in this row
-    w = tris.sum(axis=1) - u - v  # the third corner of each hop's triangle
+    w = graph.triangles[(np.maximum(u, v) - 1) // 2].sum(axis=1) - u - v  # the third corner of each hop's row
     # rows: the direct edge, then the detour's edges at u and at v; together the chain's 3d edges
     chain = graph.edge_index(np.stack((u, u, v)), np.stack((v, w, w)))
 
@@ -222,8 +216,7 @@ def _exhaustive_cfb(graph: KochGraph) -> np.ndarray:
         )
     b = np.eye(n)
     b[0] -= 1.0
-    drops = _edge_currents(graph, graph.laplacian_factor.solve(b))
-    _checked_residual(graph, drops, b)
+    drops = graph.at_edge_rows(_checked_drops(graph, graph.laplacian_factor.solve(b), b))
     rank = 2.0 * np.arange(n) - (n - 1)
     totals = np.zeros(n)
     for lo in range(0, graph.n_edges, _CFB_BLOCK_ROWS):

@@ -32,10 +32,11 @@ array whose row 0 is the hubs (0, 1, 2) and whose row k >= 1 is
 together as ids 2k+1 and 2k+2.  Every edge lies in exactly one triangle,
 so edge (u, v) lies in triangle (max(u, v) - 1) // 2; the father of a
 vertex v >= 3 is the first corner of row (v - 1) // 2, and its companion
-is the other son of that row.  The sorted edge list, degrees, CSR
-adjacency, edge ids, the corner parts and the Laplacian's one LDL^T
-factor (``CactusLDL``, on numpy alone) are derived from the table and
-cached.
+is the other son of that row.  So ``corner_pair`` finds an edge's
+position 3k + j among row k's corner pairs by arithmetic.  The sorted
+edge list, degrees, CSR adjacency, the rank of each position in that
+list, the corner parts and the Laplacian's one LDL^T factor
+(``CactusLDL``, on numpy alone) are derived from the table and cached.
 
 The graph is a cactus of triangles: triangles meet only at vertices, so
 removing a triangle's edges splits the graph into the parts that hang at
@@ -46,8 +47,8 @@ total's oracle.
 
 Ids are int32 in every stored array (the triangle table, ``edges``, the
 CSR ``indices``), so ``build`` refuses N >= 2^31 before it allocates.
-Label keys, pair and edge keys (``u * N + v``), degrees and counts are
-int64: a narrow id is widened where such a value is computed from it.
+Keys (label, pair and edge ``u * N + v``), corner-pair positions and
+ranks, degrees and counts are int64: a narrow id is widened first.
 """
 
 from __future__ import annotations
@@ -329,10 +330,7 @@ class KochGraph:
         return np.where(ok, first[code] + index - low, -1)
 
     def father_of(self, v) -> np.ndarray:
-        """Father id of vertex v, the first corner of triangle (v - 1) // 2; -1 for a hub.
-
-        Vectorized like ``edge_index``.
-        """
+        """Father id of vertex v, the first corner of triangle (v - 1) // 2; -1 for a hub.  Vectorized."""
         v = np.asarray(v, np.int64)
         return np.where(v < 3, -1, self.triangles[(v - 1) // 2, 0])
 
@@ -353,29 +351,48 @@ class KochGraph:
         return keys.ravel()
 
     @cached_property
-    def _edge_keys(self) -> np.ndarray:
-        """Sort key u * N + v of every edge (u < v), ascending; ``edges`` is its divmod by N."""
-        keys = self._corner_pair_keys()
-        keys.sort()
-        return keys
-
-    @cached_property
     def edges(self) -> np.ndarray:
         """All edges as rows (u, v) with u < v, sorted ascending; int32 (E, 2)."""
+        keys = self._corner_pair_keys()
+        keys.sort()
         edges = np.empty((self.n_edges, 2), np.int32)
-        np.divmod(self._edge_keys, self.n_vertices, out=(edges[:, 0], edges[:, 1]))
+        np.divmod(keys, self.n_vertices, out=(edges[:, 0], edges[:, 1]))
         return edges
 
-    def edge_index(self, u, v) -> np.ndarray:
-        """Row of edge (u, v) in ``edges``, either orientation; -1 where it is no edge.
+    def corner_pair(self, u, v) -> np.ndarray:
+        """Position 3k + j of edge (u, v), either orientation, among the rows' corner pairs; -1 where none.
 
-        Vectorized: ``u`` and ``v`` are ids or equal-shaped id arrays.
+        Row k, (f, 2k+1, 2k+2), holds (f, 2k+1), (f, 2k+2) and (2k+1, 2k+2) at j = 0, 1, 2,
+        and a pair lo < hi can only lie in row (hi - 1) // 2.  Ids outside [0, N) give -1.
+        Vectorized: ``u`` and ``v`` are ids or equal-shaped id arrays, widened to int64 first.
         """
         u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
-        key = np.minimum(u, v) * self.n_vertices + np.maximum(u, v)
-        keys = self._edge_keys
-        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        return np.where(keys[pos] == key, pos, -1)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        k = (hi - 1) >> 1
+        father = lo == self.triangles[np.clip(k, 0, len(self.triangles) - 1), 0]
+        # an edge is (f, hi), at 3k + j = k + hi - 1, or the sons (2k+1, 2k+2), at one more
+        edge = (father | (lo + hi == 4 * k + 3)) & (lo >= 0) & (lo < hi) & (hi < self.n_vertices)
+        return np.where(edge, k + hi - father, -1)
+
+    @cached_property
+    def _edge_rank(self) -> np.ndarray:
+        """Row in ``edges`` of each ``corner_pair`` position, int64: the inverse of the order sorting the keys."""
+        order = np.argsort(self._corner_pair_keys(), kind="stable")  # a merge sort: the keys come in sorted runs
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return rank
+
+    def edge_index(self, u, v) -> np.ndarray:
+        """Row of edge (u, v) in ``edges``, either orientation; -1 where it is no edge.  Vectorized."""
+        pos = self.corner_pair(u, v)
+        return np.where(pos >= 0, self._edge_rank[pos], -1)
+
+    def at_edge_rows(self, values: np.ndarray) -> np.ndarray:
+        """Values per triangle row and corner pair, shape (T, 3, ...), moved to their rows of ``edges``."""
+        values = values.reshape(self.n_edges, *values.shape[2:])
+        out = np.empty_like(values)
+        out[self._edge_rank] = values
+        return out
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -388,17 +405,17 @@ class KochGraph:
 
         A row is its vertex's lower neighbours, then its higher ones.  Row
         by row, the higher ones are the second ids of ``edges`` in edge
-        order, and the lower ones are the first ids in a stable sort by the
-        second: no sort of the 2E slots.
+        order.  The lower ones are the triangle rows' corner pairs' first
+        ids, f, f, a per row: son a's father, then son b's father and a.
         """
         n = self.n_vertices
-        u, v = self.edges[:, 0], self.edges[:, 1]
+        v = self.edges[:, 1]
         indptr = np.zeros(n + 1, np.int64)
         np.cumsum(self.degrees, out=indptr[1:])
         lower = np.bincount(v, minlength=n)
         low_slot = np.repeat(np.tile([True, False], n), np.stack((lower, self.degrees - lower), axis=1).ravel())
-        indices = np.empty(2 * len(u), np.int32)
-        indices[low_slot] = u[np.argsort(v, kind="stable")]
+        indices = np.empty(2 * len(v), np.int32)
+        indices[low_slot] = self.triangles[:, [0, 0, 1]].ravel()
         indices[~low_slot] = v
         return indptr, indices
 
@@ -550,8 +567,9 @@ def build(m: int, t: int) -> KochGraph:
 
     Raises SizeCapError when 2(3m+1)^t + 1 would exceed the cap (10^7
     vertices; the KOCH_MAX_VERTICES environment variable is the one way
-    to change it), and at N >= 2^31 whatever the cap: ids are int32.
-    Both refusals come before anything is allocated.
+    to change it), at N >= 2^31 whatever the cap (ids are int32), and
+    when a son block's width 2m(m+1)^t passes int64 (a huge m at t = 0).
+    The refusals come before anything is allocated.
     """
     if not isinstance(m, int) or not isinstance(t, int) or m < 1 or t < 0:
         raise ValueError(f"need integer m >= 1 and t >= 0, got m={m!r}, t={t!r}")
@@ -559,6 +577,8 @@ def build(m: int, t: int) -> KochGraph:
     too_many = f"K_{{{m},{t}}} has {_count_text(m, t)} vertices, more than can be allocated"
     if n_final >= ID_LIMIT:
         raise SizeCapError(f"{too_many}: vertex ids are int32, so N must be below 2^31")
+    if 2 * m * (m + 1) ** t >= 1 << 63:
+        raise SizeCapError(f"K_{{{m},{t}}}: m is too large for the int64 label arithmetic")
 
     try:
         birth, subnet = np.zeros(n_final, np.int8), np.zeros(n_final, np.int8)

@@ -172,11 +172,14 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
     those columns exactly when they share a subnet; its length is the
     splice column, which fixes each pair's two hop counts.  No hop is
     copied per pair: the result is the chains and those counts (see
-    ``RouteBatch``).
+    ``RouteBatch``).  An id outside [0, N) raises ``ValueError``.
     """
     m, t = graph.m, graph.t
     a, b = np.asarray(a_ids, np.int64), np.asarray(b_ids, np.int64)
-    mark = np.zeros(len(graph.birth), bool)
+    n = len(graph.birth)
+    if ((a < 0) | (a >= n)).any() or ((b < 0) | (b >= n)).any():
+        raise ValueError(f"vertex ids must lie in [0, {n})")
+    mark = np.zeros(n, bool)
     mark[a] = mark[b] = True
     ends = np.flatnonzero(mark)
     row = np.empty(len(mark), np.int64)  # read only at marked ids

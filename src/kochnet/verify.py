@@ -98,17 +98,12 @@ def _bfs_distance_total(graph: KochGraph) -> int | None:
 def _edge_triangle(graph: KochGraph) -> CheckResult:
     """The triangles' corner pairs, each an edge key u * N + v, are the edges once each."""
     u, v = graph.triangles[:, [0, 0, 1]].ravel(), graph.triangles[:, [1, 2, 2]].ravel()
-    corner_pairs = np.minimum(u, v).astype(np.int64)
-    corner_pairs *= graph.n_vertices
-    corner_pairs += np.maximum(u, v)
+    corner_pairs = np.minimum(u, v) * np.int64(graph.n_vertices) + np.maximum(u, v)
     corner_pairs.sort()
     covered = len(corner_pairs) - int(np.count_nonzero(np.diff(corner_pairs) == 0))
-    return _check(
-        "labels/edge-triangle",
-        "every edge belongs to exactly one triangle",
-        covered == len(corner_pairs) and np.array_equal(corner_pairs, graph._edge_keys),
-        f"covered={covered}",
-    )
+    edge_keys = graph.edges[:, 0] * np.int64(graph.n_vertices) + graph.edges[:, 1]
+    ok = covered == len(corner_pairs) and np.array_equal(corner_pairs, edge_keys)
+    return _check("labels/edge-triangle", "every edge belongs to exactly one triangle", ok, f"covered={covered}")
 
 
 def labels_suite(graph: KochGraph) -> list[CheckResult]:
@@ -239,19 +234,6 @@ def labels_suite(graph: KochGraph) -> list[CheckResult]:
 # routing
 # ---------------------------------------------------------------------------
 
-def _adjacent(graph: KochGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Whether each (u, v) is an edge, from the triangle table alone.
-
-    With lo < hi the pair is an edge iff both are hubs, or lo is hi's
-    father (the first corner of hi's triangle) or its companion (hi - 1,
-    for an even hi); a -1 id is on no edge.
-    """
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    return (lo >= 0) & (lo < hi) & (
-        (hi < 3) | (graph.triangles[(hi - 1) >> 1, 0] == lo) | ((hi % 2 == 0) & (lo == hi - 1))
-    )
-
-
 def routing_suite(
     graph: KochGraph, seed: int = 0, sample_pairs: int = 10**5
 ) -> list[CheckResult]:
@@ -318,14 +300,14 @@ def routing_suite(
         # per chain, how many of its leading hop pairs are edges: the first non-edge's column
         chains = both.chains
         ids = graph.vertex_by_label_key(chains)
-        edge = _adjacent(graph, ids[:, :-1], ids[:, 1:])
+        edge = graph.corner_pair(ids[:, :-1], ids[:, 1:]) >= 0
         good = np.argmin(np.column_stack((edge, np.zeros(len(ids), bool))), axis=1)
         a_end, b_end = ids[a_row, np.maximum(a_hops - 1, 0)], ids[b_row, np.maximum(b_hops - 1, 0)]
         valid = (
             (a_hops > 0)
             & (a_hops - 1 <= good[a_row])
             & (b_hops - 1 <= good[b_row])
-            & ((b_hops == 0) | _adjacent(graph, a_end, b_end))  # the junction
+            & ((b_hops == 0) | (graph.corner_pair(a_end, b_end) >= 0))  # the junction
             & (ids[a_row, 0] == s)
             & (np.where(b_hops > 0, ids[b_row, 0], a_end) == v)  # the last hop
         )

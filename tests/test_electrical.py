@@ -72,7 +72,8 @@ class TestSolve:
         d = route(graph.m, graph.t, graph.label_of(s), graph.label_of(v)).length
         b = np.zeros(graph.n_vertices)
         b[s], b[v] = 1.0, -1.0
-        assert np.max(np.abs(_kcl_residual(graph, prof.edge_currents, b))) < RESIDUAL_TOL
+        drops = prof.edge_currents[graph._edge_rank].reshape(-1, 3)  # back to triangle rows
+        assert np.max(np.abs(_kcl_residual(graph, drops, b))) < RESIDUAL_TOL
         assert abs(prof.effective_resistance - 2 * d / 3) < 1e-9
 
     def test_unit_voltage_rescale(self):
@@ -111,6 +112,13 @@ class TestPathProfile:
         assert len(prof.support_edges) == 9
         assert prof.thm_support_ok and prof.thm_voltages_ok and prof.thm_split_ok
         assert abs(prof.field.effective_resistance - 2.0) < 1e-9
+
+    def test_makes_no_edge_list(self):
+        # drops per triangle row, currents placed by the edge rank, the chain found by arithmetic
+        graph = build(1, 3)
+        path_profile(graph, 5, graph.n_vertices - 1)
+        assert not {"edges", "csr", "_edge_keys"} & vars(graph).keys()
+        assert "_edge_rank" in vars(graph)
 
     def test_hub_pair_split(self):
         graph = cached_graph(3, 0)
@@ -348,7 +356,7 @@ def test_edgewise_residual_is_laplacian_residual(m, t):
         prof = solve(graph, s, v)
         b = np.zeros(n)
         b[s], b[v] = 1.0, -1.0
-        edgewise = _kcl_residual(graph, prof.edge_currents, b)
+        edgewise = _kcl_residual(graph, prof.edge_currents[graph._edge_rank].reshape(-1, 3), b)
         expected = laplacian(graph) @ prof.potentials - b
         np.testing.assert_allclose(edgewise, expected, rtol=0, atol=1e-13)
 

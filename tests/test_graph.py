@@ -169,6 +169,34 @@ def test_derived_index_matches_plain_rebuild(m, t):
     assert graph.edge_index(graph.n_vertices - 1, graph.n_vertices - 1) == -1
 
 
+@pytest.mark.parametrize("m,t", [(1, 3), (2, 2)])
+def test_corner_pair_matches_pair_set(m, t):
+    # every ordered pair, u == v and the hubs included, and ids outside [0, N) on either side
+    graph = cached_graph(m, t)
+    n = graph.n_vertices
+    position = {}
+    for k, (f, a, b) in enumerate(graph.triangles.tolist()):
+        for j, pair in enumerate(((f, a), (f, b), (a, b))):
+            position[pair] = 3 * k + j
+    ids = np.concatenate((np.arange(-2, n + 3), [2 * n + 1, NEAR_2_31, -NEAR_2_31]))
+    u, v = np.repeat(ids, len(ids)), np.tile(ids, len(ids))
+    want = [position.get((min(x, y), max(x, y)), -1) for x, y in zip(u.tolist(), v.tolist())]
+    got = graph.corner_pair(u, v)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert graph.corner_pair(u.astype(np.int32), v.astype(np.int32)).tolist() == want
+    assert graph.corner_pair(5, 5) == -1 and graph.corner_pair(0, 1) == 0
+
+
+def test_edge_index_refuses_ids_outside_the_graph():
+    # an id past either end once aliased another edge's key u * N + v: with N = 9, (0, 11) read
+    # as (1, 2) and (-1, 10) as (0, 1)
+    graph = cached_graph(1, 1)
+    assert graph.n_vertices == 9
+    for u, v in ((0, 11), (11, 0), (-1, 10), (10, -1), (0, 9), (-1, -1), (9, 9)):
+        assert graph.edge_index(u, v) == -1
+    assert graph.edge_index([0, -1, 1], [11, 10, 2]).tolist() == [-1, -1, int(graph.edge_index(1, 2))]
+
+
 REFERENCE_SIZES = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, t) for t in range(3)]
 
 
@@ -324,6 +352,13 @@ class TestValidation:
         with pytest.raises(SizeCapError):
             build(1, 3)
 
+    def test_huge_m_at_t0_is_refused_past_int64(self):
+        # K(m, 0) is one triangle under any cap, but a son block's width 2m(m+1)^t is int64
+        assert build(2**61, 0).n_vertices == 3
+        for m in (2**62, 10**25):
+            with pytest.raises(SizeCapError, match="int64 label arithmetic"):
+                build(m, 0)
+
     def test_past_address_space(self, monkeypatch):
         # numpy refuses 8 * (2 * 4^30 + 1) bytes before allocating anything
         monkeypatch.setenv("KOCH_MAX_VERTICES", str(10**20))
@@ -381,7 +416,7 @@ def test_stored_arrays_are_narrow():
     assert {name: getattr(graph, name).dtype for name in arrays} == arrays
     assert sum(getattr(graph, name).nbytes for name in arrays) <= 17 * graph.n_vertices
     assert graph.edges.dtype == graph.csr[1].dtype == np.int32
-    assert graph.csr[0].dtype == graph.degrees.dtype == graph._edge_keys.dtype == np.int64
+    assert graph.csr[0].dtype == graph.degrees.dtype == graph._edge_rank.dtype == np.int64
 
 
 NEAR_2_31 = 2**31 - 1
@@ -410,7 +445,7 @@ def _near_limit_graph(triangles) -> KochGraph:
     n = NEAR_2_31
     empty = np.broadcast_to(np.int8(0), (n,))
     return KochGraph(
-        m=1, t=0, triangles=np.array(triangles, np.int32), birth=empty, subnet=empty, bits=empty, index=empty
+        m=1, t=0, triangles=np.asarray(triangles, np.int32), birth=empty, subnet=empty, bits=empty, index=empty
     )
 
 
@@ -419,13 +454,29 @@ def test_edge_keys_widen_ids_near_2_31():
     rows = [(0, 1, 2), (5, top - 1, top), (top - 5, top - 3, top - 2)]
     graph = _near_limit_graph(rows)
     n = graph.n_vertices
-    pairs = sorted((r[a], r[b]) for r in rows for a, b in ((0, 1), (0, 2), (1, 2)))
-    assert graph._edge_keys.dtype == np.int64
-    assert graph._edge_keys.tolist() == [u * n + v for u, v in pairs]
+    corner_pairs = [(r[a], r[b]) for r in rows for a, b in ((0, 1), (0, 2), (1, 2))]  # position order
+    keys = graph._corner_pair_keys()
+    assert keys.dtype == np.int64 and keys.tolist() == [u * n + v for u, v in corner_pairs]
+    pairs = sorted(corner_pairs)
     assert graph.edges.dtype == np.int32 and graph.edges.tolist() == [list(p) for p in pairs]
-    u, v = np.array(pairs, np.int32).T
-    assert graph.edge_index(v, u).tolist() == list(range(len(pairs)))  # either orientation
-    assert graph.edge_index(np.int32(top), np.int32(top - 3)).tolist() == -1
+    # the rank takes each position to its row of the sorted edges
+    assert graph._edge_rank.dtype == np.int64
+    assert graph.edges[graph._edge_rank].tolist() == [list(p) for p in corner_pairs]
+
+
+def test_corner_pairs_widen_ids_near_2_31():
+    # all 2^30 - 1 rows of the stand-in's table are (5, 0, 0), in no memory: the lookup reads
+    # only a row's father, as the sons of row k are 2k+1 and 2k+2 by arithmetic
+    rows = (NEAR_2_31 - 1) // 2
+    graph = _near_limit_graph(np.broadcast_to(np.array([5, 0, 0], np.int32), (rows, 3)))
+    top = NEAR_2_31 - 1  # the largest id, son b of the last row k
+    k = rows - 1
+    u = np.array([5, top, top - 1, 6, top - 2, 5, -1], np.int32)
+    v = np.array([top - 1, 5, top, top, top, top + 1, top], np.int32)
+    got = graph.corner_pair(u, v)
+    assert got.dtype == np.int64
+    assert got.tolist() == [3 * k, 3 * k + 1, 3 * k + 2, -1, -1, -1, -1]
+    assert 3 * k > 2**31  # past int32
 
 
 def test_vertex_by_label_key_widens_near_2_31():

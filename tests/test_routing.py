@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kochnet
 from kochnet import (
     Label,
     LabelDomainError,
@@ -355,6 +356,14 @@ class TestRouteBatch:
         got = route_batch(graph, a, b)
         assert (batch_hops(got) == batch_hops(want)).all() and (got.ops_used == want.ops_used).all()
 
+    @pytest.mark.parametrize("bad", [-1, 9, -(2**40), 2**40])
+    def test_refuses_ids_outside_the_graph(self, bad):
+        # a -1 once routed from vertex N - 1, as the mark of id -1 wrapped; 9 = N raised IndexError
+        graph = cached_graph(1, 1)
+        for a, b in (([bad], [5]), ([5], [bad]), ([0, 5], [3, bad])):
+            with pytest.raises(ValueError, match=r"\[0, 9\)"):
+                kochnet.route_batch(graph, a, b)
+
 
 class TestRoutingSuite:
     # all pairs of K(1,3) and K(2,2); seeded pairs of K(1,5) and K(2,4)
@@ -393,15 +402,6 @@ def test_uniqueness_findings_list_the_first_ten_pairs():
     (check,) = [c for c in verify.routing_suite(graph) if c.id == "routing/uniqueness"]
     assert check.status == verify.FAIL
     assert check.detail.endswith(" first: " + ", ".join(want[:10]))
-
-
-@pytest.mark.parametrize("m,t", [(1, 3), (2, 2)])
-def test_triangle_table_edge_test_matches_edge_index(m, t):
-    # every ordered pair, u == v and the hubs included
-    graph = cached_graph(m, t)
-    u, v = np.divmod(np.arange(graph.n_vertices**2), graph.n_vertices)
-    assert (verify._adjacent(graph, u, v) == (graph.edge_index(u, v) >= 0)).all()
-    assert not verify._adjacent(graph, np.array([-1, -1, 0]), np.array([0, 2, -1])).any()  # an unmapped hop
 
 
 def _forward(batch):

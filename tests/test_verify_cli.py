@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kochnet import _kernels, build, centrality, cli, current_flow_betweenness, format_label, verify
 from kochnet.analytics import apl_closed_form
@@ -613,3 +618,77 @@ def test_pinned_compare_stdout():
     gamma_hat = audit.pop("gamma_hat")
     assert audit == {"eq9_matches": False, "eq12_matches": False, "max_rel_gap": 62.5}
     assert math.isclose(gamma_hat, 2.2611248158251636, rel_tol=1e-9)
+
+
+# a small grammar of argv: a command, --m and --t, the command's own options and positionals
+# (flag None), each value a (good, bad) pair of lists, a bad one now and then, and now and then
+# another command's option; _SWITCH marks an option that takes no value
+_SIZES = {"--m": (["1", "2", "3"], ["0", "-1", "x", "", "1e3", "9" * 25]), "--t": (["0", "1", "2", "3"], ["-1", "x"])}
+_LABELS = (
+    ["1", "3", "10.1", "20.2", "101.2", "#0", "#5", "#70"],
+    ["4", "10.0", "10.99", "1.", ".1", "", "#-1", "#99999", "#1_0", "#x", "10." + "9" * 5000, "10.1\n"],
+)
+_COUNTS = (["1", "3"], ["0", "-1", "1000001", "x"])
+# KOCH_MAX_VERTICES: 130 builds K(1,3) and K(2,2) and refuses K(3,2); unset, the largest graph
+# the sizes above make is K(3,3), N = 2001
+_CAPS = (["130"], ["10", "", "0", "abc", "9" * 5000])
+_SWITCH = ([], [])
+_OPTIONS = {
+    "generate": [
+        ("--format", (["edgelist", "json", "dot"], ["csv"])),
+        ("-o", ([os.devnull], [os.devnull + "/x", tempfile.gettempdir()])),
+    ],
+    "decode": [(None, _LABELS)],
+    "route": [(None, _LABELS), (None, _LABELS), ("--oracle", _SWITCH)],
+    "stats": [("--empirical", _SWITCH), ("--csv", _SWITCH)],
+    "betweenness": [("--mode", (["formula", "exact", "compare"], ["x"])), ("--edges", _SWITCH)],
+    "electrical": [("--source", _LABELS), ("--target", _LABELS), ("--cfb", _SWITCH), ("--gap", _SWITCH)],
+    "verify": [
+        ("--suite", (["all", *verify.SUITE_ORDER], ["x"])),
+        ("--seed", _COUNTS),
+        ("--pairs", _COUNTS),
+        ("--electrical-pairs", _COUNTS),
+    ],
+}
+
+
+@st.composite
+def _argv(draw) -> tuple[list[str], str]:
+    def value(values):
+        good, bad = values
+        return draw(st.sampled_from(bad if rarely() else good))
+
+    def rarely():  # one draw in ten, away from the ends of the range that hypothesis favours
+        return draw(st.integers(0, 9)) == 5
+
+    command = draw(st.sampled_from([*_OPTIONS, "nope"]))
+    argv = [command]
+    for flag, values in _SIZES.items():
+        if not rarely():
+            argv += [flag, value(values)]
+    for flag, values in _OPTIONS.get(command, []):
+        if flag is None:
+            if not rarely():
+                argv.append(value(values))
+        elif draw(st.booleans()):
+            argv += [flag, value(values)] if values is not _SWITCH else [flag]
+    if rarely():
+        argv.append(draw(st.sampled_from([flag for options in _OPTIONS.values() for flag, _ in options if flag])))
+    return argv, value(_CAPS)
+
+
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_every_argv_exits_with_a_documented_code(argv_and_cap):
+    # in-process: argparse's own errors are a SystemExit, and any other exception fails the test
+    argv, cap = argv_and_cap
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("KOCH_MAX_VERTICES", cap)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
