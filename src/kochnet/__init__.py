@@ -4,24 +4,16 @@ Generate the labeled networks K_{m,t}, do neighbor/father/routing
 arithmetic on labels alone, compute exact and closed-form betweenness
 centralities, and solve the unit-resistor network, with every claim
 checked against independent brute-force oracles.
+
+``import kochnet`` loads the label, graph and routing core: ``errors``,
+``labels``, ``graph`` (with ``_kernels``) and ``routing``.  The public
+names of ``analytics``, ``centrality`` and ``electrical`` load their
+module on first access (PEP 562), so a process that only builds, labels
+and routes never compiles them.
 """
 
-from .analytics import claim_audit, closed_forms, empirical_stats, stats_report
-from .centrality import (
-    centrality_report,
-    descendant_count,
-    exact_betweenness,
-    firstorder_vertex_betweenness,
-    paper_edge_betweenness,
-    paper_vertex_betweenness,
-    scaling_fit,
-)
-from .electrical import (
-    current_flow_betweenness,
-    path_profile,
-    solve,
-    voltage_gap,
-)
+import importlib
+
 from .errors import (
     AnalysisError,
     KochError,
@@ -52,6 +44,29 @@ from .routing import (
 )
 
 __version__ = "0.1.0"
+
+# The verify suites in run order: here, not in verify, so the CLI's parser
+# lists them without importing verify.
+_VERIFY_SUITES = ("labels", "routing", "centrality", "electrical", "stats")
+
+# public name -> the module that defines it, imported on the name's first access
+_LAZY = {
+    "claim_audit": "analytics",
+    "closed_forms": "analytics",
+    "empirical_stats": "analytics",
+    "stats_report": "analytics",
+    "centrality_report": "centrality",
+    "descendant_count": "centrality",
+    "exact_betweenness": "centrality",
+    "firstorder_vertex_betweenness": "centrality",
+    "paper_edge_betweenness": "centrality",
+    "paper_vertex_betweenness": "centrality",
+    "scaling_fit": "centrality",
+    "current_flow_betweenness": "electrical",
+    "path_profile": "electrical",
+    "solve": "electrical",
+    "voltage_gap": "electrical",
+}
 
 __all__ = [
     "AnalysisError",
@@ -93,3 +108,17 @@ __all__ = [
     "stats_report",
     "voltage_gap",
 ]
+
+
+def __getattr__(name: str):
+    """Import the module behind a lazy public name and keep the name here."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

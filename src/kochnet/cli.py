@@ -7,7 +7,9 @@ works too, written "#17".  Exit codes: 0 success / all checks pass,
 identical invocations is byte-identical.  ``stats --empirical`` and
 ``electrical --cfb`` print exact values at every size, made from the
 triangles' corner parts; only ``verify`` samples, with a --seed that has
-a fixed default.
+a fixed default.  The module imports only the label, graph and routing
+core; ``stats``, ``betweenness``, ``electrical`` and ``verify`` import
+the module they run when they run.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import analytics, centrality, electrical, verify
+from . import _VERIFY_SUITES
 from .errors import KochError, SizeCapError
 from .graph import (
     EDGE_CLASSES,
@@ -44,6 +46,11 @@ from .labels import (
     parse_label,
 )
 from .routing import ancestor_chain, bfs_distances, route
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .analytics import ClosedForms
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -171,7 +178,7 @@ def _cmd_route(args) -> int:
     return EXIT_OK
 
 
-def _exact_text(cf: analytics.ClosedForms, name: str, value: Fraction) -> str:
+def _exact_text(cf: ClosedForms, name: str, value: Fraction) -> str:
     """str() of an exact closed form; past Python's int-to-str digit limit, a size error."""
     try:
         return str(value)
@@ -182,7 +189,7 @@ def _exact_text(cf: analytics.ClosedForms, name: str, value: Fraction) -> str:
         ) from None
 
 
-def _closed_form_doc(cf: analytics.ClosedForms) -> dict:
+def _closed_form_doc(cf: ClosedForms) -> dict:
     return {
         "m": cf.m,
         "t": cf.t,
@@ -200,6 +207,8 @@ def _closed_form_doc(cf: analytics.ClosedForms) -> dict:
 
 
 def _cmd_stats(args) -> int:
+    from . import analytics
+
     check_size(args.m, args.t)  # the closed forms' exact integers grow with N
     cf = analytics.closed_forms(args.m, args.t)
     if args.csv:
@@ -257,6 +266,8 @@ def _write_csv(n: int, head: str, keys, columns: dict[str, np.ndarray]) -> None:
 
 
 def _cmd_betweenness(args) -> int:
+    from . import centrality
+
     graph = build(args.m, args.t)
     columns = {}
     if args.mode == "exact":
@@ -288,6 +299,8 @@ def _cmd_betweenness(args) -> int:
 
 
 def _cmd_electrical(args) -> int:
+    from . import electrical
+
     if args.cfb and (args.source is not None or args.target is not None):
         raise UsageError("--source and --target do not apply to --cfb")
     graph = build(args.m, args.t)
@@ -326,6 +339,8 @@ def _cmd_electrical(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     suites = verify.SUITE_ORDER if args.suite == "all" else (args.suite,)
     result = verify.run(
         args.m,
@@ -394,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mt(p)
     p.add_argument(
         "--suite",
-        choices=("all",) + verify.SUITE_ORDER,
+        choices=("all",) + _VERIFY_SUITES,
         default="all",
     )
     p.add_argument("--seed", type=_int_at_least(0), default=0)

@@ -379,7 +379,8 @@ class KochGraph:
         """Row in ``edges`` of each ``corner_pair`` position, int64: the inverse of the order sorting the keys."""
         order = np.argsort(self._corner_pair_keys(), kind="stable")  # a merge sort: the keys come in sorted runs
         rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
+        for rows in _chunks(len(order)):  # scattered in chunks: no E-long arange beside the two
+            rank[order[rows]] = np.arange(rows.start, rows.stop)
         return rank
 
     def edge_index(self, u, v) -> np.ndarray:

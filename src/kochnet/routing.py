@@ -164,8 +164,11 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
     and ``index`` arrays; map the chain keys to ids with
     ``graph.vertex_by_label_key``.  The distinct endpoints are marked in
     one bool array over the N vertex ids, with no sort: they are the
-    marked ids in ascending order, and each one's row is written back at
-    its id, so a call for a few pairs on a large graph makes no O(N) pass
+    marked ids in ascending order.  Each pair's rows among them are read
+    from a row table written at the marked ids when the table is no
+    larger than the ends' chains (many pairs, or a small graph), and are
+    found by binary search otherwise.  So a call for a few pairs on a
+    large graph holds about one byte per vertex and makes no O(N) pass
     beyond the mark and its scan.  Each distinct endpoint's chain is made
     once, and read once from the hub end, where column c holds the
     ancestor c steps below the hub.  Two chains agree on a prefix of
@@ -182,9 +185,12 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
     mark = np.zeros(n, bool)
     mark[a] = mark[b] = True
     ends = np.flatnonzero(mark)
-    row = np.empty(len(mark), np.int64)  # read only at marked ids
-    row[ends] = np.arange(len(ends))
-    ea, eb = row[a], row[b]
+    if len(ends) * (t + 1) >= n:  # a row table no larger than the chains made below
+        row = np.empty(n, np.int64)  # read only at marked ids
+        row[ends] = np.arange(len(ends))
+        ea, eb = row[a], row[b]
+    else:
+        ea, eb = np.searchsorted(ends, a), np.searchsorted(ends, b)
     chain, length = _ancestor_keys(graph, ends)
     # hub columns 0..t at 0..t, with -1 past the chain's end
     col = length[:, None] - 1 - np.arange(t + 1)

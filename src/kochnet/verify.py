@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels, analytics, centrality, electrical
+from . import _VERIFY_SUITES, _kernels, analytics, centrality, electrical
 from .graph import (
     EDGE_COMPANION,
     EDGE_FATHER_CHILD,
@@ -753,7 +753,7 @@ def stats_suite(graph: KochGraph) -> list[CheckResult]:
 # runner
 # ---------------------------------------------------------------------------
 
-SUITE_ORDER = ("labels", "routing", "centrality", "electrical", "stats")
+SUITE_ORDER = _VERIFY_SUITES  # the package holds the one list, which the CLI parser reads too
 
 
 def run(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,16 @@ def cached_graph(m: int, t: int):
 @pytest.fixture
 def graph_factory():
     return cached_graph
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated during ``call()`` (numpy reports its arrays)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def laplacian(graph) -> sp.csr_array:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kochnet import (
+    build,
     centrality_report,
     descendant_count,
     exact_betweenness,
@@ -15,12 +16,12 @@ from kochnet import (
 )
 from kochnet import verify
 from kochnet.analytics import delta_v
-from kochnet.centrality import _close, betweenness_counts, edge_steps, scaling_fit
+from kochnet.centrality import _close, betweenness_counts, edge_betweenness_counts, edge_steps, scaling_fit
 from kochnet.errors import AnalysisError
 from kochnet.graph import EDGE_CLASSES, edge_class_ids, vertex_count
 from kochnet.routing import ancestor_chain
 
-from conftest import adjacency, all_labels, cached_graph, python_betweenness
+from conftest import adjacency, all_labels, cached_graph, python_betweenness, traced_peak
 
 
 class TestDescendants:
@@ -109,6 +110,13 @@ class TestExactOracle:
         want = np.empty(graph.n_edges, np.int64)
         want[graph.edge_index(tri[:, [0, 0, 1]], tri[:, [1, 2, 2]])] = parts[:, [0, 0, 1]] * parts[:, [1, 2, 2]]
         assert np.array_equal(betweenness_counts(graph)[1], want)
+
+    def test_edge_counts_peak_at_32_bytes_per_edge(self):
+        # on a fresh graph the edge rank is made first, with no E-long arange, and the products are
+        # written into one C-ordered array that at_edge_rows moves without a copy
+        graph = build(2, 5)
+        graph.corner_parts
+        assert traced_peak(lambda: edge_betweenness_counts(graph)) <= 32 * graph.n_edges
 
 
 class TestPaperFormulas:

@@ -34,6 +34,7 @@ from conftest import (
     python_bfs,
     python_bfs_sigma,
     reference_route,
+    traced_peak,
     verify_path_in_graph,
 )
 
@@ -309,10 +310,11 @@ class TestRouteBatch:
         a, b = (np.array(x, np.int64) for x in zip(*pairs))
         _assert_batch_matches_route(graph, a, b)
 
-    @pytest.mark.parametrize("m,t", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("m,t", [(1, 3), (2, 3), (3, 2)])
     def test_each_row_equals_its_pair_alone(self, m, t):
         # repeated endpoints, rows with a == b and shuffled order: the distinct endpoints are
-        # shared across rows, and no row may depend on another
+        # shared across rows, and no row may depend on another.  On K(1,3) the batch's rows come
+        # from the row table and each pair's alone from the binary search
         graph = cached_graph(m, t)
         rng = np.random.default_rng(3)
         pool = rng.choice(graph.n_vertices, 40, replace=False)
@@ -355,6 +357,14 @@ class TestRouteBatch:
         graph.triangles = graph.csr = None
         got = route_batch(graph, a, b)
         assert (batch_hops(got) == batch_hops(want)).all() and (got.ops_used == want.ops_used).all()
+
+    def test_one_pair_holds_about_a_byte_per_vertex(self):
+        # two ends on a large graph: their rows are found by binary search in the marked ids, so
+        # beside the N-long bool mark there is no N-long int64 row table
+        graph = build(2, 5)
+        a, b = [5], [graph.n_vertices - 1]
+        route_batch(graph, a, b)  # any cached graph arrays are made outside the measurement
+        assert traced_peak(lambda: route_batch(graph, a, b)) < 2 * graph.n_vertices
 
     @pytest.mark.parametrize("bad", [-1, 9, -(2**40), 2**40])
     def test_refuses_ids_outside_the_graph(self, bad):
