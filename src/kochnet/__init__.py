@@ -8,8 +8,10 @@ checked against independent brute-force oracles.
 ``import kochnet`` loads the label, graph and routing core: ``errors``,
 ``labels``, ``graph`` (with ``_kernels``) and ``routing``.  The public
 names of ``analytics``, ``centrality`` and ``electrical`` load their
-module on first access (PEP 562), so a process that only builds, labels
-and routes never compiles them.
+module on first access (PEP 562), as do the attributes
+``kochnet.analytics``, ``kochnet.centrality``, ``kochnet.electrical`` and
+``kochnet.verify``, so a process that only builds, labels and routes
+never compiles them.
 """
 
 import importlib
@@ -48,6 +50,9 @@ __version__ = "0.1.0"
 # The verify suites in run order: here, not in verify, so the CLI's parser
 # lists them without importing verify.
 _VERIFY_SUITES = ("labels", "routing", "centrality", "electrical", "stats")
+
+# submodules that ``kochnet.<name>`` imports on first access, as ``import kochnet.<name>`` would
+_LAZY_MODULES = ("analytics", "centrality", "electrical", "verify")
 
 # public name -> the module that defines it, imported on the name's first access
 _LAZY = {
@@ -111,7 +116,9 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """Import the module behind a lazy public name and keep the name here."""
+    """Import a lazy submodule, or the module behind a lazy public name and keep the name here."""
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")  # which binds it here
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -121,4 +128,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_LAZY_MODULES})

@@ -164,11 +164,11 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
     and ``index`` arrays; map the chain keys to ids with
     ``graph.vertex_by_label_key``.  The distinct endpoints are marked in
     one bool array over the N vertex ids, with no sort: they are the
-    marked ids in ascending order.  Each pair's rows among them are read
-    from a row table written at the marked ids when the table is no
-    larger than the ends' chains (many pairs, or a small graph), and are
-    found by binary search otherwise.  So a call for a few pairs on a
-    large graph holds about one byte per vertex and makes no O(N) pass
+    marked ids in ascending order.  A row table over the N ids then takes
+    the mark's place and holds each one's row among them, read at the
+    pairs' ends.  The table has the narrowest unsigned type that holds
+    every row, so a call with up to 256 distinct ends holds one byte per
+    vertex and the routing suite's chunks two, and it makes no O(N) pass
     beyond the mark and its scan.  Each distinct endpoint's chain is made
     once, and read once from the hub end, where column c holds the
     ancestor c steps below the hub.  Two chains agree on a prefix of
@@ -185,12 +185,10 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
     mark = np.zeros(n, bool)
     mark[a] = mark[b] = True
     ends = np.flatnonzero(mark)
-    if len(ends) * (t + 1) >= n:  # a row table no larger than the chains made below
-        row = np.empty(n, np.int64)  # read only at marked ids
-        row[ends] = np.arange(len(ends))
-        ea, eb = row[a], row[b]
-    else:
-        ea, eb = np.searchsorted(ends, a), np.searchsorted(ends, b)
+    del mark  # the row table takes its place, read only at marked ids
+    row = np.empty(n, np.min_scalar_type(max(len(ends) - 1, 0)))
+    row[ends] = np.arange(len(ends))
+    ea, eb = row[a].astype(np.int64), row[b].astype(np.int64)
     chain, length = _ancestor_keys(graph, ends)
     # hub columns 0..t at 0..t, with -1 past the chain's end
     col = length[:, None] - 1 - np.arange(t + 1)

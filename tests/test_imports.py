@@ -69,6 +69,13 @@ def test_lazy_name_loads_its_module_on_first_access():
     assert _loaded("import kochnet\nkochnet.solve") == sorted(want)
 
 
+@pytest.mark.parametrize("module", LAZY)
+def test_lazy_module_resolves_as_an_attribute(module):
+    # after a bare `import kochnet`, as when the package imported them eagerly
+    code = f"import kochnet\nassert kochnet.{module} is sys.modules['kochnet.{module}']"
+    assert f"kochnet.{module}" in _loaded(code)
+
+
 @pytest.mark.parametrize("name", kochnet.__all__)
 def test_every_public_name_is_its_modules_object(name):
     value = getattr(kochnet, name)
@@ -84,8 +91,8 @@ def test_star_import_binds_every_public_name():
     assert all(namespace[name] is getattr(kochnet, name) for name in kochnet.__all__)
 
 
-def test_dir_lists_every_public_name():
-    assert set(kochnet.__all__) <= set(dir(kochnet))
+def test_dir_lists_every_public_name_and_lazy_module():
+    assert {*kochnet.__all__, *LAZY} <= set(dir(kochnet))
 
 
 def test_unknown_name_raises_attribute_error():
@@ -98,3 +105,15 @@ def test_suite_names_have_one_source():
     suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
     assert suite.choices == ("all", *verify.SUITE_ORDER)
     assert verify.SUITE_ORDER is kochnet._VERIFY_SUITES
+
+
+def test_verify_route_is_routing_route_as_it_stands(monkeypatch):
+    # a wrapper put on routing.route after verify loaded shows through verify.route, and goes
+    def stand_in(*args):
+        raise AssertionError("not called")
+
+    assert verify.route is kochnet.routing.route
+    monkeypatch.setattr(kochnet.routing, "route", stand_in)
+    assert verify.route is stand_in
+    monkeypatch.undo()
+    assert verify.route is kochnet.route

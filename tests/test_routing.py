@@ -313,8 +313,8 @@ class TestRouteBatch:
     @pytest.mark.parametrize("m,t", [(1, 3), (2, 3), (3, 2)])
     def test_each_row_equals_its_pair_alone(self, m, t):
         # repeated endpoints, rows with a == b and shuffled order: the distinct endpoints are
-        # shared across rows, and no row may depend on another.  On K(1,3) the batch's rows come
-        # from the row table and each pair's alone from the binary search
+        # shared across rows, and no row may depend on another.  The row table is as narrow as
+        # the number of distinct ends allows, and the rows it gives are int64
         graph = cached_graph(m, t)
         rng = np.random.default_rng(3)
         pool = rng.choice(graph.n_vertices, 40, replace=False)
@@ -325,6 +325,7 @@ class TestRouteBatch:
         both = route_batch(graph, a, b)
         both_hops = batch_hops(both)
         assert (a == b).any() and len(np.unique(np.concatenate((a, b)))) < len(a)
+        assert both.a_row.dtype == both.b_row.dtype == np.int64
         for p in range(len(a)):
             one = route_batch(graph, a[p : p + 1], b[p : p + 1])
             assert (both_hops[p] == batch_hops(one)[0]).all(), (a[p], b[p])
@@ -359,8 +360,8 @@ class TestRouteBatch:
         assert (batch_hops(got) == batch_hops(want)).all() and (got.ops_used == want.ops_used).all()
 
     def test_one_pair_holds_about_a_byte_per_vertex(self):
-        # two ends on a large graph: their rows are found by binary search in the marked ids, so
-        # beside the N-long bool mark there is no N-long int64 row table
+        # two ends on a large graph: the N-long bool mark is freed before the N-long row table,
+        # which is uint8, is made
         graph = build(2, 5)
         a, b = [5], [graph.n_vertices - 1]
         route_batch(graph, a, b)  # any cached graph arrays are made outside the measurement
