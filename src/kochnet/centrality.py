@@ -8,7 +8,8 @@ Three values are computed side by side:
   the three parts that hang at its corners (``KochGraph.corner_parts``,
   made in O(N) from subtree sizes).  A vertex is interior to the pairs
   that lie in different components of G - v, and an edge carries the
-  pairs between the parts at its two endpoints.
+  pairs between the parts at its two endpoints.  Edge values are indexed
+  by corner-pair position 3k + j (``KochGraph.corner_pair``).
   Both counts are over unordered pairs, normalized by (N-1)(N-2)/2;
 * ``paper`` - the printed vertex/edge formulas evaluated verbatim as
   rationals, kept as report inputs rather than ground truth;
@@ -87,23 +88,22 @@ def betweenness_counts(graph: KochGraph) -> tuple[np.ndarray, np.ndarray]:
 
     An edge counts the pairs whose path uses it, its own endpoints
     included: the product of its endpoints' parts, made per triangle row
-    and placed at the rows of ``graph.edges``.
+    and indexed by corner-pair position.
     """
     return vertex_betweenness_counts(graph), edge_betweenness_counts(graph)
 
 
 def edge_betweenness_counts(graph: KochGraph) -> np.ndarray:
-    """``betweenness_counts``' edge half, int64, aligned with ``graph.edges``."""
-    graph._edge_rank  # made first, while no product is held beside it
+    """``betweenness_counts``' edge half, int64, at each edge's corner-pair position 3k + j."""
     parts = graph.corner_parts
-    counts = np.empty_like(parts)  # C order, so at_edge_rows moves it without a copy
+    counts = np.empty_like(parts)  # C order, so row k's three pairs sit at 3k, 3k + 1, 3k + 2
     for col, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
         np.multiply(parts[:, i], parts[:, j], out=counts[:, col])
-    return graph.at_edge_rows(counts)
+    return counts.reshape(-1)
 
 
 def exact_betweenness(graph: KochGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized exact betweenness (vertices, edges aligned with graph.edges)."""
+    """Normalized exact betweenness (vertices, edges by corner-pair position)."""
     vertex, edge = betweenness_counts(graph)
     norm = _pair_norm(graph.n_vertices)
     return vertex / norm, edge / norm
@@ -134,7 +134,7 @@ def _max_rel_gap(exact: np.ndarray, printed: np.ndarray) -> float:
 class CentralityReport:
     """Exact betweenness counts of every vertex and edge, and each closed form once per birth step.
 
-    ``vertex_counts`` and ``edge_counts`` (aligned with ``graph.edges``)
+    ``vertex_counts`` and ``edge_counts`` (by corner-pair position)
     count unordered pairs; ``vertex`` and ``edge`` are the same values
     normalized by ``pair_norm``.  ``paper_vertex``, ``firstorder`` and
     ``paper_edge`` hold one Fraction per birth step 0..t, read at a
@@ -180,11 +180,11 @@ class CentralityReport:
 
 
 def edge_steps(graph: KochGraph) -> np.ndarray:
-    """The birth step an edge's closed form is read at: its later endpoint's.
+    """The birth step an edge's closed form is read at: its later endpoint's, by corner-pair position.
 
-    Rows of ``graph.edges`` are (u, v) with u < v, and ids grow with birth.
+    That is son b, 2k+2, of its row k: ids grow with birth, and a row's sons are born together.
     """
-    return graph.birth[graph.edges[:, 1]]
+    return np.repeat(graph.birth[2::2], 3)
 
 
 def step_forms(m: int, t: int, edges: bool = False) -> dict[str, list[Fraction]]:

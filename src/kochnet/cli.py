@@ -257,18 +257,34 @@ def _float_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _table([repr(x) for x in patterns.view(np.float64).tolist()], which)
 
 
-def _write_csv(n: int, head: str, keys, columns: dict[str, np.ndarray]) -> None:
-    """A CSV of n rows: each row's text columns ``keys(rows)``, then ``repr`` of each of ``columns``."""
+def _write_csv(n: int, head: str, keys, columns: dict[str, np.ndarray], order=None) -> None:
+    """A CSV of n rows: ``keys(at)``, then each column's ``repr`` at ``at``, a chunk of the rows or of ``order``."""
     sys.stdout.write(",".join([head, *columns]) + "\n")
     for rows in _chunks(n):
-        floats = [cell for values in columns.values() for cell in (",", _float_column(values[rows]))]
-        sys.stdout.write(_text_rows(rows.stop - rows.start, [*keys(rows), *floats, "\n"]))
+        at = rows if order is None else order[rows]
+        floats = [cell for values in columns.values() for cell in (",", _float_column(values[at]))]
+        sys.stdout.write(_text_rows(rows.stop - rows.start, [*keys(at), *floats, "\n"]))
 
 
 def _cmd_betweenness(args) -> int:
     from . import centrality
 
     graph = build(args.m, args.t)
+    if args.edges:
+        # values are by corner-pair position, rows go out by sorted key: ordered before any value is held
+        pair_keys = graph._corner_pair_keys()
+        order = np.argsort(pair_keys, kind="stable")  # a merge sort: the keys come in sorted runs
+        head, n, classes = "u,v,class", graph.n_edges, edge_class_ids(graph)
+
+        def keys(at):
+            u, v = np.divmod(pair_keys[at], graph.n_vertices)
+            return [*graph._label_columns(u), ",", *graph._label_columns(v), ",", _table(EDGE_CLASSES, classes[at])]
+    else:
+        head, n, order = "label,birth,degree", graph.n_vertices, None
+
+        def keys(rows):
+            return [*graph._label_columns(rows), ",", _decimal(graph.birth[rows]), ",", _decimal(graph.degrees[rows])]
+
     columns = {}
     if args.mode == "exact":
         counts = centrality.edge_betweenness_counts if args.edges else centrality.vertex_betweenness_counts
@@ -280,19 +296,7 @@ def _cmd_betweenness(args) -> int:
         steps = centrality.edge_steps(graph) if args.edges else graph.birth
         for name, forms in centrality.step_forms(args.m, args.t, args.edges).items():
             columns[name] = centrality.per_element(forms, steps)
-    if args.edges:
-        head, n, classes = "u,v,class", len(graph.edges), edge_class_ids(graph)
-
-        def keys(rows):
-            u, v = graph.edges[rows].T
-            return [*graph._label_columns(u), ",", *graph._label_columns(v), ",", _table(EDGE_CLASSES, classes[rows])]
-    else:
-        head, n = "label,birth,degree", graph.n_vertices
-
-        def keys(rows):
-            return [*graph._label_columns(rows), ",", _decimal(graph.birth[rows]), ",", _decimal(graph.degrees[rows])]
-
-    _write_csv(n, head, keys, columns)
+    _write_csv(n, head, keys, columns, order)
     if args.mode == "compare":
         print(_jdump(report.audit()))
     return EXIT_OK

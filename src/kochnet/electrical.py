@@ -20,7 +20,7 @@ Every solve is a back-solve of one factorization per graph,
 hub 0, eliminated youngest vertex first, one birth step of triangles at a
 time, with no fill-in.  Factor and solve are O(N) vectorized passes, one
 or many right-hand-side columns at once.  Edge drops are made per
-triangle row and placed in ``graph.edges`` order by its edge rank.  Each
+triangle row, so a reshape lays them out by corner-pair position.  Each
 solve checks the max-norm of L phi - b against 1e-10, evaluated
 edge-wise (Kirchhoff's current law: per vertex, the sum of the potential
 drops on its edges minus the injection, using L = B^T B).  Summing O(1)
@@ -63,7 +63,7 @@ class ElectricalProfile:
     """One solved field at unit current, target grounded."""
 
     potentials: np.ndarray
-    edge_currents: np.ndarray  # oriented low-id -> high-id, aligned with graph.edges
+    edge_currents: np.ndarray  # oriented low-id -> high-id, at each edge's corner-pair position
     effective_resistance: float
 
 
@@ -75,7 +75,7 @@ class PathProfile:
     distance: int
     on_path_voltages: list[float]  # source to target, at a unit pair drop
     companion_voltages: list[float]  # each hop triangle's third corner, at a unit pair drop
-    support_edges: frozenset[int]  # edges carrying more than SUPPORT_EPS
+    support_edges: frozenset[int]  # corner-pair positions of the edges carrying more than SUPPORT_EPS
     max_offpath_current: float  # largest current off the chain's 3d edges
     thm_support_ok: bool
     thm_voltages_ok: bool
@@ -118,7 +118,9 @@ def solve(graph: KochGraph, source: int, target: int) -> ElectricalProfile:
 
     One ampere in at the source, out at the target; with the target
     grounded, the source potential equals the effective resistance.
+    Ids outside [0, N) raise ``ValueError`` before anything is solved.
     """
+    graph.check_ids(source, target)
     if source == target:
         raise ValueError("source and target must differ")
     b = np.zeros(graph.n_vertices)
@@ -126,7 +128,7 @@ def solve(graph: KochGraph, source: int, target: int) -> ElectricalProfile:
     b[target] = -1.0
     phi = graph.laplacian_factor.solve(b)
     phi -= phi[target]
-    return ElectricalProfile(phi, graph.at_edge_rows(_checked_drops(graph, phi, b)), float(phi[source]))
+    return ElectricalProfile(phi, _checked_drops(graph, phi, b).reshape(-1), float(phi[source]))
 
 
 def path_profile(graph: KochGraph, source: int, target: int) -> PathProfile:
@@ -148,7 +150,7 @@ def path_profile(graph: KochGraph, source: int, target: int) -> PathProfile:
     u, v = ids[:-1], ids[1:]
     w = graph.triangles[(np.maximum(u, v) - 1) // 2].sum(axis=1) - u - v  # the third corner of each hop's row
     # rows: the direct edge, then the detour's edges at u and at v; together the chain's 3d edges
-    chain = graph.edge_index(np.stack((u, u, v)), np.stack((v, w, w)))
+    chain = graph.corner_pair(np.stack((u, u, v)), np.stack((v, w, w)))
 
     current = np.abs(field.edge_currents)
     support = frozenset(np.flatnonzero(current > SUPPORT_EPS).tolist())
@@ -216,12 +218,13 @@ def _exhaustive_cfb(graph: KochGraph) -> np.ndarray:
         )
     b = np.eye(n)
     b[0] -= 1.0
-    drops = graph.at_edge_rows(_checked_drops(graph, graph.laplacian_factor.solve(b), b))
+    drops = _checked_drops(graph, graph.laplacian_factor.solve(b), b).reshape(graph.n_edges, n)
+    edge_ends = graph.corner_pair_ends()
     rank = 2.0 * np.arange(n) - (n - 1)
     totals = np.zeros(n)
     for lo in range(0, graph.n_edges, _CFB_BLOCK_ROWS):
         rows = drops[lo : lo + _CFB_BLOCK_ROWS]
-        ends = graph.edges[lo : lo + _CFB_BLOCK_ROWS]
+        ends = edge_ends[lo : lo + _CFB_BLOCK_ROWS]
         pair_total = (np.sort(rows, axis=1) * rank).sum(axis=1)
         at_ends = np.take_along_axis(rows, ends, axis=1)
         spread = np.abs(rows[:, None, :] - at_ends[:, :, None]).sum(axis=2)

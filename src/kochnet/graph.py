@@ -32,11 +32,11 @@ array whose row 0 is the hubs (0, 1, 2) and whose row k >= 1 is
 together as ids 2k+1 and 2k+2.  Every edge lies in exactly one triangle,
 so edge (u, v) lies in triangle (max(u, v) - 1) // 2; the father of a
 vertex v >= 3 is the first corner of row (v - 1) // 2, and its companion
-is the other son of that row.  So ``corner_pair`` finds an edge's
-position 3k + j among row k's corner pairs by arithmetic.  The sorted
-edge list, degrees, CSR adjacency, the rank of each position in that
-list, the corner parts and the Laplacian's one LDL^T factor
-(``CactusLDL``, on numpy alone) are derived from the table and cached.
+is the other son of that row.  That position 3k + j among row k's corner
+pairs is the one edge id, found by arithmetic (``corner_pair``): every
+per-edge array is indexed by it; the sorted ``edges`` order the exports.
+They, the degrees, CSR adjacency, corner parts and the Laplacian's one
+LDL^T factor (``CactusLDL``, on numpy alone) are derived and cached.
 
 The graph is a cactus of triangles: triangles meet only at vertices, so
 removing a triangle's edges splits the graph into the parts that hang at
@@ -47,8 +47,8 @@ total's oracle.
 
 Ids are int32 in every stored array (the triangle table, ``edges``, the
 CSR ``indices``), so ``build`` refuses N >= 2^31 before it allocates.
-Keys (label, pair and edge ``u * N + v``), corner-pair positions and
-ranks, degrees and counts are int64: a narrow id is widened first.
+Keys (label, pair and edge ``u * N + v``), corner-pair positions,
+degrees and counts are int64: a narrow id is widened first.
 """
 
 from __future__ import annotations
@@ -281,8 +281,14 @@ class KochGraph:
             _decimal(self.index[ids], omit_zero=True),
         ]
 
+    def check_ids(self, *ids) -> None:
+        """Raise ``ValueError`` unless every id, an int or an array of ids, lies in [0, N)."""
+        if any(((np.asarray(v) < 0) | (np.asarray(v) >= self.n_vertices)).any() for v in ids):
+            raise ValueError(f"vertex ids must lie in [0, {self.n_vertices})")
+
     def label_of(self, v: int) -> Label:
         """The label of vertex v, made from its four array entries in O(1)."""
+        self.check_ids(v)
         bits = bin((1 << int(self.birth[v])) | int(self.bits[v]))[3:]  # a leading 1 keeps the bits' zeros
         return _derived(int(self.subnet[v]), bits, int(self.index[v]) or None)
 
@@ -350,9 +356,13 @@ class KochGraph:
         keys += tri[:, [1, 2, 2]]
         return keys.ravel()
 
+    def corner_pair_ends(self) -> np.ndarray:
+        """Every edge (u, v), u < v, at its row 3k + j: row k's (f, a), (f, b), (a, b); int32 (E, 2)."""
+        return self.triangles[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
+
     @cached_property
     def edges(self) -> np.ndarray:
-        """All edges as rows (u, v) with u < v, sorted ascending; int32 (E, 2)."""
+        """All edges as rows (u, v) with u < v, sorted ascending: the exports' and the CSR's order; int32 (E, 2)."""
         keys = self._corner_pair_keys()
         keys.sort()
         edges = np.empty((self.n_edges, 2), np.int32)
@@ -373,27 +383,6 @@ class KochGraph:
         # an edge is (f, hi), at 3k + j = k + hi - 1, or the sons (2k+1, 2k+2), at one more
         edge = (father | (lo + hi == 4 * k + 3)) & (lo >= 0) & (lo < hi) & (hi < self.n_vertices)
         return np.where(edge, k + hi - father, -1)
-
-    @cached_property
-    def _edge_rank(self) -> np.ndarray:
-        """Row in ``edges`` of each ``corner_pair`` position, int64: the inverse of the order sorting the keys."""
-        order = np.argsort(self._corner_pair_keys(), kind="stable")  # a merge sort: the keys come in sorted runs
-        rank = np.empty_like(order)
-        for rows in _chunks(len(order)):  # scattered in chunks: no E-long arange beside the two
-            rank[order[rows]] = np.arange(rows.start, rows.stop)
-        return rank
-
-    def edge_index(self, u, v) -> np.ndarray:
-        """Row of edge (u, v) in ``edges``, either orientation; -1 where it is no edge.  Vectorized."""
-        pos = self.corner_pair(u, v)
-        return np.where(pos >= 0, self._edge_rank[pos], -1)
-
-    def at_edge_rows(self, values: np.ndarray) -> np.ndarray:
-        """Values per triangle row and corner pair, shape (T, 3, ...), moved to their rows of ``edges``."""
-        values = values.reshape(self.n_edges, *values.shape[2:])
-        out = np.empty_like(values)
-        out[self._edge_rank] = values
-        return out
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -617,12 +606,12 @@ def build(m: int, t: int) -> KochGraph:
 
 
 def edge_class_ids(graph: KochGraph) -> np.ndarray:
-    """Class of every edge in ``graph.edges``, as an index into EDGE_CLASSES.
+    """Class of every edge, at its corner-pair position, as an index into EDGE_CLASSES.
 
     An edge u < v joins two hubs when v < 3, a companion pair when v is the
     companion of u, and a father and its child otherwise.  int8.
     """
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    u, v = graph.corner_pair_ends().T
     return np.where(v < 3, np.int8(0), np.where(graph.companion_of(u) == v, np.int8(1), np.int8(2)))
 
 

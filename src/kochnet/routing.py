@@ -179,9 +179,8 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
     """
     m, t = graph.m, graph.t
     a, b = np.asarray(a_ids, np.int64), np.asarray(b_ids, np.int64)
+    graph.check_ids(a, b)
     n = len(graph.birth)
-    if ((a < 0) | (a >= n)).any() or ((b < 0) | (b >= n)).any():
-        raise ValueError(f"vertex ids must lie in [0, {n})")
     mark = np.zeros(n, bool)
     mark[a] = mark[b] = True
     ends = np.flatnonzero(mark)
@@ -217,6 +216,7 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
 
 
 def bfs_distances(graph: KochGraph, source: int) -> np.ndarray:
-    """Exact distances from one vertex to every vertex of the built graph (the routing oracle)."""
+    """Exact distances from one vertex to every vertex, the routing oracle; ids outside [0, N) raise ValueError."""
+    graph.check_ids(source)
     n = graph.n_vertices
     return _kernels.pair_distances(*graph.csr, np.full(n, source), np.arange(n))

@@ -107,7 +107,7 @@ def _bfs_distance_total(graph: KochGraph) -> int | None:
 
 def _edge_triangle(graph: KochGraph) -> CheckResult:
     """The triangles' corner pairs, each an edge key u * N + v, are the edges once each."""
-    u, v = graph.triangles[:, [0, 0, 1]].ravel(), graph.triangles[:, [1, 2, 2]].ravel()
+    u, v = graph.corner_pair_ends().T
     corner_pairs = np.minimum(u, v) * np.int64(graph.n_vertices) + np.maximum(u, v)
     corner_pairs.sort()
     covered = len(corner_pairs) - int(np.count_nonzero(np.diff(corner_pairs) == 0))
@@ -472,7 +472,7 @@ def centrality_suite(graph: KochGraph) -> list[CheckResult]:
 
     if (m, t) == (1, 1):
         hub = Fraction(int(counts[0]), norm)  # hub 1
-        edge = Fraction(int(report.edge_counts[graph.edge_index(0, 3)]), norm)  # hub 1 to its son 10.1
+        edge = Fraction(int(report.edge_counts[graph.corner_pair(0, 3)]), norm)  # hub 1 to its son 10.1
         out.append(
             _check(
                 "centrality/k11-golden",

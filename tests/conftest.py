@@ -230,10 +230,15 @@ def batch_hops(batch: routing_module.RouteBatch) -> np.ndarray:
     return np.where(k < batch.a_hops[:, None], padded[batch.a_row], from_b)
 
 
+def corner_pair_ends(graph) -> list[tuple[int, int]]:
+    """The edge (u, v), u < v, at each corner-pair position 3k + j, read from the triangle table row by row."""
+    return [pair for f, a, b in graph.triangles.tolist() for pair in ((f, a), (f, b), (a, b))]
+
+
 def verify_path_in_graph(graph, path: routing_module.RoutePath) -> bool:
     """Every consecutive hop pair must be an edge of the graph."""
     ids = np.array([graph.vertex_by_label(hop) for hop in path.hops], np.int64)
-    return bool(np.all(graph.edge_index(ids[:-1], ids[1:]) >= 0))
+    return bool(np.all(graph.corner_pair(ids[:-1], ids[1:]) >= 0))
 
 
 def reference_labels_suite(graph) -> list:
@@ -417,23 +422,28 @@ def reference_betweenness(graph, mode: str, edges: bool) -> None:
 
     texts = [format_label(graph.label_of(v)) for v in range(graph.n_vertices)]
     if edges:
+        # the values are by corner-pair position; the rows go out sorted by their ends
         head, prefix = "u,v,class", "%s,%s,%s"
+        ends = corner_pair_ends(graph)
+        order = np.array(sorted(range(len(ends)), key=ends.__getitem__), np.int64)
         classes = edge_class_ids(graph)
 
-        def cells(rows):
-            u, v = graph.edges[rows].T.tolist()
-            names = map(EDGE_CLASSES.__getitem__, classes[rows].tolist())
+        def cells(at):
+            u, v = zip(*map(ends.__getitem__, at.tolist()))
+            names = map(EDGE_CLASSES.__getitem__, classes[at].tolist())
             return map(texts.__getitem__, u), map(texts.__getitem__, v), names
     else:
         head, prefix = "label,birth,degree", "%s,%d,%d"
+        order = np.arange(graph.n_vertices)
 
-        def cells(rows):
-            return texts[rows], graph.birth[rows].tolist(), graph.degrees[rows].tolist()
+        def cells(at):
+            return map(texts.__getitem__, at.tolist()), graph.birth[at].tolist(), graph.degrees[at].tolist()
 
     sys.stdout.write(",".join([head, *columns]) + "\n")
     row = prefix + ",%r" * len(columns) + "\n"
-    for rows in _chunks(len(graph.edges) if edges else graph.n_vertices):
-        values = zip(*cells(rows), *(column[rows].tolist() for column in columns.values()))
+    for rows in _chunks(len(order)):
+        at = order[rows]
+        values = zip(*cells(at), *(column[at].tolist() for column in columns.values()))
         sys.stdout.write("".join([row % cell for cell in values]))
     if mode == "compare":
         print(json.dumps(report.audit(), separators=(",", ":")))
@@ -463,7 +473,7 @@ def chain_splits(graph, field, source, target) -> list[tuple[float, float, float
     splits = []
     for u, v in zip(ids, ids[1:]):
         (w,) = adj[u] & adj[v]
-        splits.append(tuple(float(current[graph.edge_index(a, b)]) for a, b in ((u, v), (u, w), (v, w))))
+        splits.append(tuple(float(current[graph.corner_pair(a, b)]) for a, b in ((u, v), (u, w), (v, w))))
     return splits
 
 

@@ -31,6 +31,7 @@ from conftest import (
     all_labels,
     cached_graph,
     chain_splits,
+    corner_pair_ends,
     enumerate_labels,
     neighbor_partition,
     python_bfs_sigma,
@@ -214,7 +215,7 @@ def test_criterion_08_betweenness_properties():
     cb = exact_betweenness(g11)[0]
     ok &= abs(cb[0] - 3 / 7) <= 1e-12
     report = centrality_report(g11)
-    hub_son = g11.edge_index(0, 3)
+    hub_son = g11.corner_pair(0, 3)
     ok &= [format_label(g11.label_of(v)) for v in (0, 3)] == ["1", "10.1"]
     ok &= abs(report.edge[hub_son] - 1 / 4) <= 1e-12
     # the discrepancy report itself: present, well formed, and honest
@@ -230,7 +231,7 @@ def test_criterion_08_betweenness_properties():
         for b in range(2)
     )
     ok &= edge_steps(report.graph).tolist() == [
-        max(g11_labels[u].birth, g11_labels[v].birth) for u, v in g11.edges.tolist()
+        max(g11_labels[u].birth, g11_labels[v].birth) for u, v in corner_pair_ends(g11)
     ]
     deep = centrality_report(cached_graph(1, 6))
     gamma_dev = abs(deep.gamma_hat - 2.0) / 2.0

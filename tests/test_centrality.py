@@ -21,7 +21,7 @@ from kochnet.errors import AnalysisError
 from kochnet.graph import EDGE_CLASSES, edge_class_ids, vertex_count
 from kochnet.routing import ancestor_chain
 
-from conftest import adjacency, all_labels, cached_graph, python_betweenness, traced_peak
+from conftest import adjacency, all_labels, cached_graph, corner_pair_ends, python_betweenness, traced_peak
 
 
 class TestDescendants:
@@ -53,9 +53,9 @@ class TestExactOracle:
     def test_k11_edges(self):
         graph = cached_graph(1, 1)
         eb = exact_betweenness(graph)[1]
-        hub_son = graph.edge_index(0, 3)  # "1" -- "10.1"
-        comp = graph.edge_index(3, 4)  # "10.1" -- "10.2"
-        hubs = graph.edge_index(0, 1)
+        hub_son = graph.corner_pair(0, 3)  # "1" -- "10.1"
+        comp = graph.corner_pair(3, 4)  # "10.1" -- "10.2"
+        hubs = graph.corner_pair(0, 1)
         assert abs(eb[hub_son] - 1 / 4) < 1e-15
         assert abs(eb[comp] - 1 / 28) < 1e-15
         assert abs(eb[hubs] - 9 / 28) < 1e-15
@@ -98,22 +98,20 @@ class TestExactOracle:
         ref_e = nx.edge_betweenness_centrality(g, normalized=False)
         assert [ref_v[v] for v in range(graph.n_vertices)] == vertex.tolist()
         ref_e = {tuple(sorted(e)): x for e, x in ref_e.items()}
-        assert [ref_e[e] for e in map(tuple, graph.edges.tolist())] == edge.tolist()
+        assert [ref_e[e] for e in corner_pair_ends(graph)] == edge.tolist()
 
 
     @pytest.mark.parametrize("m,t", [(1, 6), (2, 4), (3, 3)])
     def test_edge_counts_sit_at_their_edges(self, m, t):
-        # placed by the order that sorts the corner-pair keys: each triangle's three products land
-        # on the rows ``edge_index`` finds for its corner pairs
+        # each triangle's three products land at the positions ``corner_pair`` finds for its corner pairs
         graph = cached_graph(m, t)
         tri, parts = graph.triangles, graph.corner_parts
         want = np.empty(graph.n_edges, np.int64)
-        want[graph.edge_index(tri[:, [0, 0, 1]], tri[:, [1, 2, 2]])] = parts[:, [0, 0, 1]] * parts[:, [1, 2, 2]]
+        want[graph.corner_pair(tri[:, [0, 0, 1]], tri[:, [1, 2, 2]])] = parts[:, [0, 0, 1]] * parts[:, [1, 2, 2]]
         assert np.array_equal(betweenness_counts(graph)[1], want)
 
     def test_edge_counts_peak_at_32_bytes_per_edge(self):
-        # on a fresh graph the edge rank is made first, with no E-long arange, and the products are
-        # written into one C-ordered array that at_edge_rows moves without a copy
+        # the products are written into one C-ordered array, laid out by corner-pair position with no copy
         graph = build(2, 5)
         graph.corner_parts
         assert traced_peak(lambda: edge_betweenness_counts(graph)) <= 32 * graph.n_edges
@@ -133,7 +131,7 @@ class TestPaperFormulas:
     def test_eq_edge_disagrees_with_oracle(self):
         graph = cached_graph(1, 1)
         eb = exact_betweenness(graph)[1]
-        assert abs(eb[graph.edge_index(0, 3)] - 1 / 4) < 1e-15  # vs printed 1/8
+        assert abs(eb[graph.corner_pair(0, 3)] - 1 / 4) < 1e-15  # vs printed 1/8
 
 
 class TestFirstOrder:
@@ -209,7 +207,7 @@ class TestReport:
         labels = all_labels(graph)
         assert report.graph.birth.tolist() == [label.birth for label in labels]
         # an edge is keyed by its later endpoint's birth step
-        later = [max(labels[u].birth, labels[v].birth) for u, v in graph.edges.tolist()]
+        later = [max(labels[u].birth, labels[v].birth) for u, v in corner_pair_ends(graph)]
         assert edge_steps(report.graph).tolist() == later
 
     @pytest.mark.parametrize("m,t", [(1, 1), (2, 2), (1, 4)])
@@ -218,7 +216,8 @@ class TestReport:
         graph = cached_graph(m, t)
         report = centrality_report(graph)
         vertex = list(zip(report.vertex.tolist(), graph.birth.tolist()))
-        edge = list(zip(report.edge.tolist(), graph.birth[graph.edges].max(axis=1).tolist()))
+        birth = graph.birth.tolist()
+        edge = list(zip(report.edge.tolist(), [max(birth[u], birth[v]) for u, v in corner_pair_ends(graph)]))
         paper_v = [float(paper_vertex_betweenness(m, t, b)) for _, b in vertex]
         paper_e = [float(paper_edge_betweenness(m, t, b)) for _, b in edge]
         pairs_v = [(x, p) for (x, _), p in zip(vertex, paper_v)]

@@ -20,7 +20,7 @@ from kochnet.errors import SizeCapError
 from kochnet.graph import CactusLDL
 from kochnet.verify import PASS, _control_gap, electrical_suite
 
-from conftest import adjacency, cached_graph, chain_splits, laplacian
+from conftest import adjacency, cached_graph, chain_splits, corner_pair_ends, laplacian
 
 
 def _vid(graph, text):
@@ -50,7 +50,7 @@ class TestSolve:
         graph = cached_graph(1, 1)
         prof = solve(graph, 0, 1)
         net = np.zeros(graph.n_vertices)
-        for eid, (u, v) in enumerate(graph.edges):
+        for eid, (u, v) in enumerate(corner_pair_ends(graph)):
             net[u] -= prof.edge_currents[eid]
             net[v] += prof.edge_currents[eid]
         assert abs(net[0] + 1.0) < 1e-10  # source pushes one unit out
@@ -72,7 +72,7 @@ class TestSolve:
         d = route(graph.m, graph.t, graph.label_of(s), graph.label_of(v)).length
         b = np.zeros(graph.n_vertices)
         b[s], b[v] = 1.0, -1.0
-        drops = prof.edge_currents[graph._edge_rank].reshape(-1, 3)  # back to triangle rows
+        drops = prof.edge_currents.reshape(-1, 3)  # by triangle row
         assert np.max(np.abs(_kcl_residual(graph, drops, b))) < RESIDUAL_TOL
         assert abs(prof.effective_resistance - 2 * d / 3) < 1e-9
 
@@ -114,11 +114,11 @@ class TestPathProfile:
         assert abs(prof.field.effective_resistance - 2.0) < 1e-9
 
     def test_makes_no_edge_list(self):
-        # drops per triangle row, currents placed by the edge rank, the chain found by arithmetic
+        # drops per triangle row, currents by corner-pair position, the chain found by arithmetic
         graph = build(1, 3)
         path_profile(graph, 5, graph.n_vertices - 1)
-        assert not {"edges", "csr", "_edge_keys"} & vars(graph).keys()
-        assert "_edge_rank" in vars(graph)
+        assert not {"edges", "csr"} & vars(graph).keys()
+        assert not hasattr(graph, "_edge_rank")
 
     def test_hub_pair_split(self):
         graph = cached_graph(3, 0)
@@ -164,7 +164,7 @@ class TestPathProfile:
         # subtree sits at its attachment potential
         graph = cached_graph(1, 2)
         prof = path_profile(graph, 0, 1)
-        for eid, (u, v) in enumerate(graph.edges):
+        for eid, (u, v) in enumerate(corner_pair_ends(graph)):
             if eid not in prof.support_edges:
                 assert abs(prof.field.potentials[u] - prof.field.potentials[v]) < 1e-9
 
@@ -201,7 +201,7 @@ class TestCurrentFlow:
             for v in range(s + 1, n):
                 prof = solve(graph, s, v)
                 through = np.zeros(n)
-                for eid, (a, b) in enumerate(graph.edges):
+                for eid, (a, b) in enumerate(corner_pair_ends(graph)):
                     through[a] += abs(prof.edge_currents[eid])
                     through[b] += abs(prof.edge_currents[eid])
                 through *= 0.5
@@ -356,7 +356,7 @@ def test_edgewise_residual_is_laplacian_residual(m, t):
         prof = solve(graph, s, v)
         b = np.zeros(n)
         b[s], b[v] = 1.0, -1.0
-        edgewise = _kcl_residual(graph, prof.edge_currents[graph._edge_rank].reshape(-1, 3), b)
+        edgewise = _kcl_residual(graph, prof.edge_currents.reshape(-1, 3), b)
         expected = laplacian(graph) @ prof.potentials - b
         np.testing.assert_allclose(edgewise, expected, rtol=0, atol=1e-13)
 

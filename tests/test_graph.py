@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kochnet import Label, SizeCapError, UnknownLabelError, build, format_label
-from kochnet import current_flow_betweenness, exact_betweenness
+from kochnet import bfs_distances, current_flow_betweenness, exact_betweenness, path_profile, route_batch, solve
 from kochnet import graph as graph_module
 from kochnet.cli import _float_column, main
 from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, _exhaustive_cfb
@@ -29,6 +29,7 @@ from conftest import (
     adjacency,
     all_labels,
     cached_graph,
+    corner_pair_ends,
     enumerate_labels,
     reference_betweenness,
     reference_build,
@@ -131,14 +132,14 @@ class TestInvariants:
 
 @pytest.mark.parametrize("m,t", [(1, 2), (2, 2), (3, 2)])
 def test_derived_index_matches_plain_rebuild(m, t):
-    """Edges, CSR, CSR edge ids and edge->triangle, rebuilt from the triangle table alone."""
+    """Edges, CSR, each CSR slot's corner pair and edge->triangle, rebuilt from the triangle table alone."""
     graph = cached_graph(m, t)
-    triangle_of = {}
+    triangle_of, position = {}, {}
     for k, (a, b, c) in enumerate(graph.triangles.tolist()):
-        for u, v in ((a, b), (a, c), (b, c)):
+        for j, (u, v) in enumerate(((a, b), (a, c), (b, c))):
             triangle_of[(min(u, v), max(u, v))] = k
+            position[(min(u, v), max(u, v))] = 3 * k + j
     edges = sorted(triangle_of)
-    edge_id = {e: i for i, e in enumerate(edges)}
     neighbors = [[] for _ in range(graph.n_vertices)]
     for u, v in edges:
         neighbors[u].append(v)
@@ -147,26 +148,27 @@ def test_derived_index_matches_plain_rebuild(m, t):
     for u, row in enumerate(neighbors):
         for v in sorted(row):
             indices.append(v)
-            slot_ids.append(edge_id[(min(u, v), max(u, v))])
+            slot_ids.append(position[(min(u, v), max(u, v))])
         indptr.append(len(indices))
 
     assert [tuple(e) for e in graph.edges.tolist()] == edges
     assert graph.csr[0].tolist() == indptr
     assert graph.csr[1].tolist() == indices
     slot_rows = np.repeat(np.arange(graph.n_vertices), np.diff(graph.csr[0]))
-    assert graph.edge_index(slot_rows, graph.csr[1]).tolist() == slot_ids
+    assert graph.corner_pair(slot_rows, graph.csr[1]).tolist() == slot_ids
     assert ((graph.edges[:, 1] - 1) // 2).tolist() == [triangle_of[e] for e in edges]  # the documented rule
     assert adjacency(graph) == [sorted(row) for row in neighbors]
     assert graph.degrees.tolist() == [len(row) for row in neighbors]
 
     u, v = zip(*edges)
-    assert graph.edge_index(u, v).tolist() == list(range(len(edges)))
-    assert graph.edge_index(v, u).tolist() == list(range(len(edges)))
-    non_edge = next((0, w) for w in range(1, graph.n_vertices) if (0, w) not in edge_id)
-    assert graph.edge_index(*non_edge) == -1
-    assert graph.edge_index(non_edge[1], non_edge[0]) == -1
-    assert graph.edge_index(5, 5) == -1
-    assert graph.edge_index(graph.n_vertices - 1, graph.n_vertices - 1) == -1
+    assert graph.corner_pair(u, v).tolist() == [position[e] for e in edges]
+    assert graph.corner_pair(v, u).tolist() == [position[e] for e in edges]
+    assert graph.corner_pair_ends().tolist() == [list(e) for e in sorted(edges, key=position.get)]
+    non_edge = next((0, w) for w in range(1, graph.n_vertices) if (0, w) not in position)
+    assert graph.corner_pair(*non_edge) == -1
+    assert graph.corner_pair(non_edge[1], non_edge[0]) == -1
+    assert graph.corner_pair(5, 5) == -1
+    assert graph.corner_pair(graph.n_vertices - 1, graph.n_vertices - 1) == -1
 
 
 @pytest.mark.parametrize("m,t", [(1, 3), (2, 2)])
@@ -187,14 +189,16 @@ def test_corner_pair_matches_pair_set(m, t):
     assert graph.corner_pair(5, 5) == -1 and graph.corner_pair(0, 1) == 0
 
 
-def test_edge_index_refuses_ids_outside_the_graph():
+def test_corner_pair_refuses_ids_outside_the_graph():
     # an id past either end once aliased another edge's key u * N + v: with N = 9, (0, 11) read
     # as (1, 2) and (-1, 10) as (0, 1)
     graph = cached_graph(1, 1)
     assert graph.n_vertices == 9
     for u, v in ((0, 11), (11, 0), (-1, 10), (10, -1), (0, 9), (-1, -1), (9, 9)):
-        assert graph.edge_index(u, v) == -1
-    assert graph.edge_index([0, -1, 1], [11, 10, 2]).tolist() == [-1, -1, int(graph.edge_index(1, 2))]
+        assert graph.corner_pair(u, v) == -1
+    assert graph.corner_pair([0, -1, 1], [11, 10, 2]).tolist() == [-1, -1, int(graph.corner_pair(1, 2))]
+    ids = np.array([[0, -1, 1], [11, 10, 2]], np.int32)
+    assert graph.corner_pair(*ids).tolist() == [-1, -1, 2]
 
 
 REFERENCE_SIZES = [(1, t) for t in range(5)] + [(2, t) for t in range(4)] + [(3, t) for t in range(3)]
@@ -213,9 +217,28 @@ def test_array_build_matches_reference_loop(m, t):
     assert graph.companion_of(ids).tolist() == [
         -1 if r.companion_id is None else r.companion_id for r in vertices
     ]
-    classes = [reference_edge_class(vertices, u, v) for u, v in graph.edges.tolist()]
+    classes = [reference_edge_class(vertices, u, v) for u, v in corner_pair_ends(graph)]
     assert [EDGE_CLASSES[i] for i in edge_class_ids(graph).tolist()] == classes
     assert edge_class_counts(graph) == {c: classes.count(c) for c in ("hub-hub", "companion", "father-child")}
+
+
+@pytest.mark.parametrize("s,v", [(-1, 5), (0, 33), (32, -1)])
+def test_vertex_ids_outside_the_graph_are_refused_first(s, v):
+    # on K(1,2), N = 33: -1 once acted on vertex 32, 33 raised a bare IndexError, and solve(32, -1)
+    # failed its residual check; each call now refuses before it builds or solves anything
+    graph = build(1, 2)
+    bad = s if not 0 <= s < 33 else v
+    calls = [
+        lambda: solve(graph, s, v),
+        lambda: path_profile(graph, s, v),
+        lambda: route_batch(graph, [s], [v]),
+        lambda: bfs_distances(graph, bad),
+        lambda: graph.label_of(bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"vertex ids must lie in \[0, 33\)"):
+            call()
+    assert not {"laplacian_factor", "csr", "_label_classes"} & vars(graph).keys()
 
 
 def test_labels_built_on_first_use():
@@ -415,8 +438,8 @@ def test_stored_arrays_are_narrow():
     }
     assert {name: getattr(graph, name).dtype for name in arrays} == arrays
     assert sum(getattr(graph, name).nbytes for name in arrays) <= 17 * graph.n_vertices
-    assert graph.edges.dtype == graph.csr[1].dtype == np.int32
-    assert graph.csr[0].dtype == graph.degrees.dtype == graph._edge_rank.dtype == np.int64
+    assert graph.edges.dtype == graph.csr[1].dtype == graph.corner_pair_ends().dtype == np.int32
+    assert graph.csr[0].dtype == graph.degrees.dtype == graph.corner_pair(0, 1).dtype == np.int64
 
 
 NEAR_2_31 = 2**31 - 1
@@ -459,9 +482,7 @@ def test_edge_keys_widen_ids_near_2_31():
     assert keys.dtype == np.int64 and keys.tolist() == [u * n + v for u, v in corner_pairs]
     pairs = sorted(corner_pairs)
     assert graph.edges.dtype == np.int32 and graph.edges.tolist() == [list(p) for p in pairs]
-    # the rank takes each position to its row of the sorted edges
-    assert graph._edge_rank.dtype == np.int64
-    assert graph.edges[graph._edge_rank].tolist() == [list(p) for p in corner_pairs]
+    assert graph.corner_pair_ends().tolist() == [list(p) for p in corner_pairs]
 
 
 def test_corner_pairs_widen_ids_near_2_31():
