@@ -282,9 +282,21 @@ class KochGraph:
         ]
 
     def check_ids(self, *ids) -> None:
-        """Raise ``ValueError`` unless every id, an int or an array of ids, lies in [0, N)."""
-        if any(((np.asarray(v) < 0) | (np.asarray(v) >= self.n_vertices)).any() for v in ids):
-            raise ValueError(f"vertex ids must lie in [0, {self.n_vertices})")
+        """Raise ``ValueError`` unless every id, an int or an array of ids, lies in [0, N).
+
+        An int or numpy integer is compared in plain Python, an array by its min and max.
+        """
+        n = self.n_vertices
+        for v in ids:
+            if isinstance(v, (int, np.integer)):
+                low = high = v
+            else:
+                v = np.asarray(v)
+                if not v.size:
+                    continue
+                low, high = v.min(), v.max()
+            if low < 0 or high >= n:
+                raise ValueError(f"vertex ids must lie in [0, {n})")
 
     def label_of(self, v: int) -> Label:
         """The label of vertex v, made from its four array entries in O(1)."""

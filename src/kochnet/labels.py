@@ -11,12 +11,15 @@ structure is touched.  The companion / children / father operations
 together reconstruct the full neighbor set of any vertex, which the test
 suite checks against explicitly built graphs.
 
-The per-class arithmetic sits in one table per (m, bits), kept in a
-bounded cache: the class's l_max, and for each ancestor the length of
-its bit prefix and the child-block width that maps an index to its
-index.  ``validate_in_graph``, ``father`` and the ancestor climb of
-``routing.ancestor_chain`` and ``routing.route`` all read it, so after
-the first lookup one climb step is one ceiling division and one slice.
+The per-class facts have one source, ``_class_table``: one entry per
+(m, bits), kept in a bounded cache, holds the class's l_max and, for
+each ancestor, the length of its bit prefix and the child-block width
+that maps an index to its index.  ``l_max`` checks its arguments and
+returns the bound; ``validate_in_graph`` checks a label against it and
+returns the climb steps, which ``routing.route`` climbs by; ``father``
+and ``routing.ancestor_chain`` read the table's steps directly.  So
+after the first lookup one climb step is one ceiling division and one
+slice.
 The climb makes each hop ``Label`` inline, by ``object.__new__`` and
 the three slot setters that ``_derived`` also uses, with no call per
 hop; the colder father, companion and child formulas call ``_derived``.
@@ -116,13 +119,7 @@ def l_max(m: int, bits: str) -> int:
         raise LabelFormatError("hubs have no index space (empty bit string)")
     if bits[0] != "0" or any(c not in "01" for c in bits):
         raise LabelFormatError(f"invalid bit string {bits!r}")
-    return _index_bound(m, bits)
-
-
-def _index_bound(m: int, bits: str) -> int:
-    """``l_max`` of a bit string already checked, such as a Label's."""
-    s = bits.count("1")
-    return (2 * m) ** (len(bits) - s) * (m + 1) ** s
+    return _class_table(m, bits)[0]
 
 
 def format_label(label: Label) -> str:
@@ -151,18 +148,14 @@ def parse_label(text: str, m: int) -> Label:
     return Label(subnet, bits, index)
 
 
-def validate_in_graph(m: int, t: int, label: Label) -> None:
-    """Check the label denotes a vertex of K_{m,t}: m >= 1, t >= 0, born by step t, index in bound.
+def validate_in_graph(m: int, t: int, label: Label) -> tuple[tuple[int, int], ...]:
+    """Check the label denotes a vertex of K_{m,t}, and return its climb steps (() for a hub).
 
-    A Label's bits were checked when it was made (or are valid by
-    derivation), so only the parameters, the birth step and the index
-    bound are checked here; the bound comes from the class table.
+    m >= 1, t >= 0, the label is born by step t and its index is within
+    the bound of its class table, whose steps (see ``_class_table``) are
+    returned.  A Label's bits were checked when it was made (or are valid
+    by derivation), so they are not checked again.
     """
-    _checked_steps(m, t, label)
-
-
-def _checked_steps(m: int, t: int, label: Label) -> tuple[tuple[int, int], ...]:
-    """``validate_in_graph``, then the label's climb steps from its class table (() for a hub)."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if t < 0:
@@ -237,6 +230,8 @@ def _class_table(m: int, bits: str) -> tuple[int, tuple[tuple[int, int], ...]]:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    ones = bits.count("1")
+    bound = (2 * m) ** (len(bits) - ones) * (m + 1) ** ones
     steps = []
     end = len(bits)
     cut = bits.rfind("0", 0, end)
@@ -244,7 +239,7 @@ def _class_table(m: int, bits: str) -> tuple[int, tuple[tuple[int, int], ...]]:
         steps.append((cut, 2 * m * (m + 1) ** (end - 1 - cut)))
         end = cut
         cut = bits.rfind("0", 0, end)
-    return _index_bound(m, bits), tuple(steps)
+    return bound, tuple(steps)
 
 
 def child_block(m: int, label: Label, step: int) -> tuple[str, int, int]:

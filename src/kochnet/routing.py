@@ -9,10 +9,11 @@ connect them directly and drop the splice vertex (that detour through
 the common father would be one hop longer).
 
 ``route`` does this for one pair of ``Label``s, climbing each chain by
-the steps of its cached class table in ``labels`` and making each hop's
-``Label`` inline as it climbs.  It compares hops by their index and bits
-(the chains share a subnet wherever it compares them, and the hubs are
-shared objects), and sets the two slots of its ``RoutePath`` directly.
+the steps ``labels.validate_in_graph`` returns from the label's cached
+class table, and making each hop's ``Label`` inline as it climbs.  It
+compares hops by their index and bits (the chains share a subnet
+wherever it compares them, and the hubs are shared objects), and sets
+the two slots of its ``RoutePath`` directly.
 ``route_batch`` does the same arithmetic for whole arrays of vertex ids
 at once, on the four label arrays the graph stores, and returns each
 route in two halves, as label keys: the ancestor chain of each distinct
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .graph import KochGraph, label_keys
-from .labels import Label, _ancestors, _checked_steps, _class_table
+from .labels import Label, _ancestors, _class_table, validate_in_graph
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,8 +74,8 @@ def route(m: int, t: int, a: Label, b: Label) -> RoutePath:
     ``ops_used`` counts father/companion evaluations (the ceil/modulo
     work), which stays below 2t + 3 for any pair.
     """
-    chain_a = _ancestors(a, _checked_steps(m, t, a))
-    chain_b = _ancestors(b, _checked_steps(m, t, b))
+    chain_a = _ancestors(a, validate_in_graph(m, t, a))
+    chain_b = _ancestors(b, validate_in_graph(m, t, b))
     ops = len(chain_a) + len(chain_b) - 2
     chain_b.reverse()  # from the hub down to b
     if a.subnet != b.subnet:  # the two hubs are adjacent

@@ -515,22 +515,12 @@ def centrality_suite(graph: KochGraph) -> list[CheckResult]:
 # electrical
 # ---------------------------------------------------------------------------
 
-def _control_gap() -> float:
-    """Voltage-gap statistic of two triangles joined by one edge, probed across it."""
-    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
-    lap = np.zeros((6, 6))
-    for u, v in edges:
-        lap[u, u] += 1
-        lap[v, v] += 1
-        lap[u, v] -= 1
-        lap[v, u] -= 1
-    keep = np.arange(6) != 3
-    b = np.zeros(6)
-    b[0] = 1.0
-    phi = np.zeros(6)
-    phi[keep] = np.linalg.solve(lap[keep][:, keep], b[keep])
-    phi /= phi[0]
-    return float(np.max(np.diff(np.sort(phi))))
+# the voltage-gap statistic of the community-gap control: two triangles {0,1,2} and {3,4,5}
+# joined by the bridge (2,3), with unit current in at 0 and out at 3.  The far triangle carries
+# none, so 3, 4 and 5 sit at 0 and phi2 = 1; the near triangle is 2/3 ohm from 0 to 2, so
+# phi0 = 5/3 and phi1 = 4/3.  Normalized by phi0 the spectrum is {0, 0, 0, 3/5, 4/5, 1}, and its
+# largest gap is 3/5
+_CONTROL_GAP = 3 / 5
 
 
 def _hub_probe(graph: KochGraph) -> tuple[float, float]:
@@ -657,13 +647,12 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
                 )
             )
 
-    control = _control_gap()
     out.append(
         _check(
             "electrical/community-gap",
             "two bridged triangles out-gap the hub-pair probe (no strong communities here)",
-            control > hub_gap,
-            f"koch_hub_gap={_fmt(hub_gap)} control={_fmt(control)}",
+            _CONTROL_GAP > hub_gap,
+            f"koch_hub_gap={_fmt(hub_gap)} control={_fmt(_CONTROL_GAP)}",
         )
     )
     return out

@@ -13,12 +13,12 @@ from kochnet import (
     solve,
     voltage_gap,
 )
-from kochnet import electrical
+from kochnet import electrical, verify
 from kochnet.centrality import betweenness_counts
 from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, RESIDUAL_TOL, _exhaustive_cfb, _kcl_residual
 from kochnet.errors import SizeCapError
 from kochnet.graph import CactusLDL
-from kochnet.verify import PASS, _control_gap, electrical_suite
+from kochnet.verify import PASS, electrical_suite
 
 from conftest import adjacency, cached_graph, chain_splits, corner_pair_ends, laplacian
 
@@ -292,8 +292,23 @@ class TestVoltageGap:
         np.testing.assert_allclose(spectrum, [0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1], atol=1e-9)
 
     def test_control_beats_koch(self):
+        # the community-gap control: two triangles joined by the bridge (2, 3), unit current in
+        # at 0 and out at 3, solved densely with 3 grounded; verify compares against its exact gap
+        lap = np.zeros((6, 6))
+        for u, v in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]:
+            lap[u, u] += 1
+            lap[v, v] += 1
+            lap[u, v] = lap[v, u] = -1
+        keep = np.arange(6) != 3
+        phi = np.zeros(6)
+        phi[keep] = np.linalg.solve(lap[keep][:, keep], np.eye(6)[0, keep])
+        control = float(np.max(np.diff(np.sort(phi / phi[0]))))
+        assert abs(control - 3 / 5) < 1e-15
         koch = voltage_gap(solve(cached_graph(1, 1), 0, 1)).gap
-        assert _control_gap() > koch
+        assert control > koch
+        assert verify._CONTROL_GAP == 3 / 5
+        check = next(c for c in electrical_suite(cached_graph(1, 1)) if c.id == "electrical/community-gap")
+        assert check.status == PASS and check.detail == "koch_hub_gap=0.5 control=0.6"
 
 
 def test_laplacian_structure():

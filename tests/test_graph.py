@@ -222,7 +222,16 @@ def test_array_build_matches_reference_loop(m, t):
     assert edge_class_counts(graph) == {c: classes.count(c) for c in ("hub-hub", "companion", "father-child")}
 
 
-@pytest.mark.parametrize("s,v", [(-1, 5), (0, 33), (32, -1)])
+@pytest.mark.parametrize(
+    "s,v",
+    [
+        (-1, 5),
+        (0, 33),
+        (32, -1),
+        pytest.param(np.int32(-1), 5, id="int32(-1)-5"),
+        pytest.param(0, np.int64(33), id="0-int64(33)"),
+    ],
+)
 def test_vertex_ids_outside_the_graph_are_refused_first(s, v):
     # on K(1,2), N = 33: -1 once acted on vertex 32, 33 raised a bare IndexError, and solve(32, -1)
     # failed its residual check; each call now refuses before it builds or solves anything
@@ -239,6 +248,27 @@ def test_vertex_ids_outside_the_graph_are_refused_first(s, v):
         with pytest.raises(ValueError, match=r"vertex ids must lie in \[0, 33\)"):
             call()
     assert not {"laplacian_factor", "csr", "_label_classes"} & vars(graph).keys()
+
+
+def test_vertex_ids_inside_the_graph_pass_as_any_integer_type():
+    # a scalar id is compared in plain Python, whatever its integer type; N = 33 on K(1,2)
+    graph = build(1, 2)
+    for low, high in [(0, 32), (np.uint8(0), np.uint8(32)), (np.int32(0), np.int32(32)), (np.int64(0), np.int64(32))]:
+        assert format_label(graph.label_of(low)) == "1"
+        assert graph.label_of(high) == graph.label_of(32)
+        assert solve(graph, low, high).potentials[high] == 0.0
+        assert bfs_distances(graph, high)[high] == 0
+
+
+def test_route_batch_checks_every_id_and_takes_no_ids():
+    graph = build(1, 2)
+    with pytest.raises(ValueError, match=r"vertex ids must lie in \[0, 33\)"):
+        route_batch(graph, [0, 33], [1, 2])
+    with pytest.raises(ValueError, match=r"vertex ids must lie in \[0, 33\)"):
+        route_batch(graph, [0, 1], [2, -1])
+    empty = route_batch(graph, [], [])
+    assert empty.chains.shape == (0, 3)
+    assert all(len(x) == 0 for x in (empty.a_row, empty.b_row, empty.a_hops, empty.b_hops, empty.ops_used))
 
 
 def test_labels_built_on_first_use():
