@@ -23,8 +23,9 @@ bool array over the vertex ids, with no sort, makes each one's chain
 once and reads it from the hub end, so the deepest common vertex of a
 pair is the first hub column where the two chains differ.  A caller
 reads a pair's hops from its two halves of ``chains``.
-``bfs_distances`` is the oracle: one vertex's distances to all others
-from the packed-bit BFS sweep ``_kernels.pair_distances``.
+``bfs_distances`` is the oracle: one vertex's distances to all others,
+read from the one packed-bit BFS sweep ``_kernels.pair_distances``, which
+also counts the extra BFS parents that ``verify``'s uniqueness check reads.
 """
 
 from __future__ import annotations
@@ -220,4 +221,4 @@ def bfs_distances(graph: KochGraph, source: int) -> np.ndarray:
     """Exact distances from one vertex to every vertex, the routing oracle; ids outside [0, N) raise ValueError."""
     graph.check_ids(source)
     n = graph.n_vertices
-    return _kernels.pair_distances(*graph.csr, np.full(n, source), np.arange(n))
+    return _kernels.pair_distances(*graph.csr, np.full(n, source), np.arange(n))[0]

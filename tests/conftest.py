@@ -507,6 +507,22 @@ def python_bfs_sigma(adjacency, source):
     return dist, sigma
 
 
+def python_extra_parents(adjacency, sources):
+    """Over the distinct sources, the sum of parents(v) - 1 for every vertex v != s that s reaches.
+
+    A parent of v is a neighbour one step nearer s, by the ``python_bfs_sigma``
+    distances; the sum is 0 exactly when every such v has one shortest path
+    from s.  No numpy.
+    """
+    extra = 0
+    for s in set(sources):
+        dist, _ = python_bfs_sigma(adjacency, s)
+        for v, d in dist.items():
+            if v != s:
+                extra += sum(1 for w in adjacency[v] if dist.get(w) == d - 1) - 1
+    return extra
+
+
 def python_betweenness(adjacency):
     """Unordered-pair betweenness by explicit dependency accumulation.
 

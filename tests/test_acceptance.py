@@ -35,6 +35,7 @@ from conftest import (
     enumerate_labels,
     neighbor_partition,
     python_bfs_sigma,
+    python_extra_parents,
     verify_path_in_graph,
 )
 
@@ -90,7 +91,7 @@ def test_criterion_03_neighbor_theorems():
 
 def _bfs_distances(graph, src, dst):
     """BFS distance of every pair (src[p], dst[p]), from one multi-source sweep."""
-    return _kernels.pair_distances(*graph.csr, src, dst).tolist()
+    return _kernels.pair_distances(*graph.csr, src, dst)[0].tolist()
 
 
 def test_criterion_04_routing_optimality():
@@ -137,10 +138,11 @@ def test_criterion_05_uniqueness():
     for m in (1, 2):
         for t in range(0, 4):
             graph = cached_graph(m, t)
-            indptr, indices = graph.csr
-            bad = len(_kernels.multi_sigma_pairs(indptr, indices, np.arange(graph.n_vertices)))
-            if bad:
-                adj = adjacency(graph)
+            sources = np.arange(graph.n_vertices)  # every source swept to its last level
+            _, extra = _kernels.pair_distances(*graph.csr, sources, np.zeros_like(sources))
+            adj = adjacency(graph)
+            assert extra == python_extra_parents(adj, sources.tolist())
+            if extra:
                 for s in range(graph.n_vertices):
                     _, sigma = python_bfs_sigma(adj, s)
                     for v in sorted(x for x in sigma if sigma[x] > 1):

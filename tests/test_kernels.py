@@ -11,7 +11,16 @@ from kochnet import _kernels
 from kochnet.centrality import betweenness_counts
 from kochnet.routing import bfs_distances
 
-from conftest import adjacency, cached_graph, corner_pair_ends, csr_lists, python_betweenness, python_bfs, python_bfs_sigma
+from conftest import (
+    adjacency,
+    cached_graph,
+    corner_pair_ends,
+    csr_lists,
+    python_betweenness,
+    python_bfs,
+    python_bfs_sigma,
+    python_extra_parents,
+)
 
 GRAPHS = [(1, 2), (2, 2), (1, 3)]
 
@@ -28,14 +37,16 @@ def test_bfs_matches_python(m, t):
 
 @pytest.mark.parametrize("m,t", GRAPHS)
 def test_sigma_matches_python(m, t):
+    # one sweep gives the distances and the extra BFS parents, which are 0 on a Koch network
     graph = cached_graph(m, t)
     n = graph.n_vertices
+    adj = adjacency(graph)
     for source in (0, 5):
-        dist = _kernels.pair_distances(*graph.csr, [source] * n, np.arange(n))
-        keys = _kernels.multi_sigma_pairs(*graph.csr, [source])
-        ref_d, ref_s = python_bfs_sigma(adjacency(graph), source)
+        dist, extra = _kernels.pair_distances(*graph.csr, [source] * n, np.arange(n))
+        ref_d, ref_s = python_bfs_sigma(adj, source)
         assert dist.tolist() == [ref_d[v] for v in range(n)]
-        assert keys.tolist() == [source * n + v for v in range(n) if ref_s[v] > 1]
+        assert extra == python_extra_parents(adj, [source]) == 0
+        assert set(ref_s.values()) == {1}
 
 
 @pytest.mark.parametrize("m,t", GRAPHS)
@@ -50,7 +61,9 @@ def test_distance_total_matches_python(m, t):
         total += sum(ref_d.values())
         multi += sum(1 for c in ref_s.values() if c > 1)
     assert _kernels.all_distance_total(indptr, indices) == total
-    assert len(_kernels.multi_sigma_pairs(indptr, indices, np.arange(graph.n_vertices))) == multi == 0
+    sources = np.arange(graph.n_vertices)  # each swept to its last level, whatever its one target
+    _, extra = _kernels.pair_distances(indptr, indices, sources, np.zeros_like(sources))
+    assert extra == python_extra_parents(adj, sources.tolist()) == multi == 0
 
 
 @pytest.mark.parametrize("m,t", GRAPHS)
@@ -67,13 +80,16 @@ def test_betweenness_totals_match_python(m, t):
 
 
 def test_multi_sigma_detects_square():
-    # C4 has two shortest paths between opposite corners: keys source * 4 + vertex
+    # C4 has two shortest paths between opposite corners: the far corner has two parents,
+    # one extra per distinct source, whichever targets the pairs name
     indptr = np.array([0, 2, 4, 6, 8], np.int64)
     indices = np.array([1, 3, 0, 2, 1, 3, 0, 2], np.int64)
-    keys = _kernels.multi_sigma_pairs(indptr, indices, np.arange(4))
-    assert keys.dtype == np.int64 and keys.tolist() == [0 * 4 + 2, 1 * 4 + 3, 2 * 4 + 0, 3 * 4 + 1]
-    assert _kernels.multi_sigma_pairs(indptr, indices, [2, 0]).tolist() == [2, 8]  # from two of the sources
-    assert _kernels.multi_sigma_pairs(indptr, indices, []).tolist() == []
+    adj = csr_lists(indptr, indices)
+    dist, extra = _kernels.pair_distances(indptr, indices, np.arange(4), [2, 3, 0, 1])
+    assert dist.tolist() == [2, 2, 2, 2] and extra == python_extra_parents(adj, range(4)) == 4
+    assert _kernels.pair_distances(indptr, indices, [2, 0, 2], [0, 1, 1])[1] == 2  # two distinct sources
+    dist, extra = _kernels.pair_distances(indptr, indices, [], [])
+    assert dist.tolist() == [] and extra == 0
 
 
 def _chord_graph():
@@ -83,48 +99,20 @@ def _chord_graph():
     return _csr(graph.n_vertices, [*map(tuple, graph.edges.tolist()), (3, far)])
 
 
-def _python_multi_keys(indptr, indices, sources):
-    """source * N + vertex of every pair with more than one shortest path, by the Python BFS."""
-    n = indptr.shape[0] - 1
-    adj = csr_lists(indptr, indices)
-    keys = []
-    for s in sources:
-        _, sigma = python_bfs_sigma(adj, s)
-        keys += [s * n + v for v in sorted(sigma) if sigma[v] > 1]
-    return sorted(keys)
-
-
 @pytest.mark.parametrize("shape", ["square", "chord"])
 @pytest.mark.parametrize("entries", [1 << 20, 1])  # one block, or blocks of 64 sources
 def test_multi_sigma_pairs_match_python_sigma(monkeypatch, shape, entries):
+    # the extra-parent count of graphs with more than one shortest path between some pairs
     indptr, indices = _csr(4, [(0, 1), (1, 2), (2, 3), (3, 0)]) if shape == "square" else _chord_graph()
     n = indptr.shape[0] - 1
+    adj = csr_lists(indptr, indices)
     monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
     rng = np.random.default_rng(7)
-    # every vertex; a shuffled half; 150 drawn with repeats, which take three blocks of 64
+    # every vertex; a shuffled half; 150 drawn with repeats, each counted once
     for sources in (np.arange(n), rng.permutation(n)[: n // 2], rng.integers(0, n, 150)):
-        want = _python_multi_keys(indptr, indices, sources.tolist())
-        assert len(want) > 0
-        assert _kernels.multi_sigma_pairs(indptr, indices, sources).tolist() == want
-    assert len(list(_kernels._blocks(sources, n))) == (3 if entries == 1 else 1)
-
-
-@pytest.mark.parametrize("graph,exact", [("koch", False), ("chord", True)])
-def test_exact_multi_pass_runs_only_where_a_row_repeats_a_bit(monkeypatch, graph, exact):
-    # K(1,4) has one shortest path per pair, so popcount sums never exceed the fresh popcount
-    # and the prefix-OR pass never runs; the chord's 4-cycle makes it run on some level
-    calls = []
-    repeated = _kernels._repeated_bits
-
-    def counted(slots, steps):
-        calls.append(len(slots))
-        return repeated(slots, steps)
-
-    monkeypatch.setattr(_kernels, "_repeated_bits", counted)
-    indptr, indices = cached_graph(1, 4).csr if graph == "koch" else _chord_graph()
-    n = indptr.shape[0] - 1
-    keys = _kernels.multi_sigma_pairs(indptr, indices, np.arange(n))
-    assert (len(keys) > 0) == exact and (len(calls) > 0) == exact
+        want = python_extra_parents(adj, sources.tolist())
+        assert want > 0
+        assert _kernels.pair_distances(indptr, indices, sources, rng.integers(0, n, len(sources)))[1] == want
 
 
 def _blocks(n, rows):
@@ -136,11 +124,10 @@ def _every_pair(sources, n):
     return np.repeat(sources, n), np.tile(np.arange(n), len(sources))
 
 
-def _python_rows(indptr, indices, s):
-    """Distances (-1 if unreachable) and multi-path flags from source s, by the Python BFS."""
-    dist, sigma = python_bfs_sigma(csr_lists(indptr, indices), s)
-    n = indptr.shape[0] - 1
-    return [dist.get(v, -1) for v in range(n)], [sigma.get(v, 0) > 1 for v in range(n)]
+def _python_row(indptr, indices, s):
+    """Distances (-1 if unreachable) from source s, by the Python BFS."""
+    dist = python_bfs(csr_lists(indptr, indices), s)
+    return [dist.get(v, -1) for v in range(indptr.shape[0] - 1)]
 
 
 @pytest.mark.parametrize("m,t", GRAPHS)
@@ -151,24 +138,18 @@ def test_pair_distances_match_single_source_rows(m, t):
     rows = 7 if n % 7 else 11  # blocks that do not divide N
     for block in _blocks(n, rows):
         src, dst = _every_pair(block, n)
-        dist = _kernels.pair_distances(indptr, indices, src, dst)
-        multi = np.zeros(len(block) * n, bool)
-        multi[_kernels.multi_sigma_pairs(indptr, indices, block) - block[0] * n] = True
+        dist, extra = _kernels.pair_distances(indptr, indices, src, dst)
         assert dist.shape == (len(block) * n,)
-        dist, multi = dist.reshape(len(block), n), multi.reshape(len(block), n)
+        assert extra == python_extra_parents(csr_lists(indptr, indices), block.tolist())
         for r, s in enumerate(block.tolist()):
-            ref_d, ref_multi = _python_rows(indptr, indices, s)
-            assert dist[r].tolist() == ref_d and multi[r].tolist() == ref_multi
+            assert dist[r * n : (r + 1) * n].tolist() == _python_row(indptr, indices, s)
 
 
 def _sweep_totals(indptr, indices):
-    """The all-sources totals one Python BFS at a time."""
-    total = multi = 0
-    for s in range(indptr.shape[0] - 1):
-        dist, flags = _python_rows(indptr, indices, s)
-        total += sum(dist)
-        multi += sum(flags)
-    return total, multi
+    """The all-sources distance total and extra-parent count, one Python BFS at a time."""
+    n = indptr.shape[0] - 1
+    total = sum(sum(_python_row(indptr, indices, s)) for s in range(n))
+    return total, python_extra_parents(csr_lists(indptr, indices), range(n))
 
 
 def _csr(n, edges):
@@ -198,7 +179,8 @@ def test_all_sources_totals_unchanged_by_blocking(monkeypatch, shape):
     for entries in (1 << 20, 3 * n, 1):  # one block, blocks of 3 sources, one source each
         monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
         total = _kernels.all_distance_total(indptr, indices)
-        assert (total, len(_kernels.multi_sigma_pairs(indptr, indices, np.arange(n)))) == want
+        _, extra = _kernels.pair_distances(indptr, indices, np.arange(n), np.zeros(n, np.int64))
+        assert (total, extra) == want
 
 
 @st.composite
@@ -227,16 +209,12 @@ def test_pair_distances_match_single_source_sweeps(csr, k, data):
     order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(src))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
-        dist = _kernels.pair_distances(indptr, indices, src[order], dst[order])
-        keys = _kernels.multi_sigma_pairs(indptr, indices, sources)
+        dist, extra = _kernels.pair_distances(indptr, indices, src[order], dst[order])
     dist[order] = dist.copy()
     dist = dist.reshape(k, n)
-    want_keys = []
     for r, s in enumerate(sources):
-        ref_d, ref_multi = _python_rows(indptr, indices, s)
-        assert dist[r].tolist() == ref_d
-        want_keys += [s * n + v for v in range(n) if ref_multi[v]]
-    assert keys.tolist() == sorted(want_keys)  # a repeated source lists its pairs again
+        assert dist[r].tolist() == _python_row(indptr, indices, s)
+    assert extra == python_extra_parents(csr_lists(indptr, indices), sources)  # a repeated source counts once
 
 
 @pytest.mark.parametrize("entries", [1, 2 * 129, 1 << 20])
@@ -248,21 +226,22 @@ def test_pair_distances_in_source_blocks(monkeypatch, entries):
     src, dst = rng.integers(0, 129, 5000), rng.integers(0, 129, 5000)
     rows = {s: python_bfs(adjacency(graph), s) for s in set(src.tolist())}
     monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
-    assert _kernels.pair_distances(indptr, indices, src, dst).tolist() == [
+    assert _kernels.pair_distances(indptr, indices, src, dst)[0].tolist() == [
         rows[s][v] for s, v in zip(src.tolist(), dst.tolist())
     ]
 
 
 def test_pair_distances_trailing_isolated_vertex():
     indptr, indices = _csr(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C4 and vertex 4 alone
-    dist = _kernels.pair_distances(indptr, indices, *_every_pair([0, 4], 5))
+    dist, extra = _kernels.pair_distances(indptr, indices, *_every_pair([0, 4], 5))
     assert dist.tolist() == [0, 1, 2, 1, -1] + [-1, -1, -1, -1, 0]
-    assert _kernels.multi_sigma_pairs(indptr, indices, [0, 4]).tolist() == [0 * 5 + 2]
+    assert extra == python_extra_parents(csr_lists(indptr, indices), [0, 4]) == 1  # vertex 2 from 0
 
 
 def test_multi_flag_from_slots_apart_in_their_row():
     # from 3, vertex 4 is reached through 0 and 2, which are not next to each other in its row
     indptr, indices = _csr(5, [(3, 0), (3, 2), (4, 0), (4, 1), (4, 2)])
-    dist = _kernels.pair_distances(indptr, indices, *_every_pair([3], 5))
+    dist, extra = _kernels.pair_distances(indptr, indices, *_every_pair([3], 5))
     assert dist.tolist() == [1, 3, 1, 0, 2]
-    assert _kernels.multi_sigma_pairs(indptr, indices, [3]).tolist() == [3 * 5 + 1, 3 * 5 + 4]
+    # vertex 4 has two parents; vertex 1, below it, has one, so it adds no extra
+    assert extra == python_extra_parents(csr_lists(indptr, indices), [3]) == 1

@@ -33,6 +33,7 @@ from conftest import (
     cached_graph,
     python_bfs,
     python_bfs_sigma,
+    python_extra_parents,
     reference_route,
     traced_peak,
     verify_path_in_graph,
@@ -393,9 +394,10 @@ class TestRoutingSuite:
             assert verify.routing_suite(graph, **kwargs) == reference
 
 
-def test_uniqueness_findings_list_the_first_ten_pairs():
-    # one extra edge across a distance-3 pair closes a 4-cycle, so some pairs
-    # have two shortest paths; the finding lists the first ten by (source, target)
+def test_uniqueness_fails_with_the_extra_parent_count(monkeypatch):
+    # one extra edge across a distance-3 pair closes a 4-cycle, so some pairs have two
+    # shortest paths; the detail counts the extra BFS parents seen from the sources 0..N-2,
+    # or, when the suite samples, from the distinct sources of its pairs
     graph = build(1, 2)
     n = graph.n_vertices
     far = int(np.flatnonzero(bfs_distances(graph, 3) == 3)[0])
@@ -405,14 +407,33 @@ def test_uniqueness_findings_list_the_first_ten_pairs():
     indptr = np.searchsorted(src[order], np.arange(n + 1))
     graph.csr = (indptr, dst[order])
     adj = adjacency(graph)
-    want = []
-    for s in range(n):
-        _, sigma = python_bfs_sigma(adj, s)
-        want += [f"{graph.label_of(s)}->{graph.label_of(x)}" for x in sorted(sigma) if sigma[x] > 1]
-    assert len(want) > 10
+    want = python_extra_parents(adj, range(n - 1))
+    assert want > 0
     (check,) = [c for c in verify.routing_suite(graph) if c.id == "routing/uniqueness"]
     assert check.status == verify.FAIL
-    assert check.detail.endswith(" first: " + ", ".join(want[:10]))
+    assert check.detail == f"multi-path (source,target) incidences={want}"
+
+    swept, distances = [], _kernels.pair_distances
+
+    def recorded(indptr, indices, src, dst):
+        swept.extend(src.tolist())
+        return distances(indptr, indices, src, dst)
+
+    monkeypatch.setattr(_kernels, "pair_distances", recorded)
+    monkeypatch.setattr(verify, "EXHAUSTIVE_PAIR_LIMIT", 0)
+    (check,) = [c for c in verify.routing_suite(graph, sample_pairs=40) if c.id == "routing/uniqueness"]
+    want = python_extra_parents(adj, swept)
+    assert want > 0 and check.status == verify.FAIL
+    assert check.detail == f"multi-path incidences={want}"
+
+
+@pytest.mark.parametrize("pairs,sources", [(10**5, 32), (31, 31), (5, 5)])
+def test_sampled_uniqueness_names_the_sources_swept(pairs, sources):
+    # only sources that hold a pair are swept, and the scope says how many
+    checks = {c.id: c for c in verify.routing_suite(cached_graph(1, 5), sample_pairs=pairs)}
+    check = checks["routing/uniqueness"]
+    assert check.status == verify.PASS and check.detail == "multi-path incidences=0"
+    assert check.description == f"exactly one shortest path from {sources} sampled sources to every target"
 
 
 def _forward(batch):
@@ -536,8 +557,8 @@ def test_path_validity_fails_on_the_last_hop_off_when_b_is_the_splice(monkeypatc
 
 
 def test_exhaustive_routing_suite_sweeps_its_sources_once(monkeypatch):
-    # K(1,4) routes all its pairs against one multi-source distance sweep, from every source
-    # of a pair s < v, and the uniqueness check makes one multi-path sweep from all 513 vertices
+    # K(1,4) routes all its pairs against one multi-source sweep from every source of a pair
+    # s < v, and the uniqueness check reads the extra parents that the same sweep counts
     sweeps = []
     levels = _kernels._levels
 
@@ -550,14 +571,14 @@ def test_exhaustive_routing_suite_sweeps_its_sources_once(monkeypatch):
     checks = verify.routing_suite(graph)
     assert all(c.status == verify.PASS for c in checks)
     n = graph.n_vertices
-    assert n == 513 and len(sweeps) == 2
-    assert np.array_equal(sweeps[0], np.arange(n - 1)) and np.array_equal(sweeps[1], np.arange(n))
+    assert n == 513 and len(sweeps) == 1
+    assert np.array_equal(sweeps[0], np.arange(n - 1))
 
 
 def test_sampled_routing_suite_sweeps_its_sources_once(monkeypatch):
     # K(2,4) samples: the pairs sit in rows under 32 distinct seeded sources, each row with
-    # an equal share of targets other than its source, and the distance sweep and the
-    # uniqueness sweep both cover just those sources
+    # an equal share of targets other than its source, and one sweep of just those sources
+    # reads the distances and the extra parents
     sweeps, pairs = [], []
     levels, distances = _kernels._levels, _kernels.pair_distances
 
@@ -579,4 +600,4 @@ def test_sampled_routing_suite_sweeps_its_sources_once(monkeypatch):
     sources, per_row = np.unique(src, return_counts=True)
     assert len(sources) == verify.SAMPLE_SOURCES and not (src == dst).any()
     assert sorted(per_row.tolist()) == [10**5 // 32] * 25 + [10**5 // 32 + 1] * 7
-    assert len(sweeps) == 2 and all(np.array_equal(s, sources) for s in sweeps)
+    assert len(sweeps) == 1 and np.array_equal(sweeps[0], sources)
