@@ -11,8 +11,8 @@ bits are the BFS parents of the fresh bits, so their popcount less the
 fresh popcount counts the extra parents: 0 exactly when every shortest
 path from the swept sources is unique, with no second bit-plane.
 ``pair_distances`` reads one bit per (source, target) pair at each
-level and sums the extra parents; ``all_distance_total`` only counts
-bits.
+level and sums the extra parents; ``all_distance_total`` only sums the
+fresh-bit counts that ``_levels`` makes for the extra parents.
 ``_BLOCK_ENTRIES`` is the one memory bound: it caps the packed words of
 one bit-plane of a sweep block, and a level gathers the slots of a run of
 rows at a time (``row_chunks``), at most N slots, so its gathered words
@@ -78,16 +78,16 @@ def _row_or(slots: np.ndarray, n_rows: int, segments) -> np.ndarray:
 
 
 def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray):
-    """One BFS for each source at once, level by level: yields (d, fresh, extra).
+    """One BFS for each source at once, level by level: yields (d, fresh, count, extra).
 
     ``fresh`` is uint64 (N, words) with bit j of vertex v set when v is at
-    distance d from ``sources[j]``.  A level gathers the frontier's bits
-    over the CSR slots, a run of rows at a time, keeps those of each
-    slot's row that are still unseen, and ORs each row.  A kept slot bit
-    is one BFS parent of a fresh bit, so ``extra``, the kept bits' count
-    less the fresh bits' count, is the sum over the fresh bits of their
-    parents less one (0 at d = 0).  It is 0 at every level exactly when
-    each vertex has one shortest path from each source.
+    distance d from ``sources[j]``; ``count`` is its popcount.  A level
+    gathers the frontier's bits over the CSR slots, a run of rows at a
+    time, keeps those of each slot's row that are still unseen, and ORs
+    each row.  A kept slot bit is one BFS parent of a fresh bit, so
+    ``extra``, the kept bits' count less ``count``, is the sum over the
+    fresh bits of their parents less one (0 at d = 0).  It is 0 at every
+    level exactly when each vertex has one shortest path from each source.
     """
     n = indptr.shape[0] - 1
     front = _source_bits(n, sources)
@@ -96,9 +96,9 @@ def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray):
         degree = np.diff(indptr[lo : hi + 1])
         chunks.append((slice(lo, hi), slice(indptr[lo], indptr[hi]), degree, _segments(degree)))
     unseen = ~front
-    d, extra = 0, 0
-    while front.any():
-        yield d, front, extra
+    d, count, extra = 0, len(sources), 0  # each source has its own bit
+    while count:
+        yield d, front, count, extra
         fresh = np.empty_like(front)
         parents = 0
         for rows, run, degree, segments in chunks:
@@ -106,7 +106,8 @@ def _levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray):
             slots &= np.repeat(unseen[rows], degree, axis=0)
             fresh[rows] = _row_or(slots, len(degree), segments)
             parents += int(np.bitwise_count(slots).sum())
-        extra = parents - int(np.bitwise_count(fresh).sum())
+        count = int(np.bitwise_count(fresh).sum())
+        extra = parents - count
         unseen ^= fresh
         front = fresh
         d += 1
@@ -136,7 +137,7 @@ def pair_distances(indptr: np.ndarray, indices: np.ndarray, src, dst) -> tuple[n
         pairs, j = order[lo:hi], col[lo:hi] - block[0]
         word = dst[pairs] * -(-len(block) // 64) + (j >> 6)  # the pair's word in a flat (N, words) plane
         shift = (j & 63).astype(np.uint64)
-        for d, fresh, level_extra in _levels(indptr, indices, sources[block]):
+        for d, fresh, _, level_extra in _levels(indptr, indices, sources[block]):
             extra += level_extra
             hit = ((fresh.reshape(-1)[word] >> shift) & one).astype(bool)
             dist[pairs[hit]] = d
@@ -154,8 +155,7 @@ def all_distance_total(indptr: np.ndarray, indices: np.ndarray) -> int:
     total = 0
     for block in _blocks(np.arange(n), n):
         reached = 0
-        for d, fresh, _ in _levels(indptr, indices, block):
-            count = int(np.bitwise_count(fresh).sum())
+        for d, _, count, _ in _levels(indptr, indices, block):
             total += d * count
             reached += count
         total -= len(block) * n - reached

@@ -28,10 +28,10 @@ from .errors import KochError, SizeCapError
 from .graph import (
     EDGE_CLASSES,
     KochGraph,
-    _chunks,
+    _block,
     _decimal,
     _table,
-    _text_rows,
+    _write_rows,
     build,
     check_size,
     edge_class_ids,
@@ -78,9 +78,7 @@ def _int_at_least(low: int, high: int | None = None):
 
 
 def _add_mt(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--m", type=_int_at_least(1), required=True, help="groups per triangle vertex (>= 1)"
-    )
+    parser.add_argument("--m", type=_int_at_least(1), required=True, help="groups per triangle vertex (>= 1)")
     parser.add_argument("--t", type=_int_at_least(0), required=True, help="growth steps (>= 0)")
 
 
@@ -247,23 +245,25 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _float_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _float_column(values: np.ndarray) -> tuple:
     """``repr`` of each float64 as a text column, made once per distinct bit pattern.
 
     The unique runs on the int64 view, so 0.0 and -0.0 stay apart.
     """
     bits = np.ascontiguousarray(values, np.float64).view(np.int64)
     patterns, which = np.unique(bits, return_inverse=True)
-    return _table([repr(x) for x in patterns.view(np.float64).tolist()], which)
+    return _table(_block([repr(x) for x in patterns.view(np.float64).tolist()]), which)
 
 
 def _write_csv(n: int, head: str, keys, columns: dict[str, np.ndarray], order=None) -> None:
     """A CSV of n rows: ``keys(at)``, then each column's ``repr`` at ``at``, a chunk of the rows or of ``order``."""
     sys.stdout.write(",".join([head, *columns]) + "\n")
-    for rows in _chunks(n):
+
+    def cells(rows):
         at = rows if order is None else order[rows]
-        floats = [cell for values in columns.values() for cell in (",", _float_column(values[at]))]
-        sys.stdout.write(_text_rows(rows.stop - rows.start, [*keys(at), *floats, "\n"]))
+        return [*keys(at), *(cell for values in columns.values() for cell in (",", _float_column(values[at]))), "\n"]
+
+    _write_rows(sys.stdout, n, cells)
 
 
 def _cmd_betweenness(args) -> int:
@@ -274,11 +274,11 @@ def _cmd_betweenness(args) -> int:
         # values are by corner-pair position, rows go out by sorted key: ordered before any value is held
         pair_keys = graph._corner_pair_keys()
         order = np.argsort(pair_keys, kind="stable")  # a merge sort: the keys come in sorted runs
-        head, n, classes = "u,v,class", graph.n_edges, edge_class_ids(graph)
+        head, n, classes, names = "u,v,class", graph.n_edges, edge_class_ids(graph), _block(EDGE_CLASSES)
 
         def keys(at):
             u, v = np.divmod(pair_keys[at], graph.n_vertices)
-            return [*graph._label_columns(u), ",", *graph._label_columns(v), ",", _table(EDGE_CLASSES, classes[at])]
+            return [*graph._label_columns(u), ",", *graph._label_columns(v), ",", _table(names, classes[at])]
     else:
         head, n, order = "label,birth,degree", graph.n_vertices, None
 
@@ -411,11 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suites")
     _add_mt(p)
-    p.add_argument(
-        "--suite",
-        choices=("all",) + _VERIFY_SUITES,
-        default="all",
-    )
+    p.add_argument("--suite", choices=("all",) + _VERIFY_SUITES, default="all")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument(
         "--pairs",

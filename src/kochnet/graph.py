@@ -20,11 +20,12 @@ to ids by arithmetic, as each (subnet, bits) class is one contiguous id
 range.
 Every bulk text output (the three exports here and the CLI's CSVs) is
 formatted from the arrays too, with no ``Label`` and no Python string per
-row: ``_text_rows`` lays out ``_EXPORT_ROWS`` rows at a time as a matrix
-of ASCII bytes, one block of columns per field (a text from a small
-table, decimal digits by multiply and shift, or a label's growth bits), and
-reads it out through a keep mask that drops leading zeros and the '.'
-and index a hub's label lacks.
+row: ``_text_rows`` lays out ``_EXPORT_ROWS`` rows at a time as one byte
+matrix, the constant texts as a template row repeated down it, and every
+other column writes its own slice: decimal digits, or whole texts from a
+small block (a label's subnet, bits and '.' by label code).  A NUL byte
+marks a place that a row drops (a leading zero, a hub's '.' and index),
+and the chunk is read out by dropping every NUL in one pass.
 
 The triangle table is the one stored edge structure: an int32 (T, 3)
 array whose row 0 is the hubs (0, 1, 2) and whose row k >= 1 is
@@ -68,8 +69,8 @@ from .labels import Label, _derived, format_label, validate_in_graph
 DEFAULT_VERTEX_CAP = 10**7
 _CAP_ENV = "KOCH_MAX_VERTICES"
 ID_LIMIT = 1 << 31  # vertex ids are int32: ``build`` refuses N at or above this, whatever the cap
-# vertices or edges formatted per write: a chunk's byte blocks (about 0.5 MB) stay in the
-# L2 cache and are reused from the heap, while chunks of many MB take fresh pages each write
+# vertices or edges formatted per write: a chunk's byte matrix (about 0.5 MB) stays in the
+# L2 cache and is reused from the heap, while chunks of many MB take fresh pages each write
 _EXPORT_ROWS = 1 << 13
 
 EDGE_HUB_HUB = "hub-hub"
@@ -115,86 +116,85 @@ def _son_ids(rows: slice) -> tuple[slice, slice]:
     return slice(2 * rows.start + 1, 2 * rows.stop, 2), slice(2 * rows.start + 2, 2 * rows.stop + 1, 2)
 
 
-def _chunks(n: int):
-    return (slice(lo, min(lo + _EXPORT_ROWS, n)) for lo in range(0, n, _EXPORT_ROWS))
+# A text column is a str, the same text in every row, or a pair (width, fill): ``fill(out)``
+# writes every byte of ``out``, the column's (rows, width) slice of a chunk's byte matrix,
+# with a NUL (byte 0) in each place that the row drops.
 
 
-# A text column is a pair (chars, keep): a (rows, width) block of ASCII bytes
-# and the mask of the bytes a row keeps.  Either may be a single row that
-# every row repeats.
+def _ascii(text: str) -> bytes:
+    """The bytes of an ASCII text; ``ValueError`` if it holds a NUL, the byte that marks a dropped place."""
+    if "\0" in text:
+        raise ValueError("no text may hold a NUL byte: it marks a place that a row drops")
+    return text.encode("ascii")
 
 
-def _table(texts, which=0) -> tuple[np.ndarray, np.ndarray]:
-    """Row r is ``texts[which[r]]``; a scalar ``which`` gives one row that every row repeats.
+def _block(texts) -> np.ndarray:
+    """The texts as the rows of a uint8 block as wide as the longest (at least 1), left-aligned and NUL-padded."""
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    block = np.zeros((len(texts), int(lengths.max(initial=1))), np.uint8)
+    block[np.arange(block.shape[1]) < lengths[:, None]] = np.frombuffer(_ascii("".join(texts)), np.uint8)
+    return block
 
-    Each distinct text is laid out once, left-aligned in a block as wide as
-    the longest, and the rows are gathered from the block.
+
+def _table(block: np.ndarray, which) -> tuple:
+    """Row r is row ``which[r]`` of a ``_block``, copied whole, as one item of the block's width."""
+    items = block.view(f"V{block.shape[1]}")[:, 0]
+    return block.shape[1], lambda out: np.copyto(out.view(items.dtype)[:, 0], items[which])
+
+
+def _decimal(values, omit_zero: bool = False) -> tuple:
+    """Ints in [0, 2^32) as decimal digits, right-aligned: a leading zero is NUL.
+
+    A value out of that range raises ``ValueError``.  With ``omit_zero`` a 0
+    has no digit at all (a hub's index).  The digits are made in uint32,
+    one place at a time, and each place is written into its byte column.
     """
-    width = max(map(len, texts))
-    chars = np.zeros((len(texts), width), np.uint8)
-    keep = np.zeros((len(texts), width), bool)
-    for row, text in enumerate(texts):
-        chars[row, : len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
-        keep[row, : len(text)] = True
-    which = np.atleast_1d(np.asarray(which, np.intp))  # a bool mask picks texts[0] or texts[1]
-    return chars[which], keep[which]
-
-
-def _decimal(values, omit_zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Ints in [0, 2^32) as decimal digits, right-aligned; leading zeros are not kept.
-
-    Each digit is x - 10q with q = (x * 0xCCCCCCCD) >> 35, which is x // 10
-    for every x below 2^32 (Granlund and Montgomery, PLDI 1994): one unsigned
-    multiply and shift instead of a divmod.  A value out of that range raises
-    ``ValueError``.  With ``omit_zero`` a 0 keeps no digit at all (a hub's index).
-    """
-    rest = np.asarray(values, np.int64).view(np.uint64)  # a negative value reads as 2^63 or more
-    top = int(rest.max(initial=0))
-    if top >> 32:
+    values = np.asarray(values)
+    low, top = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    if low < 0 or top >> 32:
         raise ValueError("decimal digits are made for values in [0, 2^32) only")
     width = len(str(top))
-    chars = np.empty((len(rest), width), np.uint8)
-    keep = np.empty((len(rest), width), bool)
-    for col in range(width - 1, -1, -1):
-        keep[:, col] = rest > 0
-        quotient = (rest * 0xCCCCCCCD) >> 35
-        chars[:, col] = rest - quotient * 10
-        rest = quotient
-    if not omit_zero:
-        keep[:, -1] = True  # 0 itself is one digit
-    chars += ord("0")
-    return chars, keep
+    kept = len(str(low)) if low or not omit_zero else 0  # the low places that every row has a digit in
 
+    def fill(out):
+        rest = values.astype(np.uint32)
+        for col in range(width - 1, -1, -1):
+            quotient = rest // 10
+            digit = (rest - 10 * quotient).astype(np.uint8)
+            digit |= 48 if width - col <= kept else (rest > 0) * np.uint8(48)  # ord("0"), or NUL where rest is 0
+            out[:, col] = digit
+            rest = quotient
 
-def _binary(bits: np.ndarray, length: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The low ``length`` bits of each of ``bits`` as binary digits, right-aligned in ``width`` columns."""
-    chars = np.empty((len(bits), width), np.uint8)
-    keep = np.empty((len(bits), width), bool)
-    for col in range(width):
-        shift = width - 1 - col
-        chars[:, col] = (bits >> shift) & 1
-        keep[:, col] = length > shift
-    chars += ord("0")
-    return chars, keep
+    return width, fill
 
 
 def _text_rows(n: int, columns) -> str:
-    """n rows of text, each the columns side by side, with nothing between rows; a str is a constant.
+    """n rows of text, each the columns side by side, with nothing between rows.
 
-    The columns fill one (n, width) byte matrix and its keep mask, and the
-    kept bytes are read out row by row in one pass.
+    The constant texts form one template row, repeated down an (n, width)
+    byte matrix; each other column writes its own slice of the matrix; and
+    the bytes that are not NUL are read out in one pass.
     """
-    columns = [_table((c,)) if isinstance(c, str) else c for c in columns]
-    width = sum(chars.shape[1] for chars, _ in columns)
-    matrix = np.empty((n, width), np.uint8)
-    kept = np.empty((n, width), bool)
-    lo = 0
-    for chars, keep in columns:
-        hi = lo + chars.shape[1]
-        matrix[:, lo:hi] = chars
-        kept[:, lo:hi] = keep
-        lo = hi
-    return matrix[kept].tobytes().decode("ascii")
+    template, fills = b"", []
+    for column in columns:
+        if isinstance(column, str):
+            template += _ascii(column)
+        else:
+            width, fill = column
+            fills.append((slice(len(template), len(template) + width), fill))
+            template += bytes(width)
+    matrix = np.frombuffer(template, np.uint8)[None].repeat(n, axis=0)
+    for place, fill in fills:
+        fill(matrix[:, place])
+    return matrix.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def _write_rows(fp: IO[str], n: int, columns, sep: str = "") -> None:
+    """n rows of ``_text_rows`` joined by ``sep``, a chunk at a time: chunk ``rows``, a slice, has ``columns(rows)``."""
+    for lo in range(0, n, _EXPORT_ROWS):
+        rows = slice(lo, min(lo + _EXPORT_ROWS, n))
+        text = _text_rows(rows.stop - lo, [sep, *columns(rows)])
+        fp.write(text if lo else text[len(sep) :])  # the very first row follows no ``sep``
 
 
 @dataclass(frozen=True)
@@ -272,14 +272,16 @@ class KochGraph:
         return np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
 
     def _label_columns(self, ids) -> list:
-        """``format_label`` of the given vertices as text columns: subnet, bits, a non-hub's '.' and index."""
-        birth = self.birth[ids]
-        return [
-            _decimal(self.subnet[ids]),
-            _binary(self.bits[ids], birth, self.t),
-            _table(("", "."), birth > 0),
-            _decimal(self.index[ids], omit_zero=True),
-        ]
+        """``format_label`` of the given vertices as two text columns: all before the index, then the index."""
+        codes = _label_codes(self.t, self.subnet[ids], self.birth[ids], self.bits[ids])
+        return [_table(self._label_heads, codes), _decimal(self.index[ids], omit_zero=True)]
+
+    @cached_property
+    def _label_heads(self) -> np.ndarray:
+        """``_block`` of each label's text before its index, by label code: subnet, and a non-hub's bits and '.'."""
+        low = 2 << self.t  # a code's growth bits lie below this, behind a leading 1
+        heads = [(code // low, f"{code % low:b}"[1:]) for code in range(4 * low)]
+        return _block([f"{subnet}{bits}." if bits else str(subnet) for subnet, bits in heads])
 
     def check_ids(self, *ids) -> None:
         """Raise ``ValueError`` unless every id, an int or an array of ids, lies in [0, N).
@@ -486,48 +488,40 @@ class KochGraph:
         return CactusLDL(tri, tuple(batches), b_pivot, a_pivot, a_coupling)
 
     # ---- exports -------------------------------------------------------
-    # each chunk of rows is laid out by ``_text_rows`` and written at once
+    # each chunk of rows is laid out by ``_text_rows`` and written at once (``_write_rows``)
 
     def _write_edges(self, fp: IO[str], before: str, between: str, after: str, sep: str = "") -> None:
         """Every edge (u, v) as the text ``before u between v after``, the rows joined by ``sep``."""
-        for rows in _chunks(len(self.edges)):
+
+        def columns(rows):
             u, v = self.edges[rows].T
-            joined = np.arange(rows.start, rows.stop) > 0  # every row but the very first follows a ``sep``
-            columns = [_table(("", sep), joined), before, _decimal(u), between, _decimal(v), after]
-            fp.write(_text_rows(len(u), columns))
+            return [before, _decimal(u), between, _decimal(v), after]
+
+        _write_rows(fp, self.n_edges, columns, sep)
 
     def write_edgelist(self, fp: IO[str]) -> None:
         self._write_edges(fp, "", " ", "\n")
 
     def write_json(self, fp: IO[str]) -> None:
         """The bytes of ``json.dump(doc, fp, separators=(",", ":"))`` then a newline, chunk by chunk."""
-        # label texts are digits and dots, which JSON strings carry unescaped
+
+        def columns(rows):  # label texts are digits and dots, which JSON strings carry unescaped
+            ids, label = _decimal(np.arange(rows.start, rows.stop)), self._label_columns(rows)
+            birth, degree = _decimal(self.birth[rows]), _decimal(self.degrees[rows])
+            return ['{"id":', ids, ',"label":"', *label, '","birth":', birth, ',"degree":', degree, "}"]
+
         fp.write(f'{{"m":{self.m},"t":{self.t},"vertices":[')
-        for rows in _chunks(self.n_vertices):
-            ids = np.arange(rows.start, rows.stop)
-            columns = [
-                _table(("", ","), ids > 0),
-                '{"id":',
-                _decimal(ids),
-                ',"label":"',
-                *self._label_columns(rows),
-                '","birth":',
-                _decimal(self.birth[rows]),
-                ',"degree":',
-                _decimal(self.degrees[rows]),
-                "}",
-            ]
-            fp.write(_text_rows(len(ids), columns))
+        _write_rows(fp, self.n_vertices, columns, ",")
         fp.write('],"edges":[')
-        self._write_edges(fp, "[", ",", "]", sep=",")
+        self._write_edges(fp, "[", ",", "]", ",")
         fp.write("]}\n")
 
     def write_dot(self, fp: IO[str]) -> None:
+        def columns(rows):
+            return ["  ", _decimal(np.arange(rows.start, rows.stop)), ' [label="', *self._label_columns(rows), '"];\n']
+
         fp.write("graph koch {\n")
-        for rows in _chunks(self.n_vertices):
-            ids = np.arange(rows.start, rows.stop)
-            columns = ["  ", _decimal(ids), ' [label="', *self._label_columns(rows), '"];\n']
-            fp.write(_text_rows(len(ids), columns))
+        _write_rows(fp, self.n_vertices, columns)
         self._write_edges(fp, "  ", " -- ", ";\n")
         fp.write("}\n")
 

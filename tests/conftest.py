@@ -26,7 +26,7 @@ from kochnet import graph as graph_module
 from kochnet import labels as labels_module
 from kochnet import routing as routing_module
 from kochnet.analytics import delta_v
-from kochnet.graph import EDGE_CLASSES, _chunks, edge_class_ids, edge_count, triangle_count, vertex_count
+from kochnet.graph import EDGE_CLASSES, edge_class_ids, edge_count, triangle_count, vertex_count
 from kochnet.labels import l_max, validate_in_graph
 
 _CACHE: dict[tuple[int, int], object] = {}
@@ -67,7 +67,7 @@ def laplacian(graph) -> sp.csr_array:
 
 def all_labels(graph) -> list[Label]:
     """The label of every vertex in id order, each made by the checking constructor from the label arrays."""
-    codes = ((1 << graph.birth) | graph.bits).tolist()  # a leading 1 keeps the bits' zeros
+    codes = ((1 << graph.birth.astype(np.int64)) | graph.bits).tolist()  # a leading 1 keeps the bits' zeros
     rows = zip(graph.subnet.tolist(), codes, graph.index.tolist())
     return [Label(subnet, bin(code)[3:], index or None) for subnet, code, index in rows]
 
@@ -441,10 +441,8 @@ def reference_betweenness(graph, mode: str, edges: bool) -> None:
 
     sys.stdout.write(",".join([head, *columns]) + "\n")
     row = prefix + ",%r" * len(columns) + "\n"
-    for rows in _chunks(len(order)):
-        at = order[rows]
-        values = zip(*cells(at), *(column[at].tolist() for column in columns.values()))
-        sys.stdout.write("".join([row % cell for cell in values]))
+    values = zip(*cells(order), *(column[order].tolist() for column in columns.values()))
+    sys.stdout.write("".join([row % cell for cell in values]))
     if mode == "compare":
         print(json.dumps(report.audit(), separators=(",", ":")))
 
@@ -454,9 +452,8 @@ def reference_cfb(graph) -> None:
     values = electrical.current_flow_betweenness(graph)
     texts = [format_label(graph.label_of(v)) for v in range(graph.n_vertices)]
     sys.stdout.write("label,current_flow_betweenness\n")
-    for rows in _chunks(graph.n_vertices):
-        cells = zip(texts[rows], values[rows].tolist())
-        sys.stdout.write("".join([f"{text},{value!r}\n" for text, value in cells]))
+    cells = zip(texts, values.tolist())
+    sys.stdout.write("".join([f"{text},{value!r}\n" for text, value in cells]))
 
 
 def chain_splits(graph, field, source, target) -> list[tuple[float, float, float]]:

@@ -150,6 +150,15 @@ class TestPathProfile:
             assert prof.thm_support_ok and prof.thm_voltages_ok and prof.thm_split_ok
             assert abs(prof.field.effective_resistance - 2 * prof.distance / 3) < 1e-9
 
+    @pytest.mark.parametrize("m,t", [(1, 0), (1, 3), (2, 2), (3, 2)])
+    def test_chain_path_is_the_label_route(self, m, t):
+        # every ordered pair, a == b among them: the ids climbed by the triangle table are route's hops
+        graph = cached_graph(m, t)
+        for a in range(graph.n_vertices):
+            for b in range(graph.n_vertices):
+                hops = route(m, t, graph.label_of(a), graph.label_of(b)).hops
+                assert electrical._chain_path(graph, a, b) == [graph.vertex_by_label(h) for h in hops]
+
     def test_builds_no_label_objects(self, label_count):
         # the route is taken on ids and label keys, with no Label per vertex
         graph = build(2, 3)

@@ -669,10 +669,16 @@ def test_float_column_is_repr_on_distinct_values():
     assert float_rows(values) == [repr(float(x)) for x in values]
 
 
-def column_rows(column) -> list[str]:
-    """Each row's kept bytes of a text column (chars, keep)."""
-    chars, keep = column
-    return [row[kept].tobytes().decode("ascii") for row, kept in zip(chars, keep)]
+def column_rows(column, n: int) -> list[str]:
+    """Each row's bytes, NULs dropped, of a text column (width, fill) of n rows.
+
+    The slice starts as 0xFF, a byte no text holds: a place the fill leaves unwritten fails the decode.
+    """
+    width, fill = column
+    out = np.full((n, width + 2), 0xFF, np.uint8)
+    fill(out[:, 1:-1])  # a strided slice, as in a chunk's matrix
+    assert (out[:, [0, -1]] == 0xFF).all()  # nothing written outside the slice
+    return [row[1:-1][row[1:-1] != 0].tobytes().decode("ascii") for row in out]
 
 
 def test_decimal_is_str_at_every_digit_count():
@@ -680,12 +686,12 @@ def test_decimal_is_str_at_every_digit_count():
     corners += [p for k in range(10) for p in (10**k - 1, 10**k)]
     sample = np.random.default_rng(24).integers(0, 2**32, 10_000).tolist()
     for values in (corners, sample):
-        assert column_rows(graph_module._decimal(np.array(values))) == [str(x) for x in values]
+        assert column_rows(graph_module._decimal(np.array(values)), len(values)) == [str(x) for x in values]
 
 
 def test_decimal_omit_zero_keeps_no_digit_of_a_zero():
-    assert column_rows(graph_module._decimal(np.zeros(3, np.int64), omit_zero=True)) == ["", "", ""]
-    assert column_rows(graph_module._decimal(np.array([0, 7, 10]), omit_zero=True)) == ["", "7", "10"]
+    assert column_rows(graph_module._decimal(np.zeros(3, np.int64), omit_zero=True), 3) == ["", "", ""]
+    assert column_rows(graph_module._decimal(np.array([0, 7, 10]), omit_zero=True), 3) == ["", "7", "10"]
 
 
 @pytest.mark.parametrize("values", [[2**32], [0, 2**32 + 5], [-1]])
@@ -701,9 +707,18 @@ def test_decimal_refuses_values_outside_32_bits(values):
 def test_decimal_of_narrow_columns(dtype, values):
     # the label columns are int8 and int32: widened, each value keeps its digits, and a
     # negative one is refused rather than read as a wrapped unsigned value
-    assert column_rows(graph_module._decimal(np.array(values, dtype))) == [str(x) for x in values]
+    assert column_rows(graph_module._decimal(np.array(values, dtype)), len(values)) == [str(x) for x in values]
     with pytest.raises(ValueError):
         graph_module._decimal(np.array([5, np.iinfo(dtype).min], dtype))
+
+
+@pytest.mark.parametrize("text", ["\0", "a\0", "1\0.5"])
+def test_a_text_that_holds_a_nul_byte_is_refused(text):
+    # NUL marks a place a row drops, so a text that held one would lose it unseen
+    with pytest.raises(ValueError):
+        graph_module._text_rows(2, ["[", text, "]"])
+    with pytest.raises(ValueError):
+        graph_module._block(["", text])
 
 
 TEXTS = st.text(alphabet='0123456789.,:"{}[] -', max_size=4)
@@ -719,18 +734,11 @@ def text_columns(draw, n):
     if kind == "table":
         texts = draw(st.lists(TEXTS, min_size=1, max_size=4))
         which = draw(st.lists(st.integers(0, len(texts) - 1), min_size=n, max_size=n))
-        return graph_module._table(texts, which), [texts[w] for w in which]
-    if kind == "decimal":
-        values = draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n))
-        omit_zero = draw(st.booleans())
-        texts = ["" if omit_zero and x == 0 else str(x) for x in values]
-        return graph_module._decimal(np.array(values, np.int64), omit_zero), texts
-    width = draw(st.integers(0, 8))
-    length = draw(st.lists(st.integers(0, width), min_size=n, max_size=n))
-    bits = draw(st.lists(st.integers(0, 2**width - 1), min_size=n, max_size=n))
-    texts = [format(b, "b").zfill(k)[-k:] if k else "" for b, k in zip(bits, length)]
-    column = graph_module._binary(np.array(bits, np.int64), np.array(length, np.int64), width)
-    return column, texts
+        return graph_module._table(graph_module._block(texts), which), [texts[w] for w in which]
+    values = draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n))
+    omit_zero = draw(st.booleans())
+    texts = ["" if omit_zero and x == 0 else str(x) for x in values]
+    return graph_module._decimal(np.array(values, np.int64), omit_zero), texts
 
 
 @st.composite

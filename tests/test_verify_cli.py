@@ -565,6 +565,11 @@ PINNED_STDOUT = {
         "4c4a5746ea2e042a58b1efc6d12008966557688cab8cb8ce9056874995f8b1c3",
     ("generate", "--m", "1", "--t", "8", "--format", "dot"):
         "0ebf8edc414569bff1996e9ee834d8100ac0100c5dfbc39abc93fefe46af22e5",
+    # and their birth and degree columns, and the edge rows, in the other two formats
+    ("generate", "--m", "1", "--t", "8", "--format", "json"):
+        "d355f45a81b1bc5222292f58edacf543dc49215be6ab9e354d1dc36d64e2b7c4",
+    ("generate", "--m", "1", "--t", "8", "--format", "edgelist"):
+        "eca599ce67966c28d93339ff7ed852cb91d72d2fe0eb37b5e1b58e5c474bf672",
 }
 
 
