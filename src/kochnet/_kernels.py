@@ -11,15 +11,18 @@ bits are the BFS parents of the fresh bits, so their popcount less the
 fresh popcount counts the extra parents: 0 exactly when every shortest
 path from the swept sources is unique, with no second bit-plane.
 ``pair_distances`` reads one bit per (source, target) pair at each
-level and sums the extra parents; ``all_distance_total`` only sums the
+level, by a byte index and bit mask per pair into the plane viewed as
+bytes, and sums the extra parents; ``all_distance_total`` only sums the
 fresh-bit counts that ``_levels`` makes for the extra parents.
 ``_BLOCK_ENTRIES`` is the one memory bound: it caps the packed words of
 one bit-plane of a sweep block, and a level gathers the slots of a run of
 rows at a time (``row_chunks``), at most N slots, so its gathered words
 are at most one bit-plane too.  These sweeps are oracles: the library's
 distance total and betweenness come from the triangle table in O(N), and
-the sweeps check them and the label routes on small graphs.  Every
-kernel is sequential, so results are bit-for-bit deterministic.
+the sweeps check them and the label routes on small graphs.
+``add_at_rows`` is the father scatter of the Laplacian back-solves: one
+1-D ``np.add.at`` over a column-major block of fields.  Every kernel is
+sequential, so results are bit-for-bit deterministic.
 """
 
 from __future__ import annotations
@@ -27,11 +30,28 @@ from __future__ import annotations
 import numpy as np
 
 _BLOCK_ENTRIES = 1 << 20  # uint64 words in one bit-plane of a sweep block
+_BYTE_ORDER = 0 if np.little_endian else 56  # flips a bit's byte within its word on a big-endian host
 
 
 def block_rows(n: int) -> int:
     """uint64 words per vertex in a sweep block of an n-vertex graph: a bit-plane holds ``_BLOCK_ENTRIES``."""
     return max(1, _BLOCK_ENTRIES // max(n, 1))
+
+
+def add_at_rows(x: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(x, rows, values)`` on an (N,) or column-major (N, c) x, as one 1-D ``np.add.at``.
+
+    Column j's rows are offset by j N into x's storage, so each column
+    takes its additions in the order it takes them alone and keeps its
+    bits; a 2-D ``np.add.at`` takes numpy's slow path, even at c = 1.  An
+    x that is not column-major raises ``ValueError``.
+    """
+    if not x.flags.f_contiguous:
+        raise ValueError("add_at_rows needs a column-major x")
+    flat = x.reshape(-1, order="F")  # a view of x's storage
+    if len(flat) > len(x):  # more than one column: column j's rows move j N along
+        rows = (rows + len(x) * np.arange(len(flat) // len(x))[:, None]).reshape(-1)
+    np.add.at(flat, rows, values.reshape(-1, order="F"))
 
 
 def _blocks(sources: np.ndarray, n: int):
@@ -117,32 +137,37 @@ def pair_distances(indptr: np.ndarray, indices: np.ndarray, src, dst) -> tuple[n
     """Distance from src[p] to dst[p] for every pair p (int64, -1 if unreachable), and the sweep's extra parents.
 
     The distinct sources are swept on packed bits (``_levels``),
-    ``_blocks`` at a time, each to its last level.  At each level every
-    pair still open reads its one bit, ``(fresh[v, j >> 6] >> (j & 63)) & 1``
-    for target v and source bit j.  The second value sums ``_levels``'
+    ``_blocks`` at a time, each to its last level.  Each pair's bit, for
+    target v and source bit j, has one flat index into the (N, words)
+    plane viewed as bytes, split once into its byte ``bit >> 3`` and the
+    mask of its shift ``bit & 7``, and every pair reads that byte at each
+    level: a bit is set in one level's plane only, its distance's, so no
+    pair is dropped when it hits, which costs more than reading it again.
+    The second value sums ``_levels``'
     extra parents over every level of every distinct source: it is 0
     exactly when every vertex that a source reaches has one shortest path
     from it.
     """
     n = indptr.shape[0] - 1
     src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
-    sources, col = np.unique(src, return_inverse=True)
+    order = np.argsort(src, kind="stable")  # the pairs grouped by source, each source's in order
+    by_source = src[order]
+    first = np.empty(len(src), bool)  # the first pair of each distinct source
+    first[:1] = True
+    np.not_equal(by_source[1:], by_source[:-1], out=first[1:])
+    sources, col = by_source.compress(first), np.cumsum(first) - 1  # col: each pair's source bit
     dist = np.full(len(src), -1, np.int64)
     extra = 0
-    order = np.argsort(col, kind="stable")  # the pairs grouped by source bit
-    col = col[order]
-    one = np.uint64(1)
     for block in _blocks(np.arange(len(sources)), n):
         lo, hi = np.searchsorted(col, (block[0], block[-1] + 1))
         pairs, j = order[lo:hi], col[lo:hi] - block[0]
-        word = dst[pairs] * -(-len(block) // 64) + (j >> 6)  # the pair's word in a flat (N, words) plane
-        shift = (j & 63).astype(np.uint64)
+        # the pair's bit in the flat plane: word (v, j >> 6), bit j & 63, whose byte of the word
+        # is (j & 63) >> 3 on a little-endian host and 7 less that on a big-endian one
+        bit = (dst[pairs] * -(-len(block) // 64) + (j >> 6)) * 64 + ((j & 63) ^ _BYTE_ORDER)
+        byte, mask = bit >> 3, np.uint8(1) << (bit & 7).astype(np.uint8)
         for d, fresh, _, level_extra in _levels(indptr, indices, sources[block]):
             extra += level_extra
-            hit = ((fresh.reshape(-1)[word] >> shift) & one).astype(bool)
-            dist[pairs[hit]] = d
-            left = ~hit
-            pairs, word, shift = pairs[left], word[left], shift[left]
+            dist[pairs.compress((fresh.view(np.uint8).reshape(-1)[byte] & mask) != 0)] = d
     return dist, extra
 
 

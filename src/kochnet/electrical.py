@@ -11,9 +11,15 @@ that against the solver; nothing is assumed.  ``solve`` returns one
 frozen field at unit current, and every other call reads such a field
 without changing it: ``path_profile`` wraps its own in a frozen
 ``PathProfile`` with the chain checks, and ``voltage_gap`` takes one that
-was already solved.  Currents are read at unit current; only the
-reported voltages are divided by the effective resistance, at the
-vertices they report, which puts them at a unit pair drop.
+was already solved.  ``verify``'s probe pairs are solved as the columns of
+one back-solve per block (``_path_profiles``), at most
+``_FIELD_BLOCK_ENTRIES`` potentials a block, so one column from
+N = 2^15 + 1 on; ``solve`` is the one-column case of the same function.
+Every step is elementwise per column and each column is contiguous, so a
+field has the same bits in a block as alone.  Currents are read at unit
+current; only the reported voltages are divided by the effective
+resistance, at the vertices they report, which puts them at a unit pair
+drop.
 
 Every solve is a back-solve of one factorization per graph,
 ``KochGraph.laplacian_factor``: a numpy LDL^T of the Laplacian grounded at
@@ -46,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .centrality import vertex_betweenness_counts
 from .errors import KochError, SizeCapError
 from .graph import KochGraph
@@ -55,6 +62,9 @@ SUPPORT_EPS = 1e-9  # absolute current on unit injection
 PROFILE_TOL = 1e-9  # absolute tolerance of ``path_profile``'s chain checks
 CFB_EXHAUSTIVE_MAX_N = 600  # vertices: cap on the Laplacian oracle of current-flow betweenness
 _CFB_BLOCK_ROWS = 128  # edge rows per block of the oracle's reduction
+# potentials in one block of fields solved together: 512 KB a column-block array, which stays in
+# a core's cache; a block of 2^20 measured slower per field than one field at a time from N = 8193
+_FIELD_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,8 +94,14 @@ class PathProfile:
 def _row_drops(graph: KochGraph, phi: np.ndarray) -> np.ndarray:
     """phi[u] - phi[v] on the corner pairs (f, a), (f, b), (a, b) of every triangle row: (T, 3) + phi.shape[1:]."""
     a, b = phi[1::2], phi[2::2]  # every row's sons
-    f = np.take(phi, graph.triangles[:, 0], axis=0)
-    return np.stack((f - a, f - b, a - b), axis=1)
+    f = np.take(phi.T, graph.triangles[:, 0], axis=-1).T  # laid out as phi
+    # each difference written in place, and column j's (T, 3) drops contiguous, as when it is solved alone
+    cols = np.empty(phi.shape[1:] + (len(f), 3))
+    drops = np.moveaxis(cols, 0, -1) if phi.ndim > 1 else cols
+    np.subtract(f, a, out=drops[:, 0])
+    np.subtract(f, b, out=drops[:, 1])
+    np.subtract(a, b, out=drops[:, 2])
+    return drops
 
 
 def _kcl_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,12 +109,13 @@ def _kcl_residual(graph: KochGraph, drops: np.ndarray, b: np.ndarray) -> np.ndar
 
     Equal to the Laplacian times phi, less b, in exact arithmetic; ``drops``
     and ``b`` may carry one column per solve.  Every vertex but hub 0 is a
-    son of one row: only the fathers' sums are scattered.
+    son of one row: only the fathers' sums are scattered, each column
+    along itself (``_kernels.add_at_rows``).
     """
-    net = -b
+    net = np.negative(b, order="F")
     net[1::2] += drops[:, 2] - drops[:, 0]
     net[2::2] -= drops[:, 1] + drops[:, 2]
-    np.add.at(net, graph.triangles[:, 0], drops[:, 0] + drops[:, 1])
+    _kernels.add_at_rows(net, graph.triangles[:, 0], drops[:, 0] + drops[:, 1])
     return net
 
 
@@ -112,6 +129,23 @@ def _checked_drops(graph: KochGraph, phi: np.ndarray, b: np.ndarray) -> np.ndarr
     return drops
 
 
+def _fields(graph: KochGraph, sources, targets) -> list[ElectricalProfile]:
+    """The unit-current field of each pair (sources[j], targets[j]), solved as column j of one back-solve.
+
+    Every step is elementwise per column, so a field has the bits of its
+    pair solved alone.  A field's arrays are contiguous column views of
+    the block, which lives while any of them does.
+    """
+    cols = np.arange(len(sources))
+    b = np.zeros((graph.n_vertices, len(cols)), order="F")
+    b[sources, cols] = 1.0
+    b[targets, cols] = -1.0
+    phi = graph.laplacian_factor.solve(b)
+    phi -= phi[targets, cols]
+    drops = _checked_drops(graph, phi, b).reshape(-1, len(cols))
+    return [ElectricalProfile(phi[:, j], drops[:, j], float(phi[s, j])) for j, s in enumerate(sources)]
+
+
 def solve(graph: KochGraph, source: int, target: int) -> ElectricalProfile:
     """Laplacian solve for one source/target pair at unit current.
 
@@ -122,12 +156,7 @@ def solve(graph: KochGraph, source: int, target: int) -> ElectricalProfile:
     graph.check_ids(source, target)
     if source == target:
         raise ValueError("source and target must differ")
-    b = np.zeros(graph.n_vertices)
-    b[source] = 1.0
-    b[target] = -1.0
-    phi = graph.laplacian_factor.solve(b)
-    phi -= phi[target]
-    return ElectricalProfile(phi, _checked_drops(graph, phi, b).reshape(-1), float(phi[source]))
+    return _fields(graph, [source], [target])[0]
 
 
 def _chain_path(graph: KochGraph, a: int, b: int) -> list[int]:
@@ -151,7 +180,29 @@ def path_profile(graph: KochGraph, source: int, target: int) -> PathProfile:
     steps, (c) every chain triangle splits the unit pair current 2/3
     direct versus 1/3 detour, within ``PROFILE_TOL``.
     """
-    field = solve(graph, source, target)
+    return _profile(graph, source, target, solve(graph, source, target))
+
+
+def _path_profiles(graph: KochGraph, pairs: list[tuple[int, int]]):
+    """``path_profile`` of each (source, target) pair in turn, the fields solved in column blocks.
+
+    A block is one back-solve of at most ``_FIELD_BLOCK_ENTRIES`` potentials,
+    at least one column: all 50 of ``verify``'s pairs on K(1,4), 31 a block
+    on K(1,5), and one from N = 2^15 + 1 on.  Pairs are checked as
+    ``path_profile`` checks them; ids must lie in [0, N) and each pair's
+    ends differ.
+    """
+    per_block = max(1, _FIELD_BLOCK_ENTRIES // graph.n_vertices)
+    for lo in range(0, len(pairs), per_block):
+        block = pairs[lo : lo + per_block]
+        fields = _fields(graph, *zip(*block))
+        for (s, v), field in zip(block, fields):
+            yield _profile(graph, s, v, field)
+        del fields, field  # the next block is solved without this one held
+
+
+def _profile(graph: KochGraph, source: int, target: int, field: ElectricalProfile) -> PathProfile:
+    """``path_profile``'s chain checks on the solved unit-current field of (source, target)."""
     r_eff = field.effective_resistance
     ids = np.array(_chain_path(graph, source, target))
     d = len(ids) - 1
@@ -227,6 +278,7 @@ def _exhaustive_cfb(graph: KochGraph) -> np.ndarray:
     b = np.eye(n)
     b[0] -= 1.0
     drops = _checked_drops(graph, graph.laplacian_factor.solve(b), b).reshape(graph.n_edges, n)
+    drops = np.ascontiguousarray(drops)  # row by row: the reductions below run along each edge's row
     edge_ends = graph.corner_pair_ends()
     rank = 2.0 * np.arange(n) - (n - 1)
     totals = np.zeros(n)

@@ -202,11 +202,15 @@ class CactusLDL:
     """``KochGraph.laplacian_factor``: L D L^T with one set of entries per triangle row (f, a, b).
 
     Son b's column of L holds -1/D_b at a and at f; son a's holds
-    ``a_coupling / a_pivot`` at f, where ``a_coupling`` is the a-f entry
-    left once b is eliminated.  A solve is one forward and one backward
-    pass over the same batches of rows, a few vectorized steps each.  The
-    sons of a batch are two strided slices of the ids (``_son_ids``); only
-    the fathers are gathered.
+    ``a_ratio = a_coupling / a_pivot`` at f, where ``a_coupling`` is the
+    a-f entry left once b is eliminated; it and ``1 / a_pivot`` are
+    divided once, in the factorization, not once per solve.  A solve is
+    one forward and one backward pass over the same batches of rows, a
+    few vectorized steps each, on any number of right-hand-side columns
+    at once, each laid out contiguously: every step is elementwise per
+    column, so a column's bits do not depend on the others.  The sons of
+    a batch are two strided slices of the ids (``_son_ids``); only the
+    fathers are gathered.
     """
 
     triangles: np.ndarray  # the graph's int32 table: row k is (father, 2k+1, 2k+2)
@@ -214,24 +218,29 @@ class CactusLDL:
     b_pivot: np.ndarray  # D at son b (the higher id), eliminated first
     a_pivot: np.ndarray  # D at son a, eliminated second
     a_coupling: np.ndarray  # the a-f entry once b is eliminated
+    a_ratio: np.ndarray  # a_coupling / a_pivot: son a's entry of L at f
+    a_inverse: np.ndarray  # 1 / a_pivot
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """phi with phi[0] = 0 and (L phi)[v] = rhs[v] at every other vertex; rhs is (N,) or (N, c)."""
-        phi = np.array(rhs, np.float64)
-        x = phi.reshape(len(phi), -1)  # a view: the columns are solved together
+        """phi with phi[0] = 0 and (L phi)[v] = rhs[v] at every other vertex; rhs is (N,) or (N, c).
+
+        phi is column-major: each column is contiguous, as it is alone.
+        """
+        phi = np.array(rhs, np.float64, order="F")
+        x = phi.reshape(len(phi), -1, order="F")  # a view: the columns are solved together
         for rows in self.batches:  # L y = rhs: each son's right-hand side passes on to its father
             a, b = _son_ids(rows)
             carry = x[b] / self.b_pivot[rows, None]
             x[a] += carry
-            carry -= self.a_coupling[rows, None] / self.a_pivot[rows, None] * x[a]
-            np.add.at(x, self.triangles[rows, 0], carry)
+            carry -= self.a_ratio[rows, None] * x[a]
+            _kernels.add_at_rows(x, self.triangles[rows, 0], carry)
         x[0] = 0.0  # hub 0 is grounded: what the sons passed on to it is dropped
         for rows in reversed(self.batches):  # D L^T phi = y: each son from its father, oldest first
             a, b = _son_ids(rows)
-            xf = np.take(x, self.triangles[rows, 0], axis=0)
+            xf = np.take(x.T, self.triangles[rows, 0], axis=1).T  # column-major, as x
             # times the reciprocal pivot, as a BLAS triangular solve rounds: printed potentials
             # then keep the bits they had under a sparse LU solve
-            x[a] = (x[a] - self.a_coupling[rows, None] * xf) * (1 / self.a_pivot[rows, None])
+            x[a] = (x[a] - self.a_coupling[rows, None] * xf) * self.a_inverse[rows, None]
             x[b] = (x[b] + xf + x[a]) / self.b_pivot[rows, None]
         return phi
 
@@ -485,7 +494,7 @@ class KochGraph:
             a_pivot[rows] = pivot[a] - 1 / b_pivot[rows]
             a_coupling[rows] = -1 - 1 / b_pivot[rows]
             np.subtract.at(pivot, tri[rows, 0], 1 / b_pivot[rows] + a_coupling[rows] ** 2 / a_pivot[rows])
-        return CactusLDL(tri, tuple(batches), b_pivot, a_pivot, a_coupling)
+        return CactusLDL(tri, tuple(batches), b_pivot, a_pivot, a_coupling, a_coupling / a_pivot, 1 / a_pivot)
 
     # ---- exports -------------------------------------------------------
     # each chunk of rows is laid out by ``_text_rows`` and written at once (``_write_rows``)

@@ -21,8 +21,9 @@ endpoint once, and per pair how many hops come from a's chain and how
 many from b's.  It finds the distinct endpoints by marking them in one
 bool array over the vertex ids, with no sort, makes each one's chain
 once and reads it from the hub end, so the deepest common vertex of a
-pair is the first hub column where the two chains differ.  A caller
-reads a pair's hops from its two halves of ``chains``.
+pair is the first hub column where the two chains differ, found one
+column at a time over the pairs that still agree.  A caller reads a
+pair's hops from its two halves of ``chains``.
 ``bfs_distances`` is the oracle: one vertex's distances to all others,
 read from the one packed-bit BFS sweep ``_kernels.pair_distances``, which
 also counts the extra BFS parents that ``verify``'s uniqueness check reads.
@@ -175,9 +176,14 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
     once, and read once from the hub end, where column c holds the
     ancestor c steps below the hub.  Two chains agree on a prefix of
     those columns exactly when they share a subnet; its length is the
-    splice column, which fixes each pair's two hop counts.  No hop is
-    copied per pair: the result is the chains and those counts (see
-    ``RouteBatch``).  An id outside [0, N) raises ``ValueError``.
+    splice column, which fixes each pair's two hop counts.  The hub
+    columns are laid out as rows, so each is one contiguous gather, and
+    the splice is found one column at a time over the pairs that still
+    agree: most pairs drop out at the hub or a step below it.  The keys
+    just below the splice, and each one's companion key, made once per
+    end, are read by flat index.  No hop is copied per pair: the result
+    is the chains and those counts (see ``RouteBatch``).  An id outside
+    [0, N) raises ``ValueError``.
     """
     m, t = graph.m, graph.t
     a, b = np.asarray(a_ids, np.int64), np.asarray(b_ids, np.int64)
@@ -191,29 +197,41 @@ def route_batch(graph: KochGraph, a_ids, b_ids) -> RouteBatch:
     row[ends] = np.arange(len(ends))
     ea, eb = row[a].astype(np.int64), row[b].astype(np.int64)
     chain, length = _ancestor_keys(graph, ends)
-    # hub columns 0..t at 0..t, with -1 past the chain's end
-    col = length[:, None] - 1 - np.arange(t + 1)
-    hub_cols = np.where(col >= 0, np.take_along_axis(chain, np.maximum(col, 0), axis=1), -1)
+    # hub column c of every end, as row c: its ancestor c steps below the hub, -1 past its end
+    col = length - 1 - np.arange(t + 1)[:, None]
+    hub = np.where(col >= 0, chain[np.arange(len(ends)), np.maximum(col, 0)], -1)
 
     len_a, len_b = length[ea], length[eb]
-    # the splice column: the first hub column where the chains differ (none when a == b)
-    common = np.where(a == b, len_a, np.argmin(hub_cols[ea] == hub_cols[eb], axis=1))
+    # the splice column: the first hub column where the chains differ, found one column at a
+    # time over the pairs that still match; a pair a == b matches throughout, and splices at a
+    loop = a == b
+    common = np.zeros(len(a), np.int64)
+    p, xa, xb = np.arange(len(a)), ea, eb
+    for c, keys in enumerate(hub):
+        hit = np.flatnonzero(keys[xa] == keys[xb])  # a gather by index: a bool mask compacts far slower
+        if not len(hit):
+            break
+        p, xa, xb = p[hit], xa[hit], xb[hit]
+        common[p] = c + 1
+    np.copyto(common, len_a, where=loop)
     same = common > 0  # the hubs match
     split = same & (common < len_a) & (common < len_b)  # neither end is the splice vertex
-    # the vertices just below the splice sit at hub column `common`; the companion flips
-    # the index within its odd/even pair, which moves the key by one
-    below = np.minimum(common, t)  # read only where split, which puts common below t + 1
-    key_a, key_b = hub_cols[ea, below], hub_cols[eb, below]
-    odd = key_a % ((2 * m) ** t + 1) % 2 == 1
-    shortcut = split & (key_a + np.where(odd, 1, -1) == key_b)
+    # the vertices just below the splice sit at hub column `common`, read by flat index where
+    # split puts common below t + 1; the companion flips the index within its odd/even pair,
+    # which moves the key by one, so each hub key's companion key is made once per end
+    companion = hub + np.where(hub % ((2 * m) ** t + 1) % 2 == 1, 1, -1)
+    below = np.minimum(common, t) * len(ends)
+    shortcut = split & (companion.reshape(-1)[below + ea] == hub.reshape(-1)[below + eb])
+    ops = len_a + len_b - 2 + split
+    ops[loop] = 0
 
     return RouteBatch(
         chains=chain,
         a_row=ea,
         b_row=eb,
-        a_hops=np.where(same, len_a + 1 - common - shortcut, len_a),
+        a_hops=len_a + same - common - shortcut,  # len_a where the hubs differ: common is 0 there
         b_hops=len_b - common,
-        ops_used=np.where(a == b, 0, len_a + len_b - 2 + split),
+        ops_used=ops,
     )
 
 

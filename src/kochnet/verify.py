@@ -527,13 +527,30 @@ def _hub_probe(graph: KochGraph) -> tuple[float, float]:
     return field.effective_resistance, electrical.voltage_gap(field).gap
 
 
-def _reciprocal(graph: KochGraph, field: electrical.ElectricalProfile, s: int, v: int) -> bool:
-    """The field from s to v against the solve from v to s: equal resistance, negated currents."""
+def _reversed_field(graph: KochGraph, s: int, v: int) -> tuple[float, np.ndarray]:
+    """Effective resistance and edge currents of the solve from v to s; its potentials are not kept."""
     rev = electrical.solve(graph, v, s)
-    return (
-        abs(field.effective_resistance - rev.effective_resistance) < 1e-9
-        and float(np.max(np.abs(field.edge_currents + rev.edge_currents))) < 1e-9
-    )
+    return rev.effective_resistance, rev.edge_currents
+
+
+def _reciprocal(field: electrical.ElectricalProfile, reversed_field: tuple[float, np.ndarray]) -> bool:
+    """The field from s to v against ``_reversed_field(graph, s, v)``: equal resistance, negated currents."""
+    r_eff, currents = reversed_field
+    total = field.edge_currents + currents
+    # the max-norm, with no array of absolute values
+    return abs(field.effective_resistance - r_eff) < 1e-9 and float(max(total.max(), -total.min())) < 1e-9
+
+
+def _probe_pairs(n: int, seed: int, n_pairs: int) -> list[tuple[int, int]]:
+    """The electrical suite's seeded probe pairs (s, v), s < v, distinct and in order: n_pairs, or every pair."""
+    rng = np.random.default_rng(seed)
+    k = min(n_pairs, n * (n - 1) // 2)
+    pairs = set()
+    while len(pairs) < k:
+        s, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+        if s != v:
+            pairs.add((min(s, v), max(s, v)))
+    return sorted(pairs)
 
 
 def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list[CheckResult]:
@@ -550,23 +567,19 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
         )
     )
 
-    rng = np.random.default_rng(seed)
-    k = min(n_pairs, n * (n - 1) // 2)
-    pairs = set()
-    while len(pairs) < k:
-        s, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if s != v:
-            pairs.add((min(s, v), max(s, v)))
-    pairs = sorted(pairs)
+    pairs = _probe_pairs(n, seed, n_pairs)
 
     support_ok = voltage_ok = split_ok = series_ok = rayleigh_ok = True
     worst_off = 0.0
     worst_series = 0.0
-    reciprocal = None  # read from the first pair's field while it is held
-    for s, v in pairs:
-        prof = electrical.path_profile(graph, s, v)
+    # the reversed first pair is solved before the probe fields and only its currents are kept:
+    # no probe field is held while it is solved, and only those currents while the first block is
+    reversed_field = _reversed_field(graph, *pairs[0]) if pairs else None
+    reciprocal = None
+    for prof in electrical._path_profiles(graph, pairs):
         if reciprocal is None:
-            reciprocal = _reciprocal(graph, prof.field, s, v)
+            reciprocal = _reciprocal(prof.field, reversed_field)
+            reversed_field = None
         support_ok &= prof.thm_support_ok
         voltage_ok &= prof.thm_voltages_ok
         split_ok &= prof.thm_split_ok
@@ -576,7 +589,7 @@ def electrical_suite(graph: KochGraph, seed: int = 0, n_pairs: int = 50) -> list
         worst_series = max(worst_series, gap)
         series_ok &= gap < 1e-9
         rayleigh_ok &= r_eff <= prof.distance + 1e-12
-        del prof  # one field at a time: the next pair's is solved without this one held
+        del prof  # one block of fields at a time: the next block is solved without this one held
     out.append(
         _check(
             "electrical/current-localization",

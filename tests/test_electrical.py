@@ -385,12 +385,18 @@ def test_edgewise_residual_is_laplacian_residual(m, t):
         np.testing.assert_allclose(edgewise, expected, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("k", [1, 6])
-def test_electrical_suite_makes_one_solve_per_pair(monkeypatch, k):
-    # the hub field serves the triangle base and the community gap, and the first pair's
-    # field the reciprocity check: k pair solves, the hub pair and the reversed first pair
+@pytest.mark.parametrize("k,per_block", [(1, None), (6, None), (6, 1), (6, 4), (5, 2)])
+def test_electrical_suite_solves_pair_columns_in_blocks(monkeypatch, k, per_block):
+    # the k pairs' fields are the columns of ceil(k / block) solves, block = 2^16 // N; the hub
+    # field serves the triangle base and the community gap, and the reversed first pair the
+    # reciprocity check, one column each, both solved before the first block
     graph = cached_graph(2, 3)
-    assert graph.n_vertices > CFB_EXHAUSTIVE_MAX_N  # so no multi-column oracle solve runs
+    n = graph.n_vertices
+    assert n > CFB_EXHAUSTIVE_MAX_N  # so no multi-column oracle solve runs
+    if per_block is not None:
+        monkeypatch.setattr(electrical, "_FIELD_BLOCK_ENTRIES", per_block * n)
+    block = electrical._FIELD_BLOCK_ENTRIES // n
+    assert block == (per_block or (1 << 16) // n)
     calls = []
     solve_columns = CactusLDL.solve
 
@@ -401,4 +407,31 @@ def test_electrical_suite_makes_one_solve_per_pair(monkeypatch, k):
     monkeypatch.setattr(CactusLDL, "solve", counted)
     checks = electrical_suite(graph, n_pairs=k)
     assert [c.status for c in checks] == [PASS] * len(checks)
-    assert calls == [(graph.n_vertices,)] * (k + 2)
+    widths = [min(block, k - lo) for lo in range(0, k, block)]
+    assert len(widths) == -(-k // block)
+    assert calls == [(n, 1), (n, 1)] + [(n, w) for w in widths]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, np.float64).tobytes()
+
+
+@pytest.mark.parametrize("m,t", [(1, 4), (2, 3)])
+@pytest.mark.parametrize("per_block", [1, 7, None])
+def test_block_fields_equal_one_pair_solves(monkeypatch, m, t, per_block):
+    # 50 pairs in blocks of one column, in 7 full blocks of 7 and a partial one, and all in one
+    graph = cached_graph(m, t)
+    pairs = verify._probe_pairs(graph.n_vertices, 0, 50)
+    assert len(pairs) == 50
+    alone = [path_profile(graph, s, v) for s, v in pairs]
+    if per_block is not None:
+        monkeypatch.setattr(electrical, "_FIELD_BLOCK_ENTRIES", per_block * graph.n_vertices)
+    block = electrical._FIELD_BLOCK_ENTRIES // graph.n_vertices
+    assert block == per_block if per_block is not None else block >= 50
+    for got, want in zip(electrical._path_profiles(graph, pairs), alone, strict=True):
+        assert _bits(got.field.potentials) == _bits(want.field.potentials)
+        assert _bits(got.field.edge_currents) == _bits(want.field.edge_currents)
+        assert _bits(got.field.effective_resistance) == _bits(want.field.effective_resistance)
+        for f in dataclasses.fields(got):
+            if f.name != "field":
+                assert getattr(got, f.name) == getattr(want, f.name), f.name

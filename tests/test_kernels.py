@@ -245,3 +245,23 @@ def test_multi_flag_from_slots_apart_in_their_row():
     assert dist.tolist() == [1, 3, 1, 0, 2]
     # vertex 4 has two parents; vertex 1, below it, has one, so it adds no extra
     assert extra == python_extra_parents(csr_lists(indptr, indices), [3]) == 1
+
+
+@pytest.mark.parametrize("cols", [None, 1, 3])
+def test_add_at_rows_is_add_at_per_column(cols):
+    # repeated rows, so the order of each column's additions decides its bits
+    rng = np.random.default_rng(7)
+    shape = (11,) if cols is None else (11, cols)
+    x = np.asfortranarray(rng.standard_normal(shape))
+    rows = rng.integers(0, 11, 40).astype(np.int32)
+    values = rng.standard_normal((40,) + shape[1:]) * 10.0 ** rng.integers(-8, 8, (40,) + shape[1:])
+    want = x.copy()
+    for j in range(1 if cols is None else cols):
+        np.add.at(want if cols is None else want[:, j], rows, values if cols is None else values[:, j])
+    _kernels.add_at_rows(x, rows, values)
+    assert x.tobytes() == np.asfortranarray(want).tobytes()
+
+
+def test_add_at_rows_needs_a_column_major_array():
+    with pytest.raises(ValueError, match="column-major"):
+        _kernels.add_at_rows(np.zeros((5, 2)), np.array([0, 1]), np.ones((2, 2)))

@@ -563,6 +563,13 @@ PINNED_STDOUT = {
     # what an 8-bit shift or power holds
     ("verify", "--m", "1", "--t", "8", "--seed", "3"):
         "4c4a5746ea2e042a58b1efc6d12008966557688cab8cb8ce9056874995f8b1c3",
+    # the benchmark's two verify runs: every suite, the routing pairs exhaustive on K(1,4) and
+    # sampled on K(1,5), the 50 probe fields in one column block on K(1,4) and in blocks of 31 and
+    # 19 on K(1,5), and K(1,4)'s Laplacian cfb oracle
+    ("verify", "--m", "1", "--t", "4", "--seed", "1"):
+        "1a8a2773bef14a0791abe9aa9b711929314c7a503325ec0541b7d3c9af0d6696",
+    ("verify", "--m", "1", "--t", "5", "--seed", "1"):
+        "ef2c47e4a22e58ed60911c5814a5b9b5ab8b9ed62a288899904b4a15db4388cb",
     ("generate", "--m", "1", "--t", "8", "--format", "dot"):
         "0ebf8edc414569bff1996e9ee834d8100ac0100c5dfbc39abc93fefe46af22e5",
     # and their birth and degree columns, and the edge rows, in the other two formats
