@@ -216,10 +216,9 @@ class CactusLDL:
     triangles: np.ndarray  # the graph's int32 table: row k is (father, 2k+1, 2k+2)
     batches: tuple[slice, ...]  # triangle rows eliminated together, in elimination order
     b_pivot: np.ndarray  # D at son b (the higher id), eliminated first
-    a_pivot: np.ndarray  # D at son a, eliminated second
     a_coupling: np.ndarray  # the a-f entry once b is eliminated
     a_ratio: np.ndarray  # a_coupling / a_pivot: son a's entry of L at f
-    a_inverse: np.ndarray  # 1 / a_pivot
+    a_inverse: np.ndarray  # 1 / a_pivot, where a_pivot is D at son a, eliminated second
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """phi with phi[0] = 0 and (L phi)[v] = rhs[v] at every other vertex; rhs is (N,) or (N, c).
@@ -494,7 +493,7 @@ class KochGraph:
             a_pivot[rows] = pivot[a] - 1 / b_pivot[rows]
             a_coupling[rows] = -1 - 1 / b_pivot[rows]
             np.subtract.at(pivot, tri[rows, 0], 1 / b_pivot[rows] + a_coupling[rows] ** 2 / a_pivot[rows])
-        return CactusLDL(tri, tuple(batches), b_pivot, a_pivot, a_coupling, a_coupling / a_pivot, 1 / a_pivot)
+        return CactusLDL(tri, tuple(batches), b_pivot, a_coupling, a_coupling / a_pivot, 1 / a_pivot)
 
     # ---- exports -------------------------------------------------------
     # each chunk of rows is laid out by ``_text_rows`` and written at once (``_write_rows``)

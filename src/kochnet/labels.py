@@ -20,46 +20,75 @@ returns the climb steps, which ``routing.route`` climbs by; ``father``
 and ``routing.ancestor_chain`` read the table's steps directly.  So
 after the first lookup one climb step is one ceiling division and one
 slice.
-The climb makes each hop ``Label`` inline, by ``object.__new__`` and
-the three slot setters that ``_derived`` also uses, with no call per
-hop; the colder father, companion and child formulas call ``_derived``.
+A ``Label`` is a tuple of its three fields.  Its constructor, ``_make``
+and ``_replace`` check them; a label derived from a valid one (a father,
+a companion, a child, a climb hop, the graph's ``label_of``) is made by
+``_derived``, one unchecked ``tuple.__new__``, and the climb makes each
+hop by that same call, inline.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
+from contextlib import suppress
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import LabelDomainError, LabelFormatError
 
 _LABEL_RE = re.compile(r"([123])(0[01]*)\.([1-9][0-9]*)")
 _HUB_RE = re.compile(r"[123]")
 
+# a tuple of the given type holding the given fields, with no check
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True, order=True, slots=True)
-class Label:
-    """Identity of one vertex: subnet digit, growth bits, index within its bit class."""
 
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int; a bool, a float or any other non-integer is refused."""
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise LabelFormatError(f"{name} must be an integer, got {value!r}")
+
+
+class _LabelFields(NamedTuple):
     subnet: int
-    bits: str = ""
-    index: int | None = field(default=None)
+    bits: str
+    index: int | None
 
-    def __post_init__(self) -> None:
-        if self.subnet not in (1, 2, 3):
-            raise LabelFormatError(f"subnet must be 1, 2 or 3, got {self.subnet}")
-        if self.bits == "":
-            if self.index is not None:
+
+class Label(_LabelFields):
+    """Identity of one vertex: subnet digit, growth bits, index within its bit class.
+
+    It equals, hashes, orders, unpacks and indexes as the plain tuple of
+    its fields.  Integer fields are stored as Python ints.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, subnet: int, bits: str = "", index: int | None = None) -> Label:
+        subnet = _integer("subnet", subnet)
+        if subnet not in (1, 2, 3):
+            raise LabelFormatError(f"subnet must be 1, 2 or 3, got {subnet}")
+        if not isinstance(bits, str):
+            raise LabelFormatError(f"bits must be a str, got {bits!r}")
+        if bits == "":
+            if index is not None:
                 raise LabelFormatError("hub labels carry no index")
         else:
-            if self.bits[0] != "0":
-                raise LabelFormatError(
-                    f"first bit must be 0 (initial vertices have no fathers): {self.bits!r}"
-                )
-            if any(c not in "01" for c in self.bits):
-                raise LabelFormatError(f"bits must be over {{0,1}}: {self.bits!r}")
-            if self.index is None or self.index < 1:
+            if bits[0] != "0":
+                raise LabelFormatError(f"first bit must be 0 (initial vertices have no fathers): {bits!r}")
+            if any(c not in "01" for c in bits):
+                raise LabelFormatError(f"bits must be over {{0,1}}: {bits!r}")
+            if index is None or (index := _integer("index", index)) < 1:
                 raise LabelFormatError("non-hub labels need a positive index")
+        return _tuple_new(cls, (subnet, bits, index))
+
+    @classmethod
+    def _make(cls, iterable) -> Label:
+        """A checked Label from an iterable of its fields; ``_replace`` makes its result here."""
+        return cls(*iterable)
 
     @property
     def is_hub(self) -> bool:
@@ -74,30 +103,22 @@ class Label:
         return format_label(self)
 
 
-# a bare instance, and the slots' own setters, which the frozen __setattr__ does not guard
-_new = object.__new__
-_set_subnet, _set_bits, _set_index = Label.subnet.__set__, Label.bits.__set__, Label.index.__set__
-
-
 def _derived(subnet: int, bits: str, index: int | None) -> Label:
     """A Label for fields derived from a valid Label, made without re-running its checks.
 
-    Only the father, companion and child formulas (and the graph's own
-    label arrays) call this; their results are valid by construction.  A
+    Only the father, companion and child formulas, ``parse_label`` once its
+    pattern matched and the index is in bound, and the graph's own label
+    arrays call this; their results are valid by construction.  A
     father's bits are a prefix of valid bits that keeps the leading 0, and
     its index is a ceiling >= 1.  A companion stays in 1..l_max because
     l_max is even for every non-hub bit string.  Children append '0' and
     ones to valid bits, within the index range ``child_block`` gives.
     The ancestor climb ``_ancestors`` makes its hops the same way, inline.
     """
-    label = _new(Label)
-    _set_subnet(label, subnet)
-    _set_bits(label, bits)
-    _set_index(label, index)
-    return label
+    return _tuple_new(Label, (subnet, bits, index))
 
 
-# the three hubs, by subnet digit; Labels are frozen, so every caller may share them
+# the three hubs, by subnet digit; Labels are immutable, so every caller may share them
 _HUBS = (None, Label(1), Label(2), Label(3))
 
 # bit classes whose table ``_class_table`` keeps.  K(m,t) has 2^t - 1 of them, so every
@@ -131,7 +152,7 @@ def format_label(label: Label) -> str:
 def parse_label(text: str, m: int) -> Label:
     """Parse ``text`` into a Label, enforcing the index bound for parameter m."""
     if _HUB_RE.fullmatch(text):
-        return Label(int(text))
+        return _derived(int(text), "", None)
     match = _LABEL_RE.fullmatch(text)
     if match is None:
         if re.match(r"^[123]1", text):
@@ -142,10 +163,10 @@ def parse_label(text: str, m: int) -> Label:
         index = int(digits)
     except ValueError:  # more digits than Python converts: sys.get_int_max_str_digits()
         raise LabelFormatError(f"{text!r}: index of {len(digits)} digits is too long") from None
-    bound = l_max(m, bits)
+    bound = _class_table(m, bits)[0]  # the pattern has checked the bits
     if index > bound:
         raise LabelFormatError(f"{text!r}: index {index} exceeds l_max={bound} for m={m}")
-    return Label(subnet, bits, index)
+    return _derived(subnet, bits, index)
 
 
 def validate_in_graph(m: int, t: int, label: Label) -> tuple[tuple[int, int], ...]:
@@ -208,11 +229,7 @@ def _ancestors(label: Label, steps: tuple[tuple[int, int], ...]) -> list[Label]:
         return chain
     for cut, width in steps:
         index = -(-index // width)
-        hop = _new(Label)
-        _set_subnet(hop, subnet)
-        _set_bits(hop, bits[:cut])
-        _set_index(hop, index)
-        chain.append(hop)
+        chain.append(_tuple_new(Label, (subnet, bits[:cut], index)))
     chain.append(_HUBS[subnet])
     return chain
 

@@ -10,10 +10,9 @@ the common father would be one hop longer).
 
 ``route`` does this for one pair of ``Label``s, climbing each chain by
 the steps ``labels.validate_in_graph`` returns from the label's cached
-class table, and making each hop's ``Label`` inline as it climbs.  It
-compares hops by their index and bits (the chains share a subnet
-wherever it compares them, and the hubs are shared objects), and sets
-the two slots of its ``RoutePath`` directly.
+class table, and making each hop's ``Label`` inline as it climbs, one
+``tuple.__new__`` each.  Labels and a ``RoutePath`` are tuples, so it
+compares hops as whole tuples and returns ``RoutePath(hops, ops)``.
 ``route_batch`` does the same arithmetic for whole arrays of vertex ids
 at once, on the four label arrays the graph stores, and returns each
 route in two halves, as label keys: the ancestor chain of each distinct
@@ -32,6 +31,7 @@ also counts the extra BFS parents that ``verify``'s uniqueness check reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from .graph import KochGraph, label_keys
 from .labels import Label, _ancestors, _class_table, validate_in_graph
 
 
-@dataclass(frozen=True, slots=True)
-class RoutePath:
+class RoutePath(NamedTuple):
     hops: tuple[Label, ...]
     ops_used: int
 
@@ -51,18 +50,6 @@ class RoutePath:
 
     def reversed(self) -> "RoutePath":
         return RoutePath(tuple(reversed(self.hops)), self.ops_used)
-
-
-# the slots' own setters, which the frozen __setattr__ does not guard
-_set_hops, _set_ops = RoutePath.hops.__set__, RoutePath.ops_used.__set__
-
-
-def _path(hops: tuple[Label, ...], ops: int) -> RoutePath:
-    """``RoutePath(hops, ops)`` without the frozen ``__init__``: ``route``'s fields are built whole."""
-    path = object.__new__(RoutePath)
-    _set_hops(path, hops)
-    _set_ops(path, ops)
-    return path
 
 
 def ancestor_chain(m: int, label: Label) -> list[Label]:
@@ -82,17 +69,13 @@ def route(m: int, t: int, a: Label, b: Label) -> RoutePath:
     chain_b.reverse()  # from the hub down to b
     if a.subnet != b.subnet:  # the two hubs are adjacent
         chain_a += chain_b
-        return _path(tuple(chain_a), ops)
-    # from here on every hop shares the subnet, so index and bits decide equality
-    if a is b or (a.index == b.index and a.bits == b.bits):
-        return _path((a,), 0)
+        return RoutePath(tuple(chain_a), ops)
+    if a == b:
+        return RoutePath((a,), 0)
 
     # scan from the hub end for the deepest common vertex, kept on a's side
     i, j, last = len(chain_a) - 1, 0, len(chain_b) - 1
-    while i >= 0 and j <= last:
-        x, y = chain_a[i], chain_b[j]
-        if x is not y and (x.index != y.index or x.bits != y.bits):
-            break
+    while i >= 0 and j <= last and chain_a[i] == chain_b[j]:
         i -= 1
         j += 1
     i += 1
@@ -102,7 +85,7 @@ def route(m: int, t: int, a: Label, b: Label) -> RoutePath:
         if x.bits == y.bits and y.index == (x.index + 1 if x.index % 2 == 1 else x.index - 1):
             # companions: splice the two sibling subtrees directly, skip their father
             i -= 1
-    return _path(tuple(chain_a[: i + 1] + chain_b[j:]), ops)
+    return RoutePath(tuple(chain_a[: i + 1] + chain_b[j:]), ops)
 
 
 @dataclass(frozen=True)

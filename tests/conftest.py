@@ -87,17 +87,17 @@ def csr_lists(indptr, indices) -> list[list[int]]:
 def label_count(monkeypatch):
     """``label_count()`` is the number of ``Label``s made so far in the test, checked or derived."""
     made = [0]
-    post_init, derived = Label.__post_init__, labels_module._derived
+    new, derived = Label.__new__, labels_module._derived
 
-    def counted_post_init(label):
+    def counted_new(cls, *fields, **named):
         made[0] += 1
-        post_init(label)
+        return new(cls, *fields, **named)
 
     def counted_derived(*fields):
         made[0] += 1
         return derived(*fields)
 
-    monkeypatch.setattr(Label, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Label, "__new__", counted_new)
     for module in (labels_module, graph_module):
         monkeypatch.setattr(module, "_derived", counted_derived)
     return lambda: made[0]

@@ -346,8 +346,8 @@ def test_factor_has_no_fill(m, t):
     lower, pivots = np.eye(n), np.zeros(n)
     f, a, b = factor.triangles.T
     lower[a, b] = lower[f, b] = -1 / factor.b_pivot
-    lower[f, a] = factor.a_coupling / factor.a_pivot
-    pivots[a], pivots[b] = factor.a_pivot, factor.b_pivot
+    lower[f, a] = factor.a_ratio
+    pivots[a], pivots[b] = 1 / factor.a_inverse, factor.b_pivot
     lower, pivots = lower[1:, 1:], pivots[1:]  # hub 0 is grounded
     assert np.count_nonzero(lower) - (n - 1) == graph.n_edges - graph.degrees[0]
     grounded = laplacian(graph).toarray()[1:, 1:]

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from kochnet import (
     route,
     verify,
 )
-from kochnet.labels import validate_in_graph
+from kochnet import labels as labels_module
+from kochnet.labels import _derived, validate_in_graph
 from kochnet.routing import ancestor_chain
 
 from conftest import (
@@ -91,6 +94,90 @@ class TestCodec:
             Label(1, "", 2)
         with pytest.raises(LabelFormatError):
             Label(5)
+
+
+class TestLabelTuple:
+    # a Label is the tuple of its fields; every way of making one from fields runs the checks
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (1, "0", 1.5),  # a float index
+            (1, "0", True),
+            (1, "0", "1"),
+            (True,),  # a bool subnet
+            (True, "0", 1),
+            (2.0, "01", 3),  # a float subnet
+            (np.float64(2), "0", 1),
+            ("1", "0", 1),
+            (np.array([1, 2]), "0", 1),
+            (1, 0, 1),  # bits that are not a str
+            (1, None),
+            (1, b"01", 1),
+            (1, ["0"], 1),
+        ],
+    )
+    def test_refuses_non_integer_or_non_str_fields(self, fields):
+        with pytest.raises(LabelFormatError):
+            Label(*fields)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        label = Label(np.int64(2), "0", np.int32(3))
+        assert [type(x) for x in label] == [int, str, int]
+        assert repr(label) == repr(Label(2, "0", 3)) and str(label) == "20.3"
+        assert type(Label(np.int8(3)).subnet) is int
+
+    def test_is_its_fields_tuple(self):
+        label = Label(1, "01", 3)
+        assert label == (1, "01", 3) and hash(label) == hash((1, "01", 3))
+        subnet, bits, index = label
+        assert (subnet, bits, index, label[1], len(label)) == (1, "01", 3, "01", 3)
+        assert Label(2) == (2, "", None) and label < Label(1, "01", 4) < Label(2)
+        with pytest.raises(TypeError):
+            dataclasses.replace(label, index=2)
+
+    def test_stray_attribute_raises_attribute_error(self):
+        for label in (Label(1), Label(1, "01", 3)):
+            assert not hasattr(label, "__dict__")
+            with pytest.raises(AttributeError, match="'x'"):
+                label.x = 1
+            for name in label._fields:
+                with pytest.raises(AttributeError):
+                    setattr(label, name, getattr(label, name))
+
+    def test_replace_make_copy_and_pickle_run_the_checks(self):
+        label = Label(1, "01", 3)
+        assert label._replace(index=4) == Label(1, "01", 4) and type(label._replace()) is Label
+        assert Label._make((2, "0", 1)) == Label(2, "0", 1) and type(Label._make([3])) is Label
+        for same in (copy.copy(label), copy.deepcopy(label), pickle.loads(pickle.dumps(label))):
+            assert same == label and type(same) is Label
+        with pytest.raises(LabelFormatError):
+            label._replace(index=0)
+        with pytest.raises(LabelFormatError):
+            label._replace(subnet=1.0)
+        with pytest.raises(LabelFormatError):
+            Label._make((1, "1", 2))
+        bad = _derived(1, "01", 0)  # unchecked, so the copies below must check it
+        with pytest.raises(LabelFormatError):
+            copy.copy(bad)
+        with pytest.raises(LabelFormatError):
+            pickle.loads(pickle.dumps(bad))
+
+    def test_parse_checks_the_bits_once(self, monkeypatch):
+        # the pattern checks the bits; neither l_max nor the checking constructor runs again
+        def refuse(*args, **kwargs):
+            raise AssertionError("checked twice")
+
+        monkeypatch.setattr(labels_module, "l_max", refuse)
+        monkeypatch.setattr(Label, "__new__", refuse)
+        assert parse_label("2011.5", 2) == (2, "011", 5) and parse_label("3", 1) == (3, "", None)
+        with pytest.raises(LabelFormatError, match=r"^'10\.3': index 3 exceeds l_max=2 for m=1$"):
+            parse_label("10.3", 1)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            parse_label("10.1", 0)
+        monkeypatch.undo()
+        for text, m in (("2011.5", 2), ("3", 1), ("10.2", 1)):
+            label = parse_label(text, m)
+            assert type(label) is Label and repr(label) == repr(Label(*label))
 
 
 class TestCompanion:

@@ -240,9 +240,19 @@ class TestRouteObjects:
         path = route(1, 2, *_labels("100.1 100.3", 1))
         assert not hasattr(path, "__dict__")
         for name, value in (("hops", ()), ("ops_used", 0)):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(path, name, value)
         assert path == RoutePath(path.hops, path.ops_used) and path.reversed().reversed() == path
+
+    def test_route_path_is_its_fields_tuple(self):
+        path = route(1, 2, *_labels("100.1 100.3", 1))
+        hops, ops = path
+        assert path == (hops, ops) and hash(path) == hash((hops, ops)) and path[1] == path.ops_used
+        assert path.length == len(hops) - 1 and path.reversed() == (hops[::-1], ops)
+        with pytest.raises(AttributeError, match="'x'"):
+            path.x = 1
+        with pytest.raises(TypeError):
+            dataclasses.replace(path, ops_used=0)
 
 
 class TestOracles:
