@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -109,25 +108,24 @@ def exact_betweenness(graph: KochGraph) -> tuple[np.ndarray, np.ndarray]:
     return vertex / norm, edge / norm
 
 
-def _close(a: np.ndarray, b: np.ndarray, rel_tol: float) -> bool:
-    """``math.isclose(x, y, rel_tol=rel_tol, abs_tol=1e-15)`` for every pair of elements."""
-    bound = np.abs(a)  # each step in place: two arrays as long as a at a time
-    np.maximum(bound, np.abs(b), out=bound)
-    bound *= rel_tol
-    np.maximum(bound, 1e-15, out=bound)
-    gap = a - b
-    np.abs(gap, out=gap)
-    return bool(np.all(gap <= bound))
+def _against_printed(counts: np.ndarray, starts: np.ndarray, forms: list[Fraction], norm: int) -> tuple[bool, float]:
+    """One kind's audit: (every count / norm isclose to its step's printed form, the largest rel gap).
 
-
-def _max_rel_gap(exact: np.ndarray, printed: np.ndarray) -> float:
-    """The largest |exact - printed| / exact over the elements of positive ``exact``; 0 if none."""
-    gap = exact - printed
-    np.abs(gap, out=gap)
-    positive = exact > 0
-    np.divide(gap, exact, out=gap, where=positive)
-    gap[~positive] = 0.0
-    return float(gap.max())
+    ``counts`` holds one column per group and a row per element, the rows
+    of step s from ``starts[s]`` on.  The values that are isclose to one
+    printed p form an interval, and |x - p| / x is largest at an end of
+    any interval of x > 0: so each group's min and max decide it.
+    """
+    low, high = np.minimum.reduceat(counts, starts), np.maximum.reduceat(counts, starts)
+    printed = np.repeat([float(form) for form in forms], low.shape[1]).tolist() * 2  # at low's, then high's
+    ends = (np.concatenate((low, high)) / norm).ravel().tolist()
+    matches = all(math.isclose(x, p, rel_tol=1e-9, abs_tol=1e-15) for x, p in zip(ends, printed))
+    stops = np.append(starts[1:], len(counts))
+    for s, j in zip(*np.nonzero((low == 0) & (high > 0))):  # a 0 has no gap: its group's least positive count
+        group = counts[starts[s] : stops[s], j]
+        low[s, j] = group[group > 0].min()
+    ends = (np.concatenate((low, high)) / norm).ravel().tolist()
+    return matches, max((abs(x - p) / x for x, p in zip(ends, printed) if x > 0), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -158,19 +156,16 @@ class CentralityReport:
     def edge(self) -> np.ndarray:
         return self.edge_counts / self.pair_norm
 
-    @property
-    def _against_paper(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(exact, printed formula) as floats per vertex, then per edge, one kind at a time."""
-        yield self.vertex, per_element(self.paper_vertex, self.graph.birth)
-        yield self.edge, per_element(self.paper_edge, edge_steps(self.graph))
-
     def audit(self) -> dict:
         """Each printed formula against the exact values in floats, one kind at a time.
 
         A kind matches when every element is isclose at rel_tol 1e-9; ``max_rel_gap`` is the
         largest |exact - printed| / exact over the elements of positive exact betweenness.
+        Vertices are grouped by birth step, and edges by birth step and corner-pair column.
         """
-        (eq9, gap_v), (eq12, gap_e) = ((_close(x, p, 1e-9), _max_rel_gap(x, p)) for x, p in self._against_paper)
+        starts = self.graph.step_starts  # a step's first vertex, and half of it its first triangle row
+        eq9, gap_v = _against_printed(self.vertex_counts[:, None], starts, self.paper_vertex, self.pair_norm)
+        eq12, gap_e = _against_printed(self.edge_counts.reshape(-1, 3), starts // 2, self.paper_edge, self.pair_norm)
         return {
             "eq9_matches": eq9,
             "eq12_matches": eq12,

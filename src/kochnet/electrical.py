@@ -21,11 +21,12 @@ current; only the reported voltages are divided by the effective
 resistance, at the vertices they report, which puts them at a unit pair
 drop.
 
-Every solve is a back-solve of one factorization per graph,
-``KochGraph.laplacian_factor``: a numpy LDL^T of the Laplacian grounded at
-hub 0, eliminated youngest vertex first, one birth step of triangles at a
-time, with no fill-in.  Factor and solve are O(N) vectorized passes, one
-or many right-hand-side columns at once.  Edge drops are made per
+Every solve is one forward and one backward pass of the LDL^T of the
+Laplacian grounded at hub 0, eliminated youngest vertex first, one birth
+step of triangles at a time, with no fill-in (``_grounded_solve``).  That
+factor is the same four constants at every triangle row, so nothing is
+factorized or stored: a solve is O(N) vectorized steps, on one or many
+right-hand-side columns at once.  Edge drops are made per
 triangle row, so a reshape lays them out by corner-pair position.  Each
 solve checks the max-norm of L phi - b against 1e-10, evaluated
 edge-wise (Kirchhoff's current law: per vertex, the sum of the potential
@@ -55,7 +56,7 @@ import numpy as np
 from . import _kernels
 from .centrality import vertex_betweenness_counts
 from .errors import KochError, SizeCapError
-from .graph import KochGraph
+from .graph import KochGraph, _son_ids, triangle_count
 
 RESIDUAL_TOL = 1e-10
 SUPPORT_EPS = 1e-9  # absolute current on unit injection
@@ -89,6 +90,37 @@ class PathProfile:
     thm_support_ok: bool
     thm_voltages_ok: bool
     thm_split_ok: bool
+
+
+def _grounded_solve(graph: KochGraph, rhs: np.ndarray) -> np.ndarray:
+    """phi with phi[0] = 0 and (L phi)[v] = rhs[v] at every other vertex, L the Laplacian; rhs is (N,) or (N, c).
+
+    L grounded at hub 0 is L D L^T with every triangle row (f, a, b) eliminated son b first, then son a,
+    one birth step of rows at a time from step t down, the hub row last.  By then all that hangs below
+    the sons is gone, and a subtree that hangs at one vertex adds nothing to its Schur complement: a
+    dangling part carries no current (Klein and Randic, "Resistance distance", 1993).  So every row has
+    the same entries, D_b = 2, D_a = 3/2, L_ab = L_fb = -1/2 and L_fa = -1, written in below:
+    ``carry += x[a]`` is ``carry -= L_fa * x[a]``, and son a is multiplied by 1 / D_a.  Every step is
+    elementwise per column, each column contiguous, so a column's bits do not depend on the others.
+    """
+    phi = np.array(rhs, np.float64, order="F")
+    x = phi.reshape(len(phi), -1, order="F")  # a view: the columns are solved together
+    fathers = graph.triangles[:, 0]
+    steps = range(graph.t, 0, -1)  # youngest first, then row 0, the hubs
+    batches = [*(slice(triangle_count(graph.m, s - 1), triangle_count(graph.m, s)) for s in steps), slice(0, 1)]
+    for rows in batches:  # L y = rhs: each son's right-hand side passes on to its father
+        a, b = _son_ids(rows)
+        carry = x[b] / 2.0
+        x[a] += carry
+        carry += x[a]
+        _kernels.add_at_rows(x, fathers[rows], carry)
+    x[0] = 0.0  # hub 0 is grounded: what the sons passed on to it is dropped
+    for rows in reversed(batches):  # D L^T phi = y: each son from its father, oldest first
+        a, b = _son_ids(rows)
+        xf = np.take(x.T, fathers[rows], axis=1).T  # column-major, as x
+        x[a] = (x[a] + 1.5 * xf) * (1 / 1.5)  # times 1 / D_a, as a BLAS triangular solve rounds
+        x[b] = (x[b] + xf + x[a]) / 2.0
+    return phi
 
 
 def _row_drops(graph: KochGraph, phi: np.ndarray) -> np.ndarray:
@@ -140,7 +172,7 @@ def _fields(graph: KochGraph, sources, targets) -> list[ElectricalProfile]:
     b = np.zeros((graph.n_vertices, len(cols)), order="F")
     b[sources, cols] = 1.0
     b[targets, cols] = -1.0
-    phi = graph.laplacian_factor.solve(b)
+    phi = _grounded_solve(graph, b)
     phi -= phi[targets, cols]
     drops = _checked_drops(graph, phi, b).reshape(-1, len(cols))
     return [ElectricalProfile(phi[:, j], drops[:, j], float(phi[s, j])) for j, s in enumerate(sources)]
@@ -277,7 +309,7 @@ def _exhaustive_cfb(graph: KochGraph) -> np.ndarray:
         )
     b = np.eye(n)
     b[0] -= 1.0
-    drops = _checked_drops(graph, graph.laplacian_factor.solve(b), b).reshape(graph.n_edges, n)
+    drops = _checked_drops(graph, _grounded_solve(graph, b), b).reshape(graph.n_edges, n)
     drops = np.ascontiguousarray(drops)  # row by row: the reductions below run along each edge's row
     edge_ends = graph.corner_pair_ends()
     rank = 2.0 * np.arange(n) - (n - 1)

@@ -36,8 +36,7 @@ vertex v >= 3 is the first corner of row (v - 1) // 2, and its companion
 is the other son of that row.  That position 3k + j among row k's corner
 pairs is the one edge id, found by arithmetic (``corner_pair``): every
 per-edge array is indexed by it; the sorted ``edges`` order the exports.
-They, the degrees, CSR adjacency, corner parts and the Laplacian's one
-LDL^T factor (``CactusLDL``, on numpy alone) are derived and cached.
+They, the degrees, CSR adjacency and corner parts are derived and cached.
 
 The graph is a cactus of triangles: triangles meet only at vertices, so
 removing a triangle's edges splits the graph into the parts that hang at
@@ -195,53 +194,6 @@ def _write_rows(fp: IO[str], n: int, columns, sep: str = "") -> None:
         rows = slice(lo, min(lo + _EXPORT_ROWS, n))
         text = _text_rows(rows.stop - lo, [sep, *columns(rows)])
         fp.write(text if lo else text[len(sep) :])  # the very first row follows no ``sep``
-
-
-@dataclass(frozen=True)
-class CactusLDL:
-    """``KochGraph.laplacian_factor``: L D L^T with one set of entries per triangle row (f, a, b).
-
-    Son b's column of L holds -1/D_b at a and at f; son a's holds
-    ``a_ratio = a_coupling / a_pivot`` at f, where ``a_coupling`` is the
-    a-f entry left once b is eliminated; it and ``1 / a_pivot`` are
-    divided once, in the factorization, not once per solve.  A solve is
-    one forward and one backward pass over the same batches of rows, a
-    few vectorized steps each, on any number of right-hand-side columns
-    at once, each laid out contiguously: every step is elementwise per
-    column, so a column's bits do not depend on the others.  The sons of
-    a batch are two strided slices of the ids (``_son_ids``); only the
-    fathers are gathered.
-    """
-
-    triangles: np.ndarray  # the graph's int32 table: row k is (father, 2k+1, 2k+2)
-    batches: tuple[slice, ...]  # triangle rows eliminated together, in elimination order
-    b_pivot: np.ndarray  # D at son b (the higher id), eliminated first
-    a_coupling: np.ndarray  # the a-f entry once b is eliminated
-    a_ratio: np.ndarray  # a_coupling / a_pivot: son a's entry of L at f
-    a_inverse: np.ndarray  # 1 / a_pivot, where a_pivot is D at son a, eliminated second
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """phi with phi[0] = 0 and (L phi)[v] = rhs[v] at every other vertex; rhs is (N,) or (N, c).
-
-        phi is column-major: each column is contiguous, as it is alone.
-        """
-        phi = np.array(rhs, np.float64, order="F")
-        x = phi.reshape(len(phi), -1, order="F")  # a view: the columns are solved together
-        for rows in self.batches:  # L y = rhs: each son's right-hand side passes on to its father
-            a, b = _son_ids(rows)
-            carry = x[b] / self.b_pivot[rows, None]
-            x[a] += carry
-            carry -= self.a_ratio[rows, None] * x[a]
-            _kernels.add_at_rows(x, self.triangles[rows, 0], carry)
-        x[0] = 0.0  # hub 0 is grounded: what the sons passed on to it is dropped
-        for rows in reversed(self.batches):  # D L^T phi = y: each son from its father, oldest first
-            a, b = _son_ids(rows)
-            xf = np.take(x.T, self.triangles[rows, 0], axis=1).T  # column-major, as x
-            # times the reciprocal pivot, as a BLAS triangular solve rounds: printed potentials
-            # then keep the bits they had under a sparse LU solve
-            x[a] = (x[a] - self.a_coupling[rows, None] * xf) * self.a_inverse[rows, None]
-            x[b] = (x[b] + xf + x[a]) / self.b_pivot[rows, None]
-        return phi
 
 
 @dataclass(eq=False)
@@ -469,31 +421,6 @@ class KochGraph:
     def bfs_distance_total(self) -> int:
         """``distance_total``'s oracle: one blocked BFS sweep from every vertex, O(N E)."""
         return _kernels.all_distance_total(*self.csr)
-
-    @cached_property
-    def laplacian_factor(self) -> CactusLDL:
-        """LDL^T of the unit-resistor Laplacian grounded at hub 0, eliminated youngest vertex first.
-
-        Every triangle row (f, a, b) is eliminated son b first, then son a,
-        one birth step at a time from step t down, the hub row (0, 1, 2)
-        last.  By then each son's children are gone, so its only neighbors
-        left are its father and its companion, which are adjacent: no fill.
-        Each son's pivot is its degree less what its eliminated children
-        took from it.
-        """
-        tri = self.triangles
-        steps = range(self.t, 0, -1)  # youngest first, then row 0, the hubs
-        batches = [slice(triangle_count(self.m, s - 1), triangle_count(self.m, s)) for s in steps]
-        batches.append(slice(0, 1))
-        pivot = self.degrees.astype(np.float64)  # each vertex's diagonal as its sons are eliminated
-        b_pivot, a_pivot, a_coupling = (np.empty(len(tri)) for _ in range(3))
-        for rows in batches:
-            a, b = _son_ids(rows)
-            b_pivot[rows] = pivot[b]
-            a_pivot[rows] = pivot[a] - 1 / b_pivot[rows]
-            a_coupling[rows] = -1 - 1 / b_pivot[rows]
-            np.subtract.at(pivot, tri[rows, 0], 1 / b_pivot[rows] + a_coupling[rows] ** 2 / a_pivot[rows])
-        return CactusLDL(tri, tuple(batches), b_pivot, a_coupling, a_coupling / a_pivot, 1 / a_pivot)
 
     # ---- exports -------------------------------------------------------
     # each chunk of rows is laid out by ``_text_rows`` and written at once (``_write_rows``)

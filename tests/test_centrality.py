@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +16,7 @@ from kochnet import (
 )
 from kochnet import verify
 from kochnet.analytics import delta_v
-from kochnet.centrality import _close, betweenness_counts, edge_betweenness_counts, edge_steps, scaling_fit
+from kochnet.centrality import betweenness_counts, edge_betweenness_counts, edge_steps, scaling_fit
 from kochnet.errors import AnalysisError
 from kochnet.graph import EDGE_CLASSES, edge_class_ids, vertex_count
 from kochnet.routing import ancestor_chain
@@ -236,20 +236,39 @@ class TestReport:
             "max_rel_gap": worst,
             "gamma_hat": report.gamma_hat,
         }
-        # the audit's pairing of exact and printed values, compared at other tolerances too
-        for (exact, printed), pairs in zip(report._against_paper, (pairs_v, pairs_e)):
-            assert list(zip(exact.tolist(), printed.tolist())) == pairs
-            assert _close(exact, printed, rel_tol) is matches(pairs, rel_tol)
 
-    def test_close_is_isclose_elementwise(self):
-        rng = np.random.default_rng(5)
-        a = rng.uniform(-1.0, 1.0, 400)
-        a[:20] = 0.0
-        b = a * (1 + rng.uniform(-3e-9, 3e-9, 400)) + rng.uniform(-3e-15, 3e-15, 400)
-        for x, y in zip(a.tolist(), b.tolist()):
-            want = math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-15)
-            assert _close(np.array([x]), np.array([y]), 1e-9) is want
-            assert _close(np.array([y]), np.array([x]), 1e-9) is want
+    def test_audit_of_uneven_groups_matches_isclose_reference(self):
+        # counts that vary within their groups: one vertex above the 1e-9 tolerance, at the top of its
+        # group, and one edge group whose bottom is a 0 and, below the tolerance, the largest gap of all
+        graph = cached_graph(2, 2)
+        rng = np.random.default_rng(11)
+        norm, base = 10**13, 10**12
+        forms = [Fraction(base * (s + 1), norm) for s in range(graph.t + 1)]  # 1/10, 2/10, 3/10
+        births, steps = graph.birth.astype(np.int64), edge_steps(graph).astype(np.int64)
+        vertex = base * (births + 1) + rng.integers(-500, 500, graph.n_vertices)
+        edge = base * (steps + 1) + rng.integers(-500, 500, len(steps))
+        vertex[graph.step_starts[1]] += 5000  # the first vertex born at step 1
+        edge[-1], edge[-4] = 0, base * (graph.t + 1) - 10**5  # the sons' pairs of the last two rows: one group
+        report = replace(
+            centrality_report(graph),
+            pair_norm=norm,
+            vertex_counts=vertex,
+            edge_counts=edge,
+            paper_vertex=forms,
+            paper_edge=forms,
+        )
+        printed = [float(form) for form in forms]
+        pairs_v = list(zip((vertex / norm).tolist(), [printed[s] for s in births.tolist()]))
+        pairs_e = list(zip((edge / norm).tolist(), [printed[s] for s in steps.tolist()]))
+        eq9, eq12 = (all(math.isclose(x, p, rel_tol=1e-9, abs_tol=1e-15) for x, p in pairs) for pairs in (pairs_v, pairs_e))
+        worst = max(abs(x - p) / x for x, p in pairs_v + pairs_e if x > 0)
+        assert (eq9, eq12, worst) == (False, False, abs(edge[-4] / norm - printed[-1]) / (edge[-4] / norm))
+        assert report.audit() == {
+            "eq9_matches": eq9,
+            "eq12_matches": eq12,
+            "max_rel_gap": worst,
+            "gamma_hat": report.gamma_hat,
+        }
 
 
 class TestScalingFit:

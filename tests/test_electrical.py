@@ -16,9 +16,9 @@ from kochnet import (
 from kochnet import electrical, verify
 from kochnet.centrality import betweenness_counts
 from kochnet.electrical import CFB_EXHAUSTIVE_MAX_N, RESIDUAL_TOL, _exhaustive_cfb, _kcl_residual
-from kochnet.errors import SizeCapError
-from kochnet.graph import CactusLDL
-from kochnet.verify import PASS, electrical_suite
+from kochnet.errors import KochError, SizeCapError
+from kochnet.graph import triangle_count, vertex_count
+from kochnet.verify import FAIL, PASS, electrical_suite
 
 from conftest import adjacency, cached_graph, chain_splits, corner_pair_ends, laplacian
 
@@ -337,21 +337,59 @@ def test_pinv_and_grounded_solve_agree():
         assert abs(solve(graph, s, v).effective_resistance - r_pinv) < 1e-9
 
 
+def _row_factor(graph):
+    """The grounded Laplacian's LDL^T factorized row by row, each pivot its degree less what eliminated sons took.
+
+    Rows go as ``electrical._grounded_solve`` eliminates them: son b, then son a, of every triangle row of one
+    birth step, step t first, the hub row last.  Returns (D_b, D_a, the a-f entry once b is gone) per row.
+    """
+    tri = graph.triangles
+    batches = [slice(triangle_count(graph.m, s - 1), triangle_count(graph.m, s)) for s in range(graph.t, 0, -1)]
+    pivot = graph.degrees.astype(np.float64)
+    b_pivot, a_pivot, a_coupling = (np.empty(len(tri)) for _ in range(3))
+    for rows in [*batches, slice(0, 1)]:
+        a, b = tri[rows, 1], tri[rows, 2]
+        b_pivot[rows] = pivot[b]
+        a_pivot[rows] = pivot[a] - 1 / b_pivot[rows]
+        a_coupling[rows] = -1 - 1 / b_pivot[rows]
+        np.subtract.at(pivot, tri[rows, 0], 1 / b_pivot[rows] + a_coupling[rows] ** 2 / a_pivot[rows])
+    return b_pivot, a_pivot, a_coupling
+
+
+_FACTOR_GRID = [(m, t) for m in range(1, 5) for t in range(6) if vertex_count(m, t) <= 10**5]
+
+
+@pytest.mark.parametrize("m,t", _FACTOR_GRID)
+def test_row_factor_is_four_constants(m, t):
+    # every row's D_b, D_a, L_ab = L_fb and L_fa, and the a-f entry and 1 / D_a the solve's steps stand for
+    b_pivot, a_pivot, a_coupling = _row_factor(cached_graph(m, t))
+    entries = {
+        "D_b": (b_pivot, 2.0),
+        "D_a": (a_pivot, 1.5),
+        "L_fb": (-1 / b_pivot, -0.5),
+        "L_fa": (a_coupling / a_pivot, -1.0),
+        "a_coupling": (a_coupling, -1.5),
+        "1 / D_a": (1 / a_pivot, 1 / 1.5),
+    }
+    for name, (got, want) in entries.items():
+        assert got.tobytes() == np.full(len(got), want).tobytes(), name
+
+
 @pytest.mark.parametrize("m,t", [(1, 3), (2, 2), (3, 2)])
 def test_factor_has_no_fill(m, t):
-    # L's entries below the diagonal sit on the grounded graph's edges, and L D L^T is its Laplacian
+    # L from the four constants over the triangle table: its entries below the diagonal sit on the grounded
+    # graph's edges, and L D L^T is its Laplacian exactly
     graph = cached_graph(m, t)
     n = graph.n_vertices
-    factor = graph.laplacian_factor
     lower, pivots = np.eye(n), np.zeros(n)
-    f, a, b = factor.triangles.T
-    lower[a, b] = lower[f, b] = -1 / factor.b_pivot
-    lower[f, a] = factor.a_ratio
-    pivots[a], pivots[b] = 1 / factor.a_inverse, factor.b_pivot
+    f, a, b = graph.triangles.T
+    lower[a, b] = lower[f, b] = -0.5
+    lower[f, a] = -1.0
+    pivots[a], pivots[b] = 1.5, 2.0
     lower, pivots = lower[1:, 1:], pivots[1:]  # hub 0 is grounded
     assert np.count_nonzero(lower) - (n - 1) == graph.n_edges - graph.degrees[0]
     grounded = laplacian(graph).toarray()[1:, 1:]
-    np.testing.assert_allclose(lower @ np.diag(pivots) @ lower.T, grounded, atol=1e-12)
+    assert np.array_equal(lower @ np.diag(pivots) @ lower.T, grounded)
 
 
 @pytest.mark.parametrize("m,t", [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (3, 2)])
@@ -367,9 +405,54 @@ def test_factor_solve_matches_sparse_solve(m, t):
     for rhs in (single, multi):
         want = np.zeros(rhs.shape)
         want[1:] = spla.spsolve(grounded, rhs[1:])
-        got = graph.laplacian_factor.solve(rhs)
+        got = electrical._grounded_solve(graph, rhs)
         assert got.shape == rhs.shape and np.all(got[0] == 0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _moved_father(graph, row, father):
+    """``graph`` with triangle row ``row`` hung at ``father``: a table the build does not make."""
+    triangles = graph.triangles.copy()
+    triangles[row, 0] = father
+    return dataclasses.replace(graph, triangles=triangles)
+
+
+def test_father_in_its_sons_batch_fails_the_residual():
+    # the last row's father moved to the next id, the first son of the youngest batch: that father's rows
+    # are eliminated with it, not before, so the constants are wrong there and the residual says so
+    graph = cached_graph(1, 4)
+    bad = _moved_father(graph, -1, graph.triangles[-1, 0] + 1)
+    assert (bad.triangles[-1, 0] - 1) // 2 >= triangle_count(1, 3)  # a son of a step-4 row
+    with pytest.raises(KochError, match="solver residual"):
+        electrical_suite(bad)
+
+
+def test_youngest_first_table_needs_no_canonical_counts():
+    # a step-4 row moved from its step-2 father to another step-2 vertex: the elimination still goes
+    # youngest first, so the constants hold, though the degrees and subtrees are no longer the build's
+    graph = cached_graph(1, 4)
+    first = triangle_count(1, 3)  # the first step-4 row
+    row = first + int(np.flatnonzero(graph.birth[graph.triangles[first:, 0]] == 2)[0])
+    other = graph.triangles[row, 0] + 1
+    assert graph.birth[other] == 2
+    moved = _moved_father(graph, row, other)
+    assert (laplacian(moved) != laplacian(graph)).nnz
+    n = moved.n_vertices
+    grounded = laplacian(moved)[1:, 1:].tocsc()
+    single = np.zeros(n)
+    single[n - 1], single[n // 2] = 1.0, -1.0
+    multi = np.eye(n)
+    multi[0] -= 1.0
+    for rhs in (single, multi):
+        got = electrical._grounded_solve(moved, rhs)
+        electrical._checked_drops(moved, got, rhs)  # raises if the residual is above RESIDUAL_TOL
+        want = np.zeros(rhs.shape)
+        want[1:] = spla.spsolve(grounded, rhs[1:])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # the degrees are no longer uniform in a birth step, so only the current-flow symmetry fails
+    statuses = {c.id: c.status for c in electrical_suite(moved)}
+    assert statuses.pop("electrical/cfb-symmetry") == FAIL
+    assert set(statuses.values()) == {PASS}
 
 
 @pytest.mark.parametrize("m,t", [(1, 3), (2, 2), (3, 2)])
@@ -398,13 +481,13 @@ def test_electrical_suite_solves_pair_columns_in_blocks(monkeypatch, k, per_bloc
     block = electrical._FIELD_BLOCK_ENTRIES // n
     assert block == (per_block or (1 << 16) // n)
     calls = []
-    solve_columns = CactusLDL.solve
+    solve_columns = electrical._grounded_solve
 
-    def counted(self, rhs):
+    def counted(graph, rhs):
         calls.append(rhs.shape)
-        return solve_columns(self, rhs)
+        return solve_columns(graph, rhs)
 
-    monkeypatch.setattr(CactusLDL, "solve", counted)
+    monkeypatch.setattr(electrical, "_grounded_solve", counted)
     checks = electrical_suite(graph, n_pairs=k)
     assert [c.status for c in checks] == [PASS] * len(checks)
     widths = [min(block, k - lo) for lo in range(0, k, block)]

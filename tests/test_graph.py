@@ -247,7 +247,7 @@ def test_vertex_ids_outside_the_graph_are_refused_first(s, v):
     for call in calls:
         with pytest.raises(ValueError, match=r"vertex ids must lie in \[0, 33\)"):
             call()
-    assert not {"laplacian_factor", "csr", "_label_classes"} & vars(graph).keys()
+    assert not {"csr", "_label_classes"} & vars(graph).keys()
 
 
 def test_vertex_ids_inside_the_graph_pass_as_any_integer_type():
